@@ -6,12 +6,9 @@ from .control import (
     CostConfig,
     EdgeControlProblem,
     OptimResult,
-    cost_edge,
     cost_graph,
-    gradient_edge,
     gradient_graph,
     optimize,
-    project,
 )
 from .edge_solver import Trajectory, solve_adjoint_edge, solve_forward_edge
 from .errors import CoefficientError, ConfigError, SizeGuardError, SolverFailure
@@ -40,7 +37,7 @@ from .graph_solver import (
     solve_forward_graph,
 )
 from .grids import Grid1D, TimeGrid
-from .sturm import EdgeCoefficients, EdgeOperator, assemble_stiffness, neumann_load
+from .sturm import EdgeCoefficients, EdgeOperator, assemble_stiffness
 
 __all__ = [
     "AdmissibleSet",
@@ -67,16 +64,12 @@ __all__ = [
     "apply_right_integral",
     "assemble_graph_system",
     "assemble_stiffness",
-    "cost_edge",
     "cost_graph",
     "frac_integral_weights",
-    "gradient_edge",
     "gradient_graph",
     "left_integral_op",
     "left_rl_derivative",
-    "neumann_load",
     "optimize",
-    "project",
     "right_caputo_apply",
     "right_caputo_nodal",
     "right_integral_op",

@@ -31,9 +31,11 @@ Problem files are INI-style key-value text::
     tikhonov_n = 1.0
 
 Single-edge problems use ``n = 1`` (or omit ``n``/``m_split``) with one
-Neumann control section ``[control.1]``.  Data tokens are ``zero``,
-``const:<v>`` or ``file:<path.csv>``; CSV sources/targets hold ``nt+1`` rows
-of ``m_cells+1`` comma-separated values, initial data a single row.
+Neumann control section ``[control.1]``; they are solved as the one-edge
+graph (``m_split = 0``) whose control penalty is ``tikhonov_n``.  Data tokens
+are ``zero``, ``const:<v>`` or ``file:<path.csv>``; CSV sources/targets hold
+``nt+1`` rows of ``m_cells+1`` comma-separated values, initial data a single
+row.
 
 Commands: ``solve-forward``, ``solve-adjoint``, ``optimize``, ``validate``.
 Exit codes: 0 success, 2 config error, 3 solver failure, 4 validation failure.
@@ -44,13 +46,13 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .control import AdmissibleSet, CostConfig, EdgeControlProblem, optimize
-from .edge_solver import solve_adjoint_edge, solve_forward_edge
+from .control import AdmissibleSet, CostConfig, gradient_graph, optimize
+from .edge_solver import edge_bounds
 from .errors import ConfigError, SizeGuardError, SolverFailure
 from .fracops import left_rl_derivative, right_caputo_nodal, trace_functional
 from .graph_solver import (
@@ -59,8 +61,8 @@ from .graph_solver import (
     solve_forward_graph,
 )
 from .grids import Grid1D, TimeGrid
-from .sturm import EdgeCoefficients, assemble_stiffness
-from .validation import dense_oracle_solve_edge, dense_oracle_solve_graph
+from .sturm import EdgeCoefficients
+from .validation import dense_oracle_solve_graph
 
 FMT = "{:.17g}"
 
@@ -310,23 +312,10 @@ def _data_array(token: str, base: Path, shape: tuple) -> np.ndarray:
     return data
 
 
-def _build_edge(cfg: RunConfig):
-    e = cfg.edges[0]
-    grid = Grid1D(e.a, e.b, e.m_cells)
-    tg = TimeGrid(cfg.T, cfg.nt)
-    coeffs = EdgeCoefficients.constant(grid, e.beta, e.q)
-    op = assemble_stiffness(cfg.alpha, grid, coeffs, include_singular_dof=False)
-    shape_xt = (cfg.nt + 1, grid.nnodes)
-    f = _data_array(e.f, cfg.base_dir, shape_xt)
-    y0 = _data_array(e.y0, cfg.base_dir, (grid.nnodes,))
-    y_d = _data_array(e.ydtarget, cfg.base_dir, shape_xt)
-    problem = EdgeControlProblem(edge_op=op, time_grid=tg, f=f, y0=y0)
-    cost_cfg = CostConfig(n_tikhonov=cfg.tikhonov_n, y_d=y_d)
-    sets = [cfg.controls[1].uad]
-    return problem, cost_cfg, sets
-
-
-def _build_graph(cfg: RunConfig):
+def _build(cfg: RunConfig):
+    """Star-graph problem, cost and per-channel admissible sets of a problem
+    file.  A single edge is the one-edge graph (``m_split = 0``, channel 1)
+    and keeps ``tikhonov_n`` as its control penalty."""
     tg = TimeGrid(cfg.T, cfg.nt)
     grids, coeffs, fs, y0s, yds = [], [], [], [], []
     for e in cfg.edges:
@@ -347,9 +336,12 @@ def _build_graph(cfg: RunConfig):
         y_d=yds,
         m=cfg.m_split,
     )
-    weights = np.array([cfg.controls[i].weight for i in range(2, cfg.n + 1)])
-    cost_cfg = CostConfig(channel_weights=weights)
-    sets = [cfg.controls[i].uad for i in range(2, cfg.n + 1)]
+    if cfg.is_graph:
+        weights = [ctl.weight for ctl in cfg.controls.values()]
+    else:
+        weights = [cfg.tikhonov_n]
+    cost_cfg = CostConfig(channel_weights=np.array(weights))
+    sets = [ctl.uad for ctl in cfg.controls.values()]
     return problem, cost_cfg, sets
 
 
@@ -380,9 +372,8 @@ def _write_controls_csv(path: Path, times, controls, channel_ids) -> None:
 def _write_convergence_csv(path: Path, costs, residuals) -> None:
     with open(path, "w") as fh:
         fh.write("iter,cost,stationarity\n")
-        for it in range(len(costs)):
-            res = residuals[it] if it < len(residuals) else residuals[-1]
-            fh.write(f"{it},{FMT.format(costs[it])},{FMT.format(res)}\n")
+        for it, (cost, res) in enumerate(zip(costs, residuals)):
+            fh.write(f"{it},{FMT.format(cost)},{FMT.format(res)}\n")
 
 
 def _report_lines(kind, ratio, bound, ratio_T, bound_T, extra=()):
@@ -396,81 +387,58 @@ def _report_lines(kind, ratio, bound, ratio_T, bound_T, extra=()):
     return lines
 
 
-def _cmd_solve_forward(cfg: RunConfig, out: Path) -> int:
-    tg = TimeGrid(cfg.T, cfg.nt)
-    if cfg.is_graph:
-        problem, _, _ = _build_graph(cfg)
-        traj = solve_forward_graph(problem)
-        states = traj.samples
-        nodes = [g.nodes for g in problem.grids]
-        extra = [
-            f"junction flux balance, max residual: "
-            f"{FMT.format(float(np.abs(traj.junction_flux.sum(axis=1)).max()))}",
-            f"dirichlet constraint, max residual:  "
-            f"{FMT.format(traj.constraint_residual)}",
-        ]
-        report = _report_lines(
-            "graph", traj.estimate_ratio, traj.estimate_bound,
-            traj.estimate_ratio_T, traj.estimate_bound_T, extra,
-        )
-    else:
-        problem, _, _ = _build_edge(cfg)
-        traj = solve_forward_edge(
-            problem.edge_op, tg, problem.f, problem.y0, None
-        )
-        states = [traj.y]
-        nodes = [problem.edge_op.grid.nodes]
-        report = _report_lines(
-            "edge", traj.estimate_ratio, traj.estimate_bound,
-            traj.estimate_ratio_T, traj.estimate_bound_T,
-        )
-    _write_state_csv(out / "state.csv", tg.times, states, nodes)
+def _finish(out: Path, problem: StarGraphProblem, states, report: list[str]) -> None:
+    """Write the per-edge states to ``state.csv`` and the report to
+    ``report.txt``, and echo the report."""
+    nodes = [g.nodes for g in problem.grids]
+    _write_state_csv(out / "state.csv", problem.time_grid.times, states, nodes)
     (out / "report.txt").write_text("\n".join(report) + "\n")
     print("\n".join(report))
+
+
+def _cmd_solve_forward(cfg: RunConfig, out: Path) -> int:
+    problem, _, _ = _build(cfg)
+    traj = solve_forward_graph(problem)
+    if cfg.is_graph:
+        junction = float(np.abs(traj.junction_flux.sum(axis=1)).max())
+        report = _report_lines(
+            "graph", traj.estimate_ratio, traj.estimate_bound,
+            traj.estimate_ratio_T, traj.estimate_bound_T,
+            [
+                f"junction flux balance, max residual: {FMT.format(junction)}",
+                f"dirichlet constraint, max residual:  "
+                f"{FMT.format(traj.constraint_residual)}",
+            ],
+        )
+    else:
+        # uncontrolled, so the graph's measured ratios are the edge ones
+        bound, bound_T = edge_bounds(problem.coeffs[0], problem.grids[0])
+        report = _report_lines(
+            "edge", traj.estimate_ratio, bound, traj.estimate_ratio_T, bound_T
+        )
+    _finish(out, problem, traj.samples, report)
     return 0
 
 
 def _cmd_solve_adjoint(cfg: RunConfig, out: Path) -> int:
-    tg = TimeGrid(cfg.T, cfg.nt)
-    if cfg.is_graph:
-        problem, _, _ = _build_graph(cfg)
-        fwd = solve_forward_graph(problem)
-        adj = solve_adjoint_graph(problem, fwd)
-        states = adj.samples
-        nodes = [g.nodes for g in problem.grids]
-        report = [
-            "adjoint graph solve complete",
-            f"boundary regularity ratio: {FMT.format(adj.boundary_regularity_ratio)}",
-        ]
-    else:
-        problem, cost_cfg, _ = _build_edge(cfg)
-        fwd = solve_forward_edge(problem.edge_op, tg, problem.f, problem.y0, None)
-        adj = solve_adjoint_edge(problem.edge_op, tg, fwd, cost_cfg.y_d)
-        states = [adj.y]
-        nodes = [problem.edge_op.grid.nodes]
-        report = ["adjoint edge solve complete"]
-    _write_state_csv(out / "state.csv", tg.times, states, nodes)
-    (out / "report.txt").write_text("\n".join(report) + "\n")
-    print("\n".join(report))
+    problem, _, _ = _build(cfg)
+    adj = solve_adjoint_graph(problem, solve_forward_graph(problem))
+    report = ["adjoint solve complete (source y - y_d)"]
+    if problem.m > 0:
+        report.append(
+            f"boundary regularity ratio: {FMT.format(adj.boundary_regularity_ratio)}"
+        )
+    _finish(out, problem, adj.samples, report)
     return 0
 
 
 def _cmd_optimize(cfg: RunConfig, out: Path) -> int:
-    tg = TimeGrid(cfg.T, cfg.nt)
-    if cfg.is_graph:
-        problem, cost_cfg, sets = _build_graph(cfg)
-        channel_ids = list(range(2, cfg.n + 1))
-        nodes = [g.nodes for g in problem.grids]
-    else:
-        problem, cost_cfg, sets = _build_edge(cfg)
-        channel_ids = [1]
-        nodes = [problem.edge_op.grid.nodes]
+    problem, cost_cfg, sets = _build(cfg)
     result = optimize(
         problem, cost_cfg, sets, algo=cfg.algo, tol=cfg.tol, max_iter=cfg.max_iter
     )
-    states = result.state.samples if cfg.is_graph else [result.state.y]
-    _write_state_csv(out / "state.csv", tg.times, states, nodes)
-    _write_controls_csv(out / "controls.csv", tg.times, result.controls, channel_ids)
+    times = problem.time_grid.times
+    _write_controls_csv(out / "controls.csv", times, result.controls, list(cfg.controls))
     _write_convergence_csv(
         out / "convergence.csv", result.cost_history, result.residual_history
     )
@@ -480,8 +448,9 @@ def _cmd_optimize(cfg: RunConfig, out: Path) -> int:
         f"final cost {FMT.format(result.cost_history[-1])}, "
         f"stationarity {FMT.format(result.residual_history[-1])}",
     ]
-    (out / "report.txt").write_text("\n".join(report) + "\n")
-    print("\n".join(report))
+    _finish(out, problem, result.state.samples, report)
+    if not result.converged:
+        print(f"warning: not converged ({result.reason})", file=sys.stderr)
     return 0 if result.converged or result.reason == "max_iter" else 3
 
 
@@ -523,51 +492,50 @@ def _cmd_validate(cfg: RunConfig, out: Path) -> int:
         )
     record("trace-telescoping", worst <= 1e-12, f"max residual {worst:.3e}")
 
-    tg = TimeGrid(cfg.T, cfg.nt)
-    if cfg.is_graph:
-        problem, _, _ = _build_graph(cfg)
-        try:
-            fwd = solve_forward_graph(problem)
-            dofs, _ = dense_oracle_solve_graph(problem)
-            err = float(np.abs(fwd.dofs - dofs).max())
-            record("oracle-equivalence", err <= 1e-11, f"max deviation {err:.3e}")
-        except SizeGuardError as exc:
-            print(f"SKIP  oracle-equivalence: {exc}")
-        jf = float(np.abs(fwd.junction_flux[1:].sum(axis=1)).max())
-        record("junction-balance", jf <= 1e-9, f"max residual {jf:.3e}")
-        record(
-            "dirichlet-constraints",
-            fwd.constraint_residual <= 1e-10,
-            f"max residual {fwd.constraint_residual:.3e}",
-        )
-        decayed = bool(np.all(np.diff(fwd.energy) <= 1e-12)) if np.all(
-            [fi is None or not np.any(fi) for fi in problem.f]
-        ) else True
-        record("energy-decay", decayed, "monotone" if decayed else "violated")
-    else:
-        problem, _, _ = _build_edge(cfg)
-        try:
-            fwd = solve_forward_edge(problem.edge_op, tg, problem.f, problem.y0, None)
-            yo = dense_oracle_solve_edge(
-                problem.edge_op, tg, problem.f, problem.y0, None
-            )
-            err = float(np.abs(fwd.y - yo).max())
-            record("oracle-equivalence", err <= 1e-11, f"max deviation {err:.3e}")
-        except SizeGuardError as exc:
-            print(f"SKIP  oracle-equivalence: {exc}")
-        # duality of the forward/adjoint pair
-        v1 = rng.standard_normal(cfg.nt + 1)
-        y_d = rng.standard_normal((cfg.nt + 1, problem.edge_op.grid.nnodes))
-        base = solve_forward_edge(problem.edge_op, tg, problem.f, problem.y0, None)
-        adj = solve_adjoint_edge(problem.edge_op, tg, base, y_d)
-        z = solve_forward_edge(
-            problem.edge_op, tg, None, np.zeros(problem.edge_op.grid.nnodes), v1
-        )
-        omega = tg.trapezoid_weights()
-        wx = problem.edge_op.grid.trapezoid_weights()
-        lhs = float(np.einsum("k,kj,j,kj->", omega, y_d - base.y, wx, z.y))
-        rhs = float(omega @ (v1 * adj.trace_b))
-        record("duality", abs(lhs - rhs) <= 1e-8, f"residual {abs(lhs - rhs):.3e}")
+    problem, cost_cfg, _ = _build(cfg)
+    fwd = solve_forward_graph(problem)
+    try:
+        dofs, _ = dense_oracle_solve_graph(problem)
+        err = float(np.abs(fwd.dofs - dofs).max())
+        record("oracle-equivalence", err <= 1e-11, f"max deviation {err:.3e}")
+    except SizeGuardError as exc:
+        print(f"SKIP  oracle-equivalence: {exc}")
+    jf = float(np.abs(fwd.junction_flux[1:].sum(axis=1)).max())
+    record("junction-balance", jf <= 1e-9, f"max residual {jf:.3e}")
+    record(
+        "dirichlet-constraints",
+        fwd.constraint_residual <= 1e-10,
+        f"max residual {fwd.constraint_residual:.3e}",
+    )
+    decayed = bool(np.all(np.diff(fwd.energy) <= 1e-12)) if np.all(
+        [fi is None or not np.any(fi) for fi in problem.f]
+    ) else True
+    record("energy-decay", decayed, "monotone" if decayed else "violated")
+
+    # duality of the forward/adjoint pair: the misfit paired with the state z
+    # of zero data and random controls equals the controls paired with the
+    # channel-wise boundary series of the adjoint
+    tg = problem.time_grid
+    omega = tg.trapezoid_weights()
+    ctrl = rng.standard_normal((problem.n_channels, tg.Nt + 1))
+    target = replace(problem, y_d=[rng.standard_normal(s.shape) for s in fwd.samples])
+    adj = solve_adjoint_graph(target, fwd)
+    zero = replace(
+        problem,
+        f=[None] * problem.n,
+        y0=[np.zeros(g.nnodes) for g in problem.grids],
+        c0=0.0,
+    )
+    nd = problem.n_dirichlet_channels
+    z = solve_forward_graph(zero, ctrl[:nd], ctrl[nd:])
+    lhs = sum(
+        float(np.einsum("k,kj,j,kj->", omega, fwd.samples[i] - target.y_d[i],
+                        g.trapezoid_weights(), z.samples[i]))
+        for i, g in enumerate(problem.grids)
+    )
+    grad = gradient_graph(np.zeros_like(ctrl), adj, problem, cost_cfg)
+    rhs = float(np.einsum("jk,k,jk->", ctrl, omega, grad))
+    record("duality", abs(lhs - rhs) <= 1e-8, f"residual {abs(lhs - rhs):.3e}")
 
     failed = [name for name, ok, _ in checks if not ok]
     lines = [

@@ -1,11 +1,14 @@
 """Cost functionals, admissible sets, adjoint gradients and the outer
 optimization loop for the boundary control problems.
 
-Costs use the trapezoid rule in time and the lumped trapezoid pairing in
-space.  Gradients come from the adjoint solvers of
-:mod:`fracstar.edge_solver` and :mod:`fracstar.graph_solver`, whose boundary
-series are scaled to make these gradients exact for the discrete cost; a
-central finite difference of the cost therefore reproduces them to roundoff.
+There is one cost, one gradient and one optimizer driver, all on the star
+graph.  A single-edge problem (:class:`EdgeControlProblem` with
+``CostConfig(n_tikhonov, y_d)``) is solved as the one-edge graph with channel
+weight ``[n_tikhonov]``; see :func:`as_graph_problem`.  Costs use the
+trapezoid rule in time and the lumped trapezoid pairing in space.  Gradients
+come from :func:`fracstar.graph_solver.solve_adjoint_graph`, whose boundary
+series are scaled to make them exact for the discrete cost; a central finite
+difference of the cost therefore reproduces them to roundoff.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .edge_solver import Trajectory, solve_adjoint_edge, solve_forward_edge
+from .edge_solver import Trajectory, edge_adjoint, edge_problem, edge_state
 from .errors import SolverFailure
 from .graph_solver import (
     GraphTrajectory,
@@ -31,11 +34,9 @@ __all__ = [
     "CostConfig",
     "EdgeControlProblem",
     "OptimResult",
-    "cost_edge",
+    "as_graph_problem",
     "cost_graph",
-    "gradient_edge",
     "gradient_graph",
-    "project",
     "optimize",
 ]
 
@@ -72,18 +73,13 @@ class AdmissibleSet:
         return np.clip(candidate, self.lo, self.hi)
 
 
-def project(admissible: AdmissibleSet, candidate: np.ndarray) -> np.ndarray:
-    """Pointwise projection onto the admissible set (idempotent, nonexpansive)."""
-    return admissible.project(candidate)
-
-
 @dataclass(frozen=True)
 class CostConfig:
     """Tracking target and control penalties.
 
     ``n_tikhonov`` weights the single-edge control; ``channel_weights`` the
-    graph channels (edges ``2..n``), all one by default.  For the edge
-    problem the target lives here; graph targets live on the problem.
+    graph channels, all one by default.  For the edge problem the target
+    lives here; graph targets live on the problem.
     """
 
     n_tikhonov: float = 1.0
@@ -99,7 +95,7 @@ class CostConfig:
             raise ValueError("channel weights must be positive")
 
     def weights_for(self, problem: StarGraphProblem) -> np.ndarray:
-        nch = problem.n - 1
+        nch = problem.n_channels
         if self.channel_weights is None:
             return np.ones(nch)
         w = np.asarray(self.channel_weights, dtype=float)
@@ -124,34 +120,27 @@ class OptimResult:
     cost_history: np.ndarray = field(repr=False)
     residual_history: np.ndarray = field(repr=False)
     state: Trajectory | GraphTrajectory = field(repr=False)
-    adjoint: Trajectory | GraphTrajectory | None = field(repr=False)
+    adjoint: Trajectory | GraphTrajectory = field(repr=False)
     converged: bool = False
     reason: str = ""
     iterations: int = 0
 
 
-def _space_weights(grid) -> np.ndarray:
-    return grid.trapezoid_weights()
+def as_graph_problem(problem, cfg: CostConfig) -> tuple[StarGraphProblem, CostConfig]:
+    """The star-graph problem and cost that :func:`optimize` solves.
 
-
-def cost_edge(y: Trajectory, v: np.ndarray, cfg: CostConfig) -> float:
-    """Trapezoid space-time tracking cost plus the Tikhonov control penalty."""
+    A graph problem passes through.  An :class:`EdgeControlProblem` becomes
+    the one-edge graph (``m = 0``) with target ``cfg.y_d`` and channel weight
+    ``[cfg.n_tikhonov]``.
+    """
+    if isinstance(problem, StarGraphProblem):
+        return problem, cfg
+    if not isinstance(problem, EdgeControlProblem):
+        raise TypeError(f"cannot optimize a {type(problem).__name__}")
     if cfg.y_d is None:
         raise ValueError("edge cost needs cfg.y_d")
-    y_d = np.asarray(cfg.y_d, dtype=float)
-    if y_d.shape != y.y.shape:
-        raise ValueError(f"target shape {y_d.shape} != state shape {y.y.shape}")
-    omega = y.time_grid.trapezoid_weights()
-    wx = _space_weights(y.grid)
-    diff = y.y - y_d
-    track = 0.5 * float(np.einsum("k,kj,j,kj->", omega, diff, wx, diff))
-    v = np.asarray(v, dtype=float)
-    return track + 0.5 * cfg.n_tikhonov * float(omega @ v**2)
-
-
-def gradient_edge(u: np.ndarray, p: Trajectory, cfg: CostConfig) -> np.ndarray:
-    """Optimality-system integrand ``N u(t_k) - (I^(1-alpha) p)(b^-, t_k)``."""
-    return cfg.n_tikhonov * np.asarray(u, dtype=float) - p.trace_b
+    graph = edge_problem(problem.edge_op, problem.time_grid, problem.f, problem.y0, cfg.y_d)
+    return graph, CostConfig(channel_weights=np.array([cfg.n_tikhonov]))
 
 
 def cost_graph(
@@ -171,7 +160,7 @@ def cost_graph(
         total += 0.5 * float(np.einsum("k,kj,j,kj->", omega, diff, wx, diff))
     w = cfg.weights_for(problem)
     controls = np.asarray(controls, dtype=float)
-    for j in range(problem.n - 1):
+    for j in range(problem.n_channels):
         total += 0.5 * w[j] * float(omega @ controls[j] ** 2)
     return total
 
@@ -188,46 +177,18 @@ def gradient_graph(
     if p.dirichlet_flux_series is None or p.neumann_trace_series is None:
         raise ValueError("gradient_graph needs an adjoint GraphTrajectory")
     controls = np.asarray(controls, dtype=float)
-    if controls.shape[0] != problem.n - 1:
+    if controls.shape[0] != problem.n_channels:
         raise ValueError(
-            f"expected {problem.n - 1} control channels, got {controls.shape[0]}"
+            f"expected {problem.n_channels} control channels, got {controls.shape[0]}"
         )
     w = cfg.weights_for(problem)
     g = np.empty_like(controls)
     nd = problem.n_dirichlet_channels
     for j in range(nd):
         g[j] = w[j] * controls[j] - p.dirichlet_flux_series[:, j + 1]
-    for j in range(problem.n - 1 - nd):
+    for j in range(problem.n_neumann_channels):
         g[nd + j] = w[nd + j] * controls[nd + j] + p.neumann_trace_series[:, j]
     return g
-
-
-class _EdgeDriver:
-    """Simulation/cost/gradient closures for the single-edge problem."""
-
-    def __init__(self, problem: EdgeControlProblem, cfg: CostConfig):
-        self.problem = problem
-        self.cfg = cfg
-        self.nchannels = 1
-        self.omega = problem.time_grid.trapezoid_weights()
-        self.tikhonov = np.array([cfg.n_tikhonov])
-
-    def simulate(self, ctrl: np.ndarray) -> Trajectory:
-        pr = self.problem
-        return solve_forward_edge(pr.edge_op, pr.time_grid, pr.f, pr.y0, ctrl[0])
-
-    def cost(self, state: Trajectory, ctrl: np.ndarray) -> float:
-        return cost_edge(state, ctrl[0], self.cfg)
-
-    def adjoint(self, state: Trajectory) -> Trajectory:
-        pr = self.problem
-        return solve_adjoint_edge(pr.edge_op, pr.time_grid, state, self.cfg.y_d)
-
-    def gradient(self, ctrl: np.ndarray, adj: Trajectory) -> np.ndarray:
-        return gradient_edge(ctrl[0], adj, self.cfg)[None, :]
-
-    def optimality_map(self, adj: Trajectory) -> np.ndarray:
-        return (adj.trace_b / self.cfg.n_tikhonov)[None, :]
 
 
 class _GraphDriver:
@@ -237,18 +198,16 @@ class _GraphDriver:
     def __init__(self, problem: StarGraphProblem, cfg: CostConfig):
         self.problem = problem
         self.cfg = cfg
+        self.nchannels = problem.n_channels
+        if self.nchannels == 0:
+            raise ValueError("the problem has no control channel")
         self.system = assemble_graph_system(problem)
-        self.nchannels = problem.n - 1
         self.omega = problem.time_grid.trapezoid_weights()
         self.tikhonov = cfg.weights_for(problem)
 
-    def _split(self, ctrl: np.ndarray):
-        nd = self.problem.n_dirichlet_channels
-        return ctrl[:nd], ctrl[nd:]
-
     def simulate(self, ctrl: np.ndarray) -> GraphTrajectory:
-        u, v = self._split(ctrl)
-        return solve_forward_graph(self.problem, u, v, system=self.system)
+        nd = self.problem.n_dirichlet_channels
+        return solve_forward_graph(self.problem, ctrl[:nd], ctrl[nd:], system=self.system)
 
     def cost(self, state: GraphTrajectory, ctrl: np.ndarray) -> float:
         return cost_graph(state, ctrl, self.problem, self.cfg)
@@ -258,23 +217,6 @@ class _GraphDriver:
 
     def gradient(self, ctrl: np.ndarray, adj: GraphTrajectory) -> np.ndarray:
         return gradient_graph(ctrl, adj, self.problem, self.cfg)
-
-    def optimality_map(self, adj: GraphTrajectory) -> np.ndarray:
-        nd = self.problem.n_dirichlet_channels
-        out = np.empty((self.nchannels, self.problem.time_grid.Nt + 1))
-        for j in range(nd):
-            out[j] = adj.dirichlet_flux_series[:, j + 1] / self.tikhonov[j]
-        for j in range(self.nchannels - nd):
-            out[nd + j] = -adj.neumann_trace_series[:, j] / self.tikhonov[nd + j]
-        return out
-
-
-def _make_driver(problem, cfg: CostConfig):
-    if isinstance(problem, EdgeControlProblem):
-        return _EdgeDriver(problem, cfg)
-    if isinstance(problem, StarGraphProblem):
-        return _GraphDriver(problem, cfg)
-    raise TypeError(f"cannot optimize a {type(problem).__name__}")
 
 
 def _normalize_sets(admissible, nchannels: int) -> list[AdmissibleSet]:
@@ -307,9 +249,15 @@ def optimize(
     projection arc) or ``"fixed_point"`` (damped iteration of the projected
     optimality map).  Termination uses the stationarity measure
     ``||u - P(u - g)|| / max(1, ||u||)`` in the trapezoid norm; exceeding
-    ``max_iter`` flags the result as non-converged instead of raising.
+    ``max_iter`` flags the result as non-converged instead of raising.  The
+    returned adjoint and the last stationarity entry always belong to the
+    returned controls, so ``residual_history`` has one entry per
+    ``cost_history`` entry.  Edge problems are solved as the one-edge graph
+    (:func:`as_graph_problem`) and report state and adjoint as
+    :class:`~fracstar.edge_solver.Trajectory`.
     """
-    driver = _make_driver(problem, cfg)
+    graph, graph_cfg = as_graph_problem(problem, cfg)
+    driver = _GraphDriver(graph, graph_cfg)
     sets = _normalize_sets(admissible, driver.nchannels)
     omega = driver.omega
 
@@ -333,10 +281,16 @@ def optimize(
     cost = driver.cost(state, ctrl)
     cost_hist = [cost]
     res_hist: list[float] = []
-    adj = None
     converged = False
     reason = "max_iter"
     iterations = 0
+
+    def measure():
+        """Adjoint, gradient and stationarity of the current iterate."""
+        adj = driver.adjoint(state)
+        grad = driver.gradient(ctrl, adj)
+        res_hist.append(norm(ctrl - proj(ctrl - grad)) / max(1.0, norm(ctrl)))
+        return adj, grad, res_hist[-1]
 
     damping = 1.0
     if algo == "fixed_point" and float(np.min(driver.tikhonov)) < 1.0:
@@ -344,10 +298,7 @@ def optimize(
 
     for it in range(1, max_iter + 1):
         iterations = it
-        adj = driver.adjoint(state)
-        grad = driver.gradient(ctrl, adj)
-        residual = norm(ctrl - proj(ctrl - grad)) / max(1.0, norm(ctrl))
-        res_hist.append(residual)
+        adj, grad, residual = measure()
         if residual <= tol:
             converged, reason = True, "stationarity"
             break
@@ -380,14 +331,23 @@ def optimize(
                 )
             cost_hist.append(cost)
         elif algo == "fixed_point":
-            target = proj(driver.optimality_map(adj))
+            # projection formula: u = P(u - g / w), the boundary series over w
+            target = proj(ctrl - grad / driver.tikhonov[:, None])
             ctrl = (1.0 - damping) * ctrl + damping * target
             state = driver.simulate(ctrl)
             cost = driver.cost(state, ctrl)
             cost_hist.append(cost)
         else:
             raise ValueError(f"unknown algorithm {algo!r}")
+    else:
+        # stopped at max_iter: measure the iterate that is returned
+        adj, _, residual = measure()
+        converged = residual <= tol
+        reason = "stationarity" if converged else "max_iter"
 
+    if graph is not problem:
+        state = edge_state(problem.edge_op, graph, state, ctrl[0])
+        adj = edge_adjoint(graph, adj)
     return OptimResult(
         controls=ctrl,
         cost_history=np.array(cost_hist),

@@ -1,15 +1,16 @@
-"""Implicit-Euler forward and adjoint stepping on a single edge.
+"""The single edge as the one-edge star graph.
 
-The forward scheme is fully implicit,
+A single edge with a free Neumann tip at ``b`` is the star graph with
+``n = 1``, ``m = 0`` and no junction mode.  The functions here build that
+problem from an :class:`EdgeOperator`'s order, grid and coefficients, solve
+it with :mod:`fracstar.graph_solver` and report the result on the edge as a
+:class:`Trajectory`.
 
-    (W/dt + K) y^{k+1} = (W/dt) y^k + W f^{k+1} + v^{k+1} trace_b^T,
-
-and the adjoint stepper is its exact discrete transpose for the trapezoid
-space-time cost: running backward from ``p(T) = 0`` with the tracking
-misfit as source, weighted ``1/2`` at the final time.  The boundary trace
-series it reports is scaled so that ``N u_k - series_k`` is the exact
-gradient of the discrete cost in the trapezoid inner product (the ``t = 0``
-entry is zero: a fully implicit step never sees the control at ``t = 0``).
+The edge adjoint solves ``-p_t + A p = y_d - y`` with ``p(T) = 0``: it is the
+graph adjoint (source ``y - y_d``) negated.  Its ``trace_b`` series is scaled
+so that ``N u_k - series_k`` is the exact gradient of the discrete cost in the
+trapezoid inner product (the ``t = 0`` entry is zero: a fully implicit step
+never sees the control at ``t = 0``).
 """
 
 from __future__ import annotations
@@ -17,11 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
-from .errors import SolverFailure
+from .graph_solver import (
+    GraphTrajectory,
+    StarGraphProblem,
+    solve_adjoint_graph,
+    solve_forward_graph,
+)
 from .grids import TimeGrid, Grid1D
-from .sturm import EdgeOperator
+from .sturm import EdgeCoefficients, EdgeOperator
 
 __all__ = ["Trajectory", "solve_forward_edge", "solve_adjoint_edge"]
 
@@ -47,31 +52,80 @@ class Trajectory:
     estimate_ratio_T: float = 0.0
     estimate_bound_T: float = 0.0
 
-
-def _as_source(f, nt: int, nn: int) -> np.ndarray:
-    if f is None:
-        return np.zeros((nt + 1, nn))
-    f = np.asarray(f, dtype=float)
-    if f.shape != (nt + 1, nn):
-        raise ValueError(f"source must have shape {(nt + 1, nn)}, got {f.shape}")
-    return f
+    @property
+    def samples(self) -> list[np.ndarray]:
+        """The state as the per-edge samples of the one-edge graph."""
+        return [self.y]
 
 
-def _as_series(v, nt: int) -> np.ndarray:
-    if v is None:
-        return np.zeros(nt + 1)
-    v = np.asarray(v, dtype=float)
-    if v.shape != (nt + 1,):
-        raise ValueError(f"control series must have shape {(nt + 1,)}, got {v.shape}")
-    return v
-
-
-def _check_edge(edge_op: EdgeOperator) -> None:
+def edge_problem(
+    edge_op: EdgeOperator,
+    time_grid: TimeGrid,
+    f: np.ndarray | None,
+    y0: np.ndarray,
+    y_d: np.ndarray | None = None,
+) -> StarGraphProblem:
+    """The one-edge graph (``m = 0``, no junction mode) of an edge operator."""
     if edge_op.has_singular_dof:
         raise ValueError(
             "single-edge problems omit the singular DOF; assemble with "
             "include_singular_dof=False"
         )
+    return StarGraphProblem(
+        alpha=edge_op.alpha, time_grid=time_grid, grids=[edge_op.grid],
+        coeffs=[edge_op.coeffs], f=[f], y0=[y0], y_d=[y_d], m=0,
+    )
+
+
+def edge_bounds(coeffs: EdgeCoefficients, grid: Grid1D) -> tuple[float, float]:
+    """Closed-form edge a-priori bounds ``1/m + 2(b-a+1)/m^2`` (energy norm)
+    and ``1 + 2(b-a+1)/m`` (final time), ``m = min(beta0, q0)``."""
+    m = min(coeffs.beta0, coeffs.q0)
+    span = grid.b - grid.a
+    return 1.0 / m + 2.0 * (span + 1.0) / m**2, 1.0 + 2.0 * (span + 1.0) / m
+
+
+def edge_state(
+    edge_op: EdgeOperator,
+    problem: StarGraphProblem,
+    traj: GraphTrajectory,
+    v: np.ndarray | None,
+) -> Trajectory:
+    """A one-edge graph forward solution on the edge, with the edge a-priori
+    estimate: the data counts the initial datum, the source and the energy of
+    the Neumann control ``v``."""
+    tg, y = problem.time_grid, traj.samples[0]
+    bound, bound_T = edge_bounds(edge_op.coeffs, edge_op.grid)
+    # without control the graph solver has measured the same ratios
+    ratio, ratio_T = traj.estimate_ratio, traj.estimate_ratio_T
+    if v is not None and np.any(v):
+        nt, dt = tg.Nt, tg.dt
+        wtrap = edge_op.grid.trapezoid_weights()
+        f = np.zeros_like(y) if problem.f[0] is None else np.asarray(problem.f[0], float)
+        lhs = dt * sum(
+            y[k] @ (wtrap * y[k]) + edge_op.grid.h * np.sum((edge_op.D @ y[k]) ** 2)
+            for k in range(1, nt + 1)
+        )
+        data = (
+            y[0] @ (wtrap * y[0])
+            + dt * np.einsum("kj,j,kj->", f[1:], wtrap, f[1:])
+            + dt * np.sum(np.asarray(v, dtype=float)[1:] ** 2)
+        )
+        ratio = lhs / data if data > 0.0 else 0.0
+        ratio_T = y[nt] @ (wtrap * y[nt]) / data if data > 0.0 else 0.0
+    return Trajectory(
+        y, edge_op.grid, tg, traj.tip_trace[:, 0], traj.tip_flux[:, 0], traj.energy,
+        ratio, bound, ratio_T, bound_T,
+    )
+
+
+def edge_adjoint(problem: StarGraphProblem, adj: GraphTrajectory) -> Trajectory:
+    """A one-edge graph adjoint on the edge: negated to the edge sign
+    convention (source ``y_d - y``)."""
+    return Trajectory(
+        -adj.samples[0], problem.grids[0], problem.time_grid,
+        -adj.neumann_trace_series[:, 0], -adj.tip_flux[:, 0], adj.energy,
+    )
 
 
 def solve_forward_edge(
@@ -81,128 +135,26 @@ def solve_forward_edge(
     y0: np.ndarray,
     v: np.ndarray | None,
 ) -> Trajectory:
-    """March the controlled edge problem and report the a-priori energy ratio
-    against its closed-form bound ``1/m + 2(b-a+1)/m^2``, ``m = min(beta0, q0)``.
-    """
-    _check_edge(edge_op)
-    nt, dt = time_grid.Nt, time_grid.dt
-    nn = edge_op.grid.nnodes
-    f = _as_source(f, nt, nn)
-    v = _as_series(v, nt)
-    y0 = np.asarray(y0, dtype=float)
-    if y0.shape != (nn,):
-        raise ValueError(f"initial datum must have shape {(nn,)}, got {y0.shape}")
-
-    fr = edge_op.free
-    K, W = edge_op.K[np.ix_(fr, fr)], edge_op.W[np.ix_(fr, fr)]
-    tau = edge_op.trace_b[fr]
-    wtrap = edge_op.grid.trapezoid_weights()
-    try:
-        factor = cho_factor(W / dt + K)
-    except np.linalg.LinAlgError as exc:  # cannot occur under the assumptions
-        raise SolverFailure(f"forward system is singular: {exc}") from None
-
-    y = np.zeros((nt + 1, nn))
-    y[0] = y0
-    for k in range(nt):
-        rhs = (W / dt) @ y[k, fr] + (wtrap * f[k + 1])[fr] + v[k + 1] * tau
-        ynew = cho_solve(factor, rhs)
-        if not np.all(np.isfinite(ynew)):
-            raise SolverFailure(f"non-finite state at step {k + 1} (t={dt * (k + 1)})")
-        y[k + 1, fr] = ynew
-
-    trace = y @ edge_op.trace_b
-    flux = np.zeros(nt + 1)
-    probe = edge_op.flux_probe
-    for k in range(1, nt + 1):
-        resid = edge_op.W @ (y[k] - y[k - 1]) / dt + edge_op.K @ y[k] - wtrap * f[k]
-        flux[k] = probe @ resid
-    energy = np.sqrt(np.einsum("kj,j,kj->k", y, wtrap, y))
-
-    lhs = dt * sum(
-        y[k] @ (wtrap * y[k]) + edge_op.grid.h * np.sum((edge_op.D @ y[k]) ** 2)
-        for k in range(1, nt + 1)
-    )
-    data = (
-        y0 @ (wtrap * y0)
-        + dt * np.einsum("kj,j,kj->", f[1:], wtrap, f[1:])
-        + dt * np.sum(v[1:] ** 2)
-    )
-    m = min(edge_op.coeffs.beta0, edge_op.coeffs.q0)
-    span = edge_op.grid.b - edge_op.grid.a
-    bound = 1.0 / m + 2.0 * (span + 1.0) / m**2
-    bound_T = 1.0 + 2.0 * (span + 1.0) / m
-    ratio = lhs / data if data > 0.0 else 0.0
-    ratio_T = y[nt] @ (wtrap * y[nt]) / data if data > 0.0 else 0.0
-
-    return Trajectory(
-        y=y,
-        grid=edge_op.grid,
-        time_grid=time_grid,
-        trace_b=trace,
-        flux_b=flux,
-        energy=energy,
-        estimate_ratio=ratio,
-        estimate_bound=bound,
-        estimate_ratio_T=ratio_T,
-        estimate_bound_T=bound_T,
-    )
+    """March the edge problem with Neumann control ``v`` at ``b`` and report
+    the a-priori energy ratio against its closed-form bound."""
+    problem = edge_problem(edge_op, time_grid, f, y0)
+    return edge_state(edge_op, problem, solve_forward_graph(problem, None, v), v)
 
 
 def solve_adjoint_edge(
     edge_op: EdgeOperator,
     time_grid: TimeGrid,
     y: Trajectory,
-    y_d: np.ndarray,
+    y_d: np.ndarray | None,
 ) -> Trajectory:
-    """Backward solve of ``-p_t + A p = y_d - y`` with ``p(T) = 0`` by the
-    substitution ``tau = T - t`` and the forward stepper's matrix.
+    """Backward solve of ``-p_t + A p = y_d - y`` with ``p(T) = 0``.
 
     The returned ``trace_b`` series is the exact discrete-gradient ingredient
     for the trapezoid cost: ``series_k = (dt/omega_k) * trace_b . p^k`` with
     ``series_0 = 0``.
     """
-    _check_edge(edge_op)
-    nt, dt = time_grid.Nt, time_grid.dt
-    nn = edge_op.grid.nnodes
-    y_d = _as_source(y_d, nt, nn)
-    if y.y.shape != y_d.shape:
-        raise ValueError("state and target shapes differ")
-
-    fr = edge_op.free
-    K, W = edge_op.K[np.ix_(fr, fr)], edge_op.W[np.ix_(fr, fr)]
-    wtrap = edge_op.grid.trapezoid_weights()
-    omega = time_grid.trapezoid_weights()
-    factor = cho_factor(W / dt + K)
-
-    src = y_d - y.y
-    p = np.zeros((nt + 1, nn))
-    series = np.zeros(nt + 1)
-    pnext = np.zeros(len(fr))
-    for k in range(nt, -1, -1):
-        rhs = (W / dt) @ pnext + (omega[k] / dt) * (wtrap * src[k])[fr]
-        pk = cho_solve(factor, rhs)
-        if not np.all(np.isfinite(pk)):
-            raise SolverFailure(f"non-finite adjoint state at step {k}")
-        p[k, fr] = pk
-        if k >= 1:
-            series[k] = (dt / omega[k]) * (edge_op.trace_b[fr] @ pk)
-            pnext = pk
-
-    flux = np.zeros(nt + 1)
-    probe = edge_op.flux_probe
-    for k in range(1, nt):
-        resid = (
-            -edge_op.W @ (p[k + 1] - p[k]) / dt + edge_op.K @ p[k] - wtrap * src[k]
-        )
-        flux[k] = probe @ resid
-    energy = np.sqrt(np.einsum("kj,j,kj->k", p, wtrap, p))
-
-    return Trajectory(
-        y=p,
-        grid=edge_op.grid,
-        time_grid=time_grid,
-        trace_b=series,
-        flux_b=flux,
-        energy=energy,
-    )
+    shape = (time_grid.Nt + 1, edge_op.grid.nnodes)
+    if y.y.shape != shape:
+        raise ValueError(f"state must have shape {shape}, got {y.y.shape}")
+    problem = edge_problem(edge_op, time_grid, None, y.y[0], y_d)
+    return edge_adjoint(problem, solve_adjoint_graph(problem, y))

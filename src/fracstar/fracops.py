@@ -244,14 +244,6 @@ class SingularMode:
     samples: np.ndarray = field(repr=False)
     trace_value: float = 1.0
 
-    def integral_column(self) -> np.ndarray:
-        """Action of the discrete ``I^(1-alpha)`` on the mode: exactly one."""
-        return np.ones(self.grid.nnodes)
-
-    def derivative_column(self) -> np.ndarray:
-        """Action of the discrete left derivative on the mode: exactly zero."""
-        return np.zeros(self.grid.M)
-
 
 def singular_mode(alpha: float, grid: Grid1D) -> SingularMode:
     _check_order(alpha)

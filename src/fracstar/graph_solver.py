@@ -48,7 +48,6 @@ class GlobalDofMap:
     offsets: tuple[int, ...]
     nnodes: tuple[int, ...]
     c_index: int | None
-    n_multipliers: int
 
     @property
     def ndof(self) -> int:
@@ -106,6 +105,10 @@ class StarGraphProblem:
     @property
     def n_neumann_channels(self) -> int:
         return self.n - max(self.m, 1) if self.m >= 1 else self.n
+
+    @property
+    def n_channels(self) -> int:
+        return self.n_dirichlet_channels + self.n_neumann_channels
 
 
 @dataclass
@@ -169,9 +172,7 @@ def assemble_graph_system(problem: StarGraphProblem) -> GraphSystem:
     nnodes = tuple(g.nnodes for g in problem.grids)
     offsets = tuple(int(x) for x in np.concatenate([[0], np.cumsum(nnodes)[:-1]]))
     c_index = offsets[-1] + nnodes[-1] if include_mode else None
-    dm = GlobalDofMap(
-        offsets=offsets, nnodes=nnodes, c_index=c_index, n_multipliers=problem.m
-    )
+    dm = GlobalDofMap(offsets=offsets, nnodes=nnodes, c_index=c_index)
     ndof = dm.ndof
 
     ops = [
@@ -320,12 +321,15 @@ class _SaddleStepper:
         self.m = m
         try:
             self.factor = lu_factor(S)
-        except np.linalg.LinAlgError as exc:
+        except (np.linalg.LinAlgError, ValueError) as exc:
             raise SolverFailure(f"saddle-point factorization failed: {exc}") from None
 
     def solve(self, rhs_top: np.ndarray, rhs_bot: np.ndarray, what: str):
         rhs = np.concatenate([rhs_top[self.system.free], rhs_bot])
-        sol = lu_solve(self.factor, rhs)
+        try:
+            sol = lu_solve(self.factor, rhs)
+        except ValueError:  # scipy rejects a non-finite right-hand side
+            raise SolverFailure(f"non-finite {what} right-hand side") from None
         if not np.all(np.isfinite(sol)):
             raise SolverFailure(f"non-finite {what} solve (singular saddle point?)")
         Y = np.zeros(self.system.ndof)

@@ -19,7 +19,7 @@ from .errors import CoefficientError
 from .fracops import SingularMode, left_rl_derivative, singular_mode, trace_functional
 from .grids import Grid1D
 
-__all__ = ["EdgeCoefficients", "EdgeOperator", "assemble_stiffness", "neumann_load"]
+__all__ = ["EdgeCoefficients", "EdgeOperator", "assemble_stiffness"]
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,6 @@ class EdgeOperator:
     K: np.ndarray = field(repr=False)
     W: np.ndarray = field(repr=False)
     D: np.ndarray = field(repr=False)
-    extension: np.ndarray = field(repr=False)
     trace_a: np.ndarray = field(repr=False)
     trace_b: np.ndarray = field(repr=False)
     flux_probe: np.ndarray = field(repr=False)
@@ -92,15 +91,6 @@ class EdgeOperator:
     @property
     def ndof(self) -> int:
         return self.K.shape[0]
-
-    @property
-    def flux_b_row(self) -> np.ndarray:
-        """Row recovering the flux of a steady state: ``flux_b . y - probe . load``."""
-        return self.flux_probe @ self.K
-
-    def samples(self, dofs: np.ndarray) -> np.ndarray:
-        """Nodal samples (including the singular part) of a DOF vector."""
-        return self.extension @ dofs
 
 
 def _cell_beta(coeffs: EdgeCoefficients) -> np.ndarray:
@@ -163,15 +153,9 @@ def assemble_stiffness(
         K=K,
         W=W,
         D=D,
-        extension=E,
         trace_a=trace_a,
         trace_b=trace_b,
         flux_probe=probe,
         free=free,
     )
 
-
-def neumann_load(edge_op: EdgeOperator, v_value: float) -> np.ndarray:
-    """Load vector of a Neumann boundary value: the control pairs with the
-    test function through its endpoint trace."""
-    return v_value * edge_op.trace_b

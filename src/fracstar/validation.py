@@ -2,7 +2,8 @@
 
 These deliberately avoid the production time-stepping code: the space-time
 oracle assembles every implicit-Euler step into one dense block system and
-solves it in a single factorization, and the classical-limit solver builds
+solves it in a single factorization (a single edge is checked as the
+one-edge graph), and the classical-limit solver builds
 its own P1 finite-element heat discretization (consistent mass, midpoint
 diffusion sampling) from scratch.
 """
@@ -12,8 +13,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .control import CostConfig, EdgeControlProblem, cost_edge, cost_graph
-from .edge_solver import solve_forward_edge
+from .control import CostConfig, as_graph_problem, cost_graph
 from .errors import SizeGuardError
 from .graph_solver import (
     GraphSystem,
@@ -22,12 +22,9 @@ from .graph_solver import (
     solve_forward_graph,
 )
 from .grids import Grid1D, TimeGrid
-from .sturm import EdgeOperator
 
 __all__ = [
-    "dense_oracle_solve_edge",
     "dense_oracle_solve_graph",
-    "dense_oracle_solve",
     "classical_limit_solver",
     "finite_difference_gradient",
 ]
@@ -41,46 +38,6 @@ def _guard(ndof: int, nt: int) -> None:
         raise SizeGuardError(f"oracle limit: {ndof} > {_MAX_DOFS} spatial DOFs")
     if nt > _MAX_STEPS:
         raise SizeGuardError(f"oracle limit: {nt} > {_MAX_STEPS} time steps")
-
-
-def dense_oracle_solve_edge(
-    edge_op: EdgeOperator,
-    time_grid: TimeGrid,
-    f: np.ndarray | None,
-    y0: np.ndarray,
-    v: np.ndarray | None,
-) -> np.ndarray:
-    """All-at-once space-time solve of the edge scheme; returns the state array."""
-    nt, dt = time_grid.Nt, time_grid.dt
-    nn = edge_op.grid.nnodes
-    _guard(nn, nt)
-    f = np.zeros((nt + 1, nn)) if f is None else np.asarray(f, dtype=float)
-    v = np.zeros(nt + 1) if v is None else np.asarray(v, dtype=float)
-    y0 = np.asarray(y0, dtype=float)
-
-    fr = edge_op.free
-    nf = len(fr)
-    K, W = edge_op.K[np.ix_(fr, fr)], edge_op.W[np.ix_(fr, fr)]
-    wtrap = edge_op.grid.trapezoid_weights()
-    A = W / dt + K
-
-    big = np.zeros((nt * nf, nt * nf))
-    rhs = np.zeros(nt * nf)
-    for k in range(1, nt + 1):
-        r = slice((k - 1) * nf, k * nf)
-        big[r, r] = A
-        rhs[r] = (wtrap * f[k])[fr] + v[k] * edge_op.trace_b[fr]
-        if k == 1:
-            rhs[r] += (W / dt) @ y0[fr]
-        else:
-            big[r, slice((k - 2) * nf, (k - 1) * nf)] = -W / dt
-    sol = np.linalg.solve(big, rhs)
-
-    y = np.zeros((nt + 1, nn))
-    y[0] = y0
-    for k in range(1, nt + 1):
-        y[k, fr] = sol[(k - 1) * nf : k * nf]
-    return y
 
 
 def dense_oracle_solve_graph(
@@ -150,18 +107,6 @@ def dense_oracle_solve_graph(
         dofs[k, fr] = sol[r0 : r0 + nf]
         mult[k] = -sol[r0 + nf : r0 + blk]
     return dofs, mult
-
-
-def dense_oracle_solve(problem, *args, **kwargs):
-    """Dispatch on problem type; see the per-type oracles."""
-    if isinstance(problem, StarGraphProblem):
-        return dense_oracle_solve_graph(problem, *args, **kwargs)
-    if isinstance(problem, EdgeControlProblem):
-        v = args[0] if args else kwargs.get("v")
-        return dense_oracle_solve_edge(
-            problem.edge_op, problem.time_grid, problem.f, problem.y0, v
-        )
-    raise TypeError(f"no oracle for {type(problem).__name__}")
 
 
 def classical_limit_solver(
@@ -238,20 +183,18 @@ def finite_difference_gradient(
     delta: np.ndarray,
     h: float,
 ) -> float:
-    """Central difference of the tracking cost along ``delta``."""
+    """Central difference of the tracking cost along ``delta``; edge problems
+    are costed as the one-edge graph, as :func:`~fracstar.control.optimize`
+    does."""
     if not 1e-7 <= h <= 1e-3:
         raise ValueError(f"finite-difference step must lie in [1e-7, 1e-3], got {h}")
     u = np.asarray(u, dtype=float)
     delta = np.asarray(delta, dtype=float)
+    graph, graph_cfg = as_graph_problem(problem, cfg)
+    nd = graph.n_dirichlet_channels
 
     def objective(ctrl: np.ndarray) -> float:
-        if isinstance(problem, EdgeControlProblem):
-            state = solve_forward_edge(
-                problem.edge_op, problem.time_grid, problem.f, problem.y0, ctrl[0]
-            )
-            return cost_edge(state, ctrl[0], cfg)
-        nd = problem.n_dirichlet_channels
-        state = solve_forward_graph(problem, ctrl[:nd], ctrl[nd:])
-        return cost_graph(state, ctrl, problem, cfg)
+        state = solve_forward_graph(graph, ctrl[:nd], ctrl[nd:])
+        return cost_graph(state, ctrl, graph, graph_cfg)
 
     return (objective(u + h * delta) - objective(u - h * delta)) / (2.0 * h)

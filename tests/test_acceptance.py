@@ -17,7 +17,6 @@ from fracstar import (
     TimeGrid,
     assemble_graph_system,
     assemble_stiffness,
-    gradient_edge,
     gradient_graph,
     left_rl_derivative,
     optimize,
@@ -29,9 +28,9 @@ from fracstar import (
     solve_forward_graph,
     trace_functional,
 )
+from fracstar.edge_solver import edge_problem
 from fracstar.validation import (
     classical_limit_solver,
-    dense_oracle_solve_edge,
     dense_oracle_solve_graph,
     finite_difference_gradient,
 )
@@ -142,7 +141,8 @@ def test_criterion_04_oracle_equivalence():
         if alpha == 1.0:
             y0[0] = 0.0
         traj = solve_forward_edge(op, tg, f, y0, v)
-        oracle = dense_oracle_solve_edge(op, tg, f, y0, v)
+        # the edge's oracle is the graph oracle on the one-edge graph
+        oracle, _ = dense_oracle_solve_graph(edge_problem(op, tg, f, y0), None, v[None])
         worst_edge = max(worst_edge, float(np.abs(traj.y - oracle).max()))
     worst_graph = 0.0
     for alpha in (0.4, 0.75, 1.0):
@@ -215,7 +215,8 @@ def test_criterion_06_adjoint_gradient_fd():
     u = rng.standard_normal((1, 25))
     state = solve_forward_edge(op, tg, f, y0, u[0])
     adj = solve_adjoint_edge(op, tg, state, cfg.y_d)
-    g = gradient_edge(u[0], adj, cfg)
+    # optimality integrand of the edge problem: N u - (I^(1-alpha) p)(b)
+    g = cfg.n_tikhonov * u[0] - adj.trace_b
     om = tg.trapezoid_weights()
     for _ in range(10):
         delta = rng.standard_normal((1, 25))

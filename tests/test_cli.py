@@ -161,10 +161,42 @@ class TestCommands:
         channels = {r.split(",")[1] for r in lines}
         assert channels == {"2", "3"}
 
+    def test_optimize_max_iter_warns(self, tmp_path, capsys):
+        ini = write(tmp_path, "edge.ini", EDGE_INI.replace("max_iter = 200", "max_iter = 2"))
+        rc = main(["--output-dir", str(tmp_path), "optimize", str(ini)])
+        assert rc == 0
+        assert "warning: not converged" in capsys.readouterr().err
+        rows = (tmp_path / "convergence.csv").read_text().splitlines()[1:]
+        # one measured stationarity per iterate, the returned one included
+        assert len(rows) == 3
+        assert rows[-1].split(",")[2] != rows[-2].split(",")[2]
+        report = (tmp_path / "report.txt").read_text()
+        assert "converged False (max_iter)" in report
+        assert report.splitlines()[1].endswith(rows[-1].split(",")[2])
+
+    def test_validate_edge_passes(self, tmp_path, capsys):
+        ini = write(tmp_path, "edge.ini", EDGE_INI)
+        rc = main(["--output-dir", str(tmp_path), "validate", str(ini)])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "PASS  duality" in out and "PASS  oracle-equivalence" in out
+        assert "FAIL" not in out
+
     def test_solve_adjoint(self, tmp_path):
         ini = write(tmp_path, "graph.ini", GRAPH_INI)
         rc = main(["--output-dir", str(tmp_path), "solve-adjoint", str(ini)])
         assert rc == 0
+        report = (tmp_path / "report.txt").read_text().splitlines()
+        assert report[0] == "adjoint solve complete (source y - y_d)"
+        assert report[1].startswith("boundary regularity ratio: ")
+
+    def test_solve_adjoint_edge_report(self, tmp_path):
+        ini = write(tmp_path, "edge.ini", EDGE_INI)
+        rc = main(["--output-dir", str(tmp_path), "solve-adjoint", str(ini)])
+        assert rc == 0
+        # one label for every n; no regularity line without Dirichlet tips
+        report = (tmp_path / "report.txt").read_text().splitlines()
+        assert report == ["adjoint solve complete (source y - y_d)"]
 
     def test_validate_passes(self, tmp_path, capsys):
         ini = write(tmp_path, "graph.ini", GRAPH_INI)
@@ -172,6 +204,7 @@ class TestCommands:
         assert rc == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
+        assert "PASS  duality" in out
 
     def test_config_error_exit_code(self, tmp_path):
         bad = EDGE_INI.replace("alpha = 0.6", "alpha = 2.0")

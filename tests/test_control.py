@@ -11,18 +11,16 @@ from fracstar import (
     EdgeControlProblem,
     Grid1D,
     TimeGrid,
+    StarGraphProblem,
     assemble_stiffness,
-    cost_edge,
     cost_graph,
-    gradient_edge,
     gradient_graph,
     optimize,
-    project,
-    solve_adjoint_edge,
     solve_adjoint_graph,
     solve_forward_edge,
     solve_forward_graph,
 )
+from fracstar.control import as_graph_problem
 from fracstar.validation import finite_difference_gradient
 from conftest import random_edge, random_graph
 
@@ -40,20 +38,25 @@ def tracking_problem(alpha=0.6, M=20, Nt=24, N=1.0):
     return problem, CostConfig(n_tikhonov=N, y_d=y_d)
 
 
+def one_edge_graph(op, tg, f, y0, cfg):
+    """The one-edge graph and cost that the edge problem is solved as."""
+    return as_graph_problem(EdgeControlProblem(edge_op=op, time_grid=tg, f=f, y0=y0), cfg)
+
+
 class TestProjection:
     def test_unconstrained_is_identity(self, rng):
         x = rng.standard_normal(12)
-        np.testing.assert_array_equal(project(AdmissibleSet.unconstrained(), x), x)
+        np.testing.assert_array_equal(AdmissibleSet.unconstrained().project(x), x)
 
     def test_box_clamps(self):
-        out = project(AdmissibleSet.box(0.0, 1.0), np.full(7, 2.0))
+        out = AdmissibleSet.box(0.0, 1.0).project(np.full(7, 2.0))
         np.testing.assert_array_equal(out, np.ones(7))
 
     def test_idempotent(self, rng):
         box = AdmissibleSet.box(-0.3, 0.7)
         x = rng.standard_normal(25)
-        once = project(box, x)
-        np.testing.assert_array_equal(project(box, once), once)
+        once = box.project(x)
+        np.testing.assert_array_equal(box.project(once), once)
 
     @given(
         x=arrays(np.float64, 16, elements=st.floats(-50, 50)),
@@ -62,7 +65,7 @@ class TestProjection:
     @settings(max_examples=100, deadline=None)
     def test_nonexpansive(self, x, y):
         box = AdmissibleSet.box(-1.0, 2.0)
-        assert np.linalg.norm(project(box, x) - project(box, y)) <= (
+        assert np.linalg.norm(box.project(x) - box.project(y)) <= (
             np.linalg.norm(x - y) + 1e-12
         )
 
@@ -85,22 +88,22 @@ class TestCost:
     def test_zero_cost_at_match(self, rng):
         op, tg, f, y0, v = random_edge(rng)
         traj = solve_forward_edge(op, tg, f, y0, v)
-        cfg = CostConfig(n_tikhonov=2.0, y_d=traj.y.copy())
-        assert cost_edge(traj, np.zeros(tg.Nt + 1), cfg) == 0.0
+        graph, gcfg = one_edge_graph(op, tg, f, y0, CostConfig(2.0, y_d=traj.y.copy()))
+        assert cost_graph(traj, np.zeros((1, tg.Nt + 1)), graph, gcfg) == 0.0
 
     def test_pure_control_penalty(self, rng):
         op, tg, f, y0, _ = random_edge(rng, Nt=10, T=1.0)
         traj = solve_forward_edge(op, tg, f, y0, None)
-        cfg = CostConfig(n_tikhonov=2.0, y_d=traj.y.copy())
+        graph, gcfg = one_edge_graph(op, tg, f, y0, CostConfig(2.0, y_d=traj.y.copy()))
         # (N/2) * T with N = 2, T = 1
-        assert abs(cost_edge(traj, np.ones(11), cfg) - 1.0) <= 1e-14
+        assert abs(cost_graph(traj, np.ones((1, 11)), graph, gcfg) - 1.0) <= 1e-14
 
     def test_matches_naive_quadrature(self, rng):
         op, tg, f, y0, v = random_edge(rng, M=7, Nt=6)
         traj = solve_forward_edge(op, tg, f, y0, v)
         y_d = rng.standard_normal(traj.y.shape)
-        cfg = CostConfig(n_tikhonov=0.3, y_d=y_d)
-        got = cost_edge(traj, v, cfg)
+        graph, gcfg = one_edge_graph(op, tg, f, y0, CostConfig(0.3, y_d=y_d))
+        got = cost_graph(traj, v[None], graph, gcfg)
         om = tg.trapezoid_weights()
         wx = op.grid.trapezoid_weights()
         naive = 0.0
@@ -115,9 +118,10 @@ class TestGradients:
     def test_zero_adjoint_gives_tikhonov_term(self, rng):
         op, tg, f, y0, v = random_edge(rng)
         traj = solve_forward_edge(op, tg, f, y0, v)
-        adj = solve_adjoint_edge(op, tg, traj, traj.y)
-        cfg = CostConfig(n_tikhonov=1.7, y_d=traj.y)
-        np.testing.assert_allclose(gradient_edge(v, adj, cfg), 1.7 * v, atol=1e-15)
+        graph, gcfg = one_edge_graph(op, tg, f, y0, CostConfig(1.7, y_d=traj.y))
+        adj = solve_adjoint_graph(graph, traj)
+        g = gradient_graph(v[None], adj, graph, gcfg)
+        np.testing.assert_allclose(g, 1.7 * v[None], atol=1e-15)
 
     def test_graph_zero_adjoint_gives_weighted_controls(self, rng):
         pr = random_graph(rng, Nt=6)
@@ -134,16 +138,14 @@ class TestGradients:
     def test_edge_fd_check(self, alpha, rng):
         problem, cfg = tracking_problem(alpha=alpha, M=12, Nt=10, N=0.8)
         u = rng.standard_normal((1, 11))
-        state = solve_forward_edge(
-            problem.edge_op, problem.time_grid, problem.f, problem.y0, u[0]
-        )
-        adj = solve_adjoint_edge(problem.edge_op, problem.time_grid, state, cfg.y_d)
-        g = gradient_edge(u[0], adj, cfg)
+        graph, gcfg = as_graph_problem(problem, cfg)
+        adj = solve_adjoint_graph(graph, solve_forward_graph(graph, None, u))
+        g = gradient_graph(u, adj, graph, gcfg)
         om = problem.time_grid.trapezoid_weights()
         for _ in range(5):
             delta = rng.standard_normal((1, 11))
             fd = finite_difference_gradient(problem, cfg, u, delta, 1e-5)
-            adj_dir = float(g @ (om * delta[0]))
+            adj_dir = float(np.einsum("jk,k,jk->", g, om, delta))
             assert abs(fd - adj_dir) <= 1e-4 * max(1.0, abs(fd))
 
     def test_graph_fd_check(self, rng):
@@ -294,6 +296,58 @@ class TestOptimize:
             vfeas = rng.uniform(-0.2, 0.2, size=res.controls.shape)
             val = float(np.einsum("jk,k,jk->", g, om, vfeas - res.controls))
             assert val >= -1e-8
+
+    def test_one_edge_graph_matches_edge_problem(self):
+        # the edge problem and the n = 1, m = 0 graph written out by hand
+        problem, cfg = tracking_problem(N=0.5)
+        op, tg = problem.edge_op, problem.time_grid
+        graph = StarGraphProblem(
+            alpha=op.alpha, time_grid=tg, grids=[op.grid], coeffs=[op.coeffs],
+            f=[None], y0=[problem.y0], y_d=[cfg.y_d], m=0,
+        )
+        gcfg = CostConfig(channel_weights=np.array([0.5]))
+        np.testing.assert_array_equal(gcfg.weights_for(graph), [0.5])
+        np.testing.assert_array_equal(CostConfig().weights_for(graph), [1.0])
+        box = AdmissibleSet.box(-0.3, 0.3)
+        r_edge = optimize(problem, cfg, box, tol=1e-9, max_iter=300)
+        r_graph = optimize(graph, gcfg, box, tol=1e-9, max_iter=300)
+        assert r_edge.converged and r_graph.converged
+        assert np.abs(r_edge.controls - r_graph.controls).max() <= 1e-12
+        # the edge result reports the edge adjoint: the graph adjoint negated
+        np.testing.assert_allclose(
+            r_edge.adjoint.trace_b, -r_graph.adjoint.neumann_trace_series[:, 0],
+            atol=1e-12,
+        )
+        np.testing.assert_allclose(r_edge.state.y, r_graph.state.samples[0], atol=1e-12)
+
+    def test_problem_without_channels_rejected(self):
+        problem, cfg = tracking_problem()
+        op = problem.edge_op
+        clamped = StarGraphProblem(
+            alpha=op.alpha, time_grid=problem.time_grid, grids=[op.grid],
+            coeffs=[op.coeffs], f=[None], y0=[problem.y0], y_d=[cfg.y_d], m=1,
+        )
+        with pytest.raises(ValueError, match="no control channel"):
+            optimize(clamped, CostConfig(), AdmissibleSet.unconstrained())
+
+    def test_max_iter_measures_final_iterate(self):
+        problem, cfg = tracking_problem(N=1e-2)
+        box = AdmissibleSet.box(-0.5, 0.5)
+        res = optimize(problem, cfg, box, tol=1e-14, max_iter=2)
+        assert not res.converged and res.reason == "max_iter"
+        assert len(res.residual_history) == len(res.cost_history) == 3
+        # stationarity and adjoint recomputed from the returned controls
+        graph, gcfg = as_graph_problem(problem, cfg)
+        adj = solve_adjoint_graph(graph, solve_forward_graph(graph, None, res.controls))
+        g = gradient_graph(res.controls, adj, graph, gcfg)
+        om = problem.time_grid.trapezoid_weights()
+        step = res.controls[0] - box.project(res.controls[0] - g[0])
+        resid = np.sqrt(om @ step**2) / max(1.0, np.sqrt(om @ res.controls[0] ** 2))
+        assert res.residual_history[-1] == pytest.approx(resid, rel=1e-12)
+        assert res.residual_history[-1] != res.residual_history[-2]
+        np.testing.assert_allclose(
+            res.adjoint.trace_b, -adj.neumann_trace_series[:, 0], atol=1e-12
+        )
 
     def test_unknown_algorithm(self):
         problem, cfg = tracking_problem()

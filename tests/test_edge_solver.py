@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracstar import (
     EdgeCoefficients,
     Grid1D,
+    SolverFailure,
     TimeGrid,
     assemble_stiffness,
     solve_adjoint_edge,
     solve_forward_edge,
 )
-from fracstar.validation import classical_limit_solver, dense_oracle_solve_edge
+from fracstar.edge_solver import edge_problem
+from fracstar.validation import classical_limit_solver, dense_oracle_solve_graph
 from conftest import random_coeffs, random_edge
 
 
@@ -48,6 +52,22 @@ class TestForward:
             traj = solve_forward_edge(op, tg, f, y0, v)
             assert traj.estimate_ratio <= traj.estimate_bound
             assert traj.estimate_ratio_T <= traj.estimate_bound_T
+
+    def test_uncontrolled_ratio_is_the_edge_ratio(self, rng):
+        # without control the graph solver's ratio is reported with the edge bound
+        op, tg, f, y0, _ = random_edge(rng, alpha=0.55, M=12, Nt=16)
+        traj = solve_forward_edge(op, tg, f, y0, None)
+        y, dt = traj.y, tg.dt
+        wx = op.grid.trapezoid_weights()
+        lhs = dt * sum(
+            y[k] @ (wx * y[k]) + op.grid.h * np.sum((op.D @ y[k]) ** 2)
+            for k in range(1, tg.Nt + 1)
+        )
+        data = y0 @ (wx * y0) + dt * sum(f[k] @ (wx * f[k]) for k in range(1, tg.Nt + 1))
+        assert traj.estimate_ratio == pytest.approx(lhs / data, rel=1e-12)
+        assert traj.estimate_ratio_T == pytest.approx(y[-1] @ (wx * y[-1]) / data, rel=1e-12)
+        m = min(op.coeffs.beta0, op.coeffs.q0)
+        assert traj.estimate_bound == 1.0 / m + 2.0 * (op.grid.b - op.grid.a + 1.0) / m**2
 
     def test_flux_series_recovers_control(self, rng):
         op, tg, f, y0, v = random_edge(rng, alpha=0.65)
@@ -121,8 +141,54 @@ class TestOracle:
         if alpha == 1.0:
             y0[0] = 0.0
         traj = solve_forward_edge(op, tg, f, y0, v)
-        oracle = dense_oracle_solve_edge(op, tg, f, y0, v)
+        oracle, _ = dense_oracle_solve_graph(edge_problem(op, tg, f, y0), None, v[None])
         assert np.abs(traj.y - oracle).max() <= 1e-12
+
+
+class TestOneEdgeGraphProperties:
+    """The edge API over the corners of its inputs: orders down to 1e-3 and
+    exactly 1 (pinned node), the coarsest meshes and a single time step."""
+
+    @given(
+        alpha=st.one_of(st.just(1.0), st.floats(1e-3, 1.0)),
+        M=st.integers(2, 12),
+        Nt=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_oracle_and_duality(self, alpha, M, Nt, seed):
+        rng = np.random.default_rng(seed)
+        op, tg, f, y0, v = random_edge(rng, alpha=alpha, M=M, Nt=Nt)
+        y = solve_forward_edge(op, tg, f, y0, v)
+        oracle, _ = dense_oracle_solve_graph(edge_problem(op, tg, f, y0), None, v[None])
+        assert np.abs(y.y - oracle).max() <= 1e-11
+
+        # <y_d - y, z>_Q == <v', trace series> for z driven by v' alone
+        y_d = rng.standard_normal(y.y.shape)
+        p = solve_adjoint_edge(op, tg, y, y_d)
+        vprime = rng.standard_normal(Nt + 1)
+        z = solve_forward_edge(op, tg, None, np.zeros(op.grid.nnodes), vprime)
+        om = tg.trapezoid_weights()
+        lhs = np.einsum("k,kj,j,kj->", om, y_d - y.y, op.grid.trapezoid_weights(), z.y)
+        assert abs(lhs - om @ (vprime * p.trace_b)) <= 1e-10
+
+    @given(
+        alpha=st.one_of(st.just(1.0), st.floats(1e-3, 1.0)),
+        M=st.integers(2, 12),
+        Nt=st.integers(1, 8),
+        bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_adjoint_non_finite_raises_solver_failure(self, alpha, M, Nt, bad, seed):
+        rng = np.random.default_rng(seed)
+        op, tg, f, y0, v = random_edge(rng, alpha=alpha, M=M, Nt=Nt)
+        y = solve_forward_edge(op, tg, f, y0, v)
+        y_d = rng.standard_normal(y.y.shape)
+        # a free node at a time the backward sweep solves for
+        y_d[rng.integers(1, Nt + 1), rng.integers(1, M + 1)] = bad
+        with pytest.raises(SolverFailure):
+            solve_adjoint_edge(op, tg, y, y_d)
 
 
 class TestAdjoint:

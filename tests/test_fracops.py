@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fracstar import (
+    EdgeCoefficients,
     Grid1D,
     apply_left_integral,
     apply_right_integral,
+    assemble_stiffness,
     frac_integral_weights,
     left_integral_op,
     left_rl_derivative,
@@ -166,11 +168,12 @@ class TestLeftDerivative:
         assert np.all(orders >= 0.9)
 
     def test_singular_mode_column_is_zero(self):
+        # the assembled derivative ignores the appended mode coefficient
         grid = Grid1D(0.0, 1.0, 12)
-        mode = singular_mode(0.45, grid)
-        col = mode.derivative_column()
-        assert np.abs(col).max() <= 1e-10
-        assert col.shape == (grid.M,)
+        coeffs = EdgeCoefficients.constant(grid, 1.0, 1.0)
+        op = assemble_stiffness(0.45, grid, coeffs, include_singular_dof=True)
+        assert op.D.shape == (grid.M, grid.nnodes + 1)
+        assert np.all(op.D[:, -1] == 0.0)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
@@ -275,13 +278,13 @@ class TestTraceFunctionals:
 class TestSingularMode:
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8, 1.0])
     def test_integral_of_mode_is_one(self, alpha):
-        # analytically weighted action: the order 1-alpha integral of the mode
-        # is the constant one at every node
+        # the order 1-alpha integral of the mode is the constant one, so the
+        # assembled operator's mode column has trace one at both endpoints
         grid = Grid1D(0.0, 1.0, 10)
-        mode = singular_mode(alpha, grid)
-        col = mode.integral_column()
-        assert np.abs(col[1:] - 1.0).max() <= 10 * EPS
-        assert mode.trace_value == 1.0
+        coeffs = EdgeCoefficients.constant(grid, 1.0, 1.0)
+        op = assemble_stiffness(alpha, grid, coeffs, include_singular_dof=True)
+        assert op.trace_a[-1] == 1.0 and op.trace_b[-1] == 1.0
+        assert op.mode.trace_value == 1.0
 
     def test_node_zero_regularization(self):
         grid = Grid1D(0.0, 1.0, 8)

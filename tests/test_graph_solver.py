@@ -239,7 +239,14 @@ class TestForward:
         tG = solve_forward_graph(pr, None, v[None, :])
         op = assemble_stiffness(0.55, grid, coeffs)
         tE = solve_forward_edge(op, tg, f, y0, v)
-        assert np.abs(tG.samples[0] - tE.y).max() <= 1e-12
+        # solve_forward_edge is an adapter over the graph stepper: check its
+        # mapping bitwise and the state against the space-time oracle
+        np.testing.assert_array_equal(tE.y, tG.samples[0])
+        np.testing.assert_array_equal(tE.trace_b, tG.tip_trace[:, 0])
+        np.testing.assert_array_equal(tE.flux_b, tG.tip_flux[:, 0])
+        np.testing.assert_array_equal(tE.energy, tG.energy)
+        ref, _ = dense_oracle_solve_graph(pr, None, v[None, :])
+        assert np.abs(tE.y - ref).max() <= 1e-11
 
 
 class TestOracle:

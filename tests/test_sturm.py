@@ -8,8 +8,9 @@ from fracstar import (
     CoefficientError,
     EdgeCoefficients,
     Grid1D,
+    TimeGrid,
     assemble_stiffness,
-    neumann_load,
+    solve_forward_edge,
 )
 from conftest import random_coeffs
 
@@ -96,24 +97,31 @@ class TestAssembly:
 
 
 class TestNeumannLoad:
+    """The load of a Neumann control value ``v`` is ``v * op.trace_b``."""
+
     def test_zero(self, rng):
+        # a zero control loads nothing: the state equals the uncontrolled one
         grid = Grid1D(0.0, 1.0, 7)
         op = assemble_stiffness(0.6, grid, random_coeffs(rng, grid))
-        np.testing.assert_array_equal(neumann_load(op, 0.0), np.zeros(op.ndof))
+        tg = TimeGrid(1.0, 5)
+        f = rng.standard_normal((6, 8))
+        y0 = rng.standard_normal(8)
+        zero = solve_forward_edge(op, tg, f, y0, np.zeros(6))
+        none = solve_forward_edge(op, tg, f, y0, None)
+        np.testing.assert_array_equal(zero.y, none.y)
 
     def test_unit_control_pairs_with_constants(self):
         grid = Grid1D(0.0, 1.5, 12)
         alpha = 0.7
         op = assemble_stiffness(alpha, grid, EdgeCoefficients.constant(grid, 1.0, 1.0))
-        load = neumann_load(op, 1.0)
-        np.testing.assert_array_equal(load, op.trace_b)
+        load = 1.0 * op.trace_b
         exact = (grid.b - grid.a) ** (1 - alpha) / math.gamma(2 - alpha)
         assert abs(load @ np.ones(op.ndof) - exact) <= 1e-14 * exact
 
     def test_alpha_one_is_endpoint_load(self):
         grid = Grid1D(0.0, 1.0, 5)
         op = assemble_stiffness(1.0, grid, EdgeCoefficients.constant(grid, 1.0, 1.0))
-        np.testing.assert_array_equal(neumann_load(op, 1.0), np.eye(6)[-1])
+        np.testing.assert_array_equal(1.0 * op.trace_b, np.eye(6)[-1])
 
 
 class TestFluxIdentity:

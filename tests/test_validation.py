@@ -2,16 +2,18 @@ import numpy as np
 import pytest
 
 from fracstar import (
+    AdmissibleSet,
     CostConfig,
     EdgeControlProblem,
     Grid1D,
     SizeGuardError,
     TimeGrid,
+    optimize,
 )
+from fracstar.control import as_graph_problem
+from fracstar.edge_solver import edge_problem
 from fracstar.validation import (
     classical_limit_solver,
-    dense_oracle_solve,
-    dense_oracle_solve_edge,
     dense_oracle_solve_graph,
     finite_difference_gradient,
 )
@@ -22,12 +24,12 @@ class TestSizeGuards:
     def test_too_many_dofs(self, rng):
         op, tg, f, y0, v = random_edge(rng, M=220, Nt=4)
         with pytest.raises(SizeGuardError):
-            dense_oracle_solve_edge(op, tg, f, y0, v)
+            dense_oracle_solve_graph(edge_problem(op, tg, f, y0), None, v[None])
 
     def test_too_many_steps(self, rng):
         op, tg, f, y0, v = random_edge(rng, M=8, Nt=80)
         with pytest.raises(SizeGuardError):
-            dense_oracle_solve_edge(op, tg, f, y0, v)
+            dense_oracle_solve_graph(edge_problem(op, tg, f, y0), None, v[None])
 
     def test_graph_guard(self, rng):
         pr = random_graph(rng, Nt=66, Ms=(6, 6, 6))
@@ -36,20 +38,32 @@ class TestSizeGuards:
 
 
 class TestDispatch:
+    """Edge problems go to the one-edge graph; graph problems pass through."""
+
     def test_edge_problem_dispatch(self, rng):
         op, tg, f, y0, v = random_edge(rng, M=8, Nt=4)
         problem = EdgeControlProblem(edge_op=op, time_grid=tg, f=f, y0=y0)
-        y = dense_oracle_solve(problem, v)
-        assert y.shape == (5, 9)
+        cfg = CostConfig(n_tikhonov=0.7, y_d=rng.standard_normal((5, 9)))
+        graph, gcfg = as_graph_problem(problem, cfg)
+        assert (graph.n, graph.m, graph.include_junction_mode) == (1, 0, False)
+        assert graph.y_d[0] is cfg.y_d
+        np.testing.assert_array_equal(gcfg.weights_for(graph), [0.7])
+        dofs, mult = dense_oracle_solve_graph(graph, None, v[None])
+        assert dofs.shape == (5, 9) and mult.shape == (5, 0)
+        with pytest.raises(ValueError):
+            as_graph_problem(problem, CostConfig())
 
     def test_graph_problem_dispatch(self, rng):
         pr = random_graph(rng, Nt=4)
-        dofs, mult = dense_oracle_solve(pr)
+        cfg = CostConfig()
+        graph, gcfg = as_graph_problem(pr, cfg)
+        assert graph is pr and gcfg is cfg
+        dofs, mult = dense_oracle_solve_graph(pr)
         assert dofs.shape[0] == 5
 
     def test_unknown_type(self):
         with pytest.raises(TypeError):
-            dense_oracle_solve(object())
+            optimize(object(), CostConfig(), AdmissibleSet.unconstrained())
 
     def test_zero_data_zero_solution(self, rng):
         pr = random_graph(rng, Nt=4, with_data=False)
