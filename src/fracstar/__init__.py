@@ -13,9 +13,7 @@ from .control import (
 from .edge_solver import Trajectory, solve_adjoint_edge, solve_forward_edge
 from .errors import CoefficientError, ConfigError, SizeGuardError, SolverFailure
 from .fracops import (
-    ConvWeights,
     SingularMode,
-    TriangularConvOp,
     apply_left_integral,
     apply_right_integral,
     frac_integral_weights,
@@ -29,10 +27,13 @@ from .fracops import (
 )
 from .graph_solver import (
     GlobalDofMap,
+    GraphDiagnostics,
     GraphSystem,
     GraphTrajectory,
     StarGraphProblem,
     assemble_graph_system,
+    diagnose_adjoint,
+    diagnose_forward,
     solve_adjoint_graph,
     solve_forward_graph,
 )
@@ -42,13 +43,13 @@ from .sturm import EdgeCoefficients, EdgeOperator, assemble_stiffness
 __all__ = [
     "AdmissibleSet",
     "ConfigError",
-    "ConvWeights",
     "CoefficientError",
     "CostConfig",
     "EdgeCoefficients",
     "EdgeControlProblem",
     "EdgeOperator",
     "GlobalDofMap",
+    "GraphDiagnostics",
     "GraphSystem",
     "GraphTrajectory",
     "Grid1D",
@@ -59,12 +60,13 @@ __all__ = [
     "StarGraphProblem",
     "TimeGrid",
     "Trajectory",
-    "TriangularConvOp",
     "apply_left_integral",
     "apply_right_integral",
     "assemble_graph_system",
     "assemble_stiffness",
     "cost_graph",
+    "diagnose_adjoint",
+    "diagnose_forward",
     "frac_integral_weights",
     "gradient_graph",
     "left_integral_op",

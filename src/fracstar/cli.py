@@ -32,7 +32,8 @@ Problem files are INI-style key-value text::
 
 Single-edge problems use ``n = 1`` (or omit ``n``/``m_split``) with one
 Neumann control section ``[control.1]``; they are solved as the one-edge
-graph (``m_split = 0``) whose control penalty is ``tikhonov_n``.  Data tokens
+graph (``m_split = 0``) whose control penalty is ``tikhonov_n`` (a
+``[control.1] weight``, if given, must equal it).  Data tokens
 are ``zero``, ``const:<v>`` or ``file:<path.csv>``; CSV sources/targets hold
 ``nt+1`` rows of ``m_cells+1`` comma-separated values, initial data a single
 row.
@@ -52,11 +53,13 @@ from pathlib import Path
 import numpy as np
 
 from .control import AdmissibleSet, CostConfig, gradient_graph, optimize
-from .edge_solver import edge_bounds
 from .errors import ConfigError, SizeGuardError, SolverFailure
 from .fracops import left_rl_derivative, right_caputo_nodal, trace_functional
 from .graph_solver import (
     StarGraphProblem,
+    assemble_graph_system,
+    diagnose_adjoint,
+    diagnose_forward,
     solve_adjoint_graph,
     solve_forward_graph,
 )
@@ -281,6 +284,15 @@ def parse_config(path: str | Path) -> RunConfig:
         errors.append(f"optimizer.max_iter must be at least 1, got {max_iter}")
     if tikhonov_n <= 0.0:
         errors.append(f"optimizer.tikhonov_n must be positive, got {tikhonov_n}")
+    if n == 1:
+        # a single edge is penalized by tikhonov_n; a weight given must agree
+        sec = cp["control.1"] if cp.has_section("control.1") else {}
+        if "weight" in sec and controls[1].weight != tikhonov_n:
+            errors.append(
+                f"control.1: weight = {controls[1].weight} differs from "
+                f"optimizer.tikhonov_n = {tikhonov_n}, the penalty of a single edge"
+            )
+        controls[1].weight = tikhonov_n
 
     if errors:
         raise ConfigError(errors)
@@ -305,17 +317,24 @@ def _data_array(token: str, base: Path, shape: tuple) -> np.ndarray:
     if token == "zero":
         return np.zeros(shape)
     if token.startswith("const:"):
-        return np.full(shape, float(token[len("const:") :]))
-    data = np.loadtxt(base / token[len("file:") :], delimiter=",", ndmin=len(shape))
-    if data.shape != shape:
-        raise ConfigError([f"data file for shape {shape} has shape {data.shape}"])
+        data = np.full(shape, float(token[len("const:") :]))
+    else:
+        path = base / token[len("file:") :]
+        try:
+            data = np.loadtxt(path, delimiter=",", ndmin=len(shape))
+        except (OSError, ValueError) as exc:
+            raise ConfigError([f"cannot read data file {path}: {exc}"]) from None
+        if data.shape != shape:
+            raise ConfigError([f"data file for shape {shape} has shape {data.shape}"])
+    if not np.all(np.isfinite(data)):
+        raise ConfigError([f"data token {token!r} holds non-finite values"])
     return data
 
 
 def _build(cfg: RunConfig):
     """Star-graph problem, cost and per-channel admissible sets of a problem
     file.  A single edge is the one-edge graph (``m_split = 0``, channel 1)
-    and keeps ``tikhonov_n`` as its control penalty."""
+    whose control weight :func:`parse_config` has set to ``tikhonov_n``."""
     tg = TimeGrid(cfg.T, cfg.nt)
     grids, coeffs, fs, y0s, yds = [], [], [], [], []
     for e in cfg.edges:
@@ -336,10 +355,7 @@ def _build(cfg: RunConfig):
         y_d=yds,
         m=cfg.m_split,
     )
-    if cfg.is_graph:
-        weights = [ctl.weight for ctl in cfg.controls.values()]
-    else:
-        weights = [cfg.tikhonov_n]
+    weights = [ctl.weight for ctl in cfg.controls.values()]
     cost_cfg = CostConfig(channel_weights=np.array(weights))
     sets = [ctl.uad for ctl in cfg.controls.values()]
     return problem, cost_cfg, sets
@@ -398,36 +414,33 @@ def _finish(out: Path, problem: StarGraphProblem, states, report: list[str]) -> 
 
 def _cmd_solve_forward(cfg: RunConfig, out: Path) -> int:
     problem, _, _ = _build(cfg)
-    traj = solve_forward_graph(problem)
+    system = assemble_graph_system(problem)
+    traj = solve_forward_graph(problem, system=system)
+    d = diagnose_forward(system, traj)
+    extra = []
     if cfg.is_graph:
-        junction = float(np.abs(traj.junction_flux.sum(axis=1)).max())
-        report = _report_lines(
-            "graph", traj.estimate_ratio, traj.estimate_bound,
-            traj.estimate_ratio_T, traj.estimate_bound_T,
-            [
-                f"junction flux balance, max residual: {FMT.format(junction)}",
-                f"dirichlet constraint, max residual:  "
-                f"{FMT.format(traj.constraint_residual)}",
-            ],
-        )
-    else:
-        # uncontrolled, so the graph's measured ratios are the edge ones
-        bound, bound_T = edge_bounds(problem.coeffs[0], problem.grids[0])
-        report = _report_lines(
-            "edge", traj.estimate_ratio, bound, traj.estimate_ratio_T, bound_T
-        )
+        junction = float(np.abs(d.junction_flux.sum(axis=1)).max())
+        extra = [
+            f"junction flux balance, max residual: {FMT.format(junction)}",
+            f"dirichlet constraint, max residual:  {FMT.format(d.constraint_residual)}",
+        ]
+    report = _report_lines(
+        "graph" if cfg.is_graph else "edge", d.estimate_ratio, d.estimate_bound,
+        d.estimate_ratio_T, d.estimate_bound_T, extra,
+    )
     _finish(out, problem, traj.samples, report)
     return 0
 
 
 def _cmd_solve_adjoint(cfg: RunConfig, out: Path) -> int:
     problem, _, _ = _build(cfg)
-    adj = solve_adjoint_graph(problem, solve_forward_graph(problem))
+    system = assemble_graph_system(problem)
+    fwd = solve_forward_graph(problem, system=system)
+    adj = solve_adjoint_graph(problem, fwd, system=system)
     report = ["adjoint solve complete (source y - y_d)"]
     if problem.m > 0:
-        report.append(
-            f"boundary regularity ratio: {FMT.format(adj.boundary_regularity_ratio)}"
-        )
+        ratio = diagnose_adjoint(system, adj, fwd).boundary_regularity_ratio
+        report.append(f"boundary regularity ratio: {FMT.format(ratio)}")
     _finish(out, problem, adj.samples, report)
     return 0
 
@@ -466,7 +479,7 @@ def _cmd_validate(cfg: RunConfig, out: Path) -> int:
     alpha = cfg.alpha
 
     # integration by parts, built by transposition
-    D = left_rl_derivative(alpha, grid0).matrix
+    D = left_rl_derivative(alpha, grid0)
     wtr = grid0.trapezoid_weights()
     rb = trace_functional(alpha, grid0, "b")
     ra = trace_functional(alpha, grid0, "a")
@@ -493,21 +506,23 @@ def _cmd_validate(cfg: RunConfig, out: Path) -> int:
     record("trace-telescoping", worst <= 1e-12, f"max residual {worst:.3e}")
 
     problem, cost_cfg, _ = _build(cfg)
-    fwd = solve_forward_graph(problem)
+    system = assemble_graph_system(problem)
+    fwd = solve_forward_graph(problem, system=system)
+    diag = diagnose_forward(system, fwd)
     try:
-        dofs, _ = dense_oracle_solve_graph(problem)
+        dofs, _ = dense_oracle_solve_graph(problem, system=system)
         err = float(np.abs(fwd.dofs - dofs).max())
         record("oracle-equivalence", err <= 1e-11, f"max deviation {err:.3e}")
     except SizeGuardError as exc:
         print(f"SKIP  oracle-equivalence: {exc}")
-    jf = float(np.abs(fwd.junction_flux[1:].sum(axis=1)).max())
+    jf = float(np.abs(diag.junction_flux[1:].sum(axis=1)).max())
     record("junction-balance", jf <= 1e-9, f"max residual {jf:.3e}")
     record(
         "dirichlet-constraints",
-        fwd.constraint_residual <= 1e-10,
-        f"max residual {fwd.constraint_residual:.3e}",
+        diag.constraint_residual <= 1e-10,
+        f"max residual {diag.constraint_residual:.3e}",
     )
-    decayed = bool(np.all(np.diff(fwd.energy) <= 1e-12)) if np.all(
+    decayed = bool(np.all(np.diff(diag.energy) <= 1e-12)) if np.all(
         [fi is None or not np.any(fi) for fi in problem.f]
     ) else True
     record("energy-decay", decayed, "monotone" if decayed else "violated")
@@ -519,7 +534,7 @@ def _cmd_validate(cfg: RunConfig, out: Path) -> int:
     omega = tg.trapezoid_weights()
     ctrl = rng.standard_normal((problem.n_channels, tg.Nt + 1))
     target = replace(problem, y_d=[rng.standard_normal(s.shape) for s in fwd.samples])
-    adj = solve_adjoint_graph(target, fwd)
+    adj = solve_adjoint_graph(target, fwd, system=system)
     zero = replace(
         problem,
         f=[None] * problem.n,
@@ -527,7 +542,7 @@ def _cmd_validate(cfg: RunConfig, out: Path) -> int:
         c0=0.0,
     )
     nd = problem.n_dirichlet_channels
-    z = solve_forward_graph(zero, ctrl[:nd], ctrl[nd:])
+    z = solve_forward_graph(zero, ctrl[:nd], ctrl[nd:], system=system)
     lhs = sum(
         float(np.einsum("k,kj,j,kj->", omega, fwd.samples[i] - target.y_d[i],
                         g.trapezoid_weights(), z.samples[i]))

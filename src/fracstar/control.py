@@ -252,9 +252,10 @@ def optimize(
     ``max_iter`` flags the result as non-converged instead of raising.  The
     returned adjoint and the last stationarity entry always belong to the
     returned controls, so ``residual_history`` has one entry per
-    ``cost_history`` entry.  Edge problems are solved as the one-edge graph
-    (:func:`as_graph_problem`) and report state and adjoint as
-    :class:`~fracstar.edge_solver.Trajectory`.
+    ``cost_history`` entry.  No sweep inside the loop computes diagnostics.
+    Edge problems are solved as the one-edge graph (:func:`as_graph_problem`)
+    and report state and adjoint as :class:`~fracstar.edge_solver.Trajectory`,
+    diagnosed once after the loop.
     """
     graph, graph_cfg = as_graph_problem(problem, cfg)
     driver = _GraphDriver(graph, graph_cfg)
@@ -346,8 +347,8 @@ def optimize(
         reason = "stationarity" if converged else "max_iter"
 
     if graph is not problem:
-        state = edge_state(problem.edge_op, graph, state, ctrl[0])
-        adj = edge_adjoint(graph, adj)
+        adj = edge_adjoint(driver.system, adj, state)
+        state = edge_state(driver.system, state, ctrl[0])
     return OptimResult(
         controls=ctrl,
         cost_history=np.array(cost_hist),

@@ -20,13 +20,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph_solver import (
+    GraphSystem,
     GraphTrajectory,
     StarGraphProblem,
+    assemble_graph_system,
+    diagnose_adjoint,
+    diagnose_forward,
     solve_adjoint_graph,
     solve_forward_graph,
 )
 from .grids import TimeGrid, Grid1D
-from .sturm import EdgeCoefficients, EdgeOperator
+from .sturm import EdgeOperator
 
 __all__ = ["Trajectory", "solve_forward_edge", "solve_adjoint_edge"]
 
@@ -77,54 +81,25 @@ def edge_problem(
     )
 
 
-def edge_bounds(coeffs: EdgeCoefficients, grid: Grid1D) -> tuple[float, float]:
-    """Closed-form edge a-priori bounds ``1/m + 2(b-a+1)/m^2`` (energy norm)
-    and ``1 + 2(b-a+1)/m`` (final time), ``m = min(beta0, q0)``."""
-    m = min(coeffs.beta0, coeffs.q0)
-    span = grid.b - grid.a
-    return 1.0 / m + 2.0 * (span + 1.0) / m**2, 1.0 + 2.0 * (span + 1.0) / m
-
-
-def edge_state(
-    edge_op: EdgeOperator,
-    problem: StarGraphProblem,
-    traj: GraphTrajectory,
-    v: np.ndarray | None,
-) -> Trajectory:
-    """A one-edge graph forward solution on the edge, with the edge a-priori
-    estimate: the data counts the initial datum, the source and the energy of
-    the Neumann control ``v``."""
-    tg, y = problem.time_grid, traj.samples[0]
-    bound, bound_T = edge_bounds(edge_op.coeffs, edge_op.grid)
-    # without control the graph solver has measured the same ratios
-    ratio, ratio_T = traj.estimate_ratio, traj.estimate_ratio_T
-    if v is not None and np.any(v):
-        nt, dt = tg.Nt, tg.dt
-        wtrap = edge_op.grid.trapezoid_weights()
-        f = np.zeros_like(y) if problem.f[0] is None else np.asarray(problem.f[0], float)
-        lhs = dt * sum(
-            y[k] @ (wtrap * y[k]) + edge_op.grid.h * np.sum((edge_op.D @ y[k]) ** 2)
-            for k in range(1, nt + 1)
-        )
-        data = (
-            y[0] @ (wtrap * y[0])
-            + dt * np.einsum("kj,j,kj->", f[1:], wtrap, f[1:])
-            + dt * np.sum(np.asarray(v, dtype=float)[1:] ** 2)
-        )
-        ratio = lhs / data if data > 0.0 else 0.0
-        ratio_T = y[nt] @ (wtrap * y[nt]) / data if data > 0.0 else 0.0
+def edge_state(system: GraphSystem, traj: GraphTrajectory, v: np.ndarray | None) -> Trajectory:
+    """A one-edge graph forward solution with Neumann control ``v`` on the
+    edge, with its diagnostics: the edge a-priori estimate counts the initial
+    datum, the source and the energy of ``v`` in the data."""
+    d = diagnose_forward(system, traj, None, v)
     return Trajectory(
-        y, edge_op.grid, tg, traj.tip_trace[:, 0], traj.tip_flux[:, 0], traj.energy,
-        ratio, bound, ratio_T, bound_T,
+        traj.samples[0], system.problem.grids[0], system.problem.time_grid,
+        traj.tip_trace[:, 0], d.tip_flux[:, 0], d.energy,
+        d.estimate_ratio, d.estimate_bound, d.estimate_ratio_T, d.estimate_bound_T,
     )
 
 
-def edge_adjoint(problem: StarGraphProblem, adj: GraphTrajectory) -> Trajectory:
-    """A one-edge graph adjoint on the edge: negated to the edge sign
-    convention (source ``y_d - y``)."""
+def edge_adjoint(system: GraphSystem, adj: GraphTrajectory, y) -> Trajectory:
+    """A one-edge graph adjoint of the forward solution ``y`` on the edge,
+    negated to the edge sign convention (source ``y_d - y``)."""
+    d = diagnose_adjoint(system, adj, y)
     return Trajectory(
-        -adj.samples[0], problem.grids[0], problem.time_grid,
-        -adj.neumann_trace_series[:, 0], -adj.tip_flux[:, 0], adj.energy,
+        -adj.samples[0], system.problem.grids[0], system.problem.time_grid,
+        -adj.neumann_trace_series[:, 0], -d.tip_flux[:, 0], d.energy,
     )
 
 
@@ -138,7 +113,8 @@ def solve_forward_edge(
     """March the edge problem with Neumann control ``v`` at ``b`` and report
     the a-priori energy ratio against its closed-form bound."""
     problem = edge_problem(edge_op, time_grid, f, y0)
-    return edge_state(edge_op, problem, solve_forward_graph(problem, None, v), v)
+    system = assemble_graph_system(problem)
+    return edge_state(system, solve_forward_graph(problem, None, v, system), v)
 
 
 def solve_adjoint_edge(
@@ -157,4 +133,5 @@ def solve_adjoint_edge(
     if y.y.shape != shape:
         raise ValueError(f"state must have shape {shape}, got {y.y.shape}")
     problem = edge_problem(edge_op, time_grid, None, y.y[0], y_d)
-    return edge_adjoint(problem, solve_adjoint_graph(problem, y))
+    system = assemble_graph_system(problem)
+    return edge_adjoint(system, solve_adjoint_graph(problem, y, system), y)

@@ -21,8 +21,6 @@ import numpy as np
 from .grids import Grid1D
 
 __all__ = [
-    "ConvWeights",
-    "TriangularConvOp",
     "SingularMode",
     "frac_integral_weights",
     "apply_left_integral",
@@ -41,95 +39,60 @@ def _check_order(alpha: float) -> None:
         raise ValueError(f"fractional order must lie in (0, 1], got {alpha}")
 
 
-@dataclass(frozen=True)
-class ConvWeights:
-    """Product-rule quadrature weights for a fractional integral of order
-    ``alpha`` on a uniform mesh of size ``h``.
-
-    ``w[k]`` is the exact integral of the kernel ``(x - t)^(alpha-1)/Gamma(alpha)``
-    over the cell at distance ``k`` cells from the evaluation node, so
-    convolution with ``w`` integrates piecewise-constant data exactly.
-    """
-
-    alpha: float
-    h: float
-    w: np.ndarray = field(repr=False)
-
-    def __len__(self) -> int:
-        return len(self.w)
-
-
-def frac_integral_weights(alpha: float, h: float, M: int) -> ConvWeights:
-    """Weights ``w_k = h^alpha/Gamma(alpha+1) * ((k+1)^alpha - k^alpha)``, k = 0..M."""
+def frac_integral_weights(alpha: float, h: float, M: int) -> np.ndarray:
+    """Product-rule weights ``w_k = h^alpha/Gamma(alpha+1) * ((k+1)^alpha - k^alpha)``,
+    ``k = 0..M``, of a fractional integral of order ``alpha`` on a uniform mesh
+    of size ``h``: ``w_k`` is the exact integral of the kernel
+    ``(x - t)^(alpha-1)/Gamma(alpha)`` over the cell ``k`` cells from the
+    evaluation node, so convolution with ``w`` integrates piecewise-constant
+    data exactly."""
     _check_order(alpha)
     if h <= 0.0:
         raise ValueError(f"mesh size must be positive, got {h}")
     if M < 1:
         raise ValueError(f"need at least one cell, got {M}")
     k = np.arange(M + 1, dtype=float)
-    w = (h**alpha / math.gamma(alpha + 1.0)) * ((k + 1.0) ** alpha - k**alpha)
-    return ConvWeights(alpha=alpha, h=h, w=w)
+    return (h**alpha / math.gamma(alpha + 1.0)) * ((k + 1.0) ** alpha - k**alpha)
 
 
-def apply_left_integral(weights: ConvWeights, samples: np.ndarray) -> np.ndarray:
+def apply_left_integral(weights: np.ndarray, samples: np.ndarray) -> np.ndarray:
     """Left fractional integral at the nodes of piecewise-constant data.
 
     Cell values are the left-node samples; ``out[0] = 0`` and
     ``out[j] = sum_k w[k] * samples[j-1-k]``.
     """
     samples = np.asarray(samples, dtype=float)
-    if samples.shape != weights.w.shape:
+    if samples.shape != weights.shape:
         raise ValueError(
-            f"expected {weights.w.shape[0]} nodal samples, got {samples.shape[0]}"
+            f"expected {weights.shape[0]} nodal samples, got {samples.shape[0]}"
         )
     M = len(samples) - 1
     out = np.zeros(M + 1)
-    out[1:] = np.convolve(weights.w[:M], samples[:-1])[:M]
+    out[1:] = np.convolve(weights[:M], samples[:-1])[:M]
     return out
 
 
-def apply_right_integral(weights: ConvWeights, samples: np.ndarray) -> np.ndarray:
+def apply_right_integral(weights: np.ndarray, samples: np.ndarray) -> np.ndarray:
     """Right fractional integral, the mirror of the left one under
     ``x -> a + b - x``; cell values are the right-node samples, ``out[M] = 0``.
     """
     return apply_left_integral(weights, np.asarray(samples)[::-1])[::-1]
 
 
-@dataclass(frozen=True)
-class TriangularConvOp:
-    """Dense triangular realization of a fractional operator on nodal samples.
-
-    ``orientation`` is ``"left"`` (lower triangular) or ``"right"`` (upper
-    triangular, the reflected transpose of the left operator with the same
-    weights).  Derivative operators are rectangular: one row per cell.
-    """
-
-    orientation: str
-    matrix: np.ndarray = field(repr=False)
-
-    def apply(self, samples: np.ndarray) -> np.ndarray:
-        samples = np.asarray(samples, dtype=float)
-        if samples.shape[0] != self.matrix.shape[1]:
-            raise ValueError(
-                f"operator expects {self.matrix.shape[1]} samples, got {samples.shape[0]}"
-            )
-        return self.matrix @ samples
-
-
-def left_integral_op(weights: ConvWeights) -> TriangularConvOp:
-    """Matrix form of :func:`apply_left_integral` (row ``j`` hits cells ``< j``)."""
-    M = len(weights.w) - 1
+def left_integral_op(weights: np.ndarray) -> np.ndarray:
+    """Matrix form of :func:`apply_left_integral`: lower triangular, row ``j``
+    hits cells ``< j``."""
+    M = len(weights) - 1
     T = np.zeros((M + 1, M + 1))
     for j in range(1, M + 1):
-        T[j, :j] = weights.w[j - 1 :: -1][:j]
-    return TriangularConvOp(orientation="left", matrix=T)
+        T[j, :j] = weights[j - 1 :: -1][:j]
+    return T
 
 
-def right_integral_op(weights: ConvWeights) -> TriangularConvOp:
+def right_integral_op(weights: np.ndarray) -> np.ndarray:
     """Mirror image of the left operator: ``R T_left R`` with ``R`` the index
     reversal, which for the Toeplitz rule equals the transpose."""
-    TL = left_integral_op(weights).matrix
-    return TriangularConvOp(orientation="right", matrix=TL[::-1, ::-1].copy())
+    return left_integral_op(weights)[::-1, ::-1]
 
 
 def _left_integral_matrix(alpha: float, grid: Grid1D) -> np.ndarray:
@@ -137,20 +100,19 @@ def _left_integral_matrix(alpha: float, grid: Grid1D) -> np.ndarray:
     (the limit order that appears inside ``D^1`` and the classical traces)."""
     if alpha == 0.0:
         return np.eye(grid.nnodes)
-    return left_integral_op(frac_integral_weights(alpha, grid.h, grid.M)).matrix
+    return left_integral_op(frac_integral_weights(alpha, grid.h, grid.M))
 
 
-def left_rl_derivative(alpha: float, grid: Grid1D) -> TriangularConvOp:
+def left_rl_derivative(alpha: float, grid: Grid1D) -> np.ndarray:
     """Left Riemann-Liouville derivative: backward difference of the order
     ``1 - alpha`` left integral, one value per cell.
 
-    Returns an ``M x (M+1)`` operator.  For ``alpha = 1`` this is the plain
+    Returns an ``M x (M+1)`` matrix.  For ``alpha = 1`` this is the plain
     backward difference.
     """
     _check_order(alpha)
     T = _left_integral_matrix(1.0 - alpha, grid)
-    D = (T[1:] - T[:-1]) / grid.h
-    return TriangularConvOp(orientation="left", matrix=D)
+    return (T[1:] - T[:-1]) / grid.h
 
 
 def trace_functional(alpha: float, grid: Grid1D, endpoint: str) -> np.ndarray:
@@ -170,7 +132,7 @@ def trace_functional(alpha: float, grid: Grid1D, endpoint: str) -> np.ndarray:
         row[-1 if endpoint == "b" else 0] = 1.0
         return row
     if endpoint == "b":
-        w = frac_integral_weights(1.0 - alpha, grid.h, grid.M).w
+        w = frac_integral_weights(1.0 - alpha, grid.h, grid.M)
         row[: grid.M] = w[grid.M - 1 :: -1][: grid.M]
     return row
 
@@ -200,7 +162,7 @@ def right_caputo_apply(
         )
     if g.shape[0] != grid.M:
         raise ValueError(f"expected {grid.M} cell fluxes, got {g.shape[0]}")
-    D = left_rl_derivative(alpha, grid).matrix
+    D = left_rl_derivative(alpha, grid)
     rhs = grid.h * (D.T @ g)
     rhs -= g[-1] * trace_functional(alpha, grid, "b")
     rhs += g[0] * trace_functional(alpha, grid, "a")
@@ -219,7 +181,7 @@ def right_caputo_nodal(alpha: float, grid: Grid1D, samples: np.ndarray) -> np.nd
     y = np.asarray(samples, dtype=float)
     if y.shape[0] != grid.nnodes:
         raise ValueError(f"expected {grid.nnodes} nodal samples, got {y.shape[0]}")
-    D = left_rl_derivative(alpha, grid).matrix
+    D = left_rl_derivative(alpha, grid)
     rhs = grid.h * (D.T @ y[:-1])
     rhs -= y[-1] * trace_functional(alpha, grid, "b")
     rhs += y[0] * trace_functional(alpha, grid, "a")

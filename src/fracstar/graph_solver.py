@@ -1,4 +1,4 @@
-"""Star-graph assembly and time stepping.
+"""Star-graph assembly, time stepping and diagnostics.
 
 Edges share their left endpoint.  Junction continuity of the order
 ``1 - alpha`` traces is realized by a single shared singular DOF ``c``: every
@@ -7,14 +7,23 @@ center are one and the same number, and flux balance emerges weakly from the
 ``c`` equation.  Tip conditions of Dirichlet type (the clamped root, edges
 ``2..m``) are enforced by Lagrange multipliers whose values are exactly the
 discrete tip fluxes ``(beta D^alpha y)(b_i^-)``; Neumann tips load the right
-hand side through their trace rows.  Each implicit-Euler step solves one
-saddle-point system with a factorization computed once.
+hand side through their trace rows.
 
-The adjoint stepper mirrors the forward one backward in time and is the exact
-transpose of the discrete forward map for the trapezoid space-time cost; the
-boundary series it reports (multiplier fluxes on Dirichlet tips, traces on
-Neumann tips) are scaled so that the first-order optimality residuals of the
-discrete cost vanish exactly at a discrete minimizer.
+Stepping.  One implicit-Euler march solves
+``(W/dt + K) x_k + B^T lambda_k = W x_prev/dt + l_k`` with a factorization
+computed once per sweep.  The forward sweep marches from ``y0``; the adjoint
+sweep marches backward from ``p(T + dt) = 0`` with loads
+``omega_k/dt (y - y_d)`` and is the exact transpose of the discrete forward
+map for the trapezoid space-time cost.  The boundary series it returns
+(multiplier fluxes on Dirichlet tips, traces on Neumann tips) are scaled so
+that the first-order optimality residuals of the discrete cost vanish exactly
+at a discrete minimizer.  The sweeps return the solution only.
+
+Diagnostics.  :func:`diagnose_forward` and :func:`diagnose_adjoint` read the
+tip and junction fluxes off the step residuals of a solution, all steps at
+once, together with its energy, constraint residual, a-priori ratios and
+boundary-regularity ratio.  They are computed on request; the optimizer never
+calls them.
 """
 
 from __future__ import annotations
@@ -33,9 +42,12 @@ __all__ = [
     "GlobalDofMap",
     "GraphSystem",
     "GraphTrajectory",
+    "GraphDiagnostics",
     "assemble_graph_system",
     "solve_forward_graph",
     "solve_adjoint_graph",
+    "diagnose_forward",
+    "diagnose_adjoint",
 ]
 
 
@@ -135,26 +147,18 @@ class GraphSystem:
         return self.K.shape[0]
 
     def load_from_samples(self, g: list[np.ndarray]) -> np.ndarray:
-        """Global load of per-edge sample-space data: ``sum_i E_i^T (W_i g_i)``."""
+        """Global load of per-edge sample-space data: ``sum_i E_i^T (W_i g_i)``.
+
+        Each ``g_i`` may carry leading axes (time steps); the load has them too.
+        """
         dm = self.dofmap
-        out = np.zeros(self.ndof)
+        out = np.zeros(np.shape(g[0])[:-1] + (self.ndof,))
         for i, op in enumerate(self.edge_ops):
             wg = op.grid.trapezoid_weights() * g[i]
-            out[dm.edge_slice(i)] += wg
+            out[..., dm.edge_slice(i)] += wg
             if dm.c_index is not None:
-                out[dm.c_index] += op.mode.samples @ wg
+                out[..., dm.c_index] += wg @ op.mode.samples
         return out
-
-    def load_c_parts(self, g: list[np.ndarray]) -> np.ndarray:
-        """Per-edge contributions of sample-space data to the shared-DOF row."""
-        if self.dofmap.c_index is None:
-            return np.zeros(self.problem.n)
-        return np.array(
-            [
-                op.mode.samples @ (op.grid.trapezoid_weights() * g[i])
-                for i, op in enumerate(self.edge_ops)
-            ]
-        )
 
     def edge_samples(self, Y: np.ndarray, i: int) -> np.ndarray:
         """Nodal samples of edge ``i`` (nodal block plus ``c`` times the mode)."""
@@ -260,17 +264,35 @@ class GraphTrajectory:
     c: np.ndarray = field(repr=False)
     multipliers: np.ndarray = field(repr=False)
     tip_trace: np.ndarray = field(repr=False)
+    time_grid: TimeGrid
+    dirichlet_flux_series: np.ndarray | None = None
+    neumann_trace_series: np.ndarray | None = None
+
+
+@dataclass
+class GraphDiagnostics:
+    """Properties of a graph solution, measured by :func:`diagnose_forward`
+    or :func:`diagnose_adjoint`.
+
+    ``tip_flux[k, i]`` is ``(beta D^alpha y)(b_i^-)`` read off the residual of
+    step ``k``; ``junction_flux[k, i]`` is edge ``i``'s flux into the junction,
+    whose sum over the edges is the discrete Kirchhoff balance (index 0 carries
+    no step).  ``energy`` is the L2 norm per time; ``constraint_residual`` the
+    largest deviation of the tip traces of edges ``1..m`` from their
+    prescribed values.  The a-priori ratios (forward only) are measured
+    against their closed-form bounds and read 0 where no bound covers the
+    controls; the boundary-regularity ratio (adjoint only) reads 0 without
+    Dirichlet tips.
+    """
+
     tip_flux: np.ndarray = field(repr=False)
     junction_flux: np.ndarray = field(repr=False)
     energy: np.ndarray = field(repr=False)
-    time_grid: TimeGrid
-    constraint_residual: float = 0.0
+    constraint_residual: float
     estimate_ratio: float = 0.0
     estimate_bound: float = 0.0
     estimate_ratio_T: float = 0.0
     estimate_bound_T: float = 0.0
-    dirichlet_flux_series: np.ndarray | None = None
-    neumann_trace_series: np.ndarray | None = None
     boundary_regularity_ratio: float = 0.0
 
 
@@ -302,6 +324,25 @@ def _edge_sources(problem: StarGraphProblem) -> list[np.ndarray]:
                 )
             out.append(fi)
     return out
+
+
+def _misfit(problem: StarGraphProblem, y) -> list[np.ndarray]:
+    """Per-edge adjoint source ``y - y_d``."""
+    out = []
+    for i, si in enumerate(y.samples):
+        ydi = problem.y_d[i]
+        ydi = np.zeros_like(si) if ydi is None else np.asarray(ydi, float)
+        if ydi.shape != si.shape:
+            raise ValueError(f"edge {i + 1} target has wrong shape {ydi.shape}")
+        out.append(si - ydi)
+    return out
+
+
+def _prescribed_traces(u: np.ndarray, m: int) -> np.ndarray:
+    """Tip traces of edges ``1..m`` per time: the clamped root, then ``u``."""
+    traces = np.zeros((u.shape[1], m))
+    traces[:, 1:] = u.T
+    return traces
 
 
 class _SaddleStepper:
@@ -337,27 +378,35 @@ class _SaddleStepper:
         return Y, sol[self.nfree :]
 
 
-def _residual_series(system, dofs_k, dofs_prev, fload, fload_c, tip_known):
-    """Tip fluxes from the probe residual and junction fluxes per edge.
+def _march(system: GraphSystem, start, loads, traces, what: str):
+    """Implicit Euler from ``x_{-1} = start``: row ``j`` solves
+    ``(W/dt + K) x_j + B^T mu_j = W x_{j-1}/dt + loads[j]``, ``B x_j = traces[j]``.
 
-    ``tip_known`` is unused for the probe read-out (the probe sees the
-    multiplier/Neumann load directly); the junction flux of edge ``i`` is its
-    known tip flux minus the edge's contribution to the shared-DOF equation.
+    Returns the states ``x_j`` and the multipliers ``-mu_j``.
     """
-    pr = system.problem
-    dt = pr.time_grid.dt
-    resid = system.W @ (dofs_k - dofs_prev) / dt + system.K @ dofs_k - fload
-    tip = system.flux_probes @ resid
-    junction = np.zeros(pr.n)
-    if system.dofmap.c_index is not None:
-        for i in range(pr.n):
-            ri = (
-                system.kc[i] @ dofs_k
-                + system.wc[i] @ (dofs_k - dofs_prev) / dt
-                - fload_c[i]
-            )
-            junction[i] = tip_known[i] - ri
-    return tip, junction
+    stepper = _SaddleStepper(system)
+    dt = system.problem.time_grid.dt
+    x = np.zeros((len(loads), system.ndof))
+    mult = np.zeros((len(loads), system.problem.m))
+    prev = start
+    for j in range(len(loads)):
+        x[j], mu = stepper.solve(system.W @ prev / dt + loads[j], traces[j], what)
+        mult[j] = -mu
+        prev = x[j]
+    return x, mult
+
+
+def _trajectory(system: GraphSystem, dofs, mult, **series) -> GraphTrajectory:
+    dm = system.dofmap
+    return GraphTrajectory(
+        dofs=dofs,
+        samples=[system.edge_samples(dofs, i) for i in range(system.problem.n)],
+        c=dofs[:, dm.c_index] if dm.c_index is not None else np.zeros(len(dofs)),
+        multipliers=mult,
+        tip_trace=dofs @ system.trace_b_rows.T,
+        time_grid=system.problem.time_grid,
+        **series,
+    )
 
 
 def solve_forward_graph(
@@ -375,102 +424,26 @@ def solve_forward_graph(
     """
     if system is None:
         system = assemble_graph_system(problem)
-    nt, dt = problem.time_grid.Nt, problem.time_grid.dt
-    n, m = problem.n, problem.m
+    nt, m = problem.time_grid.Nt, problem.m
     u = _control_array(u, problem.n_dirichlet_channels, nt, "dirichlet")
     v = _control_array(v, problem.n_neumann_channels, nt, "neumann")
     f = _edge_sources(problem)
     dm = system.dofmap
 
-    stepper = _SaddleStepper(system)
-    dofs = np.zeros((nt + 1, system.ndof))
-    for i in range(n):
+    start = np.zeros(system.ndof)
+    for i in range(problem.n):
         y0 = np.asarray(problem.y0[i], dtype=float)
         if y0.shape != (dm.nnodes[i],):
             raise ValueError(f"edge {i + 1} initial datum has wrong shape {y0.shape}")
-        dofs[0, dm.edge_slice(i)] = y0
+        start[dm.edge_slice(i)] = y0
     if dm.c_index is not None:
-        dofs[0, dm.c_index] = problem.c0
+        start[dm.c_index] = problem.c0
 
-    mult = np.zeros((nt + 1, m))
-    tip_flux = np.zeros((nt + 1, n))
-    junction = np.zeros((nt + 1, n))
-    neu_rows = system.trace_b_rows[m:]
-    for k in range(1, nt + 1):
-        fk = [f[i][k] for i in range(n)]
-        fload = system.load_from_samples(fk)
-        rhs = system.W @ dofs[k - 1] / dt + fload
-        if n - m > 0:
-            rhs += neu_rows.T @ v[:, k]
-        U = np.zeros(m)
-        if m > 1:
-            U[1:] = u[:, k]
-        dofs[k], mu = stepper.solve(rhs, U, "forward")
-        mult[k] = -mu
-        known = np.zeros(n)
-        known[:m] = mult[k]
-        if n - m > 0:
-            known[m:] = v[:, k]
-        tip_flux[k], junction[k] = _residual_series(
-            system, dofs[k], dofs[k - 1], fload, system.load_c_parts(fk), known
-        )
-
-    samples = [system.edge_samples(dofs, i) for i in range(n)]
-    tip_trace = dofs @ system.trace_b_rows.T
-
-    wtr = [g.trapezoid_weights() for g in problem.grids]
-    energy = np.sqrt(
-        sum(np.einsum("kj,j,kj->k", samples[i], wtr[i], samples[i]) for i in range(n))
-    )
-
-    cres = 0.0
-    if m > 0 and nt >= 1:
-        U_all = np.zeros((nt + 1, m))
-        if m > 1:
-            U_all[:, 1:] = u.T
-        cres = float(np.abs(tip_trace[1:, :m] - U_all[1:]).max())
-
-    mbar = min(min(c.beta0, c.q0) for c in problem.coeffs)
-    ratio = ratio_T = 0.0
-    bound = 1.0 / mbar + 1.0 / mbar**2
-    bound_T = 1.0 + 1.0 / mbar
-    if np.all(u == 0.0) and np.all(v == 0.0):
-        lhs = dt * sum(
-            samples[i][k] @ (wtr[i] * samples[i][k])
-            + problem.grids[i].h
-            * np.sum(
-                (
-                    system.edge_ops[i].D[:, : dm.nnodes[i]]
-                    @ dofs[k, dm.edge_slice(i)]
-                )
-                ** 2
-            )
-            for k in range(1, nt + 1)
-            for i in range(n)
-        )
-        data = sum(samples[i][0] @ (wtr[i] * samples[i][0]) for i in range(n))
-        data += dt * sum(
-            f[i][k] @ (wtr[i] * f[i][k]) for k in range(1, nt + 1) for i in range(n)
-        )
-        final = sum(samples[i][nt] @ (wtr[i] * samples[i][nt]) for i in range(n))
-        if data > 0.0:
-            ratio, ratio_T = lhs / data, final / data
-
-    return GraphTrajectory(
-        dofs=dofs,
-        samples=samples,
-        c=dofs[:, dm.c_index] if dm.c_index is not None else np.zeros(nt + 1),
-        multipliers=mult,
-        tip_trace=tip_trace,
-        tip_flux=tip_flux,
-        junction_flux=junction,
-        energy=energy,
-        time_grid=problem.time_grid,
-        constraint_residual=cres,
-        estimate_ratio=ratio,
-        estimate_bound=bound,
-        estimate_ratio_T=ratio_T,
-        estimate_bound_T=bound_T,
+    loads = system.load_from_samples([fi[1:] for fi in f])
+    loads += v[:, 1:].T @ system.trace_b_rows[m:]
+    x, mult = _march(system, start, loads, _prescribed_traces(u, m)[1:], "forward")
+    return _trajectory(
+        system, np.vstack([start, x]), np.vstack([np.zeros((1, m)), mult])
     )
 
 
@@ -490,87 +463,145 @@ def solve_adjoint_graph(
     """
     if system is None:
         system = assemble_graph_system(problem)
-    nt, dt = problem.time_grid.Nt, problem.time_grid.dt
-    n, m = problem.n, problem.m
-    dm = system.dofmap
+    nt, dt, m = problem.time_grid.Nt, problem.time_grid.dt, problem.m
     omega = problem.time_grid.trapezoid_weights()
 
-    src = []
-    for i in range(n):
-        ydi = problem.y_d[i]
-        ydi = np.zeros_like(y.samples[i]) if ydi is None else np.asarray(ydi, float)
-        if ydi.shape != y.samples[i].shape:
-            raise ValueError(f"edge {i + 1} target has wrong shape {ydi.shape}")
-        src.append(y.samples[i] - ydi)
-
-    stepper = _SaddleStepper(system)
-    p = np.zeros((nt + 1, system.ndof))
-    mult = np.zeros((nt + 1, m))
-    flux_series = np.zeros((nt + 1, m))
-    trace_series = np.zeros((nt + 1, n - m))
-    pnext = np.zeros(system.ndof)
-    neu_rows = system.trace_b_rows[m:]
-    floads = np.array(
-        [system.load_from_samples([src[i][k] for i in range(n)]) for k in range(nt + 1)]
+    loads = (omega / dt)[:, None] * system.load_from_samples(_misfit(problem, y))
+    x, mult = _march(
+        system, np.zeros(system.ndof), loads[::-1], np.zeros((nt + 1, m)), "adjoint"
     )
-    for k in range(nt, -1, -1):
-        rhs = system.W @ pnext / dt + (omega[k] / dt) * floads[k]
-        p[k], mu = stepper.solve(rhs, np.zeros(m), "adjoint")
-        if k >= 1:
-            mult[k] = -mu
-            flux_series[k] = (dt / omega[k]) * mult[k]
-            if n - m > 0:
-                trace_series[k] = (dt / omega[k]) * (neu_rows @ p[k])
-            pnext = p[k]
+    p, mult = np.ascontiguousarray(x[::-1]), mult[::-1]
+    mult[0] = 0.0
+    scale = np.concatenate([[0.0], dt / omega[1:]])[:, None]
+    return _trajectory(
+        system, p, mult,
+        dirichlet_flux_series=scale * mult,
+        neumann_trace_series=scale * (p @ system.trace_b_rows[m:].T),
+    )
 
-    samples = [system.edge_samples(p, i) for i in range(n)]
-    tip_trace = p @ system.trace_b_rows.T
 
-    tip_flux = np.zeros((nt + 1, n))
-    junction = np.zeros((nt + 1, n))
-    for k in range(1, nt + 1):
-        sk = [src[i][k] for i in range(n)]
-        p_after = p[k + 1] if k < nt else np.zeros(system.ndof)
-        known = np.zeros(n)
-        known[:m] = mult[k]
-        tip_flux[k], junction[k] = _residual_series(
-            system,
-            p[k],
-            p_after,
-            (omega[k] / dt) * floads[k],
-            (omega[k] / dt) * system.load_c_parts(sk),
-            known,
+def _readout(system: GraphSystem, y: GraphTrajectory, prev, g, known, traces, **extra):
+    """Tip and junction fluxes, energy and constraint residual of a march, in
+    a :class:`GraphDiagnostics` completed by ``extra``.
+
+    Row ``j`` of the inputs belongs to the step that solved ``y.dofs[j + 1]``:
+    ``prev`` is the state it marched from, ``g`` the per-edge sample-space
+    data of its load, ``known`` the tip fluxes it imposed (multipliers and
+    Neumann data) and ``traces`` the tip traces it prescribed on edges
+    ``1..m``.  The residuals of all steps are formed at once (``W`` and ``K``
+    are symmetric).
+    """
+    pr, dt = system.problem, system.problem.time_grid.dt
+    x = y.dofs[1:]
+    rate = (x - prev) / dt
+    resid = rate @ system.W + x @ system.K - system.load_from_samples(g)
+    tip = resid @ system.flux_probes.T
+    junction = np.zeros_like(tip)
+    if system.dofmap.c_index is not None:
+        load_c = np.column_stack(
+            [
+                (op.grid.trapezoid_weights() * gi) @ op.mode.samples
+                for op, gi in zip(system.edge_ops, g)
+            ]
         )
+        junction = known - (rate @ system.wc.T + x @ system.kc.T - load_c)
 
-    wtr = [g.trapezoid_weights() for g in problem.grids]
     energy = np.sqrt(
-        sum(np.einsum("kj,j,kj->k", samples[i], wtr[i], samples[i]) for i in range(n))
+        sum(
+            np.einsum("kj,j,kj->k", s, grid.trapezoid_weights(), s)
+            for s, grid in zip(y.samples, pr.grids)
+        )
+    )
+    cres = float(np.abs(y.tip_trace[1:, : pr.m] - traces).max()) if pr.m > 0 else 0.0
+    first = np.zeros((1, pr.n))
+    return GraphDiagnostics(
+        np.vstack([first, tip]), np.vstack([first, junction]), energy, cres, **extra
     )
 
-    # measured form of the boundary-regularity bound: summed squared tip
-    # derivative traces against the squared misfit driving the system
+
+def _apriori_bounds(problem: StarGraphProblem) -> tuple[float, float]:
+    """Closed-form a-priori bounds (energy norm, final time).  The graph bounds
+    ``1/m + 1/m^2`` and ``1 + 1/m`` cover uncontrolled solutions; the single
+    edge with a free Neumann tip has ``1/m + 2(b-a+1)/m^2`` and
+    ``1 + 2(b-a+1)/m``, which also cover its Neumann control.  ``m`` is the
+    smallest ``min(beta0, q0)``."""
+    mbar = min(min(c.beta0, c.q0) for c in problem.coeffs)
+    if problem.m == 0:
+        span = problem.grids[0].b - problem.grids[0].a + 1.0
+        return 1.0 / mbar + 2.0 * span / mbar**2, 1.0 + 2.0 * span / mbar
+    return 1.0 / mbar + 1.0 / mbar**2, 1.0 + 1.0 / mbar
+
+
+def _apriori_ratios(system: GraphSystem, y: GraphTrajectory, f, v) -> tuple[float, float]:
+    """Measured a-priori ratios ``dt sum_k (||y^k||^2 + h ||D y^k||^2)`` and
+    ``||y^Nt||^2`` over the data ``||y^0||^2 + dt sum_k (||f^k||^2 + |v^k|^2)``,
+    ``k = 1..Nt``, summed over the edges; the data counts the energy of the
+    Neumann controls ``v``."""
+    dm, dt = system.dofmap, system.problem.time_grid.dt
+    lhs = final = 0.0
+    data = dt * float(np.sum(v[:, 1:] ** 2))
+    for i, op in enumerate(system.edge_ops):
+        s, w = y.samples[i], op.grid.trapezoid_weights()
+        Dy = y.dofs[1:, dm.edge_slice(i)] @ op.D[:, : dm.nnodes[i]].T
+        lhs += dt * (np.einsum("kj,j,kj->", s[1:], w, s[1:]) + op.grid.h * np.sum(Dy**2))
+        data += s[0] @ (w * s[0]) + dt * np.einsum("kj,j,kj->", f[i][1:], w, f[i][1:])
+        final += s[-1] @ (w * s[-1])
+    if data <= 0.0:
+        return 0.0, 0.0
+    return float(lhs / data), float(final / data)
+
+
+def diagnose_forward(
+    system: GraphSystem,
+    y: GraphTrajectory,
+    u: np.ndarray | None = None,
+    v: np.ndarray | None = None,
+) -> GraphDiagnostics:
+    """Diagnostics of a forward solution with controls ``u``, ``v`` (as passed
+    to :func:`solve_forward_graph`).
+
+    The a-priori ratios are measured where a closed-form bound covers the
+    controls: without control, and for the single edge under Neumann control.
+    """
+    pr = system.problem
+    nt = pr.time_grid.Nt
+    u = _control_array(u, pr.n_dirichlet_channels, nt, "dirichlet")
+    v = _control_array(v, pr.n_neumann_channels, nt, "neumann")
+    f = _edge_sources(pr)
+    ratio = ratio_T = 0.0
+    if pr.m == 0 or not (np.any(u) or np.any(v)):
+        ratio, ratio_T = _apriori_ratios(system, y, f, v)
+    bound, bound_T = _apriori_bounds(pr)
+    known = np.hstack([y.multipliers[1:], v[:, 1:].T])
+    return _readout(
+        system, y, y.dofs[:-1], [fi[1:] for fi in f], known,
+        _prescribed_traces(u, pr.m)[1:], estimate_ratio=ratio, estimate_bound=bound,
+        estimate_ratio_T=ratio_T, estimate_bound_T=bound_T,
+    )
+
+
+def diagnose_adjoint(system: GraphSystem, p: GraphTrajectory, y) -> GraphDiagnostics:
+    """Diagnostics of the adjoint ``p`` of the forward solution ``y`` (anything
+    with per-edge ``samples``), including the boundary-regularity ratio: the
+    summed squared tip derivative traces ``(D^alpha p)(b_i^-)`` on Dirichlet
+    tips against the squared misfit that drives the adjoint."""
+    pr = system.problem
+    tg = pr.time_grid
+    omega = tg.trapezoid_weights()
+    src = _misfit(pr, y)
     misfit = sum(
-        float(np.einsum("k,kj,j,kj->", omega, src[i], wtr[i], src[i]))
-        for i in range(n)
+        float(np.einsum("k,kj,j,kj->", omega, s, grid.trapezoid_weights(), s))
+        for s, grid in zip(src, pr.grids)
     )
     reg = 0.0
-    if misfit > 0.0 and m > 0:
-        beta_b = np.array([problem.coeffs[i].beta[-1] for i in range(m)])
+    if misfit > 0.0 and pr.m > 0:
+        beta_b = np.array([pr.coeffs[i].beta[-1] for i in range(pr.m)])
         reg = float(
-            np.sum(omega[:, None] * (flux_series / beta_b) ** 2) / misfit
+            np.sum(omega[:, None] * (p.dirichlet_flux_series / beta_b) ** 2) / misfit
         )
-
-    return GraphTrajectory(
-        dofs=p,
-        samples=samples,
-        c=p[:, dm.c_index] if dm.c_index is not None else np.zeros(nt + 1),
-        multipliers=mult,
-        tip_trace=tip_trace,
-        tip_flux=tip_flux,
-        junction_flux=junction,
-        energy=energy,
-        time_grid=problem.time_grid,
-        dirichlet_flux_series=flux_series,
-        neumann_trace_series=trace_series,
-        boundary_regularity_ratio=reg,
+    g = [(omega[1:] / tg.dt)[:, None] * s[1:] for s in src]
+    prev = np.vstack([p.dofs[2:], np.zeros((1, system.ndof))])
+    known = np.hstack([p.multipliers[1:], np.zeros((tg.Nt, pr.n - pr.m))])
+    return _readout(
+        system, p, prev, g, known, np.zeros((tg.Nt, pr.m)), boundary_regularity_ratio=reg
     )

@@ -116,7 +116,7 @@ def assemble_stiffness(
     # mode has zero fractional derivative, hence a zero column in D.
     E = np.eye(nn, ndof)
     D = np.zeros((grid.M, ndof))
-    D[:, :nn] = left_rl_derivative(alpha, grid).matrix
+    D[:, :nn] = left_rl_derivative(alpha, grid)
     if mode is not None:
         E[:, -1] = mode.samples
 

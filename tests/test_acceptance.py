@@ -17,6 +17,8 @@ from fracstar import (
     TimeGrid,
     assemble_graph_system,
     assemble_stiffness,
+    diagnose_adjoint,
+    diagnose_forward,
     gradient_graph,
     left_rl_derivative,
     optimize,
@@ -51,7 +53,7 @@ def test_criterion_01_integration_by_parts():
             M = int(rng.integers(8, 65))
             grid = Grid1D(0.0, float(rng.uniform(0.5, 2.0)), M)
             wtr = grid.trapezoid_weights()
-            D = left_rl_derivative(alpha, grid).matrix
+            D = left_rl_derivative(alpha, grid)
             rb = trace_functional(alpha, grid, "b")
             ra = trace_functional(alpha, grid, "a")
             y = rng.standard_normal(M + 1)
@@ -85,7 +87,7 @@ def test_criterion_02_power_rule_convergence():
         errs = []
         for M in (16, 32, 64, 128):
             grid = Grid1D(0.0, 1.0, M)
-            vals = left_rl_derivative(alpha, grid).matrix @ (grid.nodes**alpha)
+            vals = left_rl_derivative(alpha, grid) @ (grid.nodes**alpha)
             mids = 0.5 * (grid.nodes[:-1] + grid.nodes[1:])
             errs.append(np.abs(vals - math.gamma(alpha + 1.0))[mids >= 0.125].max())
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
@@ -184,11 +186,12 @@ def test_criterion_05_energy_decay_and_estimates():
         worst_margin = min(worst_margin, traj.estimate_bound_T - traj.estimate_ratio_T)
         # homogeneous graph estimates and decay
         pr = random_graph(rng, alpha=float(rng.uniform(0.3, 0.99)), Nt=16)
-        g = solve_forward_graph(pr)
+        sys_ = assemble_graph_system(pr)
+        g = diagnose_forward(sys_, solve_forward_graph(pr, system=sys_))
         worst_margin = min(worst_margin, g.estimate_bound - g.estimate_ratio)
         worst_margin = min(worst_margin, g.estimate_bound_T - g.estimate_ratio_T)
         pr.f = [None] * pr.n
-        g = solve_forward_graph(pr)
+        g = diagnose_forward(sys_, solve_forward_graph(pr, system=sys_))
         decay_ok &= bool(np.all(np.diff(g.energy) <= 1e-12))
     elapsed = time.time() - t0
     report(
@@ -316,11 +319,10 @@ def test_criterion_08_junction_physics():
                 y0[0] = 0.0
         u = rng.standard_normal((1, 13))
         v = rng.standard_normal((1, 13))
-        traj = solve_forward_graph(pr, u, v)
-        worst_flux = max(
-            worst_flux, float(np.abs(traj.junction_flux[1:].sum(axis=1)).max())
-        )
         sys_ = assemble_graph_system(pr)
+        traj = solve_forward_graph(pr, u, v, sys_)
+        junction = diagnose_forward(sys_, traj, u, v).junction_flux
+        worst_flux = max(worst_flux, float(np.abs(junction[1:].sum(axis=1)).max()))
         traces = traj.dofs @ sys_.trace_a_rows.T
         for i in range(pr.n):
             continuity_exact &= bool(np.all(traces[:, i] == traj.c))
@@ -339,9 +341,10 @@ def test_criterion_09_boundary_regularity():
     for seed in range(20):
         rng = np.random.default_rng(900 + seed)
         pr = random_graph(rng, alpha=0.6, Nt=16, Ms=(12, 10, 14))
-        y = solve_forward_graph(pr)
-        p = solve_adjoint_graph(pr, y)
-        ratios.append(p.boundary_regularity_ratio)
+        sys_ = assemble_graph_system(pr)
+        y = solve_forward_graph(pr, system=sys_)
+        p = solve_adjoint_graph(pr, y, sys_)
+        ratios.append(diagnose_adjoint(sys_, p, y).boundary_regularity_ratio)
     # frozen bound: three orders of magnitude above the measured spread at
     # this discretization (observed max 0.02)
     bound = 10.0

@@ -23,7 +23,7 @@ ydtarget = const:0.25
 [control.1]
 kind = neumann
 uad = box:-2.0:2.0
-weight = 1.0
+weight = 0.5
 
 [optimizer]
 algo = projected_gradient
@@ -210,6 +210,28 @@ class TestCommands:
         bad = EDGE_INI.replace("alpha = 0.6", "alpha = 2.0")
         ini = write(tmp_path, "bad.ini", bad)
         assert main(["--output-dir", str(tmp_path), "optimize", str(ini)]) == 2
+
+    @pytest.mark.parametrize(
+        "content", ["0.1,0.2,not-a-number\n", ",".join(["nan"] * 13) + "\n"]
+    )
+    def test_bad_data_file_is_config_error(self, tmp_path, capsys, content):
+        (tmp_path / "y0.csv").write_text(content)
+        ini = write(tmp_path, "edge.ini", EDGE_INI.replace("y0 = const:0.5", "y0 = file:y0.csv"))
+        rc = main(["--output-dir", str(tmp_path), "optimize", str(ini)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "y0.csv" in err
+
+    def test_single_edge_weight_must_match_tikhonov(self, tmp_path, capsys):
+        bad = EDGE_INI.replace("weight = 0.5", "weight = 1.0")
+        with pytest.raises(ConfigError) as exc:
+            parse_config(write(tmp_path, "bad.ini", bad))
+        assert any("tikhonov_n" in v for v in exc.value.violations)
+        assert main(["--output-dir", str(tmp_path), "optimize", str(tmp_path / "bad.ini")]) == 2
+        assert "config error: control.1: weight" in capsys.readouterr().err
+        # an absent weight takes tikhonov_n, the penalty that is used
+        cfg = parse_config(write(tmp_path, "ok.ini", EDGE_INI.replace("weight = 0.5\n", "")))
+        assert cfg.controls[1].weight == cfg.tikhonov_n == 0.5
 
     def test_file_token_roundtrip(self, tmp_path):
         y0 = np.linspace(0.0, 1.0, 13) ** 2

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -348,6 +350,31 @@ class TestOptimize:
         np.testing.assert_allclose(
             res.adjoint.trace_b, -adj.neumann_trace_series[:, 0], atol=1e-12
         )
+
+    def test_diagnostics_stay_off_the_optimizer_loop(self, rng, monkeypatch):
+        calls = []
+        for module in [m for name, m in sys.modules.items() if name.startswith("fracstar")]:
+            for name in ("diagnose_forward", "diagnose_adjoint"):
+                fn = getattr(module, name, None)
+                if fn is not None:
+                    def counted(*args, _fn=fn, _name=name, **kwargs):
+                        calls.append(_name)
+                        return _fn(*args, **kwargs)
+
+                    monkeypatch.setattr(module, name, counted)
+        pr = random_graph(rng, Nt=6)
+        res = optimize(pr, CostConfig(), AdmissibleSet.box(-0.2, 0.2), max_iter=5)
+        assert res.iterations >= 2 and calls == []
+        # an edge result is diagnosed once, after the loop, however long it ran
+        problem, cfg = tracking_problem(N=1e-2)
+        box = AdmissibleSet.box(-0.5, 0.5)
+        counts = []
+        for max_iter in (2, 6):
+            calls.clear()
+            res = optimize(problem, cfg, box, tol=1e-14, max_iter=max_iter)
+            assert res.iterations == max_iter
+            counts.append(sorted(calls))
+        assert counts[0] == counts[1] == ["diagnose_adjoint", "diagnose_forward"]
 
     def test_unknown_algorithm(self):
         problem, cfg = tracking_problem()

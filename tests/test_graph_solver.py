@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fracstar import (
     EdgeCoefficients,
@@ -8,6 +10,8 @@ from fracstar import (
     TimeGrid,
     assemble_graph_system,
     assemble_stiffness,
+    diagnose_adjoint,
+    diagnose_forward,
     solve_adjoint_graph,
     solve_forward_graph,
     solve_forward_edge,
@@ -182,22 +186,25 @@ class TestForward:
     def test_energy_decay_homogeneous(self, rng):
         pr = random_graph(rng, with_data=True, Nt=16)
         pr.f = [None] * pr.n
-        traj = solve_forward_graph(pr)
-        assert np.all(np.diff(traj.energy) <= 1e-13)
+        sys_ = assemble_graph_system(pr)
+        d = diagnose_forward(sys_, solve_forward_graph(pr, system=sys_))
+        assert np.all(np.diff(d.energy) <= 1e-13)
 
     def test_apriori_estimates_within_bounds(self, rng):
         for _ in range(5):
             pr = random_graph(rng, Nt=10)
-            traj = solve_forward_graph(pr)
-            assert traj.estimate_ratio <= traj.estimate_bound
-            assert traj.estimate_ratio_T <= traj.estimate_bound_T
+            sys_ = assemble_graph_system(pr)
+            d = diagnose_forward(sys_, solve_forward_graph(pr, system=sys_))
+            assert 0.0 < d.estimate_ratio <= d.estimate_bound
+            assert 0.0 < d.estimate_ratio_T <= d.estimate_bound_T
 
     def test_junction_flux_balance(self, rng):
         pr = random_graph(rng, Nt=9)
         u = rng.standard_normal((1, 10))
         v = rng.standard_normal((1, 10))
-        traj = solve_forward_graph(pr, u, v)
-        assert np.abs(traj.junction_flux[1:].sum(axis=1)).max() <= 1e-9
+        sys_ = assemble_graph_system(pr)
+        d = diagnose_forward(sys_, solve_forward_graph(pr, u, v, sys_), u, v)
+        assert np.abs(d.junction_flux[1:].sum(axis=1)).max() <= 1e-9
 
     def test_trace_continuity_bitwise(self, rng):
         pr = random_graph(rng)
@@ -212,18 +219,53 @@ class TestForward:
         pr = random_graph(rng, n=4, m=3, Ms=(6, 5, 7, 6), bs=(1.0, 0.8, 1.2, 0.9))
         u = rng.standard_normal((2, 7))
         v = rng.standard_normal((1, 7))
-        traj = solve_forward_graph(pr, u, v)
-        assert traj.constraint_residual <= 1e-10
+        sys_ = assemble_graph_system(pr)
+        d = diagnose_forward(sys_, solve_forward_graph(pr, u, v, sys_), u, v)
+        assert d.constraint_residual <= 1e-10
 
     def test_tip_flux_matches_multipliers_and_controls(self, rng):
         pr = random_graph(rng)
         u = rng.standard_normal((1, 7))
         v = rng.standard_normal((1, 7))
-        traj = solve_forward_graph(pr, u, v)
+        sys_ = assemble_graph_system(pr)
+        traj = solve_forward_graph(pr, u, v, sys_)
+        d = diagnose_forward(sys_, traj, u, v)
         np.testing.assert_allclose(
-            traj.tip_flux[1:, : pr.m], traj.multipliers[1:], atol=1e-9
+            d.tip_flux[1:, : pr.m], traj.multipliers[1:], atol=1e-9
         )
-        np.testing.assert_allclose(traj.tip_flux[1:, pr.m], v[0, 1:], atol=1e-9)
+        np.testing.assert_allclose(d.tip_flux[1:, pr.m], v[0, 1:], atol=1e-9)
+
+    def test_readout_matches_per_step_residuals(self, rng):
+        # reference: each step's residual formed on its own against the state
+        # the step marched from; the diagnostics form all steps at once
+        pr = random_graph(rng, Nt=7)
+        u = rng.standard_normal((1, 8))
+        v = rng.standard_normal((1, 8))
+        sys_ = assemble_graph_system(pr)
+        y = solve_forward_graph(pr, u, v, sys_)
+        p = solve_adjoint_graph(pr, y, sys_)
+        dy, dp = diagnose_forward(sys_, y, u, v), diagnose_adjoint(sys_, p, y)
+        dt, om = pr.time_grid.dt, pr.time_grid.trapezoid_weights()
+        c = sys_.dofmap.c_index
+        for k in range(1, 8):
+            misfit = [yi[k] - ydi[k] for yi, ydi in zip(y.samples, pr.y_d)]
+            p_next = p.dofs[k + 1] if k < 7 else np.zeros(sys_.ndof)
+            for x, prev, g, known, d in (
+                (y.dofs[k], y.dofs[k - 1], [fi[k] for fi in pr.f],
+                 np.r_[y.multipliers[k], v[:, k]], dy),
+                (p.dofs[k], p_next, [om[k] / dt * gi for gi in misfit],
+                 np.r_[p.multipliers[k], 0.0], dp),
+            ):
+                rate = (x - prev) / dt
+                r = sys_.W @ rate + sys_.K @ x - sys_.load_from_samples(g)
+                np.testing.assert_allclose(d.tip_flux[k], sys_.flux_probes @ r, atol=1e-12)
+                load_c = [
+                    op.mode.samples @ (op.grid.trapezoid_weights() * gi)
+                    for op, gi in zip(sys_.edge_ops, g)
+                ]
+                junction = known - (sys_.kc @ x + sys_.wc @ rate - load_c)
+                np.testing.assert_allclose(d.junction_flux[k], junction, atol=1e-12)
+                assert abs(d.junction_flux[k].sum() - (known.sum() - r[c])) <= 1e-12
 
     def test_degenerate_reduces_to_edge_solver(self, rng):
         grid = Grid1D(0.0, 1.0, 10)
@@ -236,15 +278,20 @@ class TestForward:
             alpha=0.55, time_grid=tg, grids=[grid], coeffs=[coeffs],
             f=[f], y0=[y0], y_d=[None], m=0, include_junction_mode=False,
         )
-        tG = solve_forward_graph(pr, None, v[None, :])
+        sys_ = assemble_graph_system(pr)
+        tG = solve_forward_graph(pr, None, v[None, :], sys_)
+        dG = diagnose_forward(sys_, tG, None, v[None, :])
         op = assemble_stiffness(0.55, grid, coeffs)
         tE = solve_forward_edge(op, tg, f, y0, v)
         # solve_forward_edge is an adapter over the graph stepper: check its
         # mapping bitwise and the state against the space-time oracle
         np.testing.assert_array_equal(tE.y, tG.samples[0])
         np.testing.assert_array_equal(tE.trace_b, tG.tip_trace[:, 0])
-        np.testing.assert_array_equal(tE.flux_b, tG.tip_flux[:, 0])
-        np.testing.assert_array_equal(tE.energy, tG.energy)
+        np.testing.assert_array_equal(tE.flux_b, dG.tip_flux[:, 0])
+        np.testing.assert_array_equal(tE.energy, dG.energy)
+        assert (tE.estimate_ratio, tE.estimate_bound) == (
+            dG.estimate_ratio, dG.estimate_bound
+        )
         ref, _ = dense_oracle_solve_graph(pr, None, v[None, :])
         assert np.abs(tE.y - ref).max() <= 1e-11
 
@@ -279,9 +326,10 @@ class TestAdjoint:
         for seed in range(10):
             local = np.random.default_rng(seed)
             pr = random_graph(local, Nt=8)
-            traj = solve_forward_graph(pr)
-            adj = solve_adjoint_graph(pr, traj)
-            ratios.append(adj.boundary_regularity_ratio)
+            sys_ = assemble_graph_system(pr)
+            traj = solve_forward_graph(pr, system=sys_)
+            adj = solve_adjoint_graph(pr, traj, sys_)
+            ratios.append(diagnose_adjoint(sys_, adj, traj).boundary_regularity_ratio)
         assert np.all(np.isfinite(ratios))
         assert max(ratios) < 50.0
 
@@ -315,9 +363,11 @@ class TestAdjoint:
 
     def test_adjoint_junction_balance(self, rng):
         pr = random_graph(rng, Nt=8)
-        traj = solve_forward_graph(pr)
-        adj = solve_adjoint_graph(pr, traj)
-        assert np.abs(adj.junction_flux[1:].sum(axis=1)).max() <= 1e-9
+        sys_ = assemble_graph_system(pr)
+        traj = solve_forward_graph(pr, system=sys_)
+        d = diagnose_adjoint(sys_, solve_adjoint_graph(pr, traj, sys_), traj)
+        assert np.abs(d.junction_flux[1:].sum(axis=1)).max() <= 1e-9
+        assert d.constraint_residual <= 1e-10
 
 
 class TestCornerCases:
@@ -327,10 +377,12 @@ class TestCornerCases:
         pr = random_graph(rng, alpha=0.1, Nt=6)
         u = rng.standard_normal((1, 7))
         v = rng.standard_normal((1, 7))
-        traj = solve_forward_graph(pr, u, v)
+        sys_ = assemble_graph_system(pr)
+        traj = solve_forward_graph(pr, u, v, sys_)
+        d = diagnose_forward(sys_, traj, u, v)
         assert np.all(np.isfinite(traj.dofs))
-        assert traj.constraint_residual <= 1e-9
-        assert np.abs(traj.junction_flux[1:].sum(axis=1)).max() <= 1e-9
+        assert d.constraint_residual <= 1e-9
+        assert np.abs(d.junction_flux[1:].sum(axis=1)).max() <= 1e-9
         dofs, _ = dense_oracle_solve_graph(pr, u, v)
         assert np.abs(traj.dofs - dofs).max() <= 1e-10
 
@@ -338,8 +390,9 @@ class TestCornerCases:
         # m = n: no Neumann channels at all
         pr = random_graph(rng, n=3, m=3, Nt=6)
         u = rng.standard_normal((2, 7))
-        traj = solve_forward_graph(pr, u, None)
-        assert traj.constraint_residual <= 1e-10
+        sys_ = assemble_graph_system(pr)
+        traj = solve_forward_graph(pr, u, None, sys_)
+        assert diagnose_forward(sys_, traj, u).constraint_residual <= 1e-10
         adj = solve_adjoint_graph(pr, traj)
         assert adj.neumann_trace_series.shape == (7, 0)
         assert np.all(np.isfinite(adj.dirichlet_flux_series))
@@ -347,9 +400,10 @@ class TestCornerCases:
     def test_two_edge_graph(self, rng):
         pr = random_graph(rng, n=2, m=2, Nt=5, Ms=(6, 7), bs=(1.0, 0.7))
         u = rng.standard_normal((1, 6))
-        traj = solve_forward_graph(pr, u, None)
-        assert traj.constraint_residual <= 1e-10
-        assert np.abs(traj.junction_flux[1:].sum(axis=1)).max() <= 1e-9
+        sys_ = assemble_graph_system(pr)
+        d = diagnose_forward(sys_, solve_forward_graph(pr, u, None, sys_), u)
+        assert d.constraint_residual <= 1e-10
+        assert np.abs(d.junction_flux[1:].sum(axis=1)).max() <= 1e-9
 
     def test_offset_interval(self, rng):
         # edges need not start at zero
@@ -362,6 +416,65 @@ class TestCornerCases:
             y0=[rng.standard_normal(7), rng.standard_normal(8)],
             y_d=[None, None], m=2,
         )
-        traj = solve_forward_graph(pr)
+        sys_ = assemble_graph_system(pr)
+        traj = solve_forward_graph(pr, system=sys_)
         assert np.all(np.isfinite(traj.dofs))
-        assert np.abs(traj.junction_flux[1:].sum(axis=1)).max() <= 1e-9
+        d = diagnose_forward(sys_, traj)
+        assert np.abs(d.junction_flux[1:].sum(axis=1)).max() <= 1e-9
+
+
+class TestGraphCornerProperties:
+    """The graph stepper and its diagnostics over the corners of the inputs:
+    uneven edge meshes, a single time step, all-Dirichlet graphs (m = n), a
+    nonzero initial junction coefficient and orders down to 1e-3 and exactly
+    1 (pinned nodes)."""
+
+    @given(
+        alpha=st.one_of(st.just(1.0), st.floats(1e-3, 1.0)),
+        Ms=st.lists(st.integers(2, 8), min_size=2, max_size=4),
+        m_from_top=st.integers(0, 2),
+        Nt=st.one_of(st.just(1), st.integers(1, 4)),
+        c0=st.one_of(st.floats(-2.0, -0.1), st.floats(0.1, 2.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_oracle_duality_and_junction_balance(self, alpha, Ms, m_from_top, Nt, c0, seed):
+        rng = np.random.default_rng(seed)
+        n = len(Ms)
+        m = max(2, n - m_from_top)
+        bs = tuple(rng.uniform(0.5, 1.5, n))
+        pr = random_graph(rng, alpha=alpha, n=n, m=m, Nt=Nt, Ms=Ms, bs=bs)
+        pr.c0 = c0
+        if alpha == 1.0:
+            for y0 in pr.y0:
+                y0[0] = 0.0
+        u = rng.standard_normal((m - 1, Nt + 1))
+        v = rng.standard_normal((n - m, Nt + 1))
+        sys_ = assemble_graph_system(pr)
+        y = solve_forward_graph(pr, u, v, sys_)
+        dofs, mult = dense_oracle_solve_graph(pr, u, v, sys_)
+        assert np.abs(y.dofs - dofs).max() <= 1e-11
+        assert np.abs(y.multipliers - mult).max() <= 1e-11
+
+        # <y - y_d, z>_Q equals the controls of z paired with the adjoint's
+        # boundary series, for z driven by those controls alone
+        p = solve_adjoint_graph(pr, y, sys_)
+        up = rng.standard_normal(u.shape)
+        vp = rng.standard_normal(v.shape)
+        zero = StarGraphProblem(
+            alpha=alpha, time_grid=pr.time_grid, grids=pr.grids, coeffs=pr.coeffs,
+            f=[None] * n, y0=[np.zeros(g.nnodes) for g in pr.grids], y_d=pr.y_d, m=m,
+        )
+        z = solve_forward_graph(zero, up, vp, sys_)
+        om = pr.time_grid.trapezoid_weights()
+        lhs = sum(
+            np.einsum("k,kj,j,kj->", om, y.samples[i] - pr.y_d[i],
+                      pr.grids[i].trapezoid_weights(), z.samples[i])
+            for i in range(n)
+        )
+        rhs = np.einsum("jk,k,kj->", vp, om, p.neumann_trace_series)
+        rhs -= np.einsum("jk,k,kj->", up, om, p.dirichlet_flux_series[:, 1:])
+        assert abs(lhs - rhs) <= 1e-8
+
+        for d in (diagnose_forward(sys_, y, u, v), diagnose_adjoint(sys_, p, y)):
+            assert np.abs(d.junction_flux[1:].sum(axis=1)).max() <= 1e-9
