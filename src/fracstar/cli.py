@@ -271,6 +271,12 @@ def parse_config(path: str | Path) -> RunConfig:
             errors.append(f"{sec_name}: weight must be positive, got {weight}")
         controls[i] = ControlConfig(kind if kind else expected, uad, weight)
 
+    named = {"problem", "optimizer"} | {f"edge.{i}" for i in range(1, len(edges) + 1)}
+    named |= {f"control.{i}" for i in channel_range}
+    for sec_name in cp.sections():
+        if sec_name not in named:
+            errors.append(f"section [{sec_name}] names nothing in a problem with n = {n}")
+
     opt = cp["optimizer"] if cp.has_section("optimizer") else {}
     algo = (opt.get("algo", "projected_gradient") or "projected_gradient").strip()
     if algo not in ("projected_gradient", "fixed_point"):
@@ -361,35 +367,16 @@ def _build(cfg: RunConfig):
     return problem, cost_cfg, sets
 
 
-def _write_state_csv(path: Path, times, per_edge_states, per_edge_nodes) -> None:
+def _write_csv(path: Path, header: str, lead, labels, values) -> None:
+    """Write ``header``, then one block of rows per entry of ``lead``: row
+    ``r`` of block ``k`` is ``lead[k] + labels[r]`` followed by ``values[k, r]``
+    with 17 significant digits.  ``lead`` and ``labels`` are text that carries
+    its own separators, so each time and node is formatted once."""
     with open(path, "w") as fh:
-        fh.write("t,edge,x,y\n")
-        for k, t in enumerate(times):
-            for i, (ys, xs) in enumerate(zip(per_edge_states, per_edge_nodes)):
-                for x, yv in zip(xs, ys[k]):
-                    fh.write(
-                        ",".join(
-                            [FMT.format(t), str(i + 1), FMT.format(x), FMT.format(yv)]
-                        )
-                        + "\n"
-                    )
-
-
-def _write_controls_csv(path: Path, times, controls, channel_ids) -> None:
-    with open(path, "w") as fh:
-        fh.write("t,channel,value\n")
-        for k, t in enumerate(times):
-            for j, ch in enumerate(channel_ids):
-                fh.write(
-                    ",".join([FMT.format(t), str(ch), FMT.format(controls[j, k])]) + "\n"
-                )
-
-
-def _write_convergence_csv(path: Path, costs, residuals) -> None:
-    with open(path, "w") as fh:
-        fh.write("iter,cost,stationarity\n")
-        for it, (cost, res) in enumerate(zip(costs, residuals)):
-            fh.write(f"{it},{FMT.format(cost)},{FMT.format(res)}\n")
+        fh.write(header + "\n")
+        for key, row in zip(lead, values):
+            cells = zip(labels, row.tolist())
+            fh.write("".join([f"{key}{label}{v:.17g}\n" for label, v in cells]))
 
 
 def _report_lines(kind, ratio, bound, ratio_T, bound_T, extra=()):
@@ -406,8 +393,13 @@ def _report_lines(kind, ratio, bound, ratio_T, bound_T, extra=()):
 def _finish(out: Path, problem: StarGraphProblem, states, report: list[str]) -> None:
     """Write the per-edge states to ``state.csv`` and the report to
     ``report.txt``, and echo the report."""
-    nodes = [g.nodes for g in problem.grids]
-    _write_state_csv(out / "state.csv", problem.time_grid.times, states, nodes)
+    times = [f"{t:.17g}," for t in problem.time_grid.times.tolist()]
+    nodes = [
+        f"{i + 1},{x:.17g},"
+        for i, g in enumerate(problem.grids)
+        for x in g.nodes.tolist()
+    ]
+    _write_csv(out / "state.csv", "t,edge,x,y", times, nodes, np.hstack(states))
     (out / "report.txt").write_text("\n".join(report) + "\n")
     print("\n".join(report))
 
@@ -450,10 +442,15 @@ def _cmd_optimize(cfg: RunConfig, out: Path) -> int:
     result = optimize(
         problem, cost_cfg, sets, algo=cfg.algo, tol=cfg.tol, max_iter=cfg.max_iter
     )
-    times = problem.time_grid.times
-    _write_controls_csv(out / "controls.csv", times, result.controls, list(cfg.controls))
-    _write_convergence_csv(
-        out / "convergence.csv", result.cost_history, result.residual_history
+    times = [f"{t:.17g}," for t in problem.time_grid.times.tolist()]
+    channels = [f"{ch}," for ch in cfg.controls]
+    _write_csv(
+        out / "controls.csv", "t,channel,value", times, channels, result.controls.T
+    )
+    iterates = [f"{it},{c:.17g}," for it, c in enumerate(result.cost_history.tolist())]
+    _write_csv(
+        out / "convergence.csv", "iter,cost,stationarity", iterates, [""],
+        result.residual_history[:, None],
     )
     report = [
         f"optimizer: {cfg.algo}, iterations {result.iterations}, "

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import toeplitz
 
 from .grids import Grid1D
 
@@ -82,11 +83,7 @@ def apply_right_integral(weights: np.ndarray, samples: np.ndarray) -> np.ndarray
 def left_integral_op(weights: np.ndarray) -> np.ndarray:
     """Matrix form of :func:`apply_left_integral`: lower triangular, row ``j``
     hits cells ``< j``."""
-    M = len(weights) - 1
-    T = np.zeros((M + 1, M + 1))
-    for j in range(1, M + 1):
-        T[j, :j] = weights[j - 1 :: -1][:j]
-    return T
+    return toeplitz(np.concatenate(([0.0], weights[:-1])), np.zeros(len(weights)))
 
 
 def right_integral_op(weights: np.ndarray) -> np.ndarray:
@@ -162,11 +159,7 @@ def right_caputo_apply(
         )
     if g.shape[0] != grid.M:
         raise ValueError(f"expected {grid.M} cell fluxes, got {g.shape[0]}")
-    D = left_rl_derivative(alpha, grid)
-    rhs = grid.h * (D.T @ g)
-    rhs -= g[-1] * trace_functional(alpha, grid, "b")
-    rhs += g[0] * trace_functional(alpha, grid, "a")
-    return rhs / grid.trapezoid_weights()
+    return _right_caputo(alpha, grid, g, g[0], g[-1])
 
 
 def right_caputo_nodal(alpha: float, grid: Grid1D, samples: np.ndarray) -> np.ndarray:
@@ -181,10 +174,16 @@ def right_caputo_nodal(alpha: float, grid: Grid1D, samples: np.ndarray) -> np.nd
     y = np.asarray(samples, dtype=float)
     if y.shape[0] != grid.nnodes:
         raise ValueError(f"expected {grid.nnodes} nodal samples, got {y.shape[0]}")
+    return _right_caputo(alpha, grid, y[:-1], y[0], y[-1])
+
+
+def _right_caputo(alpha: float, grid: Grid1D, cells, at_a, at_b) -> np.ndarray:
+    """The nodal ``C`` with ``<phi, C>_h = -[v * I^(1-alpha) phi]_a^b + <cells, D phi>_h``
+    for every nodal ``phi``, ``v`` taking the endpoint values ``at_a``, ``at_b``."""
     D = left_rl_derivative(alpha, grid)
-    rhs = grid.h * (D.T @ y[:-1])
-    rhs -= y[-1] * trace_functional(alpha, grid, "b")
-    rhs += y[0] * trace_functional(alpha, grid, "a")
+    rhs = grid.h * (D.T @ cells)
+    rhs -= at_b * trace_functional(alpha, grid, "b")
+    rhs += at_a * trace_functional(alpha, grid, "a")
     return rhs / grid.trapezoid_weights()
 
 

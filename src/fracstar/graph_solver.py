@@ -196,9 +196,11 @@ def assemble_graph_system(problem: StarGraphProblem) -> GraphSystem:
     trace_a = np.zeros((n, ndof))
     trace_b = np.zeros((n, ndof))
     probes = np.zeros((n, ndof))
+    free = []
     for i, op in enumerate(ops):
         sl = dm.edge_slice(i)
         nn = nnodes[i]
+        free.append(op.free[op.free < nn] + offsets[i])  # sturm decides the pinned nodes
         K[sl, sl] += op.K[:nn, :nn]
         W[sl, sl] += op.W[:nn, :nn]
         trace_a[i, sl] = op.trace_a[:nn]
@@ -219,11 +221,9 @@ def assemble_graph_system(problem: StarGraphProblem) -> GraphSystem:
             trace_b[i, c_index] = op.trace_b[-1]
 
     B = trace_b[: problem.m].copy()
-
-    free = np.arange(ndof)
-    if problem.alpha == 1.0:
-        pinned = {dm.offsets[i] for i in range(n)}
-        free = np.array([j for j in range(ndof) if j not in pinned])
+    if include_mode:
+        free.append([c_index])
+    free = np.concatenate(free)
 
     if problem.m > 0:
         rank = np.linalg.matrix_rank(B[:, free])

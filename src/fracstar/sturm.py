@@ -120,11 +120,13 @@ def assemble_stiffness(
     if mode is not None:
         E[:, -1] = mode.samples
 
+    # scaled operands replace ``A @ diag(d) @ B``; C order keeps BLAS's
+    # summation order, so K and W are bitwise those of the dense products
     wtrap = grid.trapezoid_weights()
-    K = D.T @ np.diag(grid.h * _cell_beta(coeffs)) @ D
-    K += E.T @ np.diag(wtrap * np.asarray(coeffs.q, dtype=float)) @ E
+    K = np.multiply(D.T, grid.h * _cell_beta(coeffs), order="C") @ D
+    K += np.multiply(E.T, wtrap * np.asarray(coeffs.q, dtype=float), order="C") @ E
     K = 0.5 * (K + K.T)
-    W = E.T @ np.diag(wtrap) @ E
+    W = np.multiply(E.T, wtrap, order="C") @ E
 
     trace_a = np.zeros(ndof)
     trace_b = np.zeros(ndof)

@@ -94,7 +94,7 @@ def dense_oracle_solve_graph(
         if m > 1:
             rhs[r0 + nf + 1 : r0 + blk] = u[:, k]
         if k == 1:
-            rhs[r0 : r0 + nf] += (Wf / dt) @ Y0[fr]
+            rhs[r0 : r0 + nf] += (system.W[fr] / dt) @ Y0
         else:
             big[r0 : r0 + nf, r0 - blk : r0 - blk + nf] = -Wf / dt
     sol = np.linalg.solve(big, rhs)

@@ -149,9 +149,6 @@ def test_criterion_04_oracle_equivalence():
     worst_graph = 0.0
     for alpha in (0.4, 0.75, 1.0):
         pr = random_graph(rng, alpha=alpha, Nt=4, Ms=(6, 6, 6))
-        if alpha == 1.0:
-            for y0 in pr.y0:
-                y0[0] = 0.0
         u = rng.standard_normal((1, 5))
         v = rng.standard_normal((1, 5))
         traj = solve_forward_graph(pr, u, v)

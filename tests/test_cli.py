@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from fracstar import ConfigError
-from fracstar.cli import main, parse_config
+from fracstar import ConfigError, optimize, solve_forward_graph
+from fracstar.cli import _build, _write_csv, main, parse_config
 
 EDGE_INI = """
 [problem]
@@ -121,6 +124,26 @@ class TestParseConfig:
             parse_config(write(tmp_path, "bad.ini", bad))
         assert len(exc.value.violations) >= 4
 
+    def test_sections_that_name_nothing(self, tmp_path, capsys):
+        # graph channels are 2..n (edge 1 is the clamped root), edges 1..n
+        bad = (
+            GRAPH_INI.replace("alpha = 0.7", "alpha = 2.0")
+            + "\n[control.1]\nkind = dirichlet\n\n[control.7]\n\n[edge.9]\na = 0.0\n"
+        )
+        with pytest.raises(ConfigError) as exc:
+            parse_config(write(tmp_path, "bad.ini", bad))
+        named = [v for v in exc.value.violations if "names nothing" in v]
+        assert [v.split()[1] for v in named] == ["[control.1]", "[control.7]", "[edge.9]"]
+        assert any("alpha must lie in" in v for v in exc.value.violations)
+        assert main(["--output-dir", str(tmp_path), "optimize", str(tmp_path / "bad.ini")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 4 and all(line.startswith("config error: ") for line in err)
+        # a single edge has only [edge.1] and [control.1]
+        bad = EDGE_INI + "\n[control.2]\nkind = neumann\n\n[edge.2]\na = 0.0\n"
+        with pytest.raises(ConfigError) as exc:
+            parse_config(write(tmp_path, "bad.ini", bad))
+        assert len(exc.value.violations) == 2
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             parse_config(tmp_path / "nope.ini")
@@ -142,6 +165,27 @@ class TestCommands:
         values = [float(r.split(",")[-1]) for r in rows]
         # y0 = 0.5 everywhere survives the round trip exactly
         assert values[0] == 0.5
+
+    def test_csv_round_trip_is_bitwise(self, tmp_path):
+        ini = write(tmp_path, "graph.ini", GRAPH_INI)
+        cfg = parse_config(ini)
+        problem, cost_cfg, sets = _build(cfg)
+        assert main(["--output-dir", str(tmp_path), "solve-forward", str(ini)]) == 0
+        traj = solve_forward_graph(problem)
+        state = np.loadtxt(tmp_path / "state.csv", delimiter=",", skiprows=1)
+        assert state[:, 3].tobytes() == np.hstack(traj.samples).ravel().tobytes()
+        nodes = np.concatenate([g.nodes for g in problem.grids])
+        assert state[:, 2].tobytes() == np.tile(nodes, cfg.nt + 1).tobytes()
+        times = np.repeat(problem.time_grid.times, len(nodes))
+        assert state[:, 0].tobytes() == times.tobytes()
+
+        assert main(["--output-dir", str(tmp_path), "optimize", str(ini)]) == 0
+        result = optimize(
+            problem, cost_cfg, sets, algo=cfg.algo, tol=cfg.tol, max_iter=cfg.max_iter
+        )
+        controls = np.loadtxt(tmp_path / "controls.csv", delimiter=",", skiprows=1)
+        assert controls[:, 2].tobytes() == result.controls.T.ravel().tobytes()
+        assert controls[:, 1].tolist() == [2.0, 3.0] * (cfg.nt + 1)
 
     def test_optimize_edge_outputs(self, tmp_path):
         ini = write(tmp_path, "edge.ini", EDGE_INI)
@@ -206,6 +250,17 @@ class TestCommands:
         assert "PASS" in out and "FAIL" not in out
         assert "PASS  duality" in out
 
+    def test_validate_alpha_one_with_vertex_datum(self, tmp_path, capsys):
+        # y0 nonzero at the pinned first node: the oracle marches from the full y0
+        text = GRAPH_INI.replace("alpha = 0.7", "alpha = 1.0").replace(
+            "ydtarget = const:0.3\n", "ydtarget = const:0.3\ny0 = const:0.5\n", 1
+        )
+        ini = write(tmp_path, "graph.ini", text)
+        rc = main(["--output-dir", str(tmp_path), "validate", str(ini)])
+        out = capsys.readouterr().out
+        assert "PASS  oracle-equivalence" in out and "FAIL" not in out
+        assert rc == 0
+
     def test_config_error_exit_code(self, tmp_path):
         bad = EDGE_INI.replace("alpha = 0.6", "alpha = 2.0")
         ini = write(tmp_path, "bad.ini", bad)
@@ -243,3 +298,99 @@ class TestCommands:
         first_rows = (tmp_path / "state.csv").read_text().splitlines()[1:14]
         got = np.array([float(r.split(",")[-1]) for r in first_rows])
         np.testing.assert_allclose(got, y0, rtol=1e-15)
+
+
+# The nested-loop writers the one writer replaced: the byte-for-byte reference.
+FMT = "{:.17g}"
+
+
+def reference_state_csv(path, times, per_edge_states, per_edge_nodes):
+    with open(path, "w") as fh:
+        fh.write("t,edge,x,y\n")
+        for k, t in enumerate(times):
+            for i, (ys, xs) in enumerate(zip(per_edge_states, per_edge_nodes)):
+                for x, yv in zip(xs, ys[k]):
+                    fh.write(
+                        ",".join(
+                            [FMT.format(t), str(i + 1), FMT.format(x), FMT.format(yv)]
+                        )
+                        + "\n"
+                    )
+
+
+def reference_controls_csv(path, times, controls, channel_ids):
+    with open(path, "w") as fh:
+        fh.write("t,channel,value\n")
+        for k, t in enumerate(times):
+            for j, ch in enumerate(channel_ids):
+                fh.write(
+                    ",".join([FMT.format(t), str(ch), FMT.format(controls[j, k])]) + "\n"
+                )
+
+
+def reference_convergence_csv(path, costs, residuals):
+    with open(path, "w") as fh:
+        fh.write("iter,cost,stationarity\n")
+        for it, (cost, res) in enumerate(zip(costs, residuals)):
+            fh.write(f"{it},{FMT.format(cost)},{FMT.format(res)}\n")
+
+
+# -0.0, subnormals, magnitudes near 1e+-300 and integral floats
+FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e300]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e-300, 1e-300),
+    st.floats(1e290, 1e308).flatmap(lambda x: st.sampled_from([x, -x])),
+    st.integers(-(2**60), 2**60).map(float),
+)
+
+
+def arrays(shape):
+    return hnp.arrays(np.float64, shape, elements=FLOATS)
+
+
+class TestWriter:
+    @given(
+        data=st.data(),
+        nt=st.integers(0, 4),
+        sizes=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_state_layout_matches_reference(self, tmp_path_factory, data, nt, sizes):
+        tmp = tmp_path_factory.mktemp("state")
+        times = data.draw(arrays(nt + 1))
+        nodes = [data.draw(arrays(s)) for s in sizes]
+        states = [data.draw(arrays((nt + 1, s))) for s in sizes]
+        reference_state_csv(tmp / "ref.csv", times, states, nodes)
+        _write_csv(
+            tmp / "new.csv", "t,edge,x,y",
+            [f"{t:.17g}," for t in times.tolist()],
+            [f"{i + 1},{x:.17g}," for i, xs in enumerate(nodes) for x in xs.tolist()],
+            np.hstack(states),
+        )
+        assert (tmp / "new.csv").read_bytes() == (tmp / "ref.csv").read_bytes()
+
+    @given(data=st.data(), nt=st.integers(0, 4), channels=st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_controls_and_convergence_match_reference(
+        self, tmp_path_factory, data, nt, channels
+    ):
+        tmp = tmp_path_factory.mktemp("controls")
+        times = data.draw(arrays(nt + 1))
+        controls = data.draw(arrays((channels, nt + 1)))
+        ids = list(range(2, channels + 2))
+        reference_controls_csv(tmp / "ref.csv", times, controls, ids)
+        _write_csv(
+            tmp / "new.csv", "t,channel,value",
+            [f"{t:.17g}," for t in times.tolist()], [f"{ch}," for ch in ids], controls.T,
+        )
+        assert (tmp / "new.csv").read_bytes() == (tmp / "ref.csv").read_bytes()
+
+        costs, residuals = data.draw(arrays(nt + 1)), data.draw(arrays(nt + 1))
+        reference_convergence_csv(tmp / "ref.csv", costs, residuals)
+        _write_csv(
+            tmp / "new.csv", "iter,cost,stationarity",
+            [f"{it},{c:.17g}," for it, c in enumerate(costs.tolist())], [""],
+            residuals[:, None],
+        )
+        assert (tmp / "new.csv").read_bytes() == (tmp / "ref.csv").read_bytes()

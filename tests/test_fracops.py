@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fracstar import (
@@ -91,6 +91,18 @@ class TestLeftIntegral:
             for c in range(j):
                 naive[j] += w[j - 1 - c] * y[c]
         np.testing.assert_allclose(out, naive, atol=1e-14)
+
+    @given(alpha=st.floats(1e-3, 1.0), M=st.integers(2, 1024))
+    @example(alpha=0.5, M=2)
+    @example(alpha=0.5, M=1024)
+    @settings(max_examples=40, deadline=None)
+    def test_operator_matches_row_loop(self, alpha, M):
+        # the row-by-row build the Toeplitz constructor replaces
+        w = frac_integral_weights(alpha, 1.0 / M, M)
+        T = np.zeros((M + 1, M + 1))
+        for j in range(1, M + 1):
+            T[j, :j] = w[j - 1 :: -1][:j]
+        assert left_integral_op(w).tobytes() == T.tobytes()
 
     def test_exact_on_constants(self):
         grid = Grid1D(0.0, 1.0, 10)

@@ -300,9 +300,6 @@ class TestOracle:
     @pytest.mark.parametrize("alpha", [0.4, 0.75, 1.0])
     def test_matches_dense_space_time_solve(self, alpha, rng):
         pr = random_graph(rng, alpha=alpha, Nt=4, Ms=(6, 6, 6))
-        if alpha == 1.0:
-            for y0 in pr.y0:
-                y0[0] = 0.0
         u = rng.standard_normal((1, 5))
         v = rng.standard_normal((1, 5))
         traj = solve_forward_graph(pr, u, v)
@@ -445,9 +442,6 @@ class TestGraphCornerProperties:
         bs = tuple(rng.uniform(0.5, 1.5, n))
         pr = random_graph(rng, alpha=alpha, n=n, m=m, Nt=Nt, Ms=Ms, bs=bs)
         pr.c0 = c0
-        if alpha == 1.0:
-            for y0 in pr.y0:
-                y0[0] = 0.0
         u = rng.standard_normal((m - 1, Nt + 1))
         v = rng.standard_normal((n - m, Nt + 1))
         sys_ = assemble_graph_system(pr)

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fracstar import (
     CoefficientError,
@@ -94,6 +96,38 @@ class TestAssembly:
         assert 0 not in op1.free
         op = assemble_stiffness(0.5, grid, coeffs)
         assert 0 in op.free
+
+
+class TestDiagonalProducts:
+    """``K`` and ``W`` are bitwise the dense ``A @ np.diag(d) @ B`` products
+    that the scaled operands replace."""
+
+    @given(
+        alpha=st.one_of(st.just(1.0), st.floats(1e-3, 1.0)),
+        M=st.integers(2, 600),
+        singular=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(alpha=0.05, M=33, singular=True, seed=0)
+    @example(alpha=1.0, M=64, singular=False, seed=1)
+    @example(alpha=1e-3, M=600, singular=True, seed=2)
+    @settings(max_examples=40, deadline=None)
+    def test_bitwise_dense_diag_formula(self, alpha, M, singular, seed):
+        rng = np.random.default_rng(seed)
+        grid = Grid1D(0.0, float(rng.uniform(0.5, 2.0)), M)
+        coeffs = random_coeffs(rng, grid)
+        op = assemble_stiffness(alpha, grid, coeffs, include_singular_dof=singular)
+        E = np.eye(grid.nnodes, op.ndof)
+        if singular:
+            E[:, -1] = op.mode.samples
+        wtrap = grid.trapezoid_weights()
+        cell_beta = 0.5 * (coeffs.beta[:-1] + coeffs.beta[1:])
+        K = op.D.T @ np.diag(grid.h * cell_beta) @ op.D
+        K += E.T @ np.diag(wtrap * coeffs.q) @ E
+        K = 0.5 * (K + K.T)
+        W = E.T @ np.diag(wtrap) @ E
+        assert op.K.tobytes() == K.tobytes()
+        assert op.W.tobytes() == W.tobytes()
 
 
 class TestNeumannLoad:
