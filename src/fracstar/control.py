@@ -191,34 +191,6 @@ def gradient_graph(
     return g
 
 
-class _GraphDriver:
-    """Simulation/cost/gradient closures for the graph problem; the global
-    system is assembled once and shared across all solves."""
-
-    def __init__(self, problem: StarGraphProblem, cfg: CostConfig):
-        self.problem = problem
-        self.cfg = cfg
-        self.nchannels = problem.n_channels
-        if self.nchannels == 0:
-            raise ValueError("the problem has no control channel")
-        self.system = assemble_graph_system(problem)
-        self.omega = problem.time_grid.trapezoid_weights()
-        self.tikhonov = cfg.weights_for(problem)
-
-    def simulate(self, ctrl: np.ndarray) -> GraphTrajectory:
-        nd = self.problem.n_dirichlet_channels
-        return solve_forward_graph(self.problem, ctrl[:nd], ctrl[nd:], system=self.system)
-
-    def cost(self, state: GraphTrajectory, ctrl: np.ndarray) -> float:
-        return cost_graph(state, ctrl, self.problem, self.cfg)
-
-    def adjoint(self, state: GraphTrajectory) -> GraphTrajectory:
-        return solve_adjoint_graph(self.problem, state, system=self.system)
-
-    def gradient(self, ctrl: np.ndarray, adj: GraphTrajectory) -> np.ndarray:
-        return gradient_graph(ctrl, adj, self.problem, self.cfg)
-
-
 def _normalize_sets(admissible, nchannels: int) -> list[AdmissibleSet]:
     if isinstance(admissible, AdmissibleSet):
         return [admissible] * nchannels
@@ -257,10 +229,21 @@ def optimize(
     and report state and adjoint as :class:`~fracstar.edge_solver.Trajectory`,
     diagnosed once after the loop.
     """
+    if algo not in ("projected_gradient", "fixed_point"):
+        raise ValueError(f"unknown algorithm {algo!r}")
     graph, graph_cfg = as_graph_problem(problem, cfg)
-    driver = _GraphDriver(graph, graph_cfg)
-    sets = _normalize_sets(admissible, driver.nchannels)
-    omega = driver.omega
+    nchannels, nd = graph.n_channels, graph.n_dirichlet_channels
+    if nchannels == 0:
+        raise ValueError("the problem has no control channel")
+    tikhonov = graph_cfg.weights_for(graph)
+    sets = _normalize_sets(admissible, nchannels)
+    omega = graph.time_grid.trapezoid_weights()
+    # One assembly, and so one factorization, serves every sweep.
+    system = assemble_graph_system(graph)
+
+    def simulate(ctrl: np.ndarray):
+        state = solve_forward_graph(graph, ctrl[:nd], ctrl[nd:], system=system)
+        return state, cost_graph(state, ctrl, graph, graph_cfg)
 
     def proj(ctrl: np.ndarray) -> np.ndarray:
         return np.stack([sets[j].project(ctrl[j]) for j in range(len(sets))])
@@ -271,15 +254,14 @@ def optimize(
     def norm(a: np.ndarray) -> float:
         return float(np.sqrt(max(inner(a, a), 0.0)))
 
-    nt = driver.omega.shape[0] - 1
+    nt = graph.time_grid.Nt
     if u0 is None:
-        ctrl = np.zeros((driver.nchannels, nt + 1))
+        ctrl = np.zeros((nchannels, nt + 1))
     else:
-        ctrl = np.asarray(u0, dtype=float).reshape(driver.nchannels, nt + 1).copy()
+        ctrl = np.asarray(u0, dtype=float).reshape(nchannels, nt + 1).copy()
     ctrl = proj(ctrl)
 
-    state = driver.simulate(ctrl)
-    cost = driver.cost(state, ctrl)
+    state, cost = simulate(ctrl)
     cost_hist = [cost]
     res_hist: list[float] = []
     converged = False
@@ -288,13 +270,13 @@ def optimize(
 
     def measure():
         """Adjoint, gradient and stationarity of the current iterate."""
-        adj = driver.adjoint(state)
-        grad = driver.gradient(ctrl, adj)
+        adj = solve_adjoint_graph(graph, state, system=system)
+        grad = gradient_graph(ctrl, adj, graph, graph_cfg)
         res_hist.append(norm(ctrl - proj(ctrl - grad)) / max(1.0, norm(ctrl)))
         return adj, grad, res_hist[-1]
 
     damping = 1.0
-    if algo == "fixed_point" and float(np.min(driver.tikhonov)) < 1.0:
+    if algo == "fixed_point" and float(np.min(tikhonov)) < 1.0:
         damping = 0.5
 
     for it in range(1, max_iter + 1):
@@ -314,8 +296,7 @@ def optimize(
                     # projection-arc fixed point at machine precision
                     stalled = True
                     break
-                cand_state = driver.simulate(cand)
-                cand_cost = driver.cost(cand_state, cand)
+                cand_state, cand_cost = simulate(cand)
                 if cand_cost <= cost - _ARMIJO_DECREASE * decrease:
                     ctrl, state, cost = cand, cand_state, cand_cost
                     accepted = True
@@ -331,15 +312,12 @@ def optimize(
                     f"iteration {it} (cost {cost}, residual {residual})"
                 )
             cost_hist.append(cost)
-        elif algo == "fixed_point":
-            # projection formula: u = P(u - g / w), the boundary series over w
-            target = proj(ctrl - grad / driver.tikhonov[:, None])
-            ctrl = (1.0 - damping) * ctrl + damping * target
-            state = driver.simulate(ctrl)
-            cost = driver.cost(state, ctrl)
-            cost_hist.append(cost)
         else:
-            raise ValueError(f"unknown algorithm {algo!r}")
+            # projection formula: u = P(u - g / w), the boundary series over w
+            target = proj(ctrl - grad / tikhonov[:, None])
+            ctrl = (1.0 - damping) * ctrl + damping * target
+            state, cost = simulate(ctrl)
+            cost_hist.append(cost)
     else:
         # stopped at max_iter: measure the iterate that is returned
         adj, _, residual = measure()
@@ -347,8 +325,8 @@ def optimize(
         reason = "stationarity" if converged else "max_iter"
 
     if graph is not problem:
-        adj = edge_adjoint(driver.system, adj, state)
-        state = edge_state(driver.system, state, ctrl[0])
+        adj = edge_adjoint(system, adj, state)
+        state = edge_state(system, state, ctrl[0])
     return OptimResult(
         controls=ctrl,
         cost_history=np.array(cost_hist),

@@ -134,12 +134,7 @@ def trace_functional(alpha: float, grid: Grid1D, endpoint: str) -> np.ndarray:
     return row
 
 
-def right_caputo_apply(
-    alpha: float,
-    grid: Grid1D,
-    beta_samples: np.ndarray,
-    flux_samples: np.ndarray,
-) -> np.ndarray:
+def right_caputo_apply(alpha: float, grid: Grid1D, flux_samples: np.ndarray) -> np.ndarray:
     """Right Caputo derivative of a cell-valued flux ``g = beta * D y``,
     defined by transposition against the left derivative:
 
@@ -151,12 +146,7 @@ def right_caputo_apply(
     identity of the discretization.
     """
     _check_order(alpha)
-    beta_samples = np.asarray(beta_samples, dtype=float)
     g = np.asarray(flux_samples, dtype=float)
-    if beta_samples.shape[0] != grid.nnodes:
-        raise ValueError(
-            f"expected {grid.nnodes} coefficient samples, got {beta_samples.shape[0]}"
-        )
     if g.shape[0] != grid.M:
         raise ValueError(f"expected {grid.M} cell fluxes, got {g.shape[0]}")
     return _right_caputo(alpha, grid, g, g[0], g[-1])

@@ -10,14 +10,15 @@ discrete tip fluxes ``(beta D^alpha y)(b_i^-)``; Neumann tips load the right
 hand side through their trace rows.
 
 Stepping.  One implicit-Euler march solves
-``(W/dt + K) x_k + B^T lambda_k = W x_prev/dt + l_k`` with a factorization
-computed once per sweep.  The forward sweep marches from ``y0``; the adjoint
-sweep marches backward from ``p(T + dt) = 0`` with loads
-``omega_k/dt (y - y_d)`` and is the exact transpose of the discrete forward
-map for the trapezoid space-time cost.  The boundary series it returns
-(multiplier fluxes on Dirichlet tips, traces on Neumann tips) are scaled so
-that the first-order optimality residuals of the discrete cost vanish exactly
-at a discrete minimizer.  The sweeps return the solution only.
+``(W/dt + K) x_k + B^T lambda_k = W x_prev/dt + l_k``.  The step matrix does
+not change in time, so it is factored once, when the system is assembled, and
+every sweep on that system shares the factorization.  The forward sweep
+marches from ``y0``; the adjoint sweep marches backward from ``p(T + dt) = 0``
+with loads ``omega_k/dt (y - y_d)`` and is the exact transpose of the
+discrete forward map for the trapezoid space-time cost.  The boundary series
+it returns (multiplier fluxes on Dirichlet tips, traces on Neumann tips) are
+scaled so that the first-order optimality residuals of the discrete cost
+vanish exactly at a discrete minimizer.  The sweeps return the solution only.
 
 Diagnostics.  :func:`diagnose_forward` and :func:`diagnose_adjoint` read the
 tip and junction fluxes off the step residuals of a solution, all steps at
@@ -127,7 +128,9 @@ class StarGraphProblem:
 class GraphSystem:
     """Assembled global operator: block stiffness/mass coupled through the
     shared junction DOF, constraint rows for the Dirichlet-type tips, and the
-    per-edge functionals used to read traces and fluxes off residuals."""
+    per-edge functionals used to read traces and fluxes off residuals.
+    ``step_lu`` is the LU factorization of the step matrix on the free DOFs,
+    bordered by the free trace rows: ``[[W/dt + K, B^T], [B, 0]]``."""
 
     problem: StarGraphProblem
     dofmap: GlobalDofMap
@@ -141,6 +144,7 @@ class GraphSystem:
     kc: np.ndarray = field(repr=False)
     wc: np.ndarray = field(repr=False)
     free: np.ndarray = field(repr=False)
+    step_lu: tuple[np.ndarray, np.ndarray] = field(repr=False)
 
     @property
     def ndof(self) -> int:
@@ -225,12 +229,26 @@ def assemble_graph_system(problem: StarGraphProblem) -> GraphSystem:
         free.append([c_index])
     free = np.concatenate(free)
 
+    Bf = B[:, free]
     if problem.m > 0:
-        rank = np.linalg.matrix_rank(B[:, free])
+        rank = np.linalg.matrix_rank(Bf)
         if rank < problem.m:
             raise SolverFailure(
                 f"degenerate constraint set: rank {rank} < {problem.m} trace rows"
             )
+
+    # The step matrix is built in place, in the column order LAPACK factors
+    # without a copy.
+    nf = len(free)
+    S = np.zeros((nf + problem.m, nf + problem.m), order="F")
+    np.divide(W[np.ix_(free, free)], problem.time_grid.dt, out=S[:nf, :nf])
+    S[:nf, :nf] += K[np.ix_(free, free)]
+    S[:nf, nf:] = Bf.T
+    S[nf:, :nf] = Bf
+    try:
+        step_lu = lu_factor(S, overwrite_a=True)
+    except (np.linalg.LinAlgError, ValueError) as exc:
+        raise SolverFailure(f"saddle-point factorization failed: {exc}") from None
 
     return GraphSystem(
         problem=problem,
@@ -245,6 +263,7 @@ def assemble_graph_system(problem: StarGraphProblem) -> GraphSystem:
         kc=kc,
         wc=wc,
         free=free,
+        step_lu=step_lu,
     )
 
 
@@ -345,54 +364,31 @@ def _prescribed_traces(u: np.ndarray, m: int) -> np.ndarray:
     return traces
 
 
-class _SaddleStepper:
-    """Factor the per-step KKT matrix once and solve repeatedly."""
-
-    def __init__(self, system: GraphSystem):
-        self.system = system
-        dt = system.problem.time_grid.dt
-        fr = system.free
-        m = system.problem.m
-        A = system.W[np.ix_(fr, fr)] / dt + system.K[np.ix_(fr, fr)]
-        Bf = system.B[:, fr]
-        S = np.block(
-            [[A, Bf.T], [Bf, np.zeros((m, m))]]
-        ) if m > 0 else A
-        self.nfree = len(fr)
-        self.m = m
-        try:
-            self.factor = lu_factor(S)
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            raise SolverFailure(f"saddle-point factorization failed: {exc}") from None
-
-    def solve(self, rhs_top: np.ndarray, rhs_bot: np.ndarray, what: str):
-        rhs = np.concatenate([rhs_top[self.system.free], rhs_bot])
-        try:
-            sol = lu_solve(self.factor, rhs)
-        except ValueError:  # scipy rejects a non-finite right-hand side
-            raise SolverFailure(f"non-finite {what} right-hand side") from None
-        if not np.all(np.isfinite(sol)):
-            raise SolverFailure(f"non-finite {what} solve (singular saddle point?)")
-        Y = np.zeros(self.system.ndof)
-        Y[self.system.free] = sol[: self.nfree]
-        return Y, sol[self.nfree :]
-
-
 def _march(system: GraphSystem, start, loads, traces, what: str):
     """Implicit Euler from ``x_{-1} = start``: row ``j`` solves
     ``(W/dt + K) x_j + B^T mu_j = W x_{j-1}/dt + loads[j]``, ``B x_j = traces[j]``.
 
-    Returns the states ``x_j`` and the multipliers ``-mu_j``.
+    Returns the states ``x_j`` and the multipliers ``-mu_j``.  The data are
+    checked for finiteness once before the march, the solution once after it.
     """
-    stepper = _SaddleStepper(system)
+    if not all(np.isfinite(a).all() for a in (start, loads, traces)):
+        raise SolverFailure(f"non-finite {what} right-hand side")
     dt = system.problem.time_grid.dt
+    fr = system.free
+    nf = len(fr)
     x = np.zeros((len(loads), system.ndof))
     mult = np.zeros((len(loads), system.problem.m))
     prev = start
     for j in range(len(loads)):
-        x[j], mu = stepper.solve(system.W @ prev / dt + loads[j], traces[j], what)
-        mult[j] = -mu
+        rhs = system.W @ prev / dt + loads[j]
+        sol = lu_solve(
+            system.step_lu, np.concatenate([rhs[fr], traces[j]]), check_finite=False
+        )
+        x[j, fr] = sol[:nf]
+        mult[j] = -sol[nf:]
         prev = x[j]
+    if not (np.isfinite(x).all() and np.isfinite(mult).all()):
+        raise SolverFailure(f"non-finite {what} solve (singular saddle point?)")
     return x, mult
 
 

@@ -192,9 +192,10 @@ def finite_difference_gradient(
     delta = np.asarray(delta, dtype=float)
     graph, graph_cfg = as_graph_problem(problem, cfg)
     nd = graph.n_dirichlet_channels
+    system = assemble_graph_system(graph)
 
     def objective(ctrl: np.ndarray) -> float:
-        state = solve_forward_graph(graph, ctrl[:nd], ctrl[nd:])
+        state = solve_forward_graph(graph, ctrl[:nd], ctrl[nd:], system=system)
         return cost_graph(state, ctrl, graph, graph_cfg)
 
     return (objective(u + h * delta) - objective(u - h * delta)) / (2.0 * h)

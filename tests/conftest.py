@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import fracstar.graph_solver
 from fracstar import (
     EdgeCoefficients,
     Grid1D,
@@ -70,3 +71,17 @@ def random_graph(
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """The step-matrix factorizations made while the test runs, one entry each."""
+    calls = []
+    lu_factor = fracstar.graph_solver.lu_factor
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return lu_factor(*args, **kwargs)
+
+    monkeypatch.setattr(fracstar.graph_solver, "lu_factor", counted)
+    return calls

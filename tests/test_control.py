@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import fracstar.control
 from fracstar import (
     AdmissibleSet,
     CostConfig,
@@ -14,8 +15,10 @@ from fracstar import (
     Grid1D,
     TimeGrid,
     StarGraphProblem,
+    assemble_graph_system,
     assemble_stiffness,
     cost_graph,
+    diagnose_forward,
     gradient_graph,
     optimize,
     solve_adjoint_graph,
@@ -23,7 +26,7 @@ from fracstar import (
     solve_forward_graph,
 )
 from fracstar.control import as_graph_problem
-from fracstar.validation import finite_difference_gradient
+from fracstar.validation import dense_oracle_solve_graph, finite_difference_gradient
 from conftest import random_edge, random_graph
 
 
@@ -376,7 +379,86 @@ class TestOptimize:
             counts.append(sorted(calls))
         assert counts[0] == counts[1] == ["diagnose_adjoint", "diagnose_forward"]
 
-    def test_unknown_algorithm(self):
+    def test_unknown_algorithm(self, monkeypatch):
         problem, cfg = tracking_problem()
         with pytest.raises(ValueError):
             optimize(problem, cfg, AdmissibleSet.unconstrained(), algo="newton")
+        # zero data and zero target: the start is already stationary, and the
+        # name is still checked, before any assembly
+        grid = Grid1D(0.0, 1.0, 8)
+        op = assemble_stiffness(0.6, grid, EdgeCoefficients.constant(grid, 1.0, 1.0))
+        problem = EdgeControlProblem(
+            edge_op=op, time_grid=TimeGrid(1.0, 8), f=None, y0=np.zeros(9)
+        )
+        cfg = CostConfig(n_tikhonov=1.0, y_d=np.zeros((9, 9)))
+        box = AdmissibleSet.box(-1.0, 1.0)
+        res = optimize(problem, cfg, box)
+        assert res.converged and res.iterations == 1
+
+        def no_assembly(*args, **kwargs):
+            raise AssertionError("assembled before the algorithm was checked")
+
+        monkeypatch.setattr(fracstar.control, "assemble_graph_system", no_assembly)
+        with pytest.raises(ValueError, match="unknown algorithm 'newton'"):
+            optimize(problem, cfg, box, algo="newton")
+
+    def test_one_factorization_per_optimize(self, rng, factorizations):
+        problem, cfg = tracking_problem(N=1e-2)
+        res = optimize(problem, cfg, AdmissibleSet.box(-0.5, 0.5), max_iter=40)
+        assert res.iterations > 1 and len(factorizations) == 1
+        factorizations.clear()
+        pr = random_graph(rng, Nt=6)
+        res = optimize(pr, CostConfig(), AdmissibleSet.box(-0.2, 0.2), max_iter=40)
+        assert res.iterations > 1 and len(factorizations) == 1
+
+
+class TestActiveBoxProperties:
+    """Box-constrained optimality on graphs with Dirichlet tips, the box cut
+    from the unconstrained optimum so that it is active."""
+
+    @given(
+        alpha=st.one_of(st.just(1.0), st.floats(1e-3, 1.0)),
+        Ms=st.lists(st.integers(2, 6), min_size=2, max_size=4),
+        m_from_top=st.integers(0, 2),
+        Nt=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_dirichlet_tips_with_active_boxes(self, alpha, Ms, m_from_top, Nt, seed):
+        rng = np.random.default_rng(seed)
+        n = len(Ms)
+        m = max(2, n - m_from_top)
+        pr = random_graph(rng, alpha=alpha, n=n, m=m, Nt=Nt, Ms=Ms, bs=(1.0,) * n)
+        # The fixed-point map reaches 1e-9; projected gradient's Armijo test
+        # compares costs and cannot resolve decreases that small.
+        cfg, tol = CostConfig(), 1e-9
+        free = optimize(
+            pr, cfg, AdmissibleSet.unconstrained(), "fixed_point", tol, max_iter=2000
+        )
+        assert free.converged
+        hi = 0.5 * float(np.abs(free.controls).max())
+        box = AdmissibleSet.box(-hi, hi)
+        res = optimize(pr, cfg, box, "fixed_point", tol, max_iter=2000)
+        u = res.controls
+        assert res.converged and res.residual_history[-1] <= tol
+        assert np.all(np.abs(u) <= hi)
+
+        # the variational inequality: g <= 0 at the upper bound, g >= 0 at
+        # the lower one, g = 0 in between; the stationarity measure bounds
+        # each entry by tol * max(1, ||u||) / sqrt(omega_k)
+        g = gradient_graph(u, res.adjoint, pr, cfg)
+        om = pr.time_grid.trapezoid_weights()
+        atol = 2.0 * tol * max(1.0, np.sqrt(np.einsum("jk,k,jk->", u, om, u)))
+        atol /= np.sqrt(om.min())
+        at_hi, at_lo = u == hi, u == -hi
+        assert np.any(at_hi | at_lo)
+        assert np.all(g[at_hi] <= atol) and np.all(g[at_lo] >= -atol)
+        assert np.abs(g[~(at_hi | at_lo)]).max(initial=0.0) <= atol
+
+        nd = pr.n_dirichlet_channels
+        dofs, mult = dense_oracle_solve_graph(pr, u[:nd], u[nd:])
+        assert np.abs(res.state.dofs - dofs).max() <= 1e-11
+        assert np.abs(res.state.multipliers - mult).max() <= 1e-11
+        d = diagnose_forward(assemble_graph_system(pr), res.state, u[:nd], u[nd:])
+        assert np.abs(d.junction_flux[1:].sum(axis=1)).max() <= 1e-9
+        assert d.constraint_residual <= 1e-10

@@ -199,7 +199,7 @@ class TestLeftDerivative:
 class TestRightCaputo:
     def test_zero(self):
         grid = Grid1D(0.0, 1.0, 6)
-        out = right_caputo_apply(0.5, grid, np.ones(7), np.zeros(6))
+        out = right_caputo_apply(0.5, grid, np.zeros(6))
         np.testing.assert_array_equal(out, np.zeros(7))
 
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 1.0])
@@ -212,7 +212,7 @@ class TestRightCaputo:
         for _ in range(20):
             g = rng.standard_normal(8)
             phi = rng.standard_normal(9)
-            lhs = phi @ (wtr * right_caputo_apply(alpha, grid, np.ones(9), g))
+            lhs = phi @ (wtr * right_caputo_apply(alpha, grid, g))
             bracket = g[-1] * (rb @ phi) - g[0] * (ra @ phi)
             rhs = -bracket + grid.h * (g @ (D @ phi))
             assert abs(lhs - rhs) <= 1e-13
@@ -220,7 +220,7 @@ class TestRightCaputo:
     def test_alpha_one_upwind(self, rng):
         grid = Grid1D(0.0, 1.0, 10)
         g = rng.standard_normal(10)
-        out = right_caputo_apply(1.0, grid, np.ones(11), g)
+        out = right_caputo_apply(1.0, grid, g)
         np.testing.assert_allclose(out[1:-1], (g[:-1] - g[1:]) / grid.h, atol=1e-12)
         # endpoint rows close the bracket
         assert abs(out[0]) <= 1e-12 and abs(out[-1]) <= 1e-12

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lu_solve
 
+import fracstar.graph_solver
 from fracstar import (
     EdgeCoefficients,
     Grid1D,
+    SolverFailure,
     StarGraphProblem,
     TimeGrid,
     assemble_graph_system,
@@ -162,6 +165,30 @@ class TestAssembly:
         np.testing.assert_array_equal(S[nf:, nf:], 0.0)
         np.testing.assert_array_equal(S[:nf, nf:], Bf.T)
         assert np.linalg.eigvalsh(A).min() > 0.0
+        # the factorization stored by assembly is the factorization of S
+        z = rng.standard_normal(len(S))
+        np.testing.assert_allclose(lu_solve(sys_.step_lu, S @ z), z, atol=1e-10)
+
+    def test_factorization_failures_raise_solver_failure(self, rng, monkeypatch):
+        pr = random_graph(rng)
+        lu_factor = fracstar.graph_solver.lu_factor
+
+        def broken(*args, **kwargs):
+            raise np.linalg.LinAlgError("broken")
+
+        monkeypatch.setattr(fracstar.graph_solver, "lu_factor", broken)
+        with pytest.raises(SolverFailure, match="saddle-point factorization failed"):
+            assemble_graph_system(pr)
+
+        def singular(*args, **kwargs):
+            lu, piv = lu_factor(*args, **kwargs)
+            lu[-1, -1] = 0.0
+            return lu, piv
+
+        monkeypatch.setattr(fracstar.graph_solver, "lu_factor", singular)
+        sys_ = assemble_graph_system(pr)
+        with pytest.raises(SolverFailure, match="non-finite forward solve"):
+            solve_forward_graph(pr, system=sys_)
 
     def test_alpha_one_against_classical_star(self, rng):
         pr = random_graph(
@@ -266,6 +293,16 @@ class TestForward:
                 junction = known - (sys_.kc @ x + sys_.wc @ rate - load_c)
                 np.testing.assert_allclose(d.junction_flux[k], junction, atol=1e-12)
                 assert abs(d.junction_flux[k].sum() - (known.sum() - r[c])) <= 1e-12
+
+    def test_sweeps_share_the_assembled_factorization(self, rng, factorizations):
+        pr = random_graph(rng)
+        sys_ = assemble_graph_system(pr)
+        assert len(factorizations) == 1
+        u = rng.standard_normal((pr.m - 1, pr.time_grid.Nt + 1))
+        y = solve_forward_graph(pr, u, None, sys_)
+        solve_adjoint_graph(pr, y, sys_)
+        solve_forward_graph(pr, None, None, sys_)
+        assert len(factorizations) == 1
 
     def test_degenerate_reduces_to_edge_solver(self, rng):
         grid = Grid1D(0.0, 1.0, 10)
@@ -472,3 +509,39 @@ class TestGraphCornerProperties:
 
         for d in (diagnose_forward(sys_, y, u, v), diagnose_adjoint(sys_, p, y)):
             assert np.abs(d.junction_flux[1:].sum(axis=1)).max() <= 1e-9
+
+    @given(
+        alpha=st.one_of(st.just(1.0), st.floats(1e-3, 1.0)),
+        Ms=st.lists(st.integers(2, 6), min_size=2, max_size=4),
+        m_from_top=st.integers(0, 2),
+        Nt=st.integers(1, 4),
+        where=st.sampled_from(["f", "y0", "c0", "u", "v"]),
+        bad=st.sampled_from([np.nan, np.inf, -np.inf]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_forward_data_raises_solver_failure(
+        self, alpha, Ms, m_from_top, Nt, where, bad, seed
+    ):
+        rng = np.random.default_rng(seed)
+        n = len(Ms)
+        m = max(2, n - m_from_top)
+        assume(where != "v" or m < n)
+        pr = random_graph(rng, alpha=alpha, n=n, m=m, Nt=Nt, Ms=Ms, bs=(1.0,) * n)
+        u = rng.standard_normal((m - 1, Nt + 1))
+        v = rng.standard_normal((n - m, Nt + 1))
+        i = int(rng.integers(n))
+        k = int(rng.integers(1, Nt + 1))  # a step the sweep solves
+        if where == "f":
+            pr.f[i][k, rng.integers(Ms[i] + 1)] = bad
+        elif where == "y0":
+            pr.y0[i][rng.integers(Ms[i] + 1)] = bad
+        elif where == "c0":
+            pr.c0 = bad
+        elif where == "u":
+            u[rng.integers(m - 1), k] = bad
+        else:
+            v[rng.integers(n - m), k] = bad
+        with pytest.raises(SolverFailure, match="non-finite forward right-hand side"):
+            solve_forward_graph(pr, u, v)
