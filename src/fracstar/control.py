@@ -219,7 +219,13 @@ def optimize(
 
     ``algo`` is ``"projected_gradient"`` (Armijo backtracking along the
     projection arc) or ``"fixed_point"`` (damped iteration of the projected
-    optimality map).  Termination uses the stationarity measure
+    optimality map).  The cost is quadratic, so projected gradient measures a
+    candidate's decrease exactly from the two gradients,
+    ``J(c) - J(u) = 1/2 <g(u) + g(c), c - u>``, which resolves decreases far
+    below the roundoff of the cost itself; the candidate's adjoint then
+    serves as the next iterate's measurement, and ``cost_history``
+    accumulates these differences from the cost of the start, so it never
+    increases.  Termination uses the stationarity measure
     ``||u - P(u - g)|| / max(1, ||u||)`` in the trapezoid norm; exceeding
     ``max_iter`` flags the result as non-converged instead of raising.  The
     returned adjoint and the last stationarity entry always belong to the
@@ -238,12 +244,16 @@ def optimize(
     tikhonov = graph_cfg.weights_for(graph)
     sets = _normalize_sets(admissible, nchannels)
     omega = graph.time_grid.trapezoid_weights()
-    # One assembly, and so one factorization, serves every sweep.
+    # One assembly, and so one set of step-matrix factors, serves every sweep.
     system = assemble_graph_system(graph)
 
-    def simulate(ctrl: np.ndarray):
-        state = solve_forward_graph(graph, ctrl[:nd], ctrl[nd:], system=system)
-        return state, cost_graph(state, ctrl, graph, graph_cfg)
+    def forward(ctrl: np.ndarray) -> GraphTrajectory:
+        return solve_forward_graph(graph, ctrl[:nd], ctrl[nd:], system=system)
+
+    def measure(ctrl: np.ndarray, state: GraphTrajectory):
+        """Adjoint and gradient of the controls ``ctrl`` with state ``state``."""
+        adj = solve_adjoint_graph(graph, state, system=system)
+        return adj, gradient_graph(ctrl, adj, graph, graph_cfg)
 
     def proj(ctrl: np.ndarray) -> np.ndarray:
         return np.stack([sets[j].project(ctrl[j]) for j in range(len(sets))])
@@ -254,6 +264,12 @@ def optimize(
     def norm(a: np.ndarray) -> float:
         return float(np.sqrt(max(inner(a, a), 0.0)))
 
+    res_hist: list[float] = []
+
+    def stationarity(ctrl: np.ndarray, grad: np.ndarray) -> float:
+        res_hist.append(norm(ctrl - proj(ctrl - grad)) / max(1.0, norm(ctrl)))
+        return res_hist[-1]
+
     nt = graph.time_grid.Nt
     if u0 is None:
         ctrl = np.zeros((nchannels, nt + 1))
@@ -261,19 +277,12 @@ def optimize(
         ctrl = np.asarray(u0, dtype=float).reshape(nchannels, nt + 1).copy()
     ctrl = proj(ctrl)
 
-    state, cost = simulate(ctrl)
-    cost_hist = [cost]
-    res_hist: list[float] = []
+    state = forward(ctrl)
+    cost_hist = [cost_graph(state, ctrl, graph, graph_cfg)]
+    adj, grad = measure(ctrl, state)
     converged = False
     reason = "max_iter"
     iterations = 0
-
-    def measure():
-        """Adjoint, gradient and stationarity of the current iterate."""
-        adj = solve_adjoint_graph(graph, state, system=system)
-        grad = gradient_graph(ctrl, adj, graph, graph_cfg)
-        res_hist.append(norm(ctrl - proj(ctrl - grad)) / max(1.0, norm(ctrl)))
-        return adj, grad, res_hist[-1]
 
     damping = 1.0
     if algo == "fixed_point" and float(np.min(tikhonov)) < 1.0:
@@ -281,7 +290,7 @@ def optimize(
 
     for it in range(1, max_iter + 1):
         iterations = it
-        adj, grad, residual = measure()
+        residual = stationarity(ctrl, grad)
         if residual <= tol:
             converged, reason = True, "stationarity"
             break
@@ -296,9 +305,12 @@ def optimize(
                     # projection-arc fixed point at machine precision
                     stalled = True
                     break
-                cand_state, cand_cost = simulate(cand)
-                if cand_cost <= cost - _ARMIJO_DECREASE * decrease:
-                    ctrl, state, cost = cand, cand_state, cand_cost
+                cand_state = forward(cand)
+                cand_adj, cand_grad = measure(cand, cand_state)
+                change = 0.5 * inner(grad + cand_grad, cand - ctrl)
+                if change <= -_ARMIJO_DECREASE * decrease:
+                    ctrl, state, adj, grad = cand, cand_state, cand_adj, cand_grad
+                    cost_hist.append(cost_hist[-1] + change)
                     accepted = True
                     break
                 step *= _ARMIJO_BACKTRACK
@@ -309,18 +321,18 @@ def optimize(
             if not accepted:
                 raise SolverFailure(
                     f"line search failed after {_MAX_HALVINGS} halvings at "
-                    f"iteration {it} (cost {cost}, residual {residual})"
+                    f"iteration {it} (cost {cost_hist[-1]}, residual {residual})"
                 )
-            cost_hist.append(cost)
         else:
             # projection formula: u = P(u - g / w), the boundary series over w
             target = proj(ctrl - grad / tikhonov[:, None])
             ctrl = (1.0 - damping) * ctrl + damping * target
-            state, cost = simulate(ctrl)
-            cost_hist.append(cost)
+            state = forward(ctrl)
+            cost_hist.append(cost_graph(state, ctrl, graph, graph_cfg))
+            adj, grad = measure(ctrl, state)
     else:
-        # stopped at max_iter: measure the iterate that is returned
-        adj, _, residual = measure()
+        # stopped at max_iter: the returned iterate is measured already
+        residual = stationarity(ctrl, grad)
         converged = residual <= tol
         reason = "stationarity" if converged else "max_iter"
 

@@ -10,9 +10,14 @@ discrete tip fluxes ``(beta D^alpha y)(b_i^-)``; Neumann tips load the right
 hand side through their trace rows.
 
 Stepping.  One implicit-Euler march solves
-``(W/dt + K) x_k + B^T lambda_k = W x_prev/dt + l_k``.  The step matrix does
-not change in time, so it is factored once, when the system is assembled, and
-every sweep on that system shares the factorization.  The forward sweep
+``(W/dt + K) x_k + B^T lambda_k = W x_prev/dt + l_k``.  Edges interact only
+through the shared coefficient ``c`` and the tip multipliers, so the step
+matrix is block diagonal per edge with a border of width ``1 + m``; it is
+solved by per-edge Cholesky plus a Schur complement in ``c`` and the
+multipliers (block-arrow elimination), and no global matrix is ever formed.
+The step matrix does not change in time, so the per-edge factors and the
+Schur complement are computed once, when the system is assembled, and every
+sweep on that system shares them.  The forward sweep
 marches from ``y0``; the adjoint sweep marches backward from ``p(T + dt) = 0``
 with loads ``omega_k/dt (y - y_d)`` and is the exact transpose of the
 discrete forward map for the trapezoid space-time cost.  The boundary series
@@ -32,7 +37,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve
+from scipy.linalg import cho_factor, lu_factor
+from scipy.linalg.lapack import dgetrs, dpotrs
 
 from .errors import SolverFailure
 from .grids import Grid1D, TimeGrid
@@ -68,6 +74,11 @@ class GlobalDofMap:
 
     def edge_slice(self, i: int) -> slice:
         return slice(self.offsets[i], self.offsets[i] + self.nnodes[i])
+
+    @property
+    def junction(self) -> slice:
+        """Position of the junction coefficient: one entry, or none."""
+        return slice(self.offsets[-1] + self.nnodes[-1], self.ndof)
 
 
 @dataclass
@@ -126,29 +137,37 @@ class StarGraphProblem:
 
 @dataclass
 class GraphSystem:
-    """Assembled global operator: block stiffness/mass coupled through the
-    shared junction DOF, constraint rows for the Dirichlet-type tips, and the
-    per-edge functionals used to read traces and fluxes off residuals.
-    ``step_lu`` is the LU factorization of the step matrix on the free DOFs,
-    bordered by the free trace rows: ``[[W/dt + K, B^T], [B, 0]]``."""
+    """Assembled graph operator, stored per edge: the edge operators, the
+    constraint rows of the Dirichlet-type tips, the tip trace rows of all
+    edges, and the factored step matrix.
+
+    The global mass is ``mass`` on the diagonal plus the junction column
+    ``junction_mass`` (nodal entries only) and its transpose.  The step
+    matrix on the free DOFs, bordered by the free trace rows, is the block
+    arrow ``[[A, C], [C^T, D]]``: ``A`` is block diagonal with the edges'
+    ``W_i/dt + K_i`` on their free nodes, whose Cholesky factors
+    ``edge_factors`` holds with the global slice each acts on, and the
+    ``1 + m`` border columns ``border`` (``C``, zero outside the free nodes)
+    couple them to ``c`` and the multipliers.  ``border_solved`` is
+    ``A^{-1} C`` and ``schur_lu`` the LU factorization of the Schur complement
+    ``D - C^T A^{-1} C`` (``None`` when the border is empty)."""
 
     problem: StarGraphProblem
     dofmap: GlobalDofMap
     edge_ops: list[EdgeOperator]
-    K: np.ndarray = field(repr=False)
-    W: np.ndarray = field(repr=False)
     B: np.ndarray = field(repr=False)
-    trace_a_rows: np.ndarray = field(repr=False)
     trace_b_rows: np.ndarray = field(repr=False)
-    flux_probes: np.ndarray = field(repr=False)
-    kc: np.ndarray = field(repr=False)
-    wc: np.ndarray = field(repr=False)
     free: np.ndarray = field(repr=False)
-    step_lu: tuple[np.ndarray, np.ndarray] = field(repr=False)
+    mass: np.ndarray = field(repr=False)
+    junction_mass: np.ndarray = field(repr=False)
+    edge_factors: list[tuple[slice, np.ndarray]] = field(repr=False)
+    border: np.ndarray = field(repr=False)
+    border_solved: np.ndarray = field(repr=False)
+    schur_lu: tuple[np.ndarray, np.ndarray] | None = field(repr=False)
 
     @property
     def ndof(self) -> int:
-        return self.K.shape[0]
+        return self.dofmap.ndof
 
     def load_from_samples(self, g: list[np.ndarray]) -> np.ndarray:
         """Global load of per-edge sample-space data: ``sum_i E_i^T (W_i g_i)``.
@@ -164,6 +183,12 @@ class GraphSystem:
                 out[..., dm.c_index] += wg @ op.mode.samples
         return out
 
+    def edge_dofs(self, Y: np.ndarray, i: int) -> np.ndarray:
+        """Edge ``i``'s DOF vector in its operator's layout: its nodal block,
+        then ``c`` if the junction mode is present."""
+        dm = self.dofmap
+        return np.concatenate([Y[..., dm.edge_slice(i)], Y[..., dm.junction]], axis=-1)
+
     def edge_samples(self, Y: np.ndarray, i: int) -> np.ndarray:
         """Nodal samples of edge ``i`` (nodal block plus ``c`` times the mode)."""
         dm = self.dofmap
@@ -174,8 +199,10 @@ class GraphSystem:
 
 
 def assemble_graph_system(problem: StarGraphProblem) -> GraphSystem:
-    """Scatter the per-edge operators into the global saddle-point blocks."""
-    n = problem.n
+    """Assemble the edge operators and factor the step matrix per edge, with
+    the Schur complement of the border in ``c`` and the multipliers."""
+    n, m = problem.n, problem.m
+    dt = problem.time_grid.dt
     include_mode = bool(problem.include_junction_mode)
     nnodes = tuple(g.nnodes for g in problem.grids)
     offsets = tuple(int(x) for x in np.concatenate([[0], np.cumsum(nnodes)[:-1]]))
@@ -193,77 +220,77 @@ def assemble_graph_system(problem: StarGraphProblem) -> GraphSystem:
         for i in range(n)
     ]
 
-    K = np.zeros((ndof, ndof))
-    W = np.zeros((ndof, ndof))
-    kc = np.zeros((n, ndof))
-    wc = np.zeros((n, ndof))
-    trace_a = np.zeros((n, ndof))
+    # border unknowns: c (if present), then the m multipliers
+    k = int(include_mode)
+    nb = k + m
     trace_b = np.zeros((n, ndof))
-    probes = np.zeros((n, ndof))
+    mass = np.zeros(ndof)
+    junction_mass = np.zeros((ndof, k))
+    border = np.zeros((ndof, nb))
+    corner = np.zeros((nb, nb))
+    solved = np.zeros((ndof, nb))
+    factors = []
     free = []
     for i, op in enumerate(ops):
         sl = dm.edge_slice(i)
         nn = nnodes[i]
-        free.append(op.free[op.free < nn] + offsets[i])  # sturm decides the pinned nodes
-        K[sl, sl] += op.K[:nn, :nn]
-        W[sl, sl] += op.W[:nn, :nn]
-        trace_a[i, sl] = op.trace_a[:nn]
+        # sturm decides the pinned nodes, which lead the edge's block
+        first = int(op.free[0])
+        fs = slice(first, nn)
+        gs = slice(offsets[i] + first, offsets[i] + nn)
+        free.append(np.arange(gs.start, gs.stop))
         trace_b[i, sl] = op.trace_b[:nn]
-        probes[i, sl] = op.flux_probe[:nn]
+        mass[sl] = op.W.diagonal()[:nn]
         if include_mode:
-            K[sl, c_index] += op.K[:nn, -1]
-            K[c_index, sl] += op.K[-1, :nn]
-            K[c_index, c_index] += op.K[-1, -1]
-            W[sl, c_index] += op.W[:nn, -1]
-            W[c_index, sl] += op.W[-1, :nn]
-            W[c_index, c_index] += op.W[-1, -1]
-            kc[i, sl] = op.K[-1, :nn]
-            kc[i, c_index] = op.K[-1, -1]
-            wc[i, sl] = op.W[-1, :nn]
-            wc[i, c_index] = op.W[-1, -1]
-            trace_a[i, c_index] = op.trace_a[-1]
+            mass[c_index] += op.W[-1, -1]
+            junction_mass[sl, 0] = op.W[:nn, -1]
             trace_b[i, c_index] = op.trace_b[-1]
+            border[gs, 0] = op.W[fs, -1] / dt + op.K[fs, -1]
+            corner[0, 0] += op.W[-1, -1] / dt + op.K[-1, -1]
+        if i < m:
+            border[gs, k + i] = op.trace_b[fs]
+            # the tip trace of the junction mode, where there is one
+            corner[:k, k + i] = corner[k + i, :k] = op.trace_b[nn:]
+        try:
+            chol, _ = cho_factor(op.W[fs, fs] / dt + op.K[fs, fs], overwrite_a=True)
+        except (np.linalg.LinAlgError, ValueError) as exc:
+            raise SolverFailure(f"saddle-point factorization failed: {exc}") from None
+        factors.append((gs, chol))
+        if nb > 0:
+            solved[gs] = dpotrs(chol, border[gs])[0]
 
-    B = trace_b[: problem.m].copy()
+    B = trace_b[:m].copy()
     if include_mode:
         free.append([c_index])
     free = np.concatenate(free)
 
-    Bf = B[:, free]
-    if problem.m > 0:
-        rank = np.linalg.matrix_rank(Bf)
-        if rank < problem.m:
+    if m > 0:
+        rank = np.linalg.matrix_rank(B[:, free])
+        if rank < m:
             raise SolverFailure(
-                f"degenerate constraint set: rank {rank} < {problem.m} trace rows"
+                f"degenerate constraint set: rank {rank} < {m} trace rows"
             )
 
-    # The step matrix is built in place, in the column order LAPACK factors
-    # without a copy.
-    nf = len(free)
-    S = np.zeros((nf + problem.m, nf + problem.m), order="F")
-    np.divide(W[np.ix_(free, free)], problem.time_grid.dt, out=S[:nf, :nf])
-    S[:nf, :nf] += K[np.ix_(free, free)]
-    S[:nf, nf:] = Bf.T
-    S[nf:, :nf] = Bf
-    try:
-        step_lu = lu_factor(S, overwrite_a=True)
-    except (np.linalg.LinAlgError, ValueError) as exc:
-        raise SolverFailure(f"saddle-point factorization failed: {exc}") from None
+    schur_lu = None
+    if nb > 0:
+        try:
+            schur_lu = lu_factor(corner - border.T @ solved, overwrite_a=True)
+        except (np.linalg.LinAlgError, ValueError) as exc:
+            raise SolverFailure(f"saddle-point factorization failed: {exc}") from None
 
     return GraphSystem(
         problem=problem,
         dofmap=dm,
         edge_ops=ops,
-        K=K,
-        W=W,
         B=B,
-        trace_a_rows=trace_a,
         trace_b_rows=trace_b,
-        flux_probes=probes,
-        kc=kc,
-        wc=wc,
         free=free,
-        step_lu=step_lu,
+        mass=mass,
+        junction_mass=junction_mass,
+        edge_factors=factors,
+        border=border,
+        border_solved=solved,
+        schur_lu=schur_lu,
     )
 
 
@@ -368,25 +395,37 @@ def _march(system: GraphSystem, start, loads, traces, what: str):
     """Implicit Euler from ``x_{-1} = start``: row ``j`` solves
     ``(W/dt + K) x_j + B^T mu_j = W x_{j-1}/dt + loads[j]``, ``B x_j = traces[j]``.
 
-    Returns the states ``x_j`` and the multipliers ``-mu_j``.  The data are
-    checked for finiteness once before the march, the solution once after it.
+    Each step makes one triangular solve pair per edge, one solve with the
+    Schur complement for ``c`` and the multipliers, and one back-substitution
+    through ``A^{-1} C``.  Returns the states ``x_j`` and the multipliers
+    ``-mu_j``.  The data are checked for finiteness once before the march,
+    the solution once after it.
     """
     if not all(np.isfinite(a).all() for a in (start, loads, traces)):
         raise SolverFailure(f"non-finite {what} right-hand side")
     dt = system.problem.time_grid.dt
-    fr = system.free
-    nf = len(fr)
+    cs = system.dofmap.junction
+    k = cs.stop - cs.start
+    mass = system.mass / dt
+    wc = system.junction_mass / dt
+    border, solved, schur = system.border, system.border_solved, system.schur_lu
     x = np.zeros((len(loads), system.ndof))
     mult = np.zeros((len(loads), system.problem.m))
     prev = start
-    for j in range(len(loads)):
-        rhs = system.W @ prev / dt + loads[j]
-        sol = lu_solve(
-            system.step_lu, np.concatenate([rhs[fr], traces[j]]), check_finite=False
-        )
-        x[j, fr] = sol[:nf]
-        mult[j] = -sol[nf:]
-        prev = x[j]
+    # a singular factor surfaces as non-finite states, reported below
+    with np.errstate(invalid="ignore", over="ignore"):
+        for j in range(len(loads)):
+            rhs = mass * prev + wc @ prev[cs] + loads[j]
+            rhs[cs] += prev @ wc
+            xj = x[j]
+            for gs, chol in system.edge_factors:
+                xj[gs] = dpotrs(chol, rhs[gs])[0]
+            if schur is not None:
+                s = dgetrs(*schur, np.concatenate((rhs[cs], traces[j])) - xj @ border)[0]
+                xj -= solved @ s
+                xj[cs] = s[:k]
+                mult[j] = -s[k:]
+            prev = xj
     if not (np.isfinite(x).all() and np.isfinite(mult).all()):
         raise SolverFailure(f"non-finite {what} solve (singular saddle point?)")
     return x, mult
@@ -484,23 +523,26 @@ def _readout(system: GraphSystem, y: GraphTrajectory, prev, g, known, traces, **
     ``prev`` is the state it marched from, ``g`` the per-edge sample-space
     data of its load, ``known`` the tip fluxes it imposed (multipliers and
     Neumann data) and ``traces`` the tip traces it prescribed on edges
-    ``1..m``.  The residuals of all steps are formed at once (``W`` and ``K``
+    ``1..m``.  The residuals of all steps are formed at once and edge by
+    edge: a tip flux through ``W_i`` and ``K_i`` applied to the edge's flux
+    probe, a junction flux through the edge's ``c`` row (``W_i`` and ``K_i``
     are symmetric).
     """
     pr, dt = system.problem, system.problem.time_grid.dt
     x = y.dofs[1:]
     rate = (x - prev) / dt
-    resid = rate @ system.W + x @ system.K - system.load_from_samples(g)
-    tip = resid @ system.flux_probes.T
+    tip = np.empty((len(x), pr.n))
     junction = np.zeros_like(tip)
-    if system.dofmap.c_index is not None:
-        load_c = np.column_stack(
-            [
-                (op.grid.trapezoid_weights() * gi) @ op.mode.samples
-                for op, gi in zip(system.edge_ops, g)
-            ]
-        )
-        junction = known - (rate @ system.wc.T + x @ system.kc.T - load_c)
+    for i, (op, gi) in enumerate(zip(system.edge_ops, g)):
+        xi, ri = system.edge_dofs(x, i), system.edge_dofs(rate, i)
+        wg = op.grid.trapezoid_weights() * gi
+        nn = wg.shape[-1]
+        probe = op.flux_probe
+        tip[:, i] = ri @ (op.W @ probe) + xi @ (op.K @ probe) - wg @ probe[:nn]
+        if op.has_singular_dof:
+            junction[:, i] = known[:, i] - (
+                ri @ op.W[-1] + xi @ op.K[-1] - wg @ op.mode.samples
+            )
 
     energy = np.sqrt(
         sum(

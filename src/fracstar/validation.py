@@ -1,9 +1,10 @@
 """Independent oracles for the test and acceptance suites.
 
 These deliberately avoid the production time-stepping code: the space-time
-oracle assembles every implicit-Euler step into one dense block system and
-solves it in a single factorization (a single edge is checked as the
-one-edge graph), and the classical-limit solver builds
+oracle scatters the edge operators into dense global matrices of its own,
+assembles every implicit-Euler step into one dense block system and solves
+it in a single factorization (a single edge is checked as the one-edge
+graph), and the classical-limit solver builds
 its own P1 finite-element heat discretization (consistent mass, midpoint
 diffusion sampling) from scratch.
 """
@@ -24,6 +25,7 @@ from .graph_solver import (
 from .grids import Grid1D, TimeGrid
 
 __all__ = [
+    "dense_edge_operators",
     "dense_oracle_solve_graph",
     "classical_limit_solver",
     "finite_difference_gradient",
@@ -38,6 +40,21 @@ def _guard(ndof: int, nt: int) -> None:
         raise SizeGuardError(f"oracle limit: {ndof} > {_MAX_DOFS} spatial DOFs")
     if nt > _MAX_STEPS:
         raise SizeGuardError(f"oracle limit: {nt} > {_MAX_STEPS} time steps")
+
+
+def dense_edge_operators(system: GraphSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Each edge's stiffness and mass scattered into the global DOF layout:
+    arrays ``K``, ``W`` of shape ``(n, ndof, ndof)`` whose sums over the
+    first axis are the global matrices."""
+    dm = system.dofmap
+    n, ndof = system.problem.n, system.ndof
+    K = np.zeros((n, ndof, ndof))
+    W = np.zeros((n, ndof, ndof))
+    for i, op in enumerate(system.edge_ops):
+        idx = np.r_[dm.edge_slice(i), dm.junction]
+        K[i][np.ix_(idx, idx)] = op.K
+        W[i][np.ix_(idx, idx)] = op.W
+    return K, W
 
 
 def dense_oracle_solve_graph(
@@ -60,12 +77,13 @@ def dense_oracle_solve_graph(
     nv = problem.n_neumann_channels
     v = np.zeros((nv, nt + 1)) if v is None else np.asarray(v, dtype=float)
 
+    K, W = (ops.sum(axis=0) for ops in dense_edge_operators(system))
     fr = system.free
     nf = len(fr)
     blk = nf + m
-    A = system.W[np.ix_(fr, fr)] / dt + system.K[np.ix_(fr, fr)]
+    A = W[np.ix_(fr, fr)] / dt + K[np.ix_(fr, fr)]
     Bf = system.B[:, fr]
-    Wf = system.W[np.ix_(fr, fr)]
+    Wf = W[np.ix_(fr, fr)]
 
     Y0 = np.zeros(system.ndof)
     for i in range(n):
@@ -94,7 +112,7 @@ def dense_oracle_solve_graph(
         if m > 1:
             rhs[r0 + nf + 1 : r0 + blk] = u[:, k]
         if k == 1:
-            rhs[r0 : r0 + nf] += (system.W[fr] / dt) @ Y0
+            rhs[r0 : r0 + nf] += (W[fr] / dt) @ Y0
         else:
             big[r0 : r0 + nf, r0 - blk : r0 - blk + nf] = -Wf / dt
     sol = np.linalg.solve(big, rhs)

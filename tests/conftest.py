@@ -75,13 +75,14 @@ def rng():
 
 @pytest.fixture
 def factorizations(monkeypatch):
-    """The step-matrix factorizations made while the test runs, one entry each."""
+    """The edge Cholesky factorizations of the step matrix made while the test
+    runs, one entry each: an assembly makes one per edge."""
     calls = []
-    lu_factor = fracstar.graph_solver.lu_factor
+    cho_factor = fracstar.graph_solver.cho_factor
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return lu_factor(*args, **kwargs)
+        return cho_factor(*args, **kwargs)
 
-    monkeypatch.setattr(fracstar.graph_solver, "lu_factor", counted)
+    monkeypatch.setattr(fracstar.graph_solver, "cho_factor", counted)
     return calls

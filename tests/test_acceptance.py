@@ -320,9 +320,9 @@ def test_criterion_08_junction_physics():
         traj = solve_forward_graph(pr, u, v, sys_)
         junction = diagnose_forward(sys_, traj, u, v).junction_flux
         worst_flux = max(worst_flux, float(np.abs(junction[1:].sum(axis=1)).max()))
-        traces = traj.dofs @ sys_.trace_a_rows.T
-        for i in range(pr.n):
-            continuity_exact &= bool(np.all(traces[:, i] == traj.c))
+        for i, op in enumerate(sys_.edge_ops):
+            traces = sys_.edge_dofs(traj.dofs, i) @ op.trace_a
+            continuity_exact &= bool(np.all(traces == traj.c))
     elapsed = time.time() - t0
     report(
         8,

@@ -216,6 +216,20 @@ class TestOptimize:
                        max_iter=300)
         assert np.all(np.diff(res.cost_history) <= 0.0)
 
+    @pytest.mark.parametrize("N", [0.45, 0.49, 0.6, 0.95])
+    def test_line_search_resolves_tight_tolerances(self, N):
+        # at tol = 1e-9 the accepted decreases fall below the roundoff of the
+        # cost; the line search measures them from the gradients instead
+        problem, cfg = tracking_problem(N=N)
+        res = optimize(problem, cfg, AdmissibleSet.box(-0.3, 0.3), tol=1e-9,
+                       max_iter=300)
+        assert res.converged and res.reason == "stationarity"
+        assert np.all(np.diff(res.cost_history) <= 0.0)
+        graph, gcfg = as_graph_problem(problem, cfg)
+        state = solve_forward_graph(graph, None, res.controls)
+        cost = cost_graph(state, res.controls, graph, gcfg)
+        assert res.cost_history[-1] == pytest.approx(cost, rel=1e-12)
+
     def test_fixed_point_matches_projected_gradient(self):
         problem, cfg = tracking_problem(N=1.0)
         r1 = optimize(problem, cfg, AdmissibleSet.unconstrained(), tol=1e-9,
@@ -409,7 +423,7 @@ class TestOptimize:
         factorizations.clear()
         pr = random_graph(rng, Nt=6)
         res = optimize(pr, CostConfig(), AdmissibleSet.box(-0.2, 0.2), max_iter=40)
-        assert res.iterations > 1 and len(factorizations) == 1
+        assert res.iterations > 1 and len(factorizations) == pr.n
 
 
 class TestActiveBoxProperties:
@@ -429,8 +443,7 @@ class TestActiveBoxProperties:
         n = len(Ms)
         m = max(2, n - m_from_top)
         pr = random_graph(rng, alpha=alpha, n=n, m=m, Nt=Nt, Ms=Ms, bs=(1.0,) * n)
-        # The fixed-point map reaches 1e-9; projected gradient's Armijo test
-        # compares costs and cannot resolve decreases that small.
+        # the paper's projection formula, to 1e-9
         cfg, tol = CostConfig(), 1e-9
         free = optimize(
             pr, cfg, AdmissibleSet.unconstrained(), "fixed_point", tol, max_iter=2000

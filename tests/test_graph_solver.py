@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import lu_solve
+from scipy.linalg import lu_factor, lu_solve
 
 import fracstar.graph_solver
 from fracstar import (
@@ -19,7 +21,7 @@ from fracstar import (
     solve_forward_graph,
     solve_forward_edge,
 )
-from fracstar.validation import dense_oracle_solve_graph
+from fracstar.validation import dense_edge_operators, dense_oracle_solve_graph
 from conftest import random_coeffs, random_graph
 
 
@@ -109,6 +111,18 @@ def classical_star_heat(problem, u, v):
     return states
 
 
+def step_solve(system, b):
+    """One step of the graph stepper from a zero state: solves the bordered
+    step matrix for ``b``, free DOFs first, then the multipliers."""
+    fr, nf = system.free, len(system.free)
+    load = np.zeros((1, system.ndof))
+    load[0, fr] = b[:nf]
+    x, mult = fracstar.graph_solver._march(
+        system, np.zeros(system.ndof), load, b[None, nf:], "step"
+    )
+    return np.r_[x[0, fr], -mult[0]]
+
+
 class TestProblemValidation:
     def test_split_bounds(self, rng):
         with pytest.raises(ValueError):
@@ -139,14 +153,15 @@ class TestAssembly:
         )
         sys_ = assemble_graph_system(pr)
         op = assemble_stiffness(0.55, grid, coeffs)
-        np.testing.assert_array_equal(sys_.K, op.K)
+        np.testing.assert_array_equal(dense_edge_operators(sys_)[0].sum(axis=0), op.K)
         np.testing.assert_array_equal(sys_.B[0], op.trace_b)
 
     def test_block_symmetry(self, rng):
         pr = random_graph(rng)
         sys_ = assemble_graph_system(pr)
-        assert np.abs(sys_.K - sys_.K.T).max() == 0.0
-        assert np.abs(sys_.W - sys_.W.T).max() == 0.0
+        K, W = (ops.sum(axis=0) for ops in dense_edge_operators(sys_))
+        assert np.abs(K - K.T).max() == 0.0
+        assert np.abs(W - W.T).max() == 0.0
         assert sys_.dofmap.ndof == sum(g.nnodes for g in pr.grids) + 1
         assert sys_.B.shape == (pr.m, sys_.dofmap.ndof)
 
@@ -155,9 +170,10 @@ class TestAssembly:
         # border, zero multiplier block
         pr = random_graph(rng)
         sys_ = assemble_graph_system(pr)
+        K, W = (ops.sum(axis=0) for ops in dense_edge_operators(sys_))
         dt = pr.time_grid.dt
         fr = sys_.free
-        A = sys_.W[np.ix_(fr, fr)] / dt + sys_.K[np.ix_(fr, fr)]
+        A = W[np.ix_(fr, fr)] / dt + K[np.ix_(fr, fr)]
         Bf = sys_.B[:, fr]
         S = np.block([[A, Bf.T], [Bf, np.zeros((pr.m, pr.m))]])
         np.testing.assert_array_equal(S, S.T)
@@ -167,18 +183,22 @@ class TestAssembly:
         assert np.linalg.eigvalsh(A).min() > 0.0
         # the factorization stored by assembly is the factorization of S
         z = rng.standard_normal(len(S))
-        np.testing.assert_allclose(lu_solve(sys_.step_lu, S @ z), z, atol=1e-10)
+        np.testing.assert_allclose(step_solve(sys_, S @ z), z, atol=1e-10)
 
     def test_factorization_failures_raise_solver_failure(self, rng, monkeypatch):
         pr = random_graph(rng)
-        lu_factor = fracstar.graph_solver.lu_factor
 
         def broken(*args, **kwargs):
             raise np.linalg.LinAlgError("broken")
 
-        monkeypatch.setattr(fracstar.graph_solver, "lu_factor", broken)
-        with pytest.raises(SolverFailure, match="saddle-point factorization failed"):
-            assemble_graph_system(pr)
+        # the edge Cholesky factors and the Schur complement's LU
+        for name in ("cho_factor", "lu_factor"):
+            with monkeypatch.context() as patch:
+                patch.setattr(fracstar.graph_solver, name, broken)
+                with pytest.raises(
+                    SolverFailure, match="saddle-point factorization failed"
+                ):
+                    assemble_graph_system(pr)
 
         def singular(*args, **kwargs):
             lu, piv = lu_factor(*args, **kwargs)
@@ -238,9 +258,9 @@ class TestForward:
         u = rng.standard_normal((1, 7))
         traj = solve_forward_graph(pr, u, None)
         sys_ = assemble_graph_system(pr)
-        traces = traj.dofs @ sys_.trace_a_rows.T
-        for i in range(pr.n):
-            assert np.all(traces[:, i] == traj.c)
+        for i, op in enumerate(sys_.edge_ops):
+            traces = sys_.edge_dofs(traj.dofs, i) @ op.trace_a
+            assert np.all(traces == traj.c)
 
     def test_dirichlet_constraints_hit(self, rng):
         pr = random_graph(rng, n=4, m=3, Ms=(6, 5, 7, 6), bs=(1.0, 0.8, 1.2, 0.9))
@@ -274,6 +294,8 @@ class TestForward:
         dy, dp = diagnose_forward(sys_, y, u, v), diagnose_adjoint(sys_, p, y)
         dt, om = pr.time_grid.dt, pr.time_grid.trapezoid_weights()
         c = sys_.dofmap.c_index
+        Ks, Ws = dense_edge_operators(sys_)
+        K, W, kc, wc = Ks.sum(axis=0), Ws.sum(axis=0), Ks[:, c], Ws[:, c]
         for k in range(1, 8):
             misfit = [yi[k] - ydi[k] for yi, ydi in zip(y.samples, pr.y_d)]
             p_next = p.dofs[k + 1] if k < 7 else np.zeros(sys_.ndof)
@@ -284,25 +306,46 @@ class TestForward:
                  np.r_[p.multipliers[k], 0.0], dp),
             ):
                 rate = (x - prev) / dt
-                r = sys_.W @ rate + sys_.K @ x - sys_.load_from_samples(g)
-                np.testing.assert_allclose(d.tip_flux[k], sys_.flux_probes @ r, atol=1e-12)
+                r = W @ rate + K @ x - sys_.load_from_samples(g)
+                tip = [
+                    r[sys_.dofmap.edge_slice(i)] @ op.flux_probe[: op.grid.nnodes]
+                    for i, op in enumerate(sys_.edge_ops)
+                ]
+                np.testing.assert_allclose(d.tip_flux[k], tip, atol=1e-12)
                 load_c = [
                     op.mode.samples @ (op.grid.trapezoid_weights() * gi)
                     for op, gi in zip(sys_.edge_ops, g)
                 ]
-                junction = known - (sys_.kc @ x + sys_.wc @ rate - load_c)
+                junction = known - (kc @ x + wc @ rate - load_c)
                 np.testing.assert_allclose(d.junction_flux[k], junction, atol=1e-12)
                 assert abs(d.junction_flux[k].sum() - (known.sum() - r[c])) <= 1e-12
 
     def test_sweeps_share_the_assembled_factorization(self, rng, factorizations):
         pr = random_graph(rng)
         sys_ = assemble_graph_system(pr)
-        assert len(factorizations) == 1
+        assert len(factorizations) == pr.n
         u = rng.standard_normal((pr.m - 1, pr.time_grid.Nt + 1))
         y = solve_forward_graph(pr, u, None, sys_)
         solve_adjoint_graph(pr, y, sys_)
         solve_forward_graph(pr, None, None, sys_)
-        assert len(factorizations) == 1
+        assert len(factorizations) == pr.n
+
+    def test_no_dense_global_array(self, rng):
+        # assembly, a sweep and its diagnostics on a wide star stay below the
+        # memory of one ndof x ndof matrix
+        n, M = 8, 128
+        pr = random_graph(rng, n=n, m=4, Nt=16, Ms=(M,) * n, bs=(1.0,) * n)
+        u = rng.standard_normal((3, 17))
+        v = rng.standard_normal((4, 17))
+        tracemalloc.start()
+        try:
+            sys_ = assemble_graph_system(pr)
+            diagnose_forward(sys_, solve_forward_graph(pr, u, v, sys_), u, v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sys_.ndof == 1033
+        assert peak < 8 * sys_.ndof**2
 
     def test_degenerate_reduces_to_edge_solver(self, rng):
         grid = Grid1D(0.0, 1.0, 10)
@@ -509,6 +552,52 @@ class TestGraphCornerProperties:
 
         for d in (diagnose_forward(sys_, y, u, v), diagnose_adjoint(sys_, p, y)):
             assert np.abs(d.junction_flux[1:].sum(axis=1)).max() <= 1e-9
+
+    @given(
+        alpha=st.one_of(st.just(1.0), st.floats(1e-3, 1.0)),
+        Ms=st.lists(st.integers(2, 8), min_size=1, max_size=4),
+        m_choice=st.integers(0, 2),
+        Nt=st.one_of(st.just(1), st.integers(1, 4)),
+        c0=st.one_of(st.floats(-2.0, -0.1), st.floats(0.1, 2.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_march_equals_dense_bordered_solve(self, alpha, Ms, m_choice, Nt, c0, seed):
+        # the per-edge stepper against an LU of the whole bordered step
+        # matrix [[W_ff/dt + K_ff, B_f^T], [B_f, 0]] built from the edge
+        # operators; n = 1 takes m = 0 and m = 1, larger graphs m = n too
+        rng = np.random.default_rng(seed)
+        n = len(Ms)
+        m = min(m_choice, 1) if n == 1 else [n, max(2, n - 1), 2][m_choice]
+        bs = tuple(rng.uniform(0.5, 1.5, n))
+        pr = random_graph(rng, alpha=alpha, n=n, m=m, Nt=Nt, Ms=Ms, bs=bs)
+        pr.c0 = c0
+        sys_ = assemble_graph_system(pr)
+        dm, dt = sys_.dofmap, pr.time_grid.dt
+        start = np.zeros(sys_.ndof)
+        for i in range(n):
+            start[dm.edge_slice(i)] = pr.y0[i]
+        start[dm.junction] = c0
+        loads = rng.standard_normal((Nt, sys_.ndof))
+        traces = rng.standard_normal((Nt, m))
+        x, mult = fracstar.graph_solver._march(sys_, start, loads, traces, "forward")
+
+        K, W = (ops.sum(axis=0) for ops in dense_edge_operators(sys_))
+        fr = sys_.free
+        nf = len(fr)
+        Bf = sys_.B[:, fr]
+        S = np.block(
+            [[W[np.ix_(fr, fr)] / dt + K[np.ix_(fr, fr)], Bf.T], [Bf, np.zeros((m, m))]]
+        )
+        lu = lu_factor(S)
+        prev = start
+        for j in range(Nt):
+            sol = lu_solve(lu, np.r_[(W @ prev / dt + loads[j])[fr], traces[j]])
+            ref = np.zeros(sys_.ndof)
+            ref[fr] = sol[:nf]
+            assert np.abs(x[j] - ref).max() <= 1e-12
+            assert np.abs(mult[j] + sol[nf:]).max(initial=0.0) <= 1e-12
+            prev = ref
 
     @given(
         alpha=st.one_of(st.just(1.0), st.floats(1e-3, 1.0)),
