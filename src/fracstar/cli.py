@@ -190,7 +190,7 @@ def parse_config(path: str | Path) -> RunConfig:
             return kind(1)
 
     alpha = fget(prob, "alpha")
-    T = fget(prob, "T") if "T" in prob else fget(prob, "t")
+    T = fget(prob, "T")
     nt = fget(prob, "nt", kind=int)
     n = fget(prob, "n", default=1, kind=int)
     m_split = fget(prob, "m_split", default=0, kind=int)
@@ -248,17 +248,12 @@ def parse_config(path: str | Path) -> RunConfig:
     channel_range = range(2, n + 1) if n >= 2 else range(1, 2)
     for i in channel_range:
         sec_name = f"control.{i}"
+        expected = "neumann" if (n == 1 or i > m_split) else "dirichlet"
         if not cp.has_section(sec_name):
-            kind_default = (
-                "neumann" if (n == 1 or i > m_split) else "dirichlet"
-            )
-            controls[i] = ControlConfig(kind_default, AdmissibleSet.unconstrained(), 1.0)
+            controls[i] = ControlConfig(expected, AdmissibleSet.unconstrained(), 1.0)
             continue
         sec = cp[sec_name]
-        kind = sec.get("kind", "").strip().lower()
-        expected = "neumann" if (n == 1 or i > m_split) else "dirichlet"
-        if kind == "":
-            kind = expected
+        kind = sec.get("kind", "").strip().lower() or expected
         if kind not in ("dirichlet", "neumann"):
             errors.append(f"{sec_name}: kind must be dirichlet or neumann, got {kind!r}")
         elif kind != expected:
@@ -269,7 +264,7 @@ def parse_config(path: str | Path) -> RunConfig:
         weight = fget(sec, "weight", default=1.0)
         if weight <= 0.0:
             errors.append(f"{sec_name}: weight must be positive, got {weight}")
-        controls[i] = ControlConfig(kind if kind else expected, uad, weight)
+        controls[i] = ControlConfig(kind, uad, weight)
 
     named = {"problem", "optimizer"} | {f"edge.{i}" for i in range(1, len(edges) + 1)}
     named |= {f"control.{i}" for i in channel_range}
@@ -319,38 +314,46 @@ def parse_config(path: str | Path) -> RunConfig:
     )
 
 
-def _data_array(token: str, base: Path, shape: tuple) -> np.ndarray:
+def _data_array(token: str, base: Path, shape: tuple, key: str, errors: list[str]):
+    """The data array of a token, or zeros with a violation added to ``errors``."""
     if token == "zero":
         return np.zeros(shape)
     if token.startswith("const:"):
-        data = np.full(shape, float(token[len("const:") :]))
+        data, source = np.full(shape, float(token[len("const:") :])), f"data token {token!r}"
     else:
         path = base / token[len("file:") :]
+        source = f"data file {path}"
         try:
             data = np.loadtxt(path, delimiter=",", ndmin=len(shape))
         except (OSError, ValueError) as exc:
-            raise ConfigError([f"cannot read data file {path}: {exc}"]) from None
+            errors.append(f"{key}: cannot read {source}: {exc}")
+            return np.zeros(shape)
         if data.shape != shape:
-            raise ConfigError([f"data file for shape {shape} has shape {data.shape}"])
+            errors.append(f"{key}: {source} has shape {data.shape}, expected {shape}")
+            return np.zeros(shape)
     if not np.all(np.isfinite(data)):
-        raise ConfigError([f"data token {token!r} holds non-finite values"])
+        errors.append(f"{key}: {source} holds non-finite values")
     return data
 
 
 def _build(cfg: RunConfig):
     """Star-graph problem, cost and per-channel admissible sets of a problem
-    file.  A single edge is the one-edge graph (``m_split = 0``, channel 1)
-    whose control weight :func:`parse_config` has set to ``tikhonov_n``."""
+    file, or a :class:`ConfigError` naming every unusable data file.  A single
+    edge is the one-edge graph (``m_split = 0``, channel 1) whose control
+    weight :func:`parse_config` has set to ``tikhonov_n``."""
     tg = TimeGrid(cfg.T, cfg.nt)
     grids, coeffs, fs, y0s, yds = [], [], [], [], []
-    for e in cfg.edges:
+    errors: list[str] = []
+    for i, e in enumerate(cfg.edges, start=1):
         grid = Grid1D(e.a, e.b, e.m_cells)
         grids.append(grid)
         coeffs.append(EdgeCoefficients.constant(grid, e.beta, e.q))
         shape_xt = (cfg.nt + 1, grid.nnodes)
-        fs.append(_data_array(e.f, cfg.base_dir, shape_xt))
-        y0s.append(_data_array(e.y0, cfg.base_dir, (grid.nnodes,)))
-        yds.append(_data_array(e.ydtarget, cfg.base_dir, shape_xt))
+        fs.append(_data_array(e.f, cfg.base_dir, shape_xt, f"[edge.{i}] f", errors))
+        y0s.append(_data_array(e.y0, cfg.base_dir, (grid.nnodes,), f"[edge.{i}] y0", errors))
+        yds.append(_data_array(e.ydtarget, cfg.base_dir, shape_xt, f"[edge.{i}] ydtarget", errors))
+    if errors:
+        raise ConfigError(errors)
     problem = StarGraphProblem(
         alpha=cfg.alpha,
         time_grid=tg,

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .grids import Grid1D
 
@@ -83,7 +82,8 @@ def apply_right_integral(weights: np.ndarray, samples: np.ndarray) -> np.ndarray
 def left_integral_op(weights: np.ndarray) -> np.ndarray:
     """Matrix form of :func:`apply_left_integral`: lower triangular, row ``j``
     hits cells ``< j``."""
-    return toeplitz(np.concatenate(([0.0], weights[:-1])), np.zeros(len(weights)))
+    k = np.arange(len(weights))
+    return np.tril(np.concatenate(([0.0], weights[:-1]))[k[:, None] - k])
 
 
 def right_integral_op(weights: np.ndarray) -> np.ndarray:

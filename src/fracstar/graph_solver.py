@@ -13,11 +13,11 @@ Stepping.  One implicit-Euler march solves
 ``(W/dt + K) x_k + B^T lambda_k = W x_prev/dt + l_k``.  Edges interact only
 through the shared coefficient ``c`` and the tip multipliers, so the step
 matrix is block diagonal per edge with a border of width ``1 + m``; it is
-solved by per-edge Cholesky plus a Schur complement in ``c`` and the
-multipliers (block-arrow elimination), and no global matrix is ever formed.
-The step matrix does not change in time, so the per-edge factors and the
-Schur complement are computed once, when the system is assembled, and every
-sweep on that system shares them.  The forward sweep
+solved by block-arrow elimination: each edge block, certified SPD by
+Cholesky, is applied through its inverse, and ``c`` and the multipliers
+through the inverse of their Schur complement; no global matrix is formed.
+The step matrix is constant in time, so these inverses are computed once, at
+assembly, and shared by every sweep on that system.  The forward sweep
 marches from ``y0``; the adjoint sweep marches backward from ``p(T + dt) = 0``
 with loads ``omega_k/dt (y - y_d)`` and is the exact transpose of the
 discrete forward map for the trapezoid space-time cost.  The boundary series
@@ -37,8 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, lu_factor
-from scipy.linalg.lapack import dgetrs, dpotrs
+from numpy.linalg import LinAlgError, cholesky, inv
 
 from .errors import SolverFailure
 from .grids import Grid1D, TimeGrid
@@ -139,18 +138,18 @@ class StarGraphProblem:
 class GraphSystem:
     """Assembled graph operator, stored per edge: the edge operators, the
     constraint rows of the Dirichlet-type tips, the tip trace rows of all
-    edges, and the factored step matrix.
+    edges, and the inverted step matrix.
 
     The global mass is ``mass`` on the diagonal plus the junction column
     ``junction_mass`` (nodal entries only) and its transpose.  The step
     matrix on the free DOFs, bordered by the free trace rows, is the block
     arrow ``[[A, C], [C^T, D]]``: ``A`` is block diagonal with the edges'
-    ``W_i/dt + K_i`` on their free nodes, whose Cholesky factors
-    ``edge_factors`` holds with the global slice each acts on, and the
-    ``1 + m`` border columns ``border`` (``C``, zero outside the free nodes)
-    couple them to ``c`` and the multipliers.  ``border_solved`` is
-    ``A^{-1} C`` and ``schur_lu`` the LU factorization of the Schur complement
-    ``D - C^T A^{-1} C`` (``None`` when the border is empty)."""
+    ``W_i/dt + K_i`` on their free nodes, whose inverses ``edge_inverses``
+    holds with the global slice each acts on, and the ``1 + m`` border
+    columns ``border`` (``C``, zero outside the free nodes) couple them to
+    ``c`` and the multipliers.  ``border_solved`` is ``A^{-1} C`` and
+    ``schur_inv`` the inverse of the Schur complement ``D - C^T A^{-1} C``
+    (``None`` when the border is empty)."""
 
     problem: StarGraphProblem
     dofmap: GlobalDofMap
@@ -160,10 +159,10 @@ class GraphSystem:
     free: np.ndarray = field(repr=False)
     mass: np.ndarray = field(repr=False)
     junction_mass: np.ndarray = field(repr=False)
-    edge_factors: list[tuple[slice, np.ndarray]] = field(repr=False)
+    edge_inverses: list[tuple[slice, np.ndarray]] = field(repr=False)
     border: np.ndarray = field(repr=False)
     border_solved: np.ndarray = field(repr=False)
-    schur_lu: tuple[np.ndarray, np.ndarray] | None = field(repr=False)
+    schur_inv: np.ndarray | None = field(repr=False)
 
     @property
     def ndof(self) -> int:
@@ -199,7 +198,7 @@ class GraphSystem:
 
 
 def assemble_graph_system(problem: StarGraphProblem) -> GraphSystem:
-    """Assemble the edge operators and factor the step matrix per edge, with
+    """Assemble the edge operators and invert the step matrix per edge, with
     the Schur complement of the border in ``c`` and the multipliers."""
     n, m = problem.n, problem.m
     dt = problem.time_grid.dt
@@ -229,7 +228,7 @@ def assemble_graph_system(problem: StarGraphProblem) -> GraphSystem:
     border = np.zeros((ndof, nb))
     corner = np.zeros((nb, nb))
     solved = np.zeros((ndof, nb))
-    factors = []
+    inverses = []
     free = []
     for i, op in enumerate(ops):
         sl = dm.edge_slice(i)
@@ -251,13 +250,14 @@ def assemble_graph_system(problem: StarGraphProblem) -> GraphSystem:
             border[gs, k + i] = op.trace_b[fs]
             # the tip trace of the junction mode, where there is one
             corner[:k, k + i] = corner[k + i, :k] = op.trace_b[nn:]
+        block = op.W[fs, fs] / dt + op.K[fs, fs]
         try:
-            chol, _ = cho_factor(op.W[fs, fs] / dt + op.K[fs, fs], overwrite_a=True)
-        except (np.linalg.LinAlgError, ValueError) as exc:
+            cholesky(block)  # certifies the block SPD
+            block_inv = inv(block)
+        except LinAlgError as exc:
             raise SolverFailure(f"saddle-point factorization failed: {exc}") from None
-        factors.append((gs, chol))
-        if nb > 0:
-            solved[gs] = dpotrs(chol, border[gs])[0]
+        inverses.append((gs, block_inv))
+        solved[gs] = block_inv @ border[gs]
 
     B = trace_b[:m].copy()
     if include_mode:
@@ -271,11 +271,11 @@ def assemble_graph_system(problem: StarGraphProblem) -> GraphSystem:
                 f"degenerate constraint set: rank {rank} < {m} trace rows"
             )
 
-    schur_lu = None
+    schur_inv = None
     if nb > 0:
         try:
-            schur_lu = lu_factor(corner - border.T @ solved, overwrite_a=True)
-        except (np.linalg.LinAlgError, ValueError) as exc:
+            schur_inv = inv(corner - border.T @ solved)
+        except LinAlgError as exc:
             raise SolverFailure(f"saddle-point factorization failed: {exc}") from None
 
     return GraphSystem(
@@ -287,10 +287,10 @@ def assemble_graph_system(problem: StarGraphProblem) -> GraphSystem:
         free=free,
         mass=mass,
         junction_mass=junction_mass,
-        edge_factors=factors,
+        edge_inverses=inverses,
         border=border,
         border_solved=solved,
-        schur_lu=schur_lu,
+        schur_inv=schur_inv,
     )
 
 
@@ -395,10 +395,9 @@ def _march(system: GraphSystem, start, loads, traces, what: str):
     """Implicit Euler from ``x_{-1} = start``: row ``j`` solves
     ``(W/dt + K) x_j + B^T mu_j = W x_{j-1}/dt + loads[j]``, ``B x_j = traces[j]``.
 
-    Each step makes one triangular solve pair per edge, one solve with the
-    Schur complement for ``c`` and the multipliers, and one back-substitution
-    through ``A^{-1} C``.  Returns the states ``x_j`` and the multipliers
-    ``-mu_j``.  The data are checked for finiteness once before the march,
+    Each step applies every edge's inverse, the Schur complement's inverse for
+    ``c`` and the multipliers, and one back-substitution through ``A^{-1} C``.
+    Returns the states ``x_j`` and the multipliers ``-mu_j``.  The data are checked for finiteness once before the march,
     the solution once after it.
     """
     if not all(np.isfinite(a).all() for a in (start, loads, traces)):
@@ -408,20 +407,20 @@ def _march(system: GraphSystem, start, loads, traces, what: str):
     k = cs.stop - cs.start
     mass = system.mass / dt
     wc = system.junction_mass / dt
-    border, solved, schur = system.border, system.border_solved, system.schur_lu
+    border, solved, schur = system.border, system.border_solved, system.schur_inv
     x = np.zeros((len(loads), system.ndof))
     mult = np.zeros((len(loads), system.problem.m))
     prev = start
-    # a singular factor surfaces as non-finite states, reported below
+    # a non-finite inverse surfaces as non-finite states, reported below
     with np.errstate(invalid="ignore", over="ignore"):
         for j in range(len(loads)):
             rhs = mass * prev + wc @ prev[cs] + loads[j]
             rhs[cs] += prev @ wc
             xj = x[j]
-            for gs, chol in system.edge_factors:
-                xj[gs] = dpotrs(chol, rhs[gs])[0]
+            for gs, block_inv in system.edge_inverses:
+                xj[gs] = block_inv @ rhs[gs]
             if schur is not None:
-                s = dgetrs(*schur, np.concatenate((rhs[cs], traces[j])) - xj @ border)[0]
+                s = schur @ (np.concatenate((rhs[cs], traces[j])) - xj @ border)
                 xj -= solved @ s
                 xj[cs] = s[:k]
                 mult[j] = -s[k:]

@@ -35,14 +35,15 @@ class EdgeCoefficients:
     def __post_init__(self) -> None:
         beta = np.asarray(self.beta, dtype=float)
         q = np.asarray(self.q, dtype=float)
-        if self.beta0 <= 0.0 or beta.min() < self.beta0:
+        # stated positively: a NaN bound fails ``>=`` where it would pass ``<``
+        if not (np.isfinite(beta).all() and beta.min() >= self.beta0 > 0.0):
             raise CoefficientError(
-                f"beta must satisfy beta >= beta0 > 0, got min(beta)={beta.min()}, "
+                f"beta must be finite with beta >= beta0 > 0, got min(beta)={beta.min()}, "
                 f"beta0={self.beta0}"
             )
-        if self.q0 <= 0.0 or q.min() < self.q0:
+        if not (np.isfinite(q).all() and q.min() >= self.q0 > 0.0):
             raise CoefficientError(
-                f"q must satisfy q >= q0 > 0, got min(q)={q.min()}, q0={self.q0}"
+                f"q must be finite with q >= q0 > 0, got min(q)={q.min()}, q0={self.q0}"
             )
 
     @classmethod

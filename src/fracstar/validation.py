@@ -12,7 +12,6 @@ diffusion sampling) from scratch.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .control import CostConfig, as_graph_problem, cost_graph
 from .errors import SizeGuardError
@@ -180,17 +179,15 @@ def classical_limit_solver(
         return out
 
     # Dirichlet at a: drop node 0.
-    ab = np.zeros((3, M))
-    ab[1] = di_M[1:] / dt + di_K[1:]
-    ab[0, 1:] = off_M[1:] / dt + lo_K[1:]
-    ab[2, :-1] = off_M[1:] / dt + lo_K[1:]
+    off = off_M[1:] / dt + lo_K[1:]
+    A = np.diag(di_M[1:] / dt + di_K[1:]) + np.diag(off, 1) + np.diag(off, -1)
 
     y = np.zeros((nt + 1, M + 1))
     y[0] = y0
     for k in range(1, nt + 1):
         rhs = (mass_apply(y[k - 1]) / dt + mass_apply(f[k]))[1:]
         rhs[-1] += v[k]
-        y[k, 1:] = solve_banded((1, 1), ab, rhs)
+        y[k, 1:] = np.linalg.solve(A, rhs)
     return y
 
 

@@ -78,11 +78,11 @@ def factorizations(monkeypatch):
     """The edge Cholesky factorizations of the step matrix made while the test
     runs, one entry each: an assembly makes one per edge."""
     calls = []
-    cho_factor = fracstar.graph_solver.cho_factor
+    cholesky = fracstar.graph_solver.cholesky
 
     def counted(*args, **kwargs):
         calls.append(1)
-        return cho_factor(*args, **kwargs)
+        return cholesky(*args, **kwargs)
 
-    monkeypatch.setattr(fracstar.graph_solver, "cho_factor", counted)
+    monkeypatch.setattr(fracstar.graph_solver, "cholesky", counted)
     return calls

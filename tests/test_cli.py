@@ -277,6 +277,21 @@ class TestCommands:
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "y0.csv" in err
 
+    def test_every_bad_data_file_is_reported(self, tmp_path, capsys):
+        (tmp_path / "bad1.csv").write_text("0.1,0.2,0.3\n")
+        (tmp_path / "bad2.csv").write_text("nan,2\n")
+        two_edges = GRAPH_INI[: GRAPH_INI.index("[edge.3]")] + "[optimizer]\n"
+        two_edges = two_edges.replace("n = 3", "n = 2")
+        y0_line = "ydtarget = const:0.3\ny0 = file:bad{}.csv"
+        two_edges = two_edges.replace("ydtarget = const:0.3", y0_line).format(1, 2)
+        ini = write(tmp_path, "graph.ini", two_edges)
+        rc = main(["--output-dir", str(tmp_path), "solve-forward", str(ini)])
+        assert rc == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2 and all(ln.startswith("config error: ") for ln in lines)
+        for i, line in enumerate(lines, start=1):
+            assert f"[edge.{i}] y0" in line and f"bad{i}.csv" in line
+
     def test_single_edge_weight_must_match_tikhonov(self, tmp_path, capsys):
         bad = EDGE_INI.replace("weight = 0.5", "weight = 1.0")
         with pytest.raises(ConfigError) as exc:

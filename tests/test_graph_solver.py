@@ -191,8 +191,8 @@ class TestAssembly:
         def broken(*args, **kwargs):
             raise np.linalg.LinAlgError("broken")
 
-        # the edge Cholesky factors and the Schur complement's LU
-        for name in ("cho_factor", "lu_factor"):
+        # the edge Cholesky factors, and the edge and Schur complement inverses
+        for name in ("cholesky", "inv"):
             with monkeypatch.context() as patch:
                 patch.setattr(fracstar.graph_solver, name, broken)
                 with pytest.raises(
@@ -200,12 +200,14 @@ class TestAssembly:
                 ):
                     assemble_graph_system(pr)
 
-        def singular(*args, **kwargs):
-            lu, piv = lu_factor(*args, **kwargs)
-            lu[-1, -1] = 0.0
-            return lu, piv
+        inv = fracstar.graph_solver.inv
 
-        monkeypatch.setattr(fracstar.graph_solver, "lu_factor", singular)
+        def non_finite(*args, **kwargs):
+            out = inv(*args, **kwargs)
+            out[-1, -1] = np.nan
+            return out
+
+        monkeypatch.setattr(fracstar.graph_solver, "inv", non_finite)
         sys_ = assemble_graph_system(pr)
         with pytest.raises(SolverFailure, match="non-finite forward solve"):
             solve_forward_graph(pr, system=sys_)

@@ -42,6 +42,21 @@ class TestCoefficients:
             # stated lower bound above the actual minimum
             EdgeCoefficients(beta=np.ones(5), q=np.ones(5), beta0=2.0, q0=1.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_samples_rejected(self, bad):
+        ok = np.ones(5)
+        for i in range(5):
+            spoilt = ok.copy()
+            spoilt[i] = bad
+            for beta, q in ((spoilt, ok), (ok, spoilt)):
+                with pytest.raises(CoefficientError):
+                    EdgeCoefficients(beta=beta, q=q, beta0=1.0, q0=1.0)
+        with pytest.raises(CoefficientError):
+            EdgeCoefficients(beta=ok, q=ok, beta0=np.nan, q0=1.0)
+        grid = Grid1D(0.0, 1.0, 4)
+        with pytest.raises(CoefficientError):
+            EdgeCoefficients.from_callables(grid, lambda x: bad if x > 0.5 else 1.0, lambda x: 1.0)
+
 
 class TestAssembly:
     def test_symmetry(self, rng):
