@@ -38,6 +38,12 @@ are ``zero``, ``const:<v>`` or ``file:<path.csv>``; CSV sources/targets hold
 ``nt+1`` rows of ``m_cells+1`` comma-separated values, initial data a single
 row.
 
+:func:`parse_config` reads a file in one pass, straight into the solver's
+problem, cost and admissible sets, and reports every violation, data files
+included, in one :class:`ConfigError`.  NaN and infinite values are
+violations (a box bound may be infinite as long as the box holds a real
+value).  An edge's messages start with ``[edge.i] key``.
+
 Commands: ``solve-forward``, ``solve-adjoint``, ``optimize``, ``validate``.
 Exit codes: 0 success, 2 config error, 3 solver failure, 4 validation failure.
 """
@@ -47,7 +53,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -67,101 +73,90 @@ from .grids import Grid1D, TimeGrid
 from .sturm import EdgeCoefficients
 from .validation import dense_oracle_solve_graph
 
-FMT = "{:.17g}"
-
-
-@dataclass
-class EdgeConfig:
-    a: float
-    b: float
-    m_cells: int
-    beta: float
-    q: float
-    f: str
-    y0: str
-    ydtarget: str
-
-
-@dataclass
-class ControlConfig:
-    kind: str
-    uad: AdmissibleSet
-    weight: float
-
 
 @dataclass
 class RunConfig:
-    """Validated mirror of a problem file."""
+    """A checked problem file in the solver's own types: the problem, its
+    cost, one admissible set per control channel (``channels`` holds their
+    section numbers) and the optimizer settings."""
 
-    alpha: float
-    T: float
-    nt: int
-    n: int
-    m_split: int
-    edges: list[EdgeConfig]
-    controls: dict[int, ControlConfig]
+    problem: StarGraphProblem
+    cost: CostConfig
+    sets: list[AdmissibleSet]
+    channels: list[int]
     algo: str
     tol: float
     max_iter: int
-    tikhonov_n: float
-    base_dir: Path = field(default_factory=Path)
-
-    @property
-    def is_graph(self) -> bool:
-        return self.n >= 2
 
 
-def _parse_coeff(token: str, key: str, errors: list[str]) -> float:
+def _data(token: str, key: str, base: Path, shape: tuple, errors: list[str]):
+    """The array of a data token ``zero | const:<v> | file:<path.csv>``, or
+    ``None`` with the violation added to ``errors``.  A ``None`` size in
+    ``shape`` is one an invalid grid or ``nt`` leaves unknown: a file is then
+    read and checked for finite values, but not for its shape."""
     token = token.strip()
+    known = None not in shape
+    if token == "zero":
+        return np.zeros(shape) if known else None
     if token.startswith("const:"):
-        token = token[len("const:") :]
-    try:
-        return float(token)
-    except ValueError:
-        errors.append(f"{key}: cannot parse coefficient token {token!r}")
-        return 1.0
-
-
-def _check_data_token(token: str, key: str, base: Path, errors: list[str]) -> str:
-    token = token.strip()
-    if token == "zero" or token.startswith("const:"):
-        if token.startswith("const:"):
-            try:
-                float(token[len("const:") :])
-            except ValueError:
-                errors.append(f"{key}: bad constant in token {token!r}")
-        return token
-    if token.startswith("file:"):
+        source = f"data token {token!r}"
+        try:
+            data = np.full(shape if known else (), float(token[len("const:") :]))
+        except ValueError:
+            errors.append(f"{key}: bad constant in token {token!r}")
+            return None
+    elif token.startswith("file:"):
         path = base / token[len("file:") :]
-        if not path.exists():
-            errors.append(f"{key}: referenced file {path} does not exist")
-        return token
-    errors.append(f"{key}: unknown data token {token!r}")
-    return "zero"
+        source = f"data file {path}"
+        try:
+            data = np.loadtxt(path, delimiter=",", ndmin=len(shape))
+        except (OSError, ValueError) as exc:
+            errors.append(f"{key}: cannot read {source}: {exc}")
+            return None
+        if known and data.shape != shape:
+            errors.append(f"{key}: {source} has shape {data.shape}, expected {shape}")
+            return None
+    else:
+        errors.append(f"{key}: unknown data token {token!r}")
+        return None
+    if not np.all(np.isfinite(data)):
+        errors.append(f"{key}: {source} holds non-finite values")
+        return None
+    return data if known else None
 
 
-def _parse_uad(token: str, key: str, errors: list[str]) -> AdmissibleSet:
+def _parse_uad(token: str, key: str, errors: list[str]) -> AdmissibleSet | None:
     token = token.strip()
     if token == "unconstrained":
         return AdmissibleSet.unconstrained()
-    if token.startswith("box:"):
-        parts = token.split(":")
-        if len(parts) == 3:
-            try:
-                lo, hi = float(parts[1]), float(parts[2])
-                if lo > hi:
-                    errors.append(f"{key}: box bounds reversed ({lo} > {hi})")
-                    return AdmissibleSet.unconstrained()
-                return AdmissibleSet.box(lo, hi)
-            except ValueError:
-                pass
+    parts = token.split(":")
+    if parts[0] == "box" and len(parts) == 3:
+        try:
+            return AdmissibleSet.box(float(parts[1]), float(parts[2]))
+        except ValueError as exc:
+            errors.append(f"{key}: bad admissible-set token {token!r} ({exc})")
+            return None
     errors.append(f"{key}: bad admissible-set token {token!r}")
-    return AdmissibleSet.unconstrained()
+    return None
+
+
+def _finite(v: float) -> bool:
+    return -np.inf < v < np.inf
+
+
+def _positive(v: float) -> bool:
+    return 0.0 < v < np.inf
+
+
+def _coefficient(token: str) -> float:
+    """A constant coefficient, written ``<v>`` or ``const:<v>``."""
+    return float(token.removeprefix("const:"))
 
 
 def parse_config(path: str | Path) -> RunConfig:
-    """Parse and fully validate a problem file; raises :class:`ConfigError`
-    carrying every violation found, not just the first."""
+    """Read a problem file in one pass into the solver's types: every key is
+    checked and every data file loaded.  Raises :class:`ConfigError` carrying
+    every violation found, not just the first."""
     path = Path(path)
     if not path.exists():
         raise ConfigError([f"problem file {path} does not exist"])
@@ -172,202 +167,119 @@ def parse_config(path: str | Path) -> RunConfig:
         raise ConfigError([f"cannot parse {path}: {exc}"]) from None
 
     errors: list[str] = []
-    prob = cp["problem"] if cp.has_section("problem") else {}
-    if not cp.has_section("problem"):
-        errors.append("missing [problem] section")
 
-    def fget(sec, key, default=None, kind=float):
+    def section(name):
+        return cp[name] if cp.has_section(name) else {}
+
+    def number(sec, label, key, ok, rule, default=None, kind=float):
+        """The value of ``key`` if it parses and ``ok`` holds for it, else
+        ``None`` with the violation recorded; ``default`` if it is absent."""
         raw = sec.get(key)
         if raw is None:
             if default is None:
-                errors.append(f"missing required key {key!r}")
-                return kind(1)
+                errors.append(f"{label}missing required key {key!r}")
             return default
         try:
-            return kind(raw)
-        except (TypeError, ValueError):
-            errors.append(f"key {key!r}: cannot parse {raw!r}")
-            return kind(1)
+            value = kind(raw)
+        except ValueError:
+            errors.append(f"{label}{key}: cannot parse {raw!r}")
+            return None
+        if not ok(value):
+            errors.append(f"{label}{key} must {rule}, got {value}")
+            return None
+        return value
 
-    alpha = fget(prob, "alpha")
-    T = fget(prob, "T")
-    nt = fget(prob, "nt", kind=int)
-    n = fget(prob, "n", default=1, kind=int)
-    m_split = fget(prob, "m_split", default=0, kind=int)
+    prob = section("problem")
+    if not cp.has_section("problem"):
+        errors.append("missing [problem] section")
+    alpha = number(prob, "", "alpha", lambda v: 0.0 < v <= 1.0, "lie in (0, 1]")
+    T = number(prob, "", "T", _positive, "be positive and finite")
+    nt = number(prob, "", "nt", lambda v: v >= 1, "be at least 1", kind=int)
+    n = number(prob, "", "n", lambda v: v >= 1, "be at least 1", default=1, kind=int) or 1
+    m_split = number(
+        prob, "", "m_split", lambda v: n == 1 or 2 <= v <= n,
+        f"satisfy 2 <= m_split <= n on a graph with n = {n}", default=0, kind=int,
+    )
+    # a single edge is the one-edge graph with m = 0; channels 2..m are Dirichlet
+    m = 0 if n == 1 or m_split is None else m_split
+    time_grid = None if T is None or nt is None else TimeGrid(T, nt)
+    rows = None if nt is None else nt + 1
+    base = path.parent
 
-    if not 0.0 < alpha <= 1.0:
-        errors.append(f"alpha must lie in (0, 1], got {alpha}")
-    if T <= 0.0:
-        errors.append(f"T must be positive, got {T}")
-    if nt < 1:
-        errors.append(f"nt must be at least 1, got {nt}")
-    if n < 1:
-        errors.append(f"n must be at least 1, got {n}")
-    if n >= 2 and not 2 <= m_split <= n:
-        errors.append(f"graph requires 2 <= m_split <= n, got m_split={m_split}, n={n}")
-
-    edges: list[EdgeConfig] = []
-    for i in range(1, max(n, 1) + 1):
-        sec_name = f"edge.{i}"
-        if not cp.has_section(sec_name):
-            errors.append(f"missing section [{sec_name}]")
-            edges.append(EdgeConfig(0.0, 1.0, 8, 1.0, 1.0, "zero", "zero", "zero"))
+    grids, coeffs, fs, y0s, yds = [], [], [], [], []
+    for i in range(1, n + 1):
+        if not cp.has_section(f"edge.{i}"):
+            errors.append(f"missing section [edge.{i}]")
             continue
-        sec = cp[sec_name]
-        a = fget(sec, "a")
-        b = fget(sec, "b")
-        mc = fget(sec, "m_cells", kind=int)
-        beta = _parse_coeff(sec.get("beta", "1.0"), f"{sec_name}.beta", errors)
-        q = _parse_coeff(sec.get("q", "1.0"), f"{sec_name}.q", errors)
-        if b <= a:
-            errors.append(f"{sec_name}: empty interval [{a}, {b}]")
-        if mc < 2:
-            errors.append(f"{sec_name}: m_cells must be at least 2, got {mc}")
-        if beta <= 0.0:
-            errors.append(
-                f"{sec_name}: beta = {beta} violates the positivity assumption "
-                "(beta >= beta0 > 0)"
-            )
-        if q <= 0.0:
-            errors.append(
-                f"{sec_name}: q = {q} violates the positivity assumption (q >= q0 > 0)"
-            )
-        fj = _check_data_token(sec.get("f", "zero"), f"{sec_name}.f", path.parent, errors)
-        y0 = _check_data_token(sec.get("y0", "zero"), f"{sec_name}.y0", path.parent, errors)
-        yd = _check_data_token(
-            sec.get("ydtarget", "zero"), f"{sec_name}.ydtarget", path.parent, errors
-        )
-        edges.append(EdgeConfig(a, b, mc, beta, q, fj, y0, yd))
+        sec, label = cp[f"edge.{i}"], f"[edge.{i}] "
+        a = number(sec, label, "a", _finite, "be finite")
+        b = number(sec, label, "b", _finite, "be finite")
+        m_cells = number(sec, label, "m_cells", lambda v: v >= 2, "be at least 2", kind=int)
+        rule = "be positive and finite (the positivity assumption {0} >= {0}0 > 0)"
+        beta = number(sec, label, "beta", _positive, rule.format("beta"), 1.0, _coefficient)
+        q = number(sec, label, "q", _positive, rule.format("q"), 1.0, _coefficient)
+        grid = None
+        if a is not None and b is not None:
+            if not a < b:
+                errors.append(f"{label}empty interval [{a}, {b}]")
+            elif m_cells is not None:
+                grid = Grid1D(a, b, m_cells)
+                grids.append(grid)
+                if beta is not None and q is not None:
+                    coeffs.append(EdgeCoefficients.constant(grid, beta, q))
+        nodes = None if grid is None else grid.nnodes
+        fs.append(_data(sec.get("f", "zero"), f"{label}f", base, (rows, nodes), errors))
+        y0s.append(_data(sec.get("y0", "zero"), f"{label}y0", base, (nodes,), errors))
+        yd = sec.get("ydtarget", "zero")
+        yds.append(_data(yd, f"{label}ydtarget", base, (rows, nodes), errors))
 
-    if n >= 2:
-        a0 = edges[0].a
-        if any(e.a != a0 for e in edges):
-            errors.append("all edges of a star graph must share the left endpoint a")
+    if len({g.a for g in grids}) > 1:
+        errors.append("all edges of a star graph must share the left endpoint a")
 
-    controls: dict[int, ControlConfig] = {}
-    channel_range = range(2, n + 1) if n >= 2 else range(1, 2)
-    for i in channel_range:
-        sec_name = f"control.{i}"
-        expected = "neumann" if (n == 1 or i > m_split) else "dirichlet"
-        if not cp.has_section(sec_name):
-            controls[i] = ControlConfig(expected, AdmissibleSet.unconstrained(), 1.0)
-            continue
-        sec = cp[sec_name]
+    channels = list(range(2, n + 1)) if n >= 2 else [1]
+    sets, weights = [], []
+    for i in channels:
+        sec, label = section(f"control.{i}"), f"control.{i}: "
+        expected = "dirichlet" if i <= m else "neumann"
         kind = sec.get("kind", "").strip().lower() or expected
         if kind not in ("dirichlet", "neumann"):
-            errors.append(f"{sec_name}: kind must be dirichlet or neumann, got {kind!r}")
-        elif kind != expected:
-            errors.append(
-                f"{sec_name}: edge {i} must be {expected}-controlled for m_split={m_split}"
-            )
-        uad = _parse_uad(sec.get("uad", "unconstrained"), f"{sec_name}.uad", errors)
-        weight = fget(sec, "weight", default=1.0)
-        if weight <= 0.0:
-            errors.append(f"{sec_name}: weight must be positive, got {weight}")
-        controls[i] = ControlConfig(kind, uad, weight)
+            errors.append(f"{label}kind must be dirichlet or neumann, got {kind!r}")
+        elif kind != expected and m_split is not None:
+            errors.append(f"{label}edge {i} must be {expected}-controlled for m_split={m_split}")
+        sets.append(_parse_uad(sec.get("uad", "unconstrained"), f"control.{i}.uad", errors))
+        weights.append(number(sec, label, "weight", _positive, "be positive and finite", 1.0))
 
-    named = {"problem", "optimizer"} | {f"edge.{i}" for i in range(1, len(edges) + 1)}
-    named |= {f"control.{i}" for i in channel_range}
-    for sec_name in cp.sections():
-        if sec_name not in named:
-            errors.append(f"section [{sec_name}] names nothing in a problem with n = {n}")
+    named = {"problem", "optimizer"} | {f"edge.{i}" for i in range(1, n + 1)}
+    named |= {f"control.{i}" for i in channels}
+    for name in cp.sections():
+        if name not in named:
+            errors.append(f"section [{name}] names nothing in a problem with n = {n}")
 
-    opt = cp["optimizer"] if cp.has_section("optimizer") else {}
+    opt = section("optimizer")
     algo = (opt.get("algo", "projected_gradient") or "projected_gradient").strip()
     if algo not in ("projected_gradient", "fixed_point"):
         errors.append(f"optimizer.algo must be projected_gradient or fixed_point, got {algo!r}")
-    tol = fget(opt, "tol", default=1e-6)
-    max_iter = fget(opt, "max_iter", default=200, kind=int)
-    tikhonov_n = fget(opt, "tikhonov_n", default=1.0)
-    if tol <= 0.0:
-        errors.append(f"optimizer.tol must be positive, got {tol}")
-    if max_iter < 1:
-        errors.append(f"optimizer.max_iter must be at least 1, got {max_iter}")
-    if tikhonov_n <= 0.0:
-        errors.append(f"optimizer.tikhonov_n must be positive, got {tikhonov_n}")
+    label, rule = "optimizer.", "be positive and finite"
+    tol = number(opt, label, "tol", _positive, rule, 1e-6)
+    max_iter = number(opt, label, "max_iter", lambda v: v >= 1, "be at least 1", 200, int)
+    tikhonov_n = number(opt, label, "tikhonov_n", _positive, rule, 1.0)
     if n == 1:
         # a single edge is penalized by tikhonov_n; a weight given must agree
-        sec = cp["control.1"] if cp.has_section("control.1") else {}
-        if "weight" in sec and controls[1].weight != tikhonov_n:
+        given = "weight" in section("control.1")
+        if given and None not in (weights[0], tikhonov_n) and weights[0] != tikhonov_n:
             errors.append(
-                f"control.1: weight = {controls[1].weight} differs from "
+                f"control.1: weight = {weights[0]} differs from "
                 f"optimizer.tikhonov_n = {tikhonov_n}, the penalty of a single edge"
             )
-        controls[1].weight = tikhonov_n
+        weights = [tikhonov_n]
 
-    if errors:
-        raise ConfigError(errors)
-
-    return RunConfig(
-        alpha=alpha,
-        T=T,
-        nt=nt,
-        n=n,
-        m_split=m_split if n >= 2 else 0,
-        edges=edges,
-        controls=controls,
-        algo=algo,
-        tol=tol,
-        max_iter=max_iter,
-        tikhonov_n=tikhonov_n,
-        base_dir=path.parent,
-    )
-
-
-def _data_array(token: str, base: Path, shape: tuple, key: str, errors: list[str]):
-    """The data array of a token, or zeros with a violation added to ``errors``."""
-    if token == "zero":
-        return np.zeros(shape)
-    if token.startswith("const:"):
-        data, source = np.full(shape, float(token[len("const:") :])), f"data token {token!r}"
-    else:
-        path = base / token[len("file:") :]
-        source = f"data file {path}"
-        try:
-            data = np.loadtxt(path, delimiter=",", ndmin=len(shape))
-        except (OSError, ValueError) as exc:
-            errors.append(f"{key}: cannot read {source}: {exc}")
-            return np.zeros(shape)
-        if data.shape != shape:
-            errors.append(f"{key}: {source} has shape {data.shape}, expected {shape}")
-            return np.zeros(shape)
-    if not np.all(np.isfinite(data)):
-        errors.append(f"{key}: {source} holds non-finite values")
-    return data
-
-
-def _build(cfg: RunConfig):
-    """Star-graph problem, cost and per-channel admissible sets of a problem
-    file, or a :class:`ConfigError` naming every unusable data file.  A single
-    edge is the one-edge graph (``m_split = 0``, channel 1) whose control
-    weight :func:`parse_config` has set to ``tikhonov_n``."""
-    tg = TimeGrid(cfg.T, cfg.nt)
-    grids, coeffs, fs, y0s, yds = [], [], [], [], []
-    errors: list[str] = []
-    for i, e in enumerate(cfg.edges, start=1):
-        grid = Grid1D(e.a, e.b, e.m_cells)
-        grids.append(grid)
-        coeffs.append(EdgeCoefficients.constant(grid, e.beta, e.q))
-        shape_xt = (cfg.nt + 1, grid.nnodes)
-        fs.append(_data_array(e.f, cfg.base_dir, shape_xt, f"[edge.{i}] f", errors))
-        y0s.append(_data_array(e.y0, cfg.base_dir, (grid.nnodes,), f"[edge.{i}] y0", errors))
-        yds.append(_data_array(e.ydtarget, cfg.base_dir, shape_xt, f"[edge.{i}] ydtarget", errors))
     if errors:
         raise ConfigError(errors)
     problem = StarGraphProblem(
-        alpha=cfg.alpha,
-        time_grid=tg,
-        grids=grids,
-        coeffs=coeffs,
-        f=fs,
-        y0=y0s,
-        y_d=yds,
-        m=cfg.m_split,
+        alpha=alpha, time_grid=time_grid, grids=grids, coeffs=coeffs, f=fs, y0=y0s, y_d=yds, m=m
     )
-    weights = [ctl.weight for ctl in cfg.controls.values()]
-    cost_cfg = CostConfig(channel_weights=np.array(weights))
-    sets = [ctl.uad for ctl in cfg.controls.values()]
-    return problem, cost_cfg, sets
+    cost = CostConfig(channel_weights=np.array(weights))
+    return RunConfig(problem, cost, sets, channels, algo, tol, max_iter)
 
 
 def _write_csv(path: Path, header: str, lead, labels, values) -> None:
@@ -380,17 +292,6 @@ def _write_csv(path: Path, header: str, lead, labels, values) -> None:
         for key, row in zip(lead, values):
             cells = zip(labels, row.tolist())
             fh.write("".join([f"{key}{label}{v:.17g}\n" for label, v in cells]))
-
-
-def _report_lines(kind, ratio, bound, ratio_T, bound_T, extra=()):
-    lines = [
-        f"{kind} a-priori estimate, energy norm: measured {FMT.format(ratio)}"
-        f" <= bound {FMT.format(bound)}",
-        f"{kind} a-priori estimate, final time:  measured {FMT.format(ratio_T)}"
-        f" <= bound {FMT.format(bound_T)}",
-    ]
-    lines.extend(extra)
-    return lines
 
 
 def _finish(out: Path, problem: StarGraphProblem, states, report: list[str]) -> None:
@@ -408,45 +309,47 @@ def _finish(out: Path, problem: StarGraphProblem, states, report: list[str]) -> 
 
 
 def _cmd_solve_forward(cfg: RunConfig, out: Path) -> int:
-    problem, _, _ = _build(cfg)
+    problem = cfg.problem
     system = assemble_graph_system(problem)
     traj = solve_forward_graph(problem, system=system)
     d = diagnose_forward(system, traj)
-    extra = []
-    if cfg.is_graph:
+    kind = "graph" if problem.n >= 2 else "edge"
+    report = [
+        f"{kind} a-priori estimate, energy norm: measured {d.estimate_ratio:.17g}"
+        f" <= bound {d.estimate_bound:.17g}",
+        f"{kind} a-priori estimate, final time:  measured {d.estimate_ratio_T:.17g}"
+        f" <= bound {d.estimate_bound_T:.17g}",
+    ]
+    if problem.n >= 2:
         junction = float(np.abs(d.junction_flux.sum(axis=1)).max())
-        extra = [
-            f"junction flux balance, max residual: {FMT.format(junction)}",
-            f"dirichlet constraint, max residual:  {FMT.format(d.constraint_residual)}",
+        report += [
+            f"junction flux balance, max residual: {junction:.17g}",
+            f"dirichlet constraint, max residual:  {d.constraint_residual:.17g}",
         ]
-    report = _report_lines(
-        "graph" if cfg.is_graph else "edge", d.estimate_ratio, d.estimate_bound,
-        d.estimate_ratio_T, d.estimate_bound_T, extra,
-    )
     _finish(out, problem, traj.samples, report)
     return 0
 
 
 def _cmd_solve_adjoint(cfg: RunConfig, out: Path) -> int:
-    problem, _, _ = _build(cfg)
+    problem = cfg.problem
     system = assemble_graph_system(problem)
     fwd = solve_forward_graph(problem, system=system)
     adj = solve_adjoint_graph(problem, fwd, system=system)
     report = ["adjoint solve complete (source y - y_d)"]
     if problem.m > 0:
         ratio = diagnose_adjoint(system, adj, fwd).boundary_regularity_ratio
-        report.append(f"boundary regularity ratio: {FMT.format(ratio)}")
+        report.append(f"boundary regularity ratio: {ratio:.17g}")
     _finish(out, problem, adj.samples, report)
     return 0
 
 
 def _cmd_optimize(cfg: RunConfig, out: Path) -> int:
-    problem, cost_cfg, sets = _build(cfg)
+    problem = cfg.problem
     result = optimize(
-        problem, cost_cfg, sets, algo=cfg.algo, tol=cfg.tol, max_iter=cfg.max_iter
+        problem, cfg.cost, cfg.sets, algo=cfg.algo, tol=cfg.tol, max_iter=cfg.max_iter
     )
     times = [f"{t:.17g}," for t in problem.time_grid.times.tolist()]
-    channels = [f"{ch}," for ch in cfg.controls]
+    channels = [f"{ch}," for ch in cfg.channels]
     _write_csv(
         out / "controls.csv", "t,channel,value", times, channels, result.controls.T
     )
@@ -458,8 +361,8 @@ def _cmd_optimize(cfg: RunConfig, out: Path) -> int:
     report = [
         f"optimizer: {cfg.algo}, iterations {result.iterations}, "
         f"converged {result.converged} ({result.reason})",
-        f"final cost {FMT.format(result.cost_history[-1])}, "
-        f"stationarity {FMT.format(result.residual_history[-1])}",
+        f"final cost {result.cost_history[-1]:.17g}, "
+        f"stationarity {result.residual_history[-1]:.17g}",
     ]
     _finish(out, problem, result.state.samples, report)
     if not result.converged:
@@ -475,8 +378,8 @@ def _cmd_validate(cfg: RunConfig, out: Path) -> int:
         checks.append((name, ok, detail))
         print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
 
-    grid0 = Grid1D(cfg.edges[0].a, cfg.edges[0].b, cfg.edges[0].m_cells)
-    alpha = cfg.alpha
+    problem, cost_cfg = cfg.problem, cfg.cost
+    grid0, alpha = problem.grids[0], problem.alpha
 
     # integration by parts, built by transposition
     D = left_rl_derivative(alpha, grid0)
@@ -505,7 +408,6 @@ def _cmd_validate(cfg: RunConfig, out: Path) -> int:
         )
     record("trace-telescoping", worst <= 1e-12, f"max residual {worst:.3e}")
 
-    problem, cost_cfg, _ = _build(cfg)
     system = assemble_graph_system(problem)
     fwd = solve_forward_graph(problem, system=system)
     diag = diagnose_forward(system, fwd)

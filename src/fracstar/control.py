@@ -50,9 +50,11 @@ class AdmissibleSet:
     hi: float | np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.lo is not None and self.hi is not None:
-            if np.any(np.asarray(self.lo) > np.asarray(self.hi)):
-                raise ValueError("box bounds must satisfy lo <= hi pointwise")
+        # stated positively, so a NaN bound fails
+        lo = np.asarray(-np.inf if self.lo is None else self.lo, dtype=float)
+        hi = np.asarray(np.inf if self.hi is None else self.hi, dtype=float)
+        if not np.all((lo <= hi) & (lo < np.inf) & (hi > -np.inf)):
+            raise ValueError("box bounds must satisfy lo <= hi, lo < inf and hi > -inf pointwise")
 
     @classmethod
     def unconstrained(cls) -> "AdmissibleSet":
@@ -87,12 +89,14 @@ class CostConfig:
     y_d: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if self.n_tikhonov <= 0.0:
-            raise ValueError(f"Tikhonov weight must be positive, got {self.n_tikhonov}")
-        if self.channel_weights is not None and np.any(
-            np.asarray(self.channel_weights) <= 0.0
-        ):
-            raise ValueError("channel weights must be positive")
+        if not 0.0 < self.n_tikhonov < np.inf:
+            raise ValueError(
+                f"Tikhonov weight must be positive and finite, got {self.n_tikhonov}"
+            )
+        if self.channel_weights is not None:
+            w = np.asarray(self.channel_weights, dtype=float)
+            if not np.all((0.0 < w) & (w < np.inf)):
+                raise ValueError("channel weights must be positive and finite")
 
     def weights_for(self, problem: StarGraphProblem) -> np.ndarray:
         nch = problem.n_channels
@@ -217,10 +221,12 @@ def optimize(
 ) -> OptimResult:
     """Minimize the tracking cost over the admissible controls.
 
-    ``algo`` is ``"projected_gradient"`` (Armijo backtracking along the
-    projection arc) or ``"fixed_point"`` (damped iteration of the projected
-    optimality map).  The cost is quadratic, so projected gradient measures a
-    candidate's decrease exactly from the two gradients,
+    The iteration starts from the projection of ``u0`` (one row per control
+    channel, one column per time level: shape ``(n_channels, Nt + 1)``), or
+    of zero.  ``algo`` is ``"projected_gradient"`` (Armijo backtracking along
+    the projection arc) or ``"fixed_point"`` (damped iteration of the
+    projected optimality map).  The cost is quadratic, so projected gradient
+    measures a candidate's decrease exactly from the two gradients,
     ``J(c) - J(u) = 1/2 <g(u) + g(c), c - u>``, which resolves decreases far
     below the roundoff of the cost itself; the candidate's adjoint then
     serves as the next iterate's measurement, and ``cost_history``
@@ -274,7 +280,9 @@ def optimize(
     if u0 is None:
         ctrl = np.zeros((nchannels, nt + 1))
     else:
-        ctrl = np.asarray(u0, dtype=float).reshape(nchannels, nt + 1).copy()
+        ctrl = np.asarray(u0, dtype=float)
+        if ctrl.shape != (nchannels, nt + 1):
+            raise ValueError(f"u0 must have shape {(nchannels, nt + 1)}, got {ctrl.shape}")
     ctrl = proj(ctrl)
 
     state = forward(ctrl)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fracstar import ConfigError, optimize, solve_forward_graph
-from fracstar.cli import _build, _write_csv, main, parse_config
+from fracstar.cli import _write_csv, main, parse_config
 
 EDGE_INI = """
 [problem]
@@ -90,16 +90,23 @@ def write(tmp_path, name, text):
 class TestParseConfig:
     def test_minimal_edge_config(self, tmp_path):
         cfg = parse_config(write(tmp_path, "edge.ini", EDGE_INI))
-        assert cfg.n == 1 and not cfg.is_graph
-        assert cfg.alpha == 0.6 and cfg.nt == 16
-        assert cfg.controls[1].kind == "neumann"
-        assert cfg.controls[1].uad.kind == "box"
+        problem = cfg.problem
+        # a single edge is the one-edge graph, m = 0
+        assert problem.n == 1 and problem.m == 0
+        assert problem.alpha == 0.6 and problem.time_grid.Nt == 16
+        # its one channel, [control.1], is Neumann
+        assert cfg.channels == [1]
+        assert problem.n_dirichlet_channels == 0 and problem.n_neumann_channels == 1
+        assert cfg.sets[0].kind == "box"
 
     def test_graph_config(self, tmp_path):
         cfg = parse_config(write(tmp_path, "graph.ini", GRAPH_INI))
-        assert cfg.is_graph and cfg.m_split == 2
-        assert cfg.controls[2].kind == "dirichlet"
-        assert cfg.controls[3].kind == "neumann"
+        problem = cfg.problem
+        assert problem.n == 3 and problem.m == 2
+        # channels 2..m are Dirichlet, m+1..n Neumann: [control.2], then [control.3]
+        assert cfg.channels == [2, 3]
+        assert problem.n_dirichlet_channels == 1 and problem.n_neumann_channels == 1
+        assert [s.kind for s in cfg.sets] == ["box", "unconstrained"]
 
     def test_negative_beta_rejected_with_assumption(self, tmp_path):
         bad = EDGE_INI.replace("beta = const:1.0", "beta = const:-1")
@@ -169,13 +176,14 @@ class TestCommands:
     def test_csv_round_trip_is_bitwise(self, tmp_path):
         ini = write(tmp_path, "graph.ini", GRAPH_INI)
         cfg = parse_config(ini)
-        problem, cost_cfg, sets = _build(cfg)
+        problem, cost_cfg, sets = cfg.problem, cfg.cost, cfg.sets
         assert main(["--output-dir", str(tmp_path), "solve-forward", str(ini)]) == 0
         traj = solve_forward_graph(problem)
         state = np.loadtxt(tmp_path / "state.csv", delimiter=",", skiprows=1)
         assert state[:, 3].tobytes() == np.hstack(traj.samples).ravel().tobytes()
         nodes = np.concatenate([g.nodes for g in problem.grids])
-        assert state[:, 2].tobytes() == np.tile(nodes, cfg.nt + 1).tobytes()
+        nt = problem.time_grid.Nt
+        assert state[:, 2].tobytes() == np.tile(nodes, nt + 1).tobytes()
         times = np.repeat(problem.time_grid.times, len(nodes))
         assert state[:, 0].tobytes() == times.tobytes()
 
@@ -185,7 +193,7 @@ class TestCommands:
         )
         controls = np.loadtxt(tmp_path / "controls.csv", delimiter=",", skiprows=1)
         assert controls[:, 2].tobytes() == result.controls.T.ravel().tobytes()
-        assert controls[:, 1].tolist() == [2.0, 3.0] * (cfg.nt + 1)
+        assert controls[:, 1].tolist() == [2.0, 3.0] * (nt + 1)
 
     def test_optimize_edge_outputs(self, tmp_path):
         ini = write(tmp_path, "edge.ini", EDGE_INI)
@@ -292,6 +300,43 @@ class TestCommands:
         for i, line in enumerate(lines, start=1):
             assert f"[edge.{i}] y0" in line and f"bad{i}.csv" in line
 
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("T = 1.0", "T = nan"),
+            ("b = 1.0", "b = nan"),
+            ("tol = 1e-7", "tol = nan"),
+            ("uad = box:-2.0:2.0", "uad = box:nan:1"),
+            ("tikhonov_n = 0.5", "tikhonov_n = nan"),
+        ],
+    )
+    def test_nan_scalar_is_config_error(self, tmp_path, capsys, old, new):
+        # without a weight, which would differ from a NaN tikhonov_n
+        text = EDGE_INI.replace("weight = 0.5\n", "").replace(old, new)
+        ini = write(tmp_path, "edge.ini", text)
+        assert main(["--output-dir", str(tmp_path), "optimize", str(ini)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        key = new.split(" = ")[0]
+        assert len(lines) == 1 and lines[0].startswith("config error: ") and key in lines[0]
+
+    def test_data_errors_reported_with_scalar_errors(self, tmp_path, capsys):
+        # a scalar error hides no data-file error, a missing file no wrong shape
+        (tmp_path / "short.csv").write_text("0.1,0.2,0.3\n")
+        bad = (
+            EDGE_INI.replace("alpha = 0.6", "alpha = 2")
+            .replace("m_cells = 12", "m_cells = 4")
+            .replace("f = zero", "f = file:missing.csv")
+            .replace("y0 = const:0.5", "y0 = file:short.csv")
+        )
+        ini = write(tmp_path, "bad.ini", bad)
+        assert main(["--output-dir", str(tmp_path), "solve-forward", str(ini)]) == 2
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 3 and all(ln.startswith("config error: ") for ln in lines)
+        assert "alpha must lie in" in lines[0]
+        assert "[edge.1] f" in lines[1] and "missing.csv" in lines[1]
+        assert "[edge.1] y0" in lines[2] and "short.csv" in lines[2]
+        assert "shape (3,), expected (5,)" in lines[2]
+
     def test_single_edge_weight_must_match_tikhonov(self, tmp_path, capsys):
         bad = EDGE_INI.replace("weight = 0.5", "weight = 1.0")
         with pytest.raises(ConfigError) as exc:
@@ -301,7 +346,7 @@ class TestCommands:
         assert "config error: control.1: weight" in capsys.readouterr().err
         # an absent weight takes tikhonov_n, the penalty that is used
         cfg = parse_config(write(tmp_path, "ok.ini", EDGE_INI.replace("weight = 0.5\n", "")))
-        assert cfg.controls[1].weight == cfg.tikhonov_n == 0.5
+        assert cfg.cost.channel_weights.tolist() == [0.5]  # tikhonov_n = 0.5
 
     def test_file_token_roundtrip(self, tmp_path):
         y0 = np.linspace(0.0, 1.0, 13) ** 2

@@ -78,6 +78,12 @@ class TestProjection:
         with pytest.raises(ValueError):
             AdmissibleSet.box(1.0, 0.0)
 
+    def test_nan_bounds_rejected(self):
+        with pytest.raises(ValueError):
+            AdmissibleSet.box(np.nan, 1.0)
+        with pytest.raises(ValueError):
+            AdmissibleSet.box(0.0, np.nan)
+
     def test_series_bounds(self, rng):
         # pointwise-in-time box with series bounds
         lo = -np.linspace(0.0, 1.0, 9)
@@ -90,6 +96,12 @@ class TestProjection:
 
 
 class TestCost:
+    def test_weights_must_be_positive_and_finite(self):
+        with pytest.raises(ValueError):
+            CostConfig(n_tikhonov=np.nan)
+        with pytest.raises(ValueError):
+            CostConfig(channel_weights=[1.0, np.nan])
+
     def test_zero_cost_at_match(self, rng):
         op, tg, f, y0, v = random_edge(rng)
         traj = solve_forward_edge(op, tg, f, y0, v)
@@ -284,6 +296,12 @@ class TestOptimize:
         om = problem.time_grid.trapezoid_weights()
         d = np.sqrt(om @ (r1.controls[0] - r2.controls[0]) ** 2)
         assert d <= 10 * tol
+
+    def test_start_shape_checked(self):
+        # a transposed start is refused, not reshaped into another control
+        problem, cfg = tracking_problem(M=8, Nt=8)
+        with pytest.raises(ValueError, match=r"\(1, 9\)"):
+            optimize(problem, cfg, AdmissibleSet.unconstrained(), u0=np.zeros((9, 1)))
 
     def test_tikhonov_monotonicity(self):
         # sweep from the heavily damped end, warm-starting each run

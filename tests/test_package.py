@@ -1,9 +1,11 @@
+import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import fracstar
+import fracstar.cli
 
 
 def test_all_names_resolve():
@@ -24,3 +26,24 @@ def test_runtime_imports_no_scipy():
     src = str(Path(fracstar.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
+
+
+def test_cli_calls_layers_by_module_global():
+    """The commands call each layer through a name bound in ``fracstar.cli``,
+    so wrapping that binding (as a per-layer trace does) sees every call."""
+    cli = fracstar.cli
+    names = [
+        "parse_config",
+        "optimize",
+        "assemble_graph_system",
+        "solve_forward_graph",
+        "solve_adjoint_graph",
+        "diagnose_forward",
+        "diagnose_adjoint",
+    ]
+    called = set()
+    for fn in vars(cli).values():
+        if inspect.isfunction(fn) and fn.__module__ == cli.__name__:
+            called |= set(fn.__code__.co_names)
+    assert [name for name in names if not callable(getattr(cli, name, None))] == []
+    assert [name for name in names if name not in called] == []
