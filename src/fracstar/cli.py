@@ -40,9 +40,10 @@ row.
 
 :func:`parse_config` reads a file in one pass, straight into the solver's
 problem, cost and admissible sets, and reports every violation, data files
-included, in one :class:`ConfigError`.  NaN and infinite values are
-violations (a box bound may be infinite as long as the box holds a real
-value).  An edge's messages start with ``[edge.i] key``.
+included, in one :class:`ConfigError`.  A key its section does not define
+is a violation, and so are NaN and infinite values (a box bound may be
+infinite as long as the box holds a real value).  An edge's messages start
+with ``[edge.i] key``.
 
 Commands: ``solve-forward``, ``solve-adjoint``, ``optimize``, ``validate``.
 Exit codes: 0 success, 2 config error, 3 solver failure, 4 validation failure.
@@ -53,6 +54,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -109,9 +111,15 @@ def _data(token: str, key: str, base: Path, shape: tuple, errors: list[str]):
         path = base / token[len("file:") :]
         source = f"data file {path}"
         try:
-            data = np.loadtxt(path, delimiter=",", ndmin=len(shape))
+            # an empty file warns; it is reported below, as a violation
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(path, delimiter=",", ndmin=len(shape))
         except (OSError, ValueError) as exc:
             errors.append(f"{key}: cannot read {source}: {exc}")
+            return None
+        if data.size == 0:
+            errors.append(f"{key}: {source} holds no data")
             return None
         if known and data.shape != shape:
             errors.append(f"{key}: {source} has shape {data.shape}, expected {shape}")
@@ -151,6 +159,13 @@ def _positive(v: float) -> bool:
 def _coefficient(token: str) -> float:
     """A constant coefficient, written ``<v>`` or ``const:<v>``."""
     return float(token.removeprefix("const:"))
+
+
+# the keys each section defines
+_PROBLEM_KEYS = ("alpha", "T", "nt", "n", "m_split")
+_EDGE_KEYS = ("a", "b", "m_cells", "beta", "q", "f", "y0", "ydtarget")
+_CONTROL_KEYS = ("kind", "uad", "weight")
+_OPTIMIZER_KEYS = ("algo", "tol", "max_iter", "tikhonov_n")
 
 
 def parse_config(path: str | Path) -> RunConfig:
@@ -249,11 +264,17 @@ def parse_config(path: str | Path) -> RunConfig:
         sets.append(_parse_uad(sec.get("uad", "unconstrained"), f"control.{i}.uad", errors))
         weights.append(number(sec, label, "weight", _positive, "be positive and finite", 1.0))
 
-    named = {"problem", "optimizer"} | {f"edge.{i}" for i in range(1, n + 1)}
-    named |= {f"control.{i}" for i in channels}
+    named = {"problem": _PROBLEM_KEYS, "optimizer": _OPTIMIZER_KEYS}
+    named |= {f"edge.{i}": _EDGE_KEYS for i in range(1, n + 1)}
+    named |= {f"control.{i}": _CONTROL_KEYS for i in channels}
     for name in cp.sections():
         if name not in named:
             errors.append(f"section [{name}] names nothing in a problem with n = {n}")
+            continue
+        for key in cp[name]:  # lower-cased by ConfigParser
+            if key not in [k.lower() for k in named[name]]:
+                known = ", ".join(named[name])
+                errors.append(f"[{name}] {key}: unknown key (known: {known})")
 
     opt = section("optimizer")
     algo = (opt.get("algo", "projected_gradient") or "projected_gradient").strip()
@@ -286,12 +307,15 @@ def _write_csv(path: Path, header: str, lead, labels, values) -> None:
     """Write ``header``, then one block of rows per entry of ``lead``: row
     ``r`` of block ``k`` is ``lead[k] + labels[r]`` followed by ``values[k, r]``
     with 17 significant digits.  ``lead`` and ``labels`` are text that carries
-    its own separators, so each time and node is formatted once."""
+    its own separators, so each time and node is formatted once; a block is
+    formatted by one ``%`` template built from them."""
+    labels = [label.replace("%", "%%") for label in labels]
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for key, row in zip(lead, values):
-            cells = zip(labels, row.tolist())
-            fh.write("".join([f"{key}{label}{v:.17g}\n" for label, v in cells]))
+            key = key.replace("%", "%%")
+            template = key + ("%.17g\n" + key).join(labels) + "%.17g\n"
+            fh.write(template % tuple(row.tolist()))
 
 
 def _finish(out: Path, problem: StarGraphProblem, states, report: list[str]) -> None:

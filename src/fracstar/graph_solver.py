@@ -13,11 +13,16 @@ Stepping.  One implicit-Euler march solves
 ``(W/dt + K) x_k + B^T lambda_k = W x_prev/dt + l_k``.  Edges interact only
 through the shared coefficient ``c`` and the tip multipliers, so the step
 matrix is block diagonal per edge with a border of width ``1 + m``; it is
-solved by block-arrow elimination: each edge block, certified SPD by
-Cholesky, is applied through its inverse, and ``c`` and the multipliers
-through the inverse of their Schur complement; no global matrix is formed.
-The step matrix is constant in time, so these inverses are computed once, at
-assembly, and shared by every sweep on that system.  The forward sweep
+solved by block-arrow elimination, and no global matrix is formed.  Each edge
+block ``A_i = W_i/dt + K_i``, certified SPD by Cholesky, is inverted with its
+nodal mass folded in: on the nodes, the step applies the propagator
+``P_i = A_i^{-1} W_i/dt`` to ``x_prev + l_k dt/W_i``.  The coupling through
+``c`` and the multipliers (the junction mass column, ``A^{-1} C`` and the
+inverse of the ``(1 + m)`` Schur complement) is one low-rank update of the
+previous state, and the border's share of every step's loads and traces is
+solved for all steps at once, before the march.  The step matrix is constant
+in time, so all of this is computed once, at assembly, and shared by every
+sweep on that system.  The forward sweep
 marches from ``y0``; the adjoint sweep marches backward from ``p(T + dt) = 0``
 with loads ``omega_k/dt (y - y_d)`` and is the exact transpose of the
 discrete forward map for the trapezoid space-time cost.  The boundary series
@@ -140,16 +145,23 @@ class GraphSystem:
     constraint rows of the Dirichlet-type tips, the tip trace rows of all
     edges, and the inverted step matrix.
 
-    The global mass is ``mass`` on the diagonal plus the junction column
-    ``junction_mass`` (nodal entries only) and its transpose.  The step
-    matrix on the free DOFs, bordered by the free trace rows, is the block
-    arrow ``[[A, C], [C^T, D]]``: ``A`` is block diagonal with the edges'
-    ``W_i/dt + K_i`` on their free nodes, whose inverses ``edge_inverses``
-    holds with the global slice each acts on, and the ``1 + m`` border
-    columns ``border`` (``C``, zero outside the free nodes) couple them to
-    ``c`` and the multipliers.  ``border_solved`` is ``A^{-1} C`` and
-    ``schur_inv`` the inverse of the Schur complement ``D - C^T A^{-1} C``
-    (``None`` when the border is empty)."""
+    ``mass`` is the diagonal of the global mass (the junction coupling sits in
+    the update below).  The step matrix on the free DOFs, bordered by the free
+    trace rows, is the block arrow ``[[A, C], [C^T, D]]``: ``A`` is block
+    diagonal with the edges' ``A_i = W_i/dt + K_i`` on their free nodes, and
+    the ``1 + m`` border columns ``C`` couple them to ``c`` and the
+    multipliers.  ``edge_propagators`` holds ``P_i = A_i^{-1} diag(mass_i/dt)``
+    with the global slice each acts on.  A step from ``x_prev`` with loads
+    ``l`` and traces ``d`` is
+    ``x = P (x_prev + l dt/mass) + U (H x_prev + w)``, where
+    ``U = update_cols`` and ``H = update_rows`` carry the rank-``r`` coupling
+    (``r = 2 + m`` with the junction coefficient, ``m`` without):
+    ``H x_prev`` stacks ``c_prev`` (with a junction) and the previous state's
+    share of ``c`` and the negated multipliers; the data's share, ``w``, is
+    ``schur_inv`` (the inverse of ``D - C^T A^{-1} C``, ``None`` when the
+    border is empty) applied to ``l @ U_s`` plus ``d`` on the multiplier rows,
+    where ``U_s``, the last ``1 + m`` (or ``m``) columns of ``U``, is
+    ``-A^{-1} C`` with a unit entry in row ``c``."""
 
     problem: StarGraphProblem
     dofmap: GlobalDofMap
@@ -158,10 +170,9 @@ class GraphSystem:
     trace_b_rows: np.ndarray = field(repr=False)
     free: np.ndarray = field(repr=False)
     mass: np.ndarray = field(repr=False)
-    junction_mass: np.ndarray = field(repr=False)
-    edge_inverses: list[tuple[slice, np.ndarray]] = field(repr=False)
-    border: np.ndarray = field(repr=False)
-    border_solved: np.ndarray = field(repr=False)
+    edge_propagators: list[tuple[slice, np.ndarray]] = field(repr=False)
+    update_cols: np.ndarray = field(repr=False)
+    update_rows: np.ndarray = field(repr=False)
     schur_inv: np.ndarray | None = field(repr=False)
 
     @property
@@ -198,8 +209,9 @@ class GraphSystem:
 
 
 def assemble_graph_system(problem: StarGraphProblem) -> GraphSystem:
-    """Assemble the edge operators and invert the step matrix per edge, with
-    the Schur complement of the border in ``c`` and the multipliers."""
+    """Assemble the edge operators, form every edge's propagator and the
+    step's low-rank coupling through the Schur complement of the border in
+    ``c`` and the multipliers."""
     n, m = problem.n, problem.m
     dt = problem.time_grid.dt
     include_mode = bool(problem.include_junction_mode)
@@ -219,16 +231,18 @@ def assemble_graph_system(problem: StarGraphProblem) -> GraphSystem:
         for i in range(n)
     ]
 
-    # border unknowns: c (if present), then the m multipliers
+    # border unknowns: c (if present), then the m multipliers; the update
+    # columns are A^{-1} of the junction mass column over dt (if present),
+    # then -A^{-1} C
     k = int(include_mode)
     nb = k + m
     trace_b = np.zeros((n, ndof))
     mass = np.zeros(ndof)
-    junction_mass = np.zeros((ndof, k))
+    junction_mass = np.zeros(ndof)
     border = np.zeros((ndof, nb))
     corner = np.zeros((nb, nb))
-    solved = np.zeros((ndof, nb))
-    inverses = []
+    cols = np.zeros((ndof, k + nb))
+    propagators = []
     free = []
     for i, op in enumerate(ops):
         sl = dm.edge_slice(i)
@@ -242,7 +256,7 @@ def assemble_graph_system(problem: StarGraphProblem) -> GraphSystem:
         mass[sl] = op.W.diagonal()[:nn]
         if include_mode:
             mass[c_index] += op.W[-1, -1]
-            junction_mass[sl, 0] = op.W[:nn, -1]
+            junction_mass[sl] = op.W[:nn, -1]
             trace_b[i, c_index] = op.trace_b[-1]
             border[gs, 0] = op.W[fs, -1] / dt + op.K[fs, -1]
             corner[0, 0] += op.W[-1, -1] / dt + op.K[-1, -1]
@@ -253,11 +267,14 @@ def assemble_graph_system(problem: StarGraphProblem) -> GraphSystem:
         block = op.W[fs, fs] / dt + op.K[fs, fs]
         try:
             cholesky(block)  # certifies the block SPD
-            block_inv = inv(block)
+            prop = inv(block)
         except LinAlgError as exc:
             raise SolverFailure(f"saddle-point factorization failed: {exc}") from None
-        inverses.append((gs, block_inv))
-        solved[gs] = block_inv @ border[gs]
+        if include_mode:
+            cols[gs, 0] = prop @ junction_mass[gs] / dt
+        cols[gs, k:] = -(prop @ border[gs])
+        prop *= mass[gs] / dt  # A_i^{-1} diag(mass_i/dt), in place
+        propagators.append((gs, prop))
 
     B = trace_b[:m].copy()
     if include_mode:
@@ -272,11 +289,23 @@ def assemble_graph_system(problem: StarGraphProblem) -> GraphSystem:
             )
 
     schur_inv = None
+    rows = np.zeros((k + nb, ndof))
     if nb > 0:
+        solved = cols[:, k:]  # -A^{-1} C, zero in row c
         try:
-            schur_inv = inv(corner - border.T @ solved)
+            schur_inv = inv(corner + border.T @ solved)
         except LinAlgError as exc:
             raise SolverFailure(f"saddle-point factorization failed: {exc}") from None
+        # the previous state's share of the border's right-hand side: the c
+        # row of W x_prev/dt (if present), less C^T A^{-1} of its free rows
+        share = solved.T * (mass / dt)
+        if include_mode:
+            share[:, c_index] = solved.T @ junction_mass / dt
+            share[0] += junction_mass / dt
+            share[0, c_index] += mass[c_index] / dt
+            rows[0, c_index] = 1.0
+            solved[c_index, 0] = 1.0  # the step's c is the border's c
+        rows[k:] = schur_inv @ share
 
     return GraphSystem(
         problem=problem,
@@ -286,10 +315,9 @@ def assemble_graph_system(problem: StarGraphProblem) -> GraphSystem:
         trace_b_rows=trace_b,
         free=free,
         mass=mass,
-        junction_mass=junction_mass,
-        edge_inverses=inverses,
-        border=border,
-        border_solved=solved,
+        edge_propagators=propagators,
+        update_cols=cols,
+        update_rows=rows,
         schur_inv=schur_inv,
     )
 
@@ -393,38 +421,45 @@ def _prescribed_traces(u: np.ndarray, m: int) -> np.ndarray:
 
 def _march(system: GraphSystem, start, loads, traces, what: str):
     """Implicit Euler from ``x_{-1} = start``: row ``j`` solves
-    ``(W/dt + K) x_j + B^T mu_j = W x_{j-1}/dt + loads[j]``, ``B x_j = traces[j]``.
+    ``(W/dt + K) x_j + B^T mu_j = W x_{j-1}/dt + loads[j]``,
+    ``B x_j = traces[j]``.
 
-    Each step applies every edge's inverse, the Schur complement's inverse for
-    ``c`` and the multipliers, and one back-substitution through ``A^{-1} C``.
-    Returns the states ``x_j`` and the multipliers ``-mu_j``.  The data are checked for finiteness once before the march,
-    the solution once after it.
+    The border's share of every step's loads and traces is solved before the
+    march, in one product.  Each step then applies every edge's propagator to
+    ``x_{j-1} + loads[j] dt/mass`` and adds the rank-``r`` update
+    ``U (H x_{j-1} + w_j)``, whose coefficients hold ``c`` and the negated
+    multipliers.  Returns the states ``x_j`` and the multipliers ``-mu_j``.
+    The data are checked for finiteness once before the march, the solution
+    once after it.
     """
     if not all(np.isfinite(a).all() for a in (start, loads, traces)):
         raise SolverFailure(f"non-finite {what} right-hand side")
-    dt = system.problem.time_grid.dt
-    cs = system.dofmap.junction
-    k = cs.stop - cs.start
-    mass = system.mass / dt
-    wc = system.junction_mass / dt
-    border, solved, schur = system.border, system.border_solved, system.schur_inv
-    x = np.zeros((len(loads), system.ndof))
-    mult = np.zeros((len(loads), system.problem.m))
-    prev = start
+    dt, m = system.problem.time_grid.dt, system.problem.m
+    U, H, schur = system.update_cols, system.update_rows, system.schur_inv
+    r = len(H)
+    nt = len(loads)
+    x = np.zeros((nt, system.ndof))
+    w = np.zeros((nt, r))
     # a non-finite inverse surfaces as non-finite states, reported below
     with np.errstate(invalid="ignore", over="ignore"):
-        for j in range(len(loads)):
-            rhs = mass * prev + wc @ prev[cs] + loads[j]
-            rhs[cs] += prev @ wc
-            xj = x[j]
-            for gs, block_inv in system.edge_inverses:
-                xj[gs] = block_inv @ rhs[gs]
-            if schur is not None:
-                s = schur @ (np.concatenate((rhs[cs], traces[j])) - xj @ border)
-                xj -= solved @ s
-                xj[cs] = s[:k]
-                mult[j] = -s[k:]
+        y = loads * (dt / system.mass)
+        if schur is not None:
+            k = r - len(schur)  # 1 with the junction coefficient, else 0
+            data = loads @ U[:, k:]
+            data[:, k:] += traces  # after c, the multipliers
+            w[:, k:] = data @ schur.T
+        prev = start
+        for j in range(nt):
+            yj, xj = y[j], x[j]
+            yj += prev
+            for gs, prop in system.edge_propagators:
+                np.matmul(prop, yj[gs], out=xj[gs])
+            if r:
+                wj = w[j]
+                wj += H @ prev
+                xj += U @ wj
             prev = xj
+    mult = -w[:, r - m :]
     if not (np.isfinite(x).all() and np.isfinite(mult).all()):
         raise SolverFailure(f"non-finite {what} solve (singular saddle point?)")
     return x, mult

@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import fracstar
 from fracstar import ConfigError, optimize, solve_forward_graph
 from fracstar.cli import _write_csv, main, parse_config
 
@@ -155,6 +161,31 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(tmp_path / "nope.ini")
 
+    def test_unknown_keys_reported(self, tmp_path, capsys):
+        # a misspelt key would otherwise leave its default in force: here the
+        # control penalty would stay 1.0 in place of tikhonov_n = 0.5
+        bad = (
+            EDGE_INI.replace("weight = 0.5\n", "")
+            .replace("tikhonov_n = 0.5", "tikhonv_n = 0.5")
+            .replace("nt = 16", "nt = 16\nNT2 = 4")
+            .replace("m_cells = 12", "m_cells = 12\nmcells = 12")
+            .replace("kind = neumann", "kind = neumann\nbound = 1")
+        )
+        ini = write(tmp_path, "bad.ini", bad)
+        with pytest.raises(ConfigError) as exc:
+            parse_config(ini)
+        unknown = [v.split(":")[0] for v in exc.value.violations]
+        assert unknown == [
+            "[problem] nt2", "[edge.1] mcells", "[control.1] bound", "[optimizer] tikhonv_n"
+        ]
+        assert main(["--output-dir", str(tmp_path), "optimize", str(ini)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 4 and all(line.startswith("config error: [") for line in err)
+        assert "unknown key" in err[3] and "tikhonov_n" in err[3]
+        # every key the format defines is accepted, T in either case
+        full = EDGE_INI.replace("nt = 16", "nt = 16\nn = 1\nm_split = 0")
+        parse_config(write(tmp_path, "ok.ini", full.replace("T = 1.0", "t = 1.0")))
+
 
 class TestCommands:
     def test_solve_forward_edge(self, tmp_path):
@@ -284,6 +315,21 @@ class TestCommands:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and "y0.csv" in err
+
+    def test_empty_data_file_leaves_only_config_errors_on_stderr(self, tmp_path):
+        # numpy warns on an empty file; a CLI run prints the violation alone
+        (tmp_path / "empty.csv").write_text("")
+        ini = write(tmp_path, "edge.ini", EDGE_INI.replace("f = zero", "f = file:empty.csv"))
+        src = str(Path(fracstar.__file__).resolve().parents[1])
+        run = subprocess.run(
+            [sys.executable, "-m", "fracstar.cli", "--output-dir", str(tmp_path),
+             "solve-forward", str(ini)],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        )
+        assert run.returncode == 2
+        lines = run.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: ")
+        assert "[edge.1] f" in lines[0] and "empty.csv holds no data" in lines[0]
 
     def test_every_bad_data_file_is_reported(self, tmp_path, capsys):
         (tmp_path / "bad1.csv").write_text("0.1,0.2,0.3\n")
@@ -428,6 +474,27 @@ class TestWriter:
             [f"{i + 1},{x:.17g}," for i, xs in enumerate(nodes) for x in xs.tolist()],
             np.hstack(states),
         )
+        assert (tmp / "new.csv").read_bytes() == (tmp / "ref.csv").read_bytes()
+
+    @given(
+        values=arrays((3, 4)),
+        lead=st.lists(st.text(max_size=4), min_size=3, max_size=3),
+        labels=st.lists(st.text(max_size=4), min_size=4, max_size=4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_block_template_matches_per_cell_formatting(
+        self, tmp_path_factory, values, lead, labels
+    ):
+        # any text in the lead and the labels, '%' included, is copied as is
+        tmp = tmp_path_factory.mktemp("template")
+        _write_csv(tmp / "new.csv", "h", lead, labels, values)
+        cells = [
+            f"{key}{label}{v:.17g}\n"
+            for key, row in zip(lead, values.tolist())
+            for label, v in zip(labels, row)
+        ]
+        with open(tmp / "ref.csv", "w") as fh:
+            fh.write("h\n" + "".join(cells))
         assert (tmp / "new.csv").read_bytes() == (tmp / "ref.csv").read_bytes()
 
     @given(data=st.data(), nt=st.integers(0, 4), channels=st.integers(1, 4))

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -348,6 +349,32 @@ class TestForward:
             tracemalloc.stop()
         assert sys_.ndof == 1033
         assert peak < 8 * sys_.ndof**2
+
+    def test_stored_step_holds_one_square_array_per_edge(self, rng):
+        # the step data are one n_i x n_i propagator per edge plus arrays of
+        # O(ndof (1 + m)) entries: no second per-edge copy is kept
+        n, M, m = 8, 128, 4
+        pr = random_graph(rng, n=n, m=m, Nt=4, Ms=(M,) * n, bs=(1.0,) * n)
+        sys_ = assemble_graph_system(pr)
+
+        def arrays(value):
+            if isinstance(value, np.ndarray):
+                return [value]
+            if isinstance(value, (list, tuple)):
+                return [a for item in value for a in arrays(item)]
+            return []
+
+        square, other = [], 0
+        for f in dataclasses.fields(sys_):
+            if f.name in ("problem", "edge_ops"):  # the inputs the system keeps
+                continue
+            for a in arrays(getattr(sys_, f.name)):
+                if a.ndim == 2 and a.shape[0] == a.shape[1] == M + 1:
+                    square.append(a)
+                else:
+                    other += a.size
+        assert len(square) == n
+        assert other <= sys_.ndof * (n + 4 * (1 + m))
 
     def test_degenerate_reduces_to_edge_solver(self, rng):
         grid = Grid1D(0.0, 1.0, 10)
