@@ -4,8 +4,10 @@ optimization loop for the boundary control problems.
 There is one cost, one gradient and one optimizer driver, all on the star
 graph.  A single-edge problem (:class:`EdgeControlProblem` with
 ``CostConfig(n_tikhonov, y_d)``) is solved as the one-edge graph with channel
-weight ``[n_tikhonov]``; see :func:`as_graph_problem`.  Costs use the
-trapezoid rule in time and the lumped trapezoid pairing in space.  Gradients
+weight ``[n_tikhonov]``; see :func:`as_graph_problem`.  :func:`optimize`
+returns its state and adjoint as that graph's
+:class:`~fracstar.graph_solver.GraphTrajectory`, as for any graph.  Costs use
+the trapezoid rule in time and the lumped trapezoid pairing in space.  Gradients
 come from :func:`fracstar.graph_solver.solve_adjoint_graph`, whose boundary
 series are scaled to make them exact for the discrete cost; a central finite
 difference of the cost therefore reproduces them to roundoff.
@@ -17,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .edge_solver import Trajectory, edge_adjoint, edge_problem, edge_state
+from .edge_solver import edge_problem
 from .errors import SolverFailure
 from .graph_solver import (
     GraphTrajectory,
@@ -81,7 +83,10 @@ class CostConfig:
 
     ``n_tikhonov`` weights the single-edge control; ``channel_weights`` the
     graph channels, all one by default.  For the edge problem the target
-    lives here; graph targets live on the problem.
+    lives here; graph targets live on the problem.  A field the problem kind
+    does not read is an error, not ignored: ``channel_weights`` on an edge
+    problem (:func:`as_graph_problem`), ``n_tikhonov`` or ``y_d`` on a graph
+    problem (:meth:`weights_for`).
     """
 
     n_tikhonov: float = 1.0
@@ -99,6 +104,17 @@ class CostConfig:
                 raise ValueError("channel weights must be positive and finite")
 
     def weights_for(self, problem: StarGraphProblem) -> np.ndarray:
+        """The graph channels' control weights."""
+        if self.n_tikhonov != 1.0:
+            raise ValueError(
+                "CostConfig.n_tikhonov is ignored on a graph problem: "
+                "weight its channels with channel_weights"
+            )
+        if self.y_d is not None:
+            raise ValueError(
+                "CostConfig.y_d is ignored on a graph problem: "
+                "its targets live on the problem"
+            )
         nch = problem.n_channels
         if self.channel_weights is None:
             return np.ones(nch)
@@ -123,8 +139,8 @@ class OptimResult:
     controls: np.ndarray = field(repr=False)
     cost_history: np.ndarray = field(repr=False)
     residual_history: np.ndarray = field(repr=False)
-    state: Trajectory | GraphTrajectory = field(repr=False)
-    adjoint: Trajectory | GraphTrajectory = field(repr=False)
+    state: GraphTrajectory = field(repr=False)
+    adjoint: GraphTrajectory = field(repr=False)
     converged: bool = False
     reason: str = ""
     iterations: int = 0
@@ -143,6 +159,11 @@ def as_graph_problem(problem, cfg: CostConfig) -> tuple[StarGraphProblem, CostCo
         raise TypeError(f"cannot optimize a {type(problem).__name__}")
     if cfg.y_d is None:
         raise ValueError("edge cost needs cfg.y_d")
+    if cfg.channel_weights is not None:
+        raise ValueError(
+            "CostConfig.channel_weights is ignored on an edge problem: "
+            "weight its control with n_tikhonov"
+        )
     graph = edge_problem(problem.edge_op, problem.time_grid, problem.f, problem.y0, cfg.y_d)
     return graph, CostConfig(channel_weights=np.array([cfg.n_tikhonov]))
 
@@ -237,9 +258,12 @@ def optimize(
     returned adjoint and the last stationarity entry always belong to the
     returned controls, so ``residual_history`` has one entry per
     ``cost_history`` entry.  No sweep inside the loop computes diagnostics.
-    Edge problems are solved as the one-edge graph (:func:`as_graph_problem`)
-    and report state and adjoint as :class:`~fracstar.edge_solver.Trajectory`,
-    diagnosed once after the loop.
+    Edge problems are solved as the one-edge graph (:func:`as_graph_problem`);
+    for every problem, ``state`` and ``adjoint`` are that graph's
+    :class:`~fracstar.graph_solver.GraphTrajectory` (the graph adjoint, source
+    ``y - y_d``), and their diagnostics are left to
+    :func:`~fracstar.graph_solver.diagnose_forward` and
+    :func:`~fracstar.graph_solver.diagnose_adjoint`.
     """
     if algo not in ("projected_gradient", "fixed_point"):
         raise ValueError(f"unknown algorithm {algo!r}")
@@ -344,9 +368,6 @@ def optimize(
         converged = residual <= tol
         reason = "stationarity" if converged else "max_iter"
 
-    if graph is not problem:
-        adj = edge_adjoint(system, adj, state)
-        state = edge_state(system, state, ctrl[0])
     return OptimResult(
         controls=ctrl,
         cost_history=np.array(cost_hist),

@@ -1,10 +1,13 @@
 """The single edge as the one-edge star graph.
 
 A single edge with a free Neumann tip at ``b`` is the star graph with
-``n = 1``, ``m = 0`` and no junction mode.  The functions here build that
-problem from an :class:`EdgeOperator`'s order, grid and coefficients, solve
-it with :mod:`fracstar.graph_solver` and report the result on the edge as a
-:class:`Trajectory`.
+``n = 1`` and ``m = 0`` (a single edge has no junction mode).  The functions
+here build that problem from an :class:`EdgeOperator`'s order, grid and
+coefficients, solve it with :mod:`fracstar.graph_solver` and report the edge's
+state and tip series as a :class:`Trajectory`.  Every other property of the
+edge (its tip flux, energy and a-priori ratios) is measured on the one-edge
+graph by :func:`~fracstar.graph_solver.diagnose_forward` and
+:func:`~fracstar.graph_solver.diagnose_adjoint`.
 
 The edge adjoint solves ``-p_t + A p = y_d - y`` with ``p(T) = 0``: it is the
 graph adjoint (source ``y - y_d``) negated.  Its ``trace_b`` series is scaled
@@ -20,16 +23,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graph_solver import (
-    GraphSystem,
-    GraphTrajectory,
     StarGraphProblem,
-    assemble_graph_system,
-    diagnose_adjoint,
-    diagnose_forward,
     solve_adjoint_graph,
     solve_forward_graph,
 )
-from .grids import TimeGrid, Grid1D
+from .grids import TimeGrid
 from .sturm import EdgeOperator
 
 __all__ = ["Trajectory", "solve_forward_edge", "solve_adjoint_edge"]
@@ -37,24 +35,14 @@ __all__ = ["Trajectory", "solve_forward_edge", "solve_adjoint_edge"]
 
 @dataclass
 class Trajectory:
-    """Space-time state on one edge with its boundary series.
+    """Space-time state on one edge with its tip series.
 
     ``trace_b`` holds ``(I^(1-alpha) y)(b^-, t_k)``; for adjoint solutions it
     is the gradient-consistent series described in the module docstring.
-    ``flux_b`` recovers ``(beta D^alpha y)(b^-, t_k)`` from the step residual
-    (index 0 carries no step information and is set to zero).
     """
 
     y: np.ndarray = field(repr=False)
-    grid: Grid1D
-    time_grid: TimeGrid
     trace_b: np.ndarray = field(repr=False)
-    flux_b: np.ndarray = field(repr=False)
-    energy: np.ndarray = field(repr=False)
-    estimate_ratio: float = 0.0
-    estimate_bound: float = 0.0
-    estimate_ratio_T: float = 0.0
-    estimate_bound_T: float = 0.0
 
     @property
     def samples(self) -> list[np.ndarray]:
@@ -69,7 +57,7 @@ def edge_problem(
     y0: np.ndarray,
     y_d: np.ndarray | None = None,
 ) -> StarGraphProblem:
-    """The one-edge graph (``m = 0``, no junction mode) of an edge operator."""
+    """The one-edge graph (``m = 0``) of an edge operator."""
     if edge_op.has_singular_dof:
         raise ValueError(
             "single-edge problems omit the singular DOF; assemble with "
@@ -81,28 +69,6 @@ def edge_problem(
     )
 
 
-def edge_state(system: GraphSystem, traj: GraphTrajectory, v: np.ndarray | None) -> Trajectory:
-    """A one-edge graph forward solution with Neumann control ``v`` on the
-    edge, with its diagnostics: the edge a-priori estimate counts the initial
-    datum, the source and the energy of ``v`` in the data."""
-    d = diagnose_forward(system, traj, None, v)
-    return Trajectory(
-        traj.samples[0], system.problem.grids[0], system.problem.time_grid,
-        traj.tip_trace[:, 0], d.tip_flux[:, 0], d.energy,
-        d.estimate_ratio, d.estimate_bound, d.estimate_ratio_T, d.estimate_bound_T,
-    )
-
-
-def edge_adjoint(system: GraphSystem, adj: GraphTrajectory, y) -> Trajectory:
-    """A one-edge graph adjoint of the forward solution ``y`` on the edge,
-    negated to the edge sign convention (source ``y_d - y``)."""
-    d = diagnose_adjoint(system, adj, y)
-    return Trajectory(
-        -adj.samples[0], system.problem.grids[0], system.problem.time_grid,
-        -adj.neumann_trace_series[:, 0], -d.tip_flux[:, 0], d.energy,
-    )
-
-
 def solve_forward_edge(
     edge_op: EdgeOperator,
     time_grid: TimeGrid,
@@ -110,11 +76,10 @@ def solve_forward_edge(
     y0: np.ndarray,
     v: np.ndarray | None,
 ) -> Trajectory:
-    """March the edge problem with Neumann control ``v`` at ``b`` and report
-    the a-priori energy ratio against its closed-form bound."""
+    """March the edge problem with Neumann control ``v`` at ``b``."""
     problem = edge_problem(edge_op, time_grid, f, y0)
-    system = assemble_graph_system(problem)
-    return edge_state(system, solve_forward_graph(problem, None, v, system), v)
+    traj = solve_forward_graph(problem, None, v)
+    return Trajectory(traj.samples[0], traj.tip_trace[:, 0])
 
 
 def solve_adjoint_edge(
@@ -133,5 +98,5 @@ def solve_adjoint_edge(
     if y.y.shape != shape:
         raise ValueError(f"state must have shape {shape}, got {y.y.shape}")
     problem = edge_problem(edge_op, time_grid, None, y.y[0], y_d)
-    system = assemble_graph_system(problem)
-    return edge_adjoint(system, solve_adjoint_graph(problem, y, system), y)
+    adj = solve_adjoint_graph(problem, y)
+    return Trajectory(-adj.samples[0], -adj.neumann_trace_series[:, 0])

@@ -92,8 +92,10 @@ class StarGraphProblem:
     Edges ``2..m`` (1-based) carry Dirichlet-type trace controls, edges
     ``m+1..n`` Neumann-type flux controls, and edge 1 is the clamped root.
     The degenerate single-edge graph is admitted with ``m = 1`` (clamped tip)
-    or ``m = 0`` (free Neumann tip, no junction mode), the latter reproducing
-    the plain edge problem exactly.
+    or ``m = 0`` (free Neumann tip), the latter reproducing the plain edge
+    problem exactly.  ``include_junction_mode`` follows from ``n``: the
+    junction mode is present exactly when ``n >= 2``, and passing any other
+    value is an error.
     """
 
     alpha: float
@@ -119,8 +121,11 @@ class StarGraphProblem:
                 raise ValueError(f"degenerate graph needs m in {{0, 1}}, got m={self.m}")
         elif not 2 <= self.m <= n:
             raise ValueError(f"need 2 <= m <= n, got m={self.m}, n={n}")
-        if self.include_junction_mode is None:
-            self.include_junction_mode = n >= 2
+        if self.include_junction_mode not in (None, n >= 2):
+            raise ValueError(
+                f"include_junction_mode follows from n: it is {n >= 2} for n = {n}"
+            )
+        self.include_junction_mode = n >= 2
 
     @property
     def n(self) -> int:
@@ -142,8 +147,9 @@ class StarGraphProblem:
 @dataclass
 class GraphSystem:
     """Assembled graph operator, stored per edge: the edge operators, the
-    constraint rows of the Dirichlet-type tips, the tip trace rows of all
-    edges, and the inverted step matrix.
+    tip trace rows of all edges (the first ``m`` are the constraint rows of
+    the Dirichlet-type tips, ``B`` in :func:`_march`), and the inverted step
+    matrix.
 
     ``mass`` is the diagonal of the global mass (the junction coupling sits in
     the update below).  The step matrix on the free DOFs, bordered by the free
@@ -166,7 +172,6 @@ class GraphSystem:
     problem: StarGraphProblem
     dofmap: GlobalDofMap
     edge_ops: list[EdgeOperator]
-    B: np.ndarray = field(repr=False)
     trace_b_rows: np.ndarray = field(repr=False)
     free: np.ndarray = field(repr=False)
     mass: np.ndarray = field(repr=False)
@@ -214,7 +219,7 @@ def assemble_graph_system(problem: StarGraphProblem) -> GraphSystem:
     ``c`` and the multipliers."""
     n, m = problem.n, problem.m
     dt = problem.time_grid.dt
-    include_mode = bool(problem.include_junction_mode)
+    include_mode = problem.include_junction_mode
     nnodes = tuple(g.nnodes for g in problem.grids)
     offsets = tuple(int(x) for x in np.concatenate([[0], np.cumsum(nnodes)[:-1]]))
     c_index = offsets[-1] + nnodes[-1] if include_mode else None
@@ -276,13 +281,12 @@ def assemble_graph_system(problem: StarGraphProblem) -> GraphSystem:
         prop *= mass[gs] / dt  # A_i^{-1} diag(mass_i/dt), in place
         propagators.append((gs, prop))
 
-    B = trace_b[:m].copy()
     if include_mode:
         free.append([c_index])
     free = np.concatenate(free)
 
     if m > 0:
-        rank = np.linalg.matrix_rank(B[:, free])
+        rank = np.linalg.matrix_rank(trace_b[:m, free])
         if rank < m:
             raise SolverFailure(
                 f"degenerate constraint set: rank {rank} < {m} trace rows"
@@ -311,7 +315,6 @@ def assemble_graph_system(problem: StarGraphProblem) -> GraphSystem:
         problem=problem,
         dofmap=dm,
         edge_ops=ops,
-        B=B,
         trace_b_rows=trace_b,
         free=free,
         mass=mass,

@@ -81,7 +81,7 @@ def dense_oracle_solve_graph(
     nf = len(fr)
     blk = nf + m
     A = W[np.ix_(fr, fr)] / dt + K[np.ix_(fr, fr)]
-    Bf = system.B[:, fr]
+    Bf = system.trace_b_rows[:m, fr]
     Wf = W[np.ix_(fr, fr)]
 
     Y0 = np.zeros(system.ndof)

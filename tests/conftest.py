@@ -7,8 +7,12 @@ from fracstar import (
     Grid1D,
     StarGraphProblem,
     TimeGrid,
+    assemble_graph_system,
     assemble_stiffness,
+    diagnose_forward,
+    solve_forward_graph,
 )
+from fracstar.edge_solver import edge_problem
 
 
 def random_coeffs(rng, grid, beta0=1.0, q0=0.5):
@@ -29,6 +33,15 @@ def random_edge(rng, alpha=0.6, M=10, Nt=8, a=0.0, b=1.0, T=0.9):
     y0 = rng.standard_normal(grid.nnodes)
     v = rng.standard_normal(Nt + 1)
     return op, tg, f, y0, v
+
+
+def diagnose_edge(op, tg, f, y0, v):
+    """The edge problem solved as the one-edge graph, with the diagnostics
+    that measure the edge's tip flux, energy and a-priori ratios."""
+    problem = edge_problem(op, tg, f, y0)
+    system = assemble_graph_system(problem)
+    traj = solve_forward_graph(problem, None, v, system)
+    return traj, diagnose_forward(system, traj, None, v)
 
 
 def random_graph(

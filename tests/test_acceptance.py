@@ -36,7 +36,7 @@ from fracstar.validation import (
     dense_oracle_solve_graph,
     finite_difference_gradient,
 )
-from conftest import random_coeffs, random_edge, random_graph
+from conftest import diagnose_edge, random_coeffs, random_edge, random_graph
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -174,13 +174,13 @@ def test_criterion_05_energy_decay_and_estimates():
         op, tg, _, y0, _ = random_edge(rng, alpha=float(rng.uniform(0.3, 1.0)), M=16, Nt=24)
         if op.alpha == 1.0:
             y0[0] = 0.0
-        traj = solve_forward_edge(op, tg, None, y0, None)
-        decay_ok &= bool(np.all(np.diff(traj.energy) <= 1e-12))
+        _, d = diagnose_edge(op, tg, None, y0, None)
+        decay_ok &= bool(np.all(np.diff(d.energy) <= 1e-12))
         # nonhomogeneous estimate against the closed-form constant
         op, tg, f, y0, v = random_edge(rng, alpha=0.55, M=16, Nt=24)
-        traj = solve_forward_edge(op, tg, f, y0, v)
-        worst_margin = min(worst_margin, traj.estimate_bound - traj.estimate_ratio)
-        worst_margin = min(worst_margin, traj.estimate_bound_T - traj.estimate_ratio_T)
+        _, d = diagnose_edge(op, tg, f, y0, v)
+        worst_margin = min(worst_margin, d.estimate_bound - d.estimate_ratio)
+        worst_margin = min(worst_margin, d.estimate_bound_T - d.estimate_ratio_T)
         # homogeneous graph estimates and decay
         pr = random_graph(rng, alpha=float(rng.uniform(0.3, 0.99)), Nt=16)
         sys_ = assemble_graph_system(pr)
@@ -256,7 +256,8 @@ def test_criterion_07_optimality_systems():
     cfg = CostConfig(n_tikhonov=1.0, y_d=y_d)
     res = optimize(problem, cfg, AdmissibleSet.unconstrained(), tol=1e-8, max_iter=500)
     om = tg.trapezoid_weights()
-    resid = cfg.n_tikhonov * res.controls[0] - res.adjoint.trace_b
+    # the graph adjoint is the edge adjoint negated
+    resid = cfg.n_tikhonov * res.controls[0] + res.adjoint.neumann_trace_series[:, 0]
     edge_metric = float(
         np.sqrt(om @ resid**2) / max(1.0, np.sqrt(om @ res.controls[0] ** 2))
     )

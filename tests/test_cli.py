@@ -10,7 +10,13 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 import fracstar
-from fracstar import ConfigError, optimize, solve_forward_graph
+from fracstar import (
+    ConfigError,
+    assemble_graph_system,
+    diagnose_forward,
+    optimize,
+    solve_forward_graph,
+)
 from fracstar.cli import _write_csv, main, parse_config
 
 EDGE_INI = """
@@ -125,6 +131,24 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as exc:
             parse_config(write(tmp_path, "bad.ini", bad))
         assert any("2 <= m_split <= n" in v for v in exc.value.violations)
+
+    @pytest.mark.parametrize("m_split", [1, 7])
+    def test_m_split_must_be_zero_on_a_single_edge(self, tmp_path, m_split):
+        # a single edge is the one-edge graph with m = 0; any other split is
+        # reported as such, not as a control kind that does not match it
+        bad = EDGE_INI.replace("nt = 16\n", f"nt = 16\nm_split = {m_split}\n")
+        with pytest.raises(ConfigError) as exc:
+            parse_config(write(tmp_path, "bad.ini", bad))
+        assert exc.value.violations == [
+            f"m_split must be 0 on a single edge (n = 1), got {m_split}"
+        ]
+        ok = EDGE_INI.replace("nt = 16\n", "nt = 16\nm_split = 0\n")
+        assert parse_config(write(tmp_path, "ok.ini", ok)).problem.m == 0
+        # an invalid n is reported alone, not as a single edge
+        bad = EDGE_INI.replace("nt = 16\n", f"nt = 16\nn = 0\nm_split = {m_split}\n")
+        with pytest.raises(ConfigError) as exc:
+            parse_config(write(tmp_path, "bad_n.ini", bad))
+        assert exc.value.violations == ["n must be at least 1, got 0"]
 
     def test_all_violations_collected(self, tmp_path):
         bad = (
@@ -288,6 +312,27 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
         assert "PASS  duality" in out
+
+    def test_validate_skips_energy_decay_with_a_source(self, tmp_path, capsys):
+        # energy decays only without a source: unforced, the check runs
+        ini = write(tmp_path, "graph.ini", GRAPH_INI)
+        assert main(["--output-dir", str(tmp_path), "validate", str(ini)]) == 0
+        assert "PASS  energy-decay: monotone" in capsys.readouterr().out
+        # with f = 5 the energy grows, and the check is skipped, not passed
+        text = GRAPH_INI.replace(
+            "ydtarget = const:0.3\n", "ydtarget = const:0.3\nf = const:5.0\n"
+        )
+        ini = write(tmp_path, "forced.ini", text)
+        problem = parse_config(ini).problem
+        system = assemble_graph_system(problem)
+        d = diagnose_forward(system, solve_forward_graph(problem, system=system))
+        assert np.diff(d.energy).max() > 0.1
+        rc = main(["--output-dir", str(tmp_path), "validate", str(ini)])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "SKIP  energy-decay: the source f is nonzero" in out.splitlines()
+        assert "PASS  energy-decay" not in out
+        assert "energy-decay" not in (tmp_path / "report.txt").read_text()
 
     def test_validate_alpha_one_with_vertex_datum(self, tmp_path, capsys):
         # y0 nonzero at the pinned first node: the oracle marches from the full y0

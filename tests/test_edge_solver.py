@@ -14,7 +14,7 @@ from fracstar import (
 )
 from fracstar.edge_solver import edge_problem
 from fracstar.validation import classical_limit_solver, dense_oracle_solve_graph
-from conftest import random_coeffs, random_edge
+from conftest import diagnose_edge, random_coeffs, random_edge
 
 
 def l2q_relative(y1, y2, grid, tg):
@@ -43,36 +43,36 @@ class TestForward:
         op, tg, _, y0, _ = random_edge(rng, alpha=alpha, M=16, Nt=24)
         if alpha == 1.0:
             y0[0] = 0.0
-        traj = solve_forward_edge(op, tg, None, y0, None)
-        assert np.all(np.diff(traj.energy) <= 1e-13)
+        _, d = diagnose_edge(op, tg, None, y0, None)
+        assert np.all(np.diff(d.energy) <= 1e-13)
 
     def test_apriori_estimate_within_bound(self, rng):
         for _ in range(5):
             op, tg, f, y0, v = random_edge(rng, alpha=0.55, M=12, Nt=16)
-            traj = solve_forward_edge(op, tg, f, y0, v)
-            assert traj.estimate_ratio <= traj.estimate_bound
-            assert traj.estimate_ratio_T <= traj.estimate_bound_T
+            _, d = diagnose_edge(op, tg, f, y0, v)
+            assert d.estimate_ratio <= d.estimate_bound
+            assert d.estimate_ratio_T <= d.estimate_bound_T
 
     def test_uncontrolled_ratio_is_the_edge_ratio(self, rng):
         # without control the graph solver's ratio is reported with the edge bound
         op, tg, f, y0, _ = random_edge(rng, alpha=0.55, M=12, Nt=16)
-        traj = solve_forward_edge(op, tg, f, y0, None)
-        y, dt = traj.y, tg.dt
+        traj, d = diagnose_edge(op, tg, f, y0, None)
+        y, dt = traj.samples[0], tg.dt
         wx = op.grid.trapezoid_weights()
         lhs = dt * sum(
             y[k] @ (wx * y[k]) + op.grid.h * np.sum((op.D @ y[k]) ** 2)
             for k in range(1, tg.Nt + 1)
         )
         data = y0 @ (wx * y0) + dt * sum(f[k] @ (wx * f[k]) for k in range(1, tg.Nt + 1))
-        assert traj.estimate_ratio == pytest.approx(lhs / data, rel=1e-12)
-        assert traj.estimate_ratio_T == pytest.approx(y[-1] @ (wx * y[-1]) / data, rel=1e-12)
+        assert d.estimate_ratio == pytest.approx(lhs / data, rel=1e-12)
+        assert d.estimate_ratio_T == pytest.approx(y[-1] @ (wx * y[-1]) / data, rel=1e-12)
         m = min(op.coeffs.beta0, op.coeffs.q0)
-        assert traj.estimate_bound == 1.0 / m + 2.0 * (op.grid.b - op.grid.a + 1.0) / m**2
+        assert d.estimate_bound == 1.0 / m + 2.0 * (op.grid.b - op.grid.a + 1.0) / m**2
 
     def test_flux_series_recovers_control(self, rng):
         op, tg, f, y0, v = random_edge(rng, alpha=0.65)
-        traj = solve_forward_edge(op, tg, f, y0, v)
-        assert np.abs(traj.flux_b[1:] - v[1:]).max() <= 1e-10
+        _, d = diagnose_edge(op, tg, f, y0, v)
+        assert np.abs(d.tip_flux[1:, 0] - v[1:]).max() <= 1e-10
 
     def test_unconditional_stability_under_dt_doubling(self, rng):
         op, _, _, y0, _ = random_edge(rng, alpha=0.5, M=16)

@@ -23,7 +23,7 @@ from fracstar import (
     solve_forward_edge,
 )
 from fracstar.validation import dense_edge_operators, dense_oracle_solve_graph
-from conftest import random_coeffs, random_graph
+from conftest import diagnose_edge, random_coeffs, random_graph
 
 
 def classical_star_heat(problem, u, v):
@@ -131,6 +131,16 @@ class TestProblemValidation:
         with pytest.raises(ValueError):
             random_graph(rng, n=3, m=4)
 
+    def test_junction_mode_follows_from_n(self, rng):
+        # the keyword is accepted with the value n implies, and only with it
+        for pr in (random_graph(rng, n=3), random_graph(rng, n=1, m=0, Ms=(6,))):
+            mode = pr.n >= 2
+            assert pr.include_junction_mode is mode
+            same = dataclasses.replace(pr, include_junction_mode=mode)
+            assert same.include_junction_mode is mode
+            with pytest.raises(ValueError, match="follows from n"):
+                dataclasses.replace(pr, include_junction_mode=not mode)
+
     def test_shared_left_endpoint(self, rng):
         tg = TimeGrid(1.0, 4)
         grids = [Grid1D(0.0, 1.0, 4), Grid1D(0.1, 1.0, 4)]
@@ -155,7 +165,7 @@ class TestAssembly:
         sys_ = assemble_graph_system(pr)
         op = assemble_stiffness(0.55, grid, coeffs)
         np.testing.assert_array_equal(dense_edge_operators(sys_)[0].sum(axis=0), op.K)
-        np.testing.assert_array_equal(sys_.B[0], op.trace_b)
+        np.testing.assert_array_equal(sys_.trace_b_rows[0], op.trace_b)
 
     def test_block_symmetry(self, rng):
         pr = random_graph(rng)
@@ -164,7 +174,7 @@ class TestAssembly:
         assert np.abs(K - K.T).max() == 0.0
         assert np.abs(W - W.T).max() == 0.0
         assert sys_.dofmap.ndof == sum(g.nnodes for g in pr.grids) + 1
-        assert sys_.B.shape == (pr.m, sys_.dofmap.ndof)
+        assert sys_.trace_b_rows[: pr.m].shape == (pr.m, sys_.dofmap.ndof)
 
     def test_saddle_structure_entrywise(self, rng):
         # bordered KKT matrix: symmetric (1,1) block, constraint rows as the
@@ -175,7 +185,7 @@ class TestAssembly:
         dt = pr.time_grid.dt
         fr = sys_.free
         A = W[np.ix_(fr, fr)] / dt + K[np.ix_(fr, fr)]
-        Bf = sys_.B[:, fr]
+        Bf = sys_.trace_b_rows[: pr.m, fr]
         S = np.block([[A, Bf.T], [Bf, np.zeros((pr.m, pr.m))]])
         np.testing.assert_array_equal(S, S.T)
         nf = len(fr)
@@ -396,9 +406,11 @@ class TestForward:
         # mapping bitwise and the state against the space-time oracle
         np.testing.assert_array_equal(tE.y, tG.samples[0])
         np.testing.assert_array_equal(tE.trace_b, tG.tip_trace[:, 0])
-        np.testing.assert_array_equal(tE.flux_b, dG.tip_flux[:, 0])
-        np.testing.assert_array_equal(tE.energy, dG.energy)
-        assert (tE.estimate_ratio, tE.estimate_bound) == (
+        # the edge's diagnostics are those of the one-edge graph it solves
+        _, dE = diagnose_edge(op, tg, f, y0, v)
+        np.testing.assert_array_equal(dE.tip_flux, dG.tip_flux)
+        np.testing.assert_array_equal(dE.energy, dG.energy)
+        assert (dE.estimate_ratio, dE.estimate_bound) == (
             dG.estimate_ratio, dG.estimate_bound
         )
         ref, _ = dense_oracle_solve_graph(pr, None, v[None, :])
@@ -614,7 +626,7 @@ class TestGraphCornerProperties:
         K, W = (ops.sum(axis=0) for ops in dense_edge_operators(sys_))
         fr = sys_.free
         nf = len(fr)
-        Bf = sys_.B[:, fr]
+        Bf = sys_.trace_b_rows[: pr.m, fr]
         S = np.block(
             [[W[np.ix_(fr, fr)] / dt + K[np.ix_(fr, fr)], Bf.T], [Bf, np.zeros((m, m))]]
         )

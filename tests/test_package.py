@@ -1,11 +1,16 @@
+import importlib
 import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import fracstar
 import fracstar.cli
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
 def test_all_names_resolve():
@@ -47,3 +52,16 @@ def test_cli_calls_layers_by_module_global():
             called |= set(fn.__code__.co_names)
     assert [name for name in names if not callable(getattr(cli, name, None))] == []
     assert [name for name in names if name not in called] == []
+
+
+@pytest.mark.parametrize("name", ["graph-forward", "edge-optimize", "graph-optimize"])
+def test_benchmark_oracle_checks_pass(name, monkeypatch):
+    """The benchmark checks every run against the dense oracle and finite
+    differences through the library's public names: those names resolve, and
+    each workload's down-sized copy passes every check."""
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    checks = importlib.import_module("checks")
+    results = checks.oracle_checks(workloads.WORKLOADS[name], 1)
+    assert [check for check, _, _ in results] == ["oracle", "adjoint-fd"]
+    assert [(check, detail) for check, ok, detail in results if not ok] == []
