@@ -9,6 +9,7 @@ from .control import (
     cost_graph,
     gradient_graph,
     optimize,
+    reduced_hessian,
 )
 from .edge_solver import Trajectory, solve_adjoint_edge, solve_forward_edge
 from .errors import CoefficientError, ConfigError, SizeGuardError, SolverFailure
@@ -72,6 +73,7 @@ __all__ = [
     "left_integral_op",
     "left_rl_derivative",
     "optimize",
+    "reduced_hessian",
     "right_caputo_apply",
     "right_caputo_nodal",
     "right_integral_op",

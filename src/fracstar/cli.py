@@ -274,7 +274,9 @@ def parse_config(path: str | Path) -> RunConfig:
     named |= {f"control.{i}": _CONTROL_KEYS for i in channels}
     for name in cp.sections():
         if name not in named:
-            errors.append(f"section [{name}] names nothing in a problem with n = {n}")
+            # checked against a valid n only, as m_split is
+            if given_n is not None:
+                errors.append(f"section [{name}] names nothing in a problem with n = {n}")
             continue
         for key in cp[name]:  # lower-cased by ConfigParser
             if key not in [k.lower() for k in named[name]]:

@@ -11,17 +11,27 @@ the trapezoid rule in time and the lumped trapezoid pairing in space.  Gradients
 come from :func:`fracstar.graph_solver.solve_adjoint_graph`, whose boundary
 series are scaled to make them exact for the discrete cost; a central finite
 difference of the cost therefore reproduces them to roundoff.
+
+The state equation is linear and time-invariant and the cost quadratic, so
+the discrete reduced problem is an exact dense quadratic program in the
+``n_ch * Nt`` control values.  :func:`reduced_hessian` builds its Hessian
+``Q`` from one impulse-response march per channel.  While
+``n_ch * Nt <= 4096`` (``_DENSE_LIMIT``; ``Q`` then takes at most 134 MB),
+:func:`optimize` measures the gradient once at the start and evaluates every
+later one as that gradient plus one dense product with ``Q``; above the
+limit, each gradient costs a forward and an adjoint march.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .edge_solver import edge_problem
 from .errors import SolverFailure
 from .graph_solver import (
+    GraphSystem,
     GraphTrajectory,
     StarGraphProblem,
     assemble_graph_system,
@@ -40,6 +50,7 @@ __all__ = [
     "cost_graph",
     "gradient_graph",
     "optimize",
+    "reduced_hessian",
 ]
 
 
@@ -216,6 +227,60 @@ def gradient_graph(
     return g
 
 
+def reduced_hessian(system: GraphSystem, cfg: CostConfig) -> np.ndarray:
+    """Hessian ``Q`` of the discrete cost of ``system.problem`` in the
+    controls ``u[:, 1:]``, channel-major, shape ``(n_ch Nt, n_ch Nt)``.
+
+    The cost is quadratic, so with ``d = u - u_ref`` the gradient of
+    :func:`gradient_graph` is exactly ``g(u_ref)`` plus ``(Q d[:, 1:]) /
+    omega[1:]`` on the controlled columns and plus ``w d[:, 0]`` at
+    ``t = 0``, whose controls never enter the state.  The step matrix and
+    ``dt`` do not change in time, so a unit control on channel ``c`` at step
+    ``k`` gives the state ``H_c[j - k]`` at every step ``j >= k``, and one
+    march per channel from zero data, with a unit impulse at step 1, yields
+    every response.  With the Gram ``G_cd[a, b] = <H_c[a], H_d[b]>`` in the
+    lumped space pairing,
+    ``Q[(c, k), (d, l)] = sum_{j >= max(k, l)} omega_j G_cd[j - k, j - l]
+    + delta_cd w_c omega_k``.  The Gram of the time-reversed responses is
+    turned into ``Q`` in place, by suffix sums along its diagonals and one
+    correction per entry for the trapezoid's last weight: ``O(n_ch^2 Nt^2)``
+    beyond the Gram.  ``Q`` is exactly symmetric.
+    """
+    problem = system.problem
+    nch, nd, nt = problem.n_channels, problem.n_dirichlet_channels, problem.time_grid.Nt
+    omega = problem.time_grid.trapezoid_weights()
+    root_wx = np.sqrt(np.concatenate([g.trapezoid_weights() for g in problem.grids]))
+    still = replace(
+        problem, f=[None] * problem.n, y0=[np.zeros(g.nnodes) for g in problem.grids], c0=0.0
+    )
+    # row (c, a) holds H_c[Nt - 1 - a], weighted so that H H^T is the Gram
+    H = np.empty((nch, nt, root_wx.size))
+    for c in range(nch):
+        impulse = np.zeros((nch, nt + 1))
+        impulse[c, 1] = 1.0
+        y = solve_forward_graph(still, impulse[:nd], impulse[nd:], system=system)
+        H[c] = (np.hstack(y.samples)[1:] * root_wx)[::-1]
+        del y  # before the next march, for a lower peak of memory
+    H = H.reshape(nch * nt, -1)
+    Q = H @ H.T  # one symmetric rank-k product, so Q is symmetric bitwise
+    del H
+    V = Q.reshape(nch, nt, nch, nt)
+    # suffix sums: V[k, l] becomes U[k, l] = sum_{s >= 0} F[k + s, l + s]
+    # of the reversed Gram F, each row and column from the next ones
+    for s in range(nt - 2, -1, -1):
+        V[:, s, :, s:-1] += V[:, s + 1, :, s + 1 :]
+        V[:, s + 1 : -1, :, s] += V[:, s + 2 :, :, s + 1]
+    # the last weight takes F[k, l], the inner ones the rest of the sum:
+    # Q = omega_end U[k, l] + (omega_in - omega_end) U[k + 1, l + 1]
+    ratio = omega[1] / omega[-1] - 1.0
+    for s in range(nt - 1):
+        V[:, s, :, s:-1] += ratio * V[:, s + 1, :, s + 1 :]
+        V[:, s + 1 : -1, :, s] += ratio * V[:, s + 2 :, :, s + 1]
+    Q *= omega[-1]
+    Q.flat[:: nch * nt + 1] += np.outer(cfg.weights_for(problem), omega[1:]).ravel()
+    return Q
+
+
 def _normalize_sets(admissible, nchannels: int) -> list[AdmissibleSet]:
     if isinstance(admissible, AdmissibleSet):
         return [admissible] * nchannels
@@ -229,6 +294,8 @@ def _normalize_sets(admissible, nchannels: int) -> list[AdmissibleSet]:
 _ARMIJO_DECREASE = 1e-4
 _ARMIJO_BACKTRACK = 0.5
 _MAX_HALVINGS = 40
+# Largest n_ch * Nt for which optimize forms the reduced Hessian (134 MB).
+_DENSE_LIMIT = 4096
 
 
 def optimize(
@@ -246,22 +313,28 @@ def optimize(
     channel, one column per time level: shape ``(n_channels, Nt + 1)``), or
     of zero.  ``algo`` is ``"projected_gradient"`` (Armijo backtracking along
     the projection arc) or ``"fixed_point"`` (damped iteration of the
-    projected optimality map).  The cost is quadratic, so projected gradient
-    measures a candidate's decrease exactly from the two gradients,
-    ``J(c) - J(u) = 1/2 <g(u) + g(c), c - u>``, which resolves decreases far
-    below the roundoff of the cost itself; the candidate's adjoint then
-    serves as the next iterate's measurement, and ``cost_history``
-    accumulates these differences from the cost of the start, so it never
-    increases.  Termination uses the stationarity measure
-    ``||u - P(u - g)|| / max(1, ||u||)`` in the trapezoid norm; exceeding
-    ``max_iter`` flags the result as non-converged instead of raising.  The
-    returned adjoint and the last stationarity entry always belong to the
-    returned controls, so ``residual_history`` has one entry per
-    ``cost_history`` entry.  No sweep inside the loop computes diagnostics.
-    Edge problems are solved as the one-edge graph (:func:`as_graph_problem`);
-    for every problem, ``state`` and ``adjoint`` are that graph's
-    :class:`~fracstar.graph_solver.GraphTrajectory` (the graph adjoint, source
-    ``y - y_d``), and their diagnostics are left to
+    projected optimality map).  The start's gradient is measured by a
+    forward and an adjoint march.  While ``n_ch * Nt <= 4096``, every later
+    gradient is that one plus the :func:`reduced_hessian` ``Q`` applied to the
+    step from the start, one dense product (``Q`` takes at most 134 MB);
+    above the limit, each gradient costs a forward and an adjoint march.  The
+    cost is quadratic, so each step's change is measured exactly from the two
+    gradients, ``J(c) - J(u) = 1/2 <g(u) + g(c), c - u>``, which resolves
+    decreases far below the roundoff of the cost itself; ``cost_history``
+    accumulates these differences from the cost of the start, under both
+    algorithms, and never increases under projected gradient.  Termination
+    uses the stationarity measure ``||u - P(u - g)|| / max(1, ||u||)`` in the
+    trapezoid norm; exceeding ``max_iter`` flags the result as non-converged
+    instead of raising.  The returned controls are measured by a forward and
+    an adjoint march: ``state``, ``adjoint``, the last stationarity entry and
+    ``converged`` come from that measurement, and ``residual_history`` has
+    one entry per ``cost_history`` entry.  Where the reduced gradient meets
+    ``tol`` but the measured one does not, the iteration goes on from the
+    measured gradient, with a march per gradient.  No sweep inside the loop
+    computes diagnostics.  Edge problems are solved as the one-edge graph
+    (:func:`as_graph_problem`); for every problem, ``state`` and ``adjoint``
+    are that graph's :class:`~fracstar.graph_solver.GraphTrajectory` (the
+    graph adjoint, source ``y - y_d``), and their diagnostics are left to
     :func:`~fracstar.graph_solver.diagnose_forward` and
     :func:`~fracstar.graph_solver.diagnose_adjoint`.
     """
@@ -276,14 +349,18 @@ def optimize(
     omega = graph.time_grid.trapezoid_weights()
     # One assembly, and so one set of step-matrix factors, serves every sweep.
     system = assemble_graph_system(graph)
+    # the controls last measured by the marches, their state, adjoint and gradient
+    measured = None
 
-    def forward(ctrl: np.ndarray) -> GraphTrajectory:
-        return solve_forward_graph(graph, ctrl[:nd], ctrl[nd:], system=system)
-
-    def measure(ctrl: np.ndarray, state: GraphTrajectory):
-        """Adjoint and gradient of the controls ``ctrl`` with state ``state``."""
-        adj = solve_adjoint_graph(graph, state, system=system)
-        return adj, gradient_graph(ctrl, adj, graph, graph_cfg)
+    def measure(ctrl: np.ndarray) -> np.ndarray:
+        """The gradient of ``ctrl`` from a forward and an adjoint march."""
+        nonlocal measured
+        if measured is None or measured[0] is not ctrl:
+            measured = None  # the last measurement's trajectories go first
+            state = solve_forward_graph(graph, ctrl[:nd], ctrl[nd:], system=system)
+            adj = solve_adjoint_graph(graph, state, system=system)
+            measured = (ctrl, state, adj, gradient_graph(ctrl, adj, graph, graph_cfg))
+        return measured[3]
 
     def proj(ctrl: np.ndarray) -> np.ndarray:
         return np.stack([sets[j].project(ctrl[j]) for j in range(len(sets))])
@@ -294,11 +371,8 @@ def optimize(
     def norm(a: np.ndarray) -> float:
         return float(np.sqrt(max(inner(a, a), 0.0)))
 
-    res_hist: list[float] = []
-
     def stationarity(ctrl: np.ndarray, grad: np.ndarray) -> float:
-        res_hist.append(norm(ctrl - proj(ctrl - grad)) / max(1.0, norm(ctrl)))
-        return res_hist[-1]
+        return norm(ctrl - proj(ctrl - grad)) / max(1.0, norm(ctrl))
 
     nt = graph.time_grid.Nt
     if u0 is None:
@@ -309,12 +383,26 @@ def optimize(
             raise ValueError(f"u0 must have shape {(nchannels, nt + 1)}, got {ctrl.shape}")
     ctrl = proj(ctrl)
 
-    state = forward(ctrl)
-    cost_hist = [cost_graph(state, ctrl, graph, graph_cfg)]
-    adj, grad = measure(ctrl, state)
-    converged = False
+    # built before any trajectory is held, for a lower peak of memory
+    hessian = reduced_hessian(system, graph_cfg) if nchannels * nt <= _DENSE_LIMIT else None
+    grad = measure(ctrl)
+    cost_hist = [cost_graph(measured[1], ctrl, graph, graph_cfg)]
+    res_hist: list[float] = []
     reason = "max_iter"
     iterations = 0
+
+    gradient = measure
+    if hessian is not None:
+        start, start_grad = ctrl, grad
+
+        def reduced(ctrl: np.ndarray) -> np.ndarray:
+            step = ctrl - start
+            g = start_grad.copy()
+            g[:, 0] += tikhonov * step[:, 0]
+            g[:, 1:] += (hessian @ step[:, 1:].ravel()).reshape(nchannels, nt) / omega[1:]
+            return g
+
+        gradient = reduced
 
     damping = 1.0
     if algo == "fixed_point" and float(np.min(tikhonov)) < 1.0:
@@ -322,51 +410,57 @@ def optimize(
 
     for it in range(1, max_iter + 1):
         iterations = it
-        residual = stationarity(ctrl, grad)
-        if residual <= tol:
-            converged, reason = True, "stationarity"
+        res_hist.append(stationarity(ctrl, grad))
+        if res_hist[-1] <= tol and gradient is not measure:
+            # a convergence the marches cannot show is not reported: go on
+            # from their gradient, a march per gradient
+            gradient, grad = measure, measure(ctrl)
+            res_hist[-1] = stationarity(ctrl, grad)
+        if res_hist[-1] <= tol:
             break
 
         if algo == "projected_gradient":
             step = 1.0
-            accepted = stalled = False
             for _ in range(_MAX_HALVINGS + 1):
                 cand = proj(ctrl - step * grad)
                 decrease = inner(grad, ctrl - cand)
                 if decrease <= 0.0:
                     # projection-arc fixed point at machine precision
-                    stalled = True
+                    reason = "rounding-limited"
                     break
-                cand_state = forward(cand)
-                cand_adj, cand_grad = measure(cand, cand_state)
+                cand_grad = gradient(cand)
                 change = 0.5 * inner(grad + cand_grad, cand - ctrl)
                 if change <= -_ARMIJO_DECREASE * decrease:
-                    ctrl, state, adj, grad = cand, cand_state, cand_adj, cand_grad
+                    ctrl, grad = cand, cand_grad
                     cost_hist.append(cost_hist[-1] + change)
-                    accepted = True
                     break
                 step *= _ARMIJO_BACKTRACK
-            if stalled:
-                converged = residual <= tol
-                reason = "stationarity" if converged else "rounding-limited"
-                break
-            if not accepted:
+            else:
                 raise SolverFailure(
                     f"line search failed after {_MAX_HALVINGS} halvings at "
-                    f"iteration {it} (cost {cost_hist[-1]}, residual {residual})"
+                    f"iteration {it} (cost {cost_hist[-1]}, residual {res_hist[-1]})"
                 )
+            if reason == "rounding-limited":
+                break
         else:
             # projection formula: u = P(u - g / w), the boundary series over w
             target = proj(ctrl - grad / tikhonov[:, None])
-            ctrl = (1.0 - damping) * ctrl + damping * target
-            state = forward(ctrl)
-            cost_hist.append(cost_graph(state, ctrl, graph, graph_cfg))
-            adj, grad = measure(ctrl, state)
+            cand = (1.0 - damping) * ctrl + damping * target
+            cand_grad = gradient(cand)
+            cost_hist.append(cost_hist[-1] + 0.5 * inner(grad + cand_grad, cand - ctrl))
+            ctrl, grad = cand, cand_grad
     else:
-        # stopped at max_iter: the returned iterate is measured already
-        residual = stationarity(ctrl, grad)
-        converged = residual <= tol
-        reason = "stationarity" if converged else "max_iter"
+        # stopped at max_iter: the returned iterate's entry
+        res_hist.append(stationarity(ctrl, grad))
+
+    # the last entry, the state and the adjoint are measured at the returned
+    # controls; under per-iteration marches they are measured already
+    grad = measure(ctrl)
+    res_hist[-1] = stationarity(ctrl, grad)
+    converged = res_hist[-1] <= tol
+    if converged:
+        reason = "stationarity"
+    _, state, adj, _ = measured
 
     return OptimResult(
         controls=ctrl,

@@ -181,6 +181,18 @@ class TestParseConfig:
             parse_config(write(tmp_path, "bad.ini", bad))
         assert len(exc.value.violations) == 2
 
+    def test_invalid_n_is_reported_alone(self, tmp_path, capsys):
+        # the sections of edges 2..3 and their controls are not reported as
+        # naming nothing in a problem with n = 1
+        bad = write(tmp_path, "bad.ini", GRAPH_INI.replace("n = 3", "n = 0"))
+        with pytest.raises(ConfigError) as exc:
+            parse_config(bad)
+        assert exc.value.violations == ["n must be at least 1, got 0"]
+        assert main(["--output-dir", str(tmp_path), "optimize", str(bad)]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: n must be at least 1, got 0"
+        ]
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             parse_config(tmp_path / "nope.ini")

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import fracstar.control
+import fracstar.graph_solver
 from fracstar import (
     AdmissibleSet,
     CostConfig,
@@ -22,6 +23,7 @@ from fracstar import (
     diagnose_forward,
     gradient_graph,
     optimize,
+    reduced_hessian,
     solve_adjoint_graph,
     solve_forward_edge,
     solve_forward_graph,
@@ -42,6 +44,21 @@ def tracking_problem(alpha=0.6, M=20, Nt=24, N=1.0):
         edge_op=op, time_grid=tg, f=None, y0=np.zeros(grid.nnodes)
     )
     return problem, CostConfig(n_tikhonov=N, y_d=y_d)
+
+
+@pytest.fixture
+def marches(monkeypatch):
+    """The forward and adjoint marches made while the test runs, one entry
+    each."""
+    calls = []
+    march = fracstar.graph_solver._march
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return march(*args, **kwargs)
+
+    monkeypatch.setattr(fracstar.graph_solver, "_march", counted)
+    return calls
 
 
 def one_edge_graph(op, tg, f, y0, cfg):
@@ -475,6 +492,110 @@ class TestOptimize:
         pr = random_graph(rng, Nt=6)
         res = optimize(pr, CostConfig(), AdmissibleSet.box(-0.2, 0.2), max_iter=40)
         assert res.iterations > 1 and len(factorizations) == pr.n
+
+
+class TestReducedHessian:
+    """The reduced Hessian against the adjoint: the gradient it predicts from
+    the gradient at zero controls is the marched one, on random graphs and
+    on the one-edge graph."""
+
+    @given(
+        alpha=st.one_of(st.just(1.0), st.floats(1e-3, 1.0)),
+        Ms=st.lists(st.integers(2, 6), min_size=1, max_size=4),
+        m_from_top=st.integers(0, 3),
+        Nt=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_gradient_matches_the_adjoint(self, alpha, Ms, m_from_top, Nt, seed):
+        rng = np.random.default_rng(seed)
+        n = len(Ms)
+        m = 0 if n == 1 else max(2, n - m_from_top)
+        bs = tuple(rng.uniform(0.5, 1.5, n))
+        pr = random_graph(rng, alpha=alpha, n=n, m=m, Nt=Nt, Ms=Ms, bs=bs)
+        nch, nd = pr.n_channels, pr.n_dirichlet_channels
+        cfg = CostConfig(channel_weights=rng.uniform(0.1, 2.0, nch))
+        system = assemble_graph_system(pr)
+        Q = reduced_hessian(system, cfg)
+        assert Q.shape == (nch * Nt, nch * Nt)
+        assert np.abs(Q - Q.T).max() <= 1e-13 * np.abs(Q).max()
+
+        def marched(u):
+            y = solve_forward_graph(pr, u[:nd], u[nd:], system)
+            return gradient_graph(u, solve_adjoint_graph(pr, y, system), pr, cfg)
+
+        om = pr.time_grid.trapezoid_weights()
+        b = om[1:] * marched(np.zeros((nch, Nt + 1)))[:, 1:]
+        for _ in range(2):
+            u = rng.standard_normal((nch, Nt + 1))
+            g = marched(u)
+            pred = np.empty_like(u)
+            pred[:, 0] = cfg.channel_weights * u[:, 0]
+            pred[:, 1:] = (Q @ u[:, 1:].ravel() + b.ravel()).reshape(nch, Nt) / om[1:]
+            assert np.abs(pred - g).max() <= 1e-12 * np.abs(g).max()
+
+    def test_marches_do_not_grow_with_the_iterations(self, rng, marches):
+        # n_ch impulse responses, the start's and the result's two marches
+        problem, cfg = tracking_problem(N=1e-2)
+        pr = random_graph(rng, Nt=6)
+        for prob, c, box in (
+            (problem, cfg, AdmissibleSet.box(-0.5, 0.5)),
+            (pr, CostConfig(), AdmissibleSet.box(-0.2, 0.2)),
+        ):
+            nch = as_graph_problem(prob, c)[0].n_channels
+            for algo, max_iter in (("projected_gradient", 5), ("projected_gradient", 60),
+                                   ("fixed_point", 60)):
+                marches.clear()
+                res = optimize(prob, c, box, algo, tol=1e-14, max_iter=max_iter)
+                assert res.iterations >= min(max_iter, 10)
+                assert len(marches) <= nch + 4
+
+    @pytest.mark.parametrize("algo", ["projected_gradient", "fixed_point"])
+    def test_per_iteration_marches_above_the_limit(self, rng, monkeypatch, marches, algo):
+        # above the size limit each gradient costs a forward and an adjoint
+        # march, and the iterates are the same
+        problem, cfg = tracking_problem(N=0.2)
+        pr = random_graph(rng, Nt=6)
+        box = AdmissibleSet.box(-0.2, 0.2)
+        cases = [(problem, cfg), (pr, CostConfig())]
+        results = [optimize(p, c, box, algo, tol=1e-9, max_iter=300) for p, c in cases]
+        monkeypatch.setattr(fracstar.control, "_DENSE_LIMIT", 0)
+        for (prob, c), dense in zip(cases, results):
+            marches.clear()
+            swept = optimize(prob, c, box, algo, tol=1e-9, max_iter=300)
+            assert dense.converged and swept.converged
+            assert len(marches) >= 2 * swept.iterations
+            assert swept.iterations == dense.iterations
+            scale = np.abs(dense.controls).max()
+            assert np.abs(swept.controls - dense.controls).max() <= 1e-12 * scale
+            assert swept.residual_history[-1] == pytest.approx(
+                dense.residual_history[-1], rel=1e-6
+            )
+
+
+    def test_convergence_is_shown_by_the_marches(self, monkeypatch, marches):
+        # with a perturbed Hessian the reduced gradient vanishes at the wrong
+        # controls; the measured one does not, and the iteration goes on from
+        # it to the true optimum
+        problem, cfg = tracking_problem(N=0.2)
+        box = AdmissibleSet.box(-0.2, 0.2)
+        exact = optimize(problem, cfg, box, tol=1e-9, max_iter=300)
+        hessian = fracstar.control.reduced_hessian
+        monkeypatch.setattr(
+            fracstar.control, "reduced_hessian", lambda *args: 1.05 * hessian(*args)
+        )
+        marches.clear()
+        res = optimize(problem, cfg, box, tol=1e-9, max_iter=300)
+        assert res.converged and res.residual_history[-1] <= 1e-9
+        assert len(marches) > 1 + 4
+        graph, gcfg = as_graph_problem(problem, cfg)
+        adj = solve_adjoint_graph(graph, solve_forward_graph(graph, None, res.controls))
+        np.testing.assert_array_equal(
+            gradient_graph(res.controls, adj, graph, gcfg),
+            gradient_graph(res.controls, res.adjoint, graph, gcfg),
+        )
+        om = problem.time_grid.trapezoid_weights()
+        assert np.sqrt(om @ (res.controls[0] - exact.controls[0]) ** 2) <= 1e-7
 
 
 class TestActiveBoxProperties:
