@@ -290,6 +290,18 @@ def _normalize_sets(admissible, nchannels: int) -> list[AdmissibleSet]:
     return sets
 
 
+def _projection(sets: list[AdmissibleSet], nt: int):
+    """Projection of ``(n_ch, Nt + 1)`` controls onto the channels' sets: one
+    ``np.clip`` against bounds broadcast once, ``-inf``/``inf`` where a channel
+    is unconstrained; bitwise the stacked :meth:`AdmissibleSet.project`."""
+    lo = np.empty((len(sets), nt + 1))
+    hi = np.empty_like(lo)
+    for j, s in enumerate(sets):
+        lo[j] = -np.inf if s.lo is None else s.lo
+        hi[j] = np.inf if s.hi is None else s.hi
+    return lambda ctrl: np.clip(ctrl, lo, hi)
+
+
 # Armijo parameters: fixed, deterministic defaults.
 _ARMIJO_DECREASE = 1e-4
 _ARMIJO_BACKTRACK = 0.5
@@ -345,7 +357,8 @@ def optimize(
     if nchannels == 0:
         raise ValueError("the problem has no control channel")
     tikhonov = graph_cfg.weights_for(graph)
-    sets = _normalize_sets(admissible, nchannels)
+    nt = graph.time_grid.Nt
+    proj = _projection(_normalize_sets(admissible, nchannels), nt)
     omega = graph.time_grid.trapezoid_weights()
     # One assembly, and so one set of step-matrix factors, serves every sweep.
     system = assemble_graph_system(graph)
@@ -362,9 +375,6 @@ def optimize(
             measured = (ctrl, state, adj, gradient_graph(ctrl, adj, graph, graph_cfg))
         return measured[3]
 
-    def proj(ctrl: np.ndarray) -> np.ndarray:
-        return np.stack([sets[j].project(ctrl[j]) for j in range(len(sets))])
-
     def inner(a: np.ndarray, b: np.ndarray) -> float:
         return float(np.einsum("jk,k,jk->", a, omega, b))
 
@@ -374,7 +384,6 @@ def optimize(
     def stationarity(ctrl: np.ndarray, grad: np.ndarray) -> float:
         return norm(ctrl - proj(ctrl - grad)) / max(1.0, norm(ctrl))
 
-    nt = graph.time_grid.Nt
     if u0 is None:
         ctrl = np.zeros((nchannels, nt + 1))
     else:

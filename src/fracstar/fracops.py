@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .grids import Grid1D
 
@@ -92,24 +93,28 @@ def right_integral_op(weights: np.ndarray) -> np.ndarray:
     return left_integral_op(weights)[::-1, ::-1]
 
 
-def _left_integral_matrix(alpha: float, grid: Grid1D) -> np.ndarray:
-    """Nodal matrix of ``I^alpha`` from the left; ``alpha = 0`` is the identity
-    (the limit order that appears inside ``D^1`` and the classical traces)."""
-    if alpha == 0.0:
-        return np.eye(grid.nnodes)
-    return left_integral_op(frac_integral_weights(alpha, grid.h, grid.M))
-
-
 def left_rl_derivative(alpha: float, grid: Grid1D) -> np.ndarray:
     """Left Riemann-Liouville derivative: backward difference of the order
     ``1 - alpha`` left integral, one value per cell.
 
     Returns an ``M x (M+1)`` matrix.  For ``alpha = 1`` this is the plain
-    backward difference.
+    backward difference.  The integral's matrix is Toeplitz, ``T[j, k] =
+    t[j - k]`` with ``t`` zero at negative offsets, so the derivative is too:
+    ``D[j, k] = (t[j + 1 - k] - t[j - k]) / h``, gathered from the differences
+    of ``t`` without forming ``T``.
     """
     _check_order(alpha)
-    T = _left_integral_matrix(1.0 - alpha, grid)
-    return (T[1:] - T[:-1]) / grid.h
+    if alpha == 1.0:
+        t = np.zeros(grid.M + 1)  # order 0: the identity
+        t[0] = 1.0
+    else:
+        w = frac_integral_weights(1.0 - alpha, grid.h, grid.M)
+        t = np.concatenate(([0.0], w[:-1]))
+    diff = np.diff(t, prepend=0.0) / grid.h
+    # row j is diff[j + 1], ..., diff[0] followed by zeros: a window of the
+    # reversed differences padded with M zeros
+    padded = np.concatenate((diff[::-1], np.zeros(grid.M)))
+    return sliding_window_view(padded, grid.M + 1)[grid.M - 1 :: -1].copy()
 
 
 def trace_functional(alpha: float, grid: Grid1D, endpoint: str) -> np.ndarray:

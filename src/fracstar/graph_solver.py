@@ -14,15 +14,16 @@ Stepping.  One implicit-Euler march solves
 through the shared coefficient ``c`` and the tip multipliers, so the step
 matrix is block diagonal per edge with a border of width ``1 + m``; it is
 solved by block-arrow elimination, and no global matrix is formed.  Each edge
-block ``A_i = W_i/dt + K_i``, certified SPD by Cholesky, is inverted with its
-nodal mass folded in: on the nodes, the step applies the propagator
-``P_i = A_i^{-1} W_i/dt`` to ``x_prev + l_k dt/W_i``.  The coupling through
-``c`` and the multipliers (the junction mass column, ``A^{-1} C`` and the
-inverse of the ``(1 + m)`` Schur complement) is one low-rank update of the
-previous state, and the border's share of every step's loads and traces is
-solved for all steps at once, before the march.  The step matrix is constant
-in time, so all of this is computed once, at assembly, and shared by every
-sweep on that system.  The forward sweep
+block ``A_i = W_i/dt + K_i`` is factored ``L L^T`` by Cholesky, which
+certifies it SPD, and inverted through that factor, ``A_i^{-1} = L^{-T}
+L^{-1}``, with its nodal mass folded in: on the nodes, the step applies the
+propagator ``P_i = A_i^{-1} W_i/dt`` to ``x_prev + l_k dt/W_i``.  The
+coupling through ``c`` and the multipliers (the junction mass column,
+``A^{-1} C`` and the inverse of the ``(1 + m)`` Schur complement) is one
+low-rank update of the previous state, and the border's share of every
+step's loads and traces is solved for all steps at once, before the march.
+The step matrix is constant in time, so all of this is computed once, at
+assembly, and shared by every sweep on that system.  The forward sweep
 marches from ``y0``; the adjoint sweep marches backward from ``p(T + dt) = 0``
 with loads ``omega_k/dt (y - y_d)`` and is the exact transpose of the
 discrete forward map for the trapezoid space-time cost.  The boundary series
@@ -157,8 +158,9 @@ class GraphSystem:
     diagonal with the edges' ``A_i = W_i/dt + K_i`` on their free nodes, and
     the ``1 + m`` border columns ``C`` couple them to ``c`` and the
     multipliers.  ``edge_propagators`` holds ``P_i = A_i^{-1} diag(mass_i/dt)``
-    with the global slice each acts on.  A step from ``x_prev`` with loads
-    ``l`` and traces ``d`` is
+    with the global slice each acts on; ``A_i^{-1}`` is ``L^{-T} L^{-1}``
+    from the Cholesky factor ``L`` that certifies ``A_i`` SPD.  A step from
+    ``x_prev`` with loads ``l`` and traces ``d`` is
     ``x = P (x_prev + l dt/mass) + U (H x_prev + w)``, where
     ``U = update_cols`` and ``H = update_rows`` carry the rank-``r`` coupling
     (``r = 2 + m`` with the junction coefficient, ``m`` without):
@@ -211,6 +213,27 @@ class GraphSystem:
         if dm.c_index is not None:
             s = s + np.multiply.outer(Y[..., dm.c_index], self.edge_ops[i].mode.samples)
         return s
+
+
+# Largest triangular block that _lower_inverse inverts with ``inv``.
+_LEAF = 64
+
+
+def _lower_inverse(L: np.ndarray) -> np.ndarray:
+    """Inverse of the lower triangular ``L`` by blocked recursion: with
+    ``L = [[L11, 0], [L21, L22]]`` the inverse is
+    ``[[L11^{-1}, 0], [-L22^{-1} L21 L11^{-1}, L22^{-1}]]``, about ``2 n^3/3``
+    flops; blocks of at most ``_LEAF`` rows go to ``inv``."""
+    n = len(L)
+    if n <= _LEAF:
+        # LU's row pivoting may leave roundoff above the diagonal
+        return np.tril(inv(L))
+    h = n // 2
+    out = np.zeros_like(L)
+    out[:h, :h] = _lower_inverse(L[:h, :h])
+    out[h:, h:] = _lower_inverse(L[h:, h:])
+    out[h:, :h] = -(out[h:, h:] @ (L[h:, :h] @ out[:h, :h]))
+    return out
 
 
 def assemble_graph_system(problem: StarGraphProblem) -> GraphSystem:
@@ -269,12 +292,12 @@ def assemble_graph_system(problem: StarGraphProblem) -> GraphSystem:
             border[gs, k + i] = op.trace_b[fs]
             # the tip trace of the junction mode, where there is one
             corner[:k, k + i] = corner[k + i, :k] = op.trace_b[nn:]
-        block = op.W[fs, fs] / dt + op.K[fs, fs]
         try:
-            cholesky(block)  # certifies the block SPD
-            prop = inv(block)
+            # the Cholesky factor certifies the block SPD and gives its inverse
+            lower = _lower_inverse(cholesky(op.W[fs, fs] / dt + op.K[fs, fs]))
         except LinAlgError as exc:
             raise SolverFailure(f"saddle-point factorization failed: {exc}") from None
+        prop = lower.T @ lower  # A_i^{-1} = L^{-T} L^{-1}, a symmetric rank-k update
         if include_mode:
             cols[gs, 0] = prop @ junction_mass[gs] / dt
         cols[gs, k:] = -(prop @ border[gs])

@@ -113,21 +113,30 @@ def assemble_stiffness(
 
     mode = singular_mode(alpha, grid) if include_singular_dof else None
 
-    # Extension to sample space and derivative on the extended vector; the
-    # mode has zero fractional derivative, hence a zero column in D.
-    E = np.eye(nn, ndof)
+    # Derivative on the extended vector; the mode has zero fractional
+    # derivative, hence a zero column in D.
     D = np.zeros((grid.M, ndof))
     D[:, :nn] = left_rl_derivative(alpha, grid)
-    if mode is not None:
-        E[:, -1] = mode.samples
 
-    # scaled operands replace ``A @ diag(d) @ B``; C order keeps BLAS's
-    # summation order, so K and W are bitwise those of the dense products
+    # The mass-type terms ``E^T diag(d) E`` with the extension ``E = [I | s]``
+    # to sample space are a diagonal ``d`` bordered by ``d s`` and the corner
+    # ``(s d) @ s``, filled directly.  The scaled operand in C order keeps
+    # BLAS's summation order of ``D^T diag(h beta) D``, so every entry of K
+    # and W but the corner is bitwise that of the dense products.
     wtrap = grid.trapezoid_weights()
+    wq = wtrap * np.asarray(coeffs.q, dtype=float)
     K = np.multiply(D.T, grid.h * _cell_beta(coeffs), order="C") @ D
-    K += np.multiply(E.T, wtrap * np.asarray(coeffs.q, dtype=float), order="C") @ E
+    W = np.zeros((ndof, ndof))
+    diag = np.arange(nn)
+    K[diag, diag] += wq
+    W[diag, diag] = wtrap
+    if mode is not None:
+        s = mode.samples
+        for A, d in ((K, wq), (W, wtrap)):
+            A[:nn, -1] += d * s
+            A[-1, :nn] += d * s
+            A[-1, -1] += (s * d) @ s
     K = 0.5 * (K + K.T)
-    W = np.multiply(E.T, wtrap, order="C") @ E
 
     trace_a = np.zeros(ndof)
     trace_b = np.zeros(ndof)

@@ -102,6 +102,34 @@ class TestProjection:
         with pytest.raises(ValueError):
             AdmissibleSet.box(0.0, np.nan)
 
+    @given(
+        kinds=st.lists(
+            st.sampled_from(["free", "scalar", "series"]), min_size=1, max_size=5
+        ),
+        nt=st.integers(1, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_one_clip_equals_the_channel_projections(self, kinds, nt, seed):
+        # optimize projects all channels with one np.clip against broadcast
+        # bounds: bitwise the per-channel projections, NaN candidates included
+        rng = np.random.default_rng(seed)
+        sets = []
+        for kind in kinds:
+            if kind == "free":
+                sets.append(AdmissibleSet.unconstrained())
+                continue
+            shape = () if kind == "scalar" else (nt + 1,)
+            lo = rng.uniform(-2.0, 0.0, shape)
+            lo = float(lo) if kind == "scalar" else lo
+            sets.append(AdmissibleSet.box(lo, lo + rng.uniform(0.0, 2.0, shape)))
+        cand = 3.0 * rng.standard_normal((len(sets), nt + 1))
+        cand[rng.random(cand.shape) < 0.2] = np.nan
+        cand[rng.random(cand.shape) < 0.1] = rng.choice([np.inf, -np.inf, -0.0])
+        ref = np.stack([s.project(c) for s, c in zip(sets, cand)])
+        got = fracstar.control._projection(sets, nt)(cand)
+        assert got.tobytes() == ref.tobytes()
+
     def test_series_bounds(self, rng):
         # pointwise-in-time box with series bounds
         lo = -np.linspace(0.0, 1.0, 9)

@@ -183,6 +183,26 @@ class TestLeftDerivative:
         orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
         assert np.all(orders >= 0.9)
 
+    @given(
+        alpha=st.one_of(st.just(1.0), st.floats(1e-3, 1.0)),
+        M=st.integers(2, 600),
+        b=st.floats(0.5, 2.0),
+    )
+    @example(alpha=1.0, M=2, b=1.0)
+    @example(alpha=1e-3, M=600, b=2.0)
+    @settings(max_examples=40, deadline=None)
+    def test_gathered_from_the_integral_differences(self, alpha, M, b):
+        # bitwise the backward difference of the integral's matrix, which the
+        # gather from the differences of its Toeplitz column replaces; the
+        # order 0 integral of alpha = 1 is the identity
+        grid = Grid1D(0.0, b, M)
+        if alpha == 1.0:
+            T = np.eye(M + 1)
+        else:
+            T = left_integral_op(frac_integral_weights(1.0 - alpha, grid.h, M))
+        ref = (T[1:] - T[:-1]) / grid.h
+        assert left_rl_derivative(alpha, grid).tobytes() == ref.tobytes()
+
     def test_singular_mode_column_is_zero(self):
         # the assembled derivative ignores the appended mode coefficient
         grid = Grid1D(0.0, 1.0, 12)

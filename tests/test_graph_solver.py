@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import lu_factor, lu_solve
 
@@ -222,6 +222,23 @@ class TestAssembly:
         sys_ = assemble_graph_system(pr)
         with pytest.raises(SolverFailure, match="non-finite forward solve"):
             solve_forward_graph(pr, system=sys_)
+
+    def test_no_full_size_inverse(self, rng, monkeypatch):
+        # each edge block is inverted through its Cholesky factor: inv sees
+        # only triangular leaf blocks, then the (1 + m) Schur complement
+        sizes = []
+        inv = fracstar.graph_solver.inv
+
+        def recorded(a):
+            sizes.append(len(a))
+            return inv(a)
+
+        monkeypatch.setattr(fracstar.graph_solver, "inv", recorded)
+        n, m, M = 4, 3, 256
+        pr = random_graph(rng, n=n, m=m, Nt=4, Ms=(M,) * n, bs=(1.0,) * n)
+        assemble_graph_system(pr)
+        assert sizes[-1] == 1 + m
+        assert 0 < max(sizes[:-1]) <= fracstar.graph_solver._LEAF
 
     def test_alpha_one_against_classical_star(self, rng):
         pr = random_graph(
@@ -639,6 +656,35 @@ class TestGraphCornerProperties:
             assert np.abs(x[j] - ref).max() <= 1e-12
             assert np.abs(mult[j] + sol[nf:]).max(initial=0.0) <= 1e-12
             prev = ref
+
+    @given(
+        alpha=st.one_of(st.just(1.0), st.floats(1e-3, 1.0)),
+        Ms=st.lists(st.integers(2, 150), min_size=1, max_size=3),
+        Nt=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # blocks of the leaf size and one more: alpha = 1 pins node 0
+    @example(alpha=1.0, Ms=[64, 65], Nt=1, seed=0)
+    @example(alpha=0.5, Ms=[63, 64], Nt=1, seed=1)
+    @settings(max_examples=40, deadline=None)
+    def test_propagators_are_scaled_inverses(self, alpha, Ms, Nt, seed):
+        # P_i = A_i^{-1} diag(mass_i/dt), inverted through the Cholesky
+        # factor, against numpy's inverse of the block.  Any computed inverse
+        # errs by up to about cond(A_i) eps, so the 1e-13 relative bound
+        # grows with the condition number above 1e3 (alpha near 1, fine h).
+        rng = np.random.default_rng(seed)
+        n = len(Ms)
+        bs = tuple(rng.uniform(0.5, 1.5, n))
+        m = 0 if n == 1 else 2
+        pr = random_graph(rng, alpha=alpha, n=n, m=m, Nt=Nt, Ms=Ms, bs=bs)
+        sys_ = assemble_graph_system(pr)
+        dt = pr.time_grid.dt
+        for op, (gs, prop) in zip(sys_.edge_ops, sys_.edge_propagators):
+            fs = slice(int(op.free[0]), op.grid.nnodes)
+            block = op.W[fs, fs] / dt + op.K[fs, fs]
+            ref = np.linalg.inv(block) * (sys_.mass[gs] / dt)
+            tol = 1e-13 * max(1.0, np.linalg.cond(block) / 1e3)
+            assert np.abs(prop - ref).max() <= tol * np.abs(ref).max()
 
     @given(
         alpha=st.one_of(st.just(1.0), st.floats(1e-3, 1.0)),

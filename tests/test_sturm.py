@@ -115,7 +115,9 @@ class TestAssembly:
 
 class TestDiagonalProducts:
     """``K`` and ``W`` are bitwise the dense ``A @ np.diag(d) @ B`` products
-    that the scaled operands replace."""
+    that the scaled operand and the direct mass fills replace, except the
+    junction corner: it is one dot product, whose summation order BLAS does
+    not fix, so it agrees to roundoff."""
 
     @given(
         alpha=st.one_of(st.just(1.0), st.floats(1e-3, 1.0)),
@@ -141,8 +143,12 @@ class TestDiagonalProducts:
         K += E.T @ np.diag(wtrap * coeffs.q) @ E
         K = 0.5 * (K + K.T)
         W = E.T @ np.diag(wtrap) @ E
-        assert op.K.tobytes() == K.tobytes()
-        assert op.W.tobytes() == W.tobytes()
+        for got, ref in ((op.K, K), (op.W, W)):
+            if singular:
+                assert abs(got[-1, -1] - ref[-1, -1]) <= 1e-13 * abs(ref[-1, -1])
+                got, ref = got.copy(), ref.copy()
+                got[-1, -1] = ref[-1, -1] = 0.0
+            assert got.tobytes() == ref.tobytes()
 
 
 class TestNeumannLoad:
