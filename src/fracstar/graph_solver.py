@@ -23,13 +23,21 @@ coupling through ``c`` and the multipliers (the junction mass column,
 low-rank update of the previous state, and the border's share of every
 step's loads and traces is solved for all steps at once, before the march.
 The step matrix is constant in time, so all of this is computed once, at
-assembly, and shared by every sweep on that system.  The forward sweep
-marches from ``y0``; the adjoint sweep marches backward from ``p(T + dt) = 0``
-with loads ``omega_k/dt (y - y_d)`` and is the exact transpose of the
-discrete forward map for the trapezoid space-time cost.  The boundary series
-it returns (multiplier fluxes on Dirichlet tips, traces on Neumann tips) are
-scaled so that the first-order optimality residuals of the discrete cost
-vanish exactly at a discrete minimizer.  The sweeps return the solution only.
+assembly, and shared by every sweep on that system.  Assembly takes the edges
+one at a time: it assembles an edge's operator, keeps the few vectors the
+sweeps and diagnostics read (mass, border and junction entries, the junction
+mode and the flux-probe and junction rows of ``W`` and ``K``), forms the step
+block in place on ``K``, factors it and releases the edge's ``K``, ``W`` and
+``D`` before the next edge.  A system keeps one square array per edge, its
+propagator.
+
+The forward sweep marches from ``y0``; the adjoint sweep marches backward
+from ``p(T + dt) = 0`` with loads ``omega_k/dt (y - y_d)`` and is the exact
+transpose of the discrete forward map for the trapezoid space-time cost.  The
+boundary series it returns (multiplier fluxes on Dirichlet tips, traces on
+Neumann tips) are scaled so that the first-order optimality residuals of the
+discrete cost vanish exactly at a discrete minimizer.  The sweeps return the
+solution only.
 
 Diagnostics.  :func:`diagnose_forward` and :func:`diagnose_adjoint` read the
 tip and junction fluxes off the step residuals of a solution, all steps at
@@ -47,11 +55,13 @@ from numpy.linalg import LinAlgError, cholesky, inv
 
 from .errors import SolverFailure
 from .grids import Grid1D, TimeGrid
-from .sturm import EdgeCoefficients, EdgeOperator, assemble_stiffness
+from .fracops import left_rl_derivative
+from .sturm import EdgeCoefficients, assemble_stiffness
 
 __all__ = [
     "StarGraphProblem",
     "GlobalDofMap",
+    "EdgeReadout",
     "GraphSystem",
     "GraphTrajectory",
     "GraphDiagnostics",
@@ -145,12 +155,34 @@ class StarGraphProblem:
         return self.n_dirichlet_channels + self.n_neumann_channels
 
 
+@dataclass(frozen=True)
+class EdgeReadout:
+    """The vectors of one edge's operator that the sweeps and diagnostics
+    read, taken at assembly before its matrices are released.
+
+    ``mode`` holds the junction mode's nodal samples; ``probe`` the nodal part
+    of the flux probe, with ``w_probe`` and ``k_probe`` the edge's ``W`` and
+    ``K`` applied to the whole probe; ``w_junction`` and ``k_junction`` the
+    junction rows ``W[-1]`` and ``K[-1]``.  Without the junction mode the
+    three junction fields are ``None``.  To get the edge's full operator,
+    call :func:`~fracstar.sturm.assemble_stiffness`.
+    """
+
+    mode: np.ndarray | None = field(repr=False)
+    probe: np.ndarray = field(repr=False)
+    w_probe: np.ndarray = field(repr=False)
+    k_probe: np.ndarray = field(repr=False)
+    w_junction: np.ndarray | None = field(repr=False)
+    k_junction: np.ndarray | None = field(repr=False)
+
+
 @dataclass
 class GraphSystem:
-    """Assembled graph operator, stored per edge: the edge operators, the
-    tip trace rows of all edges (the first ``m`` are the constraint rows of
-    the Dirichlet-type tips, ``B`` in :func:`_march`), and the inverted step
-    matrix.
+    """Assembled graph operator, stored per edge: each edge's readout vectors
+    (:class:`EdgeReadout`), the tip trace rows of all edges (the first ``m``
+    are the constraint rows of the Dirichlet-type tips, ``B`` in
+    :func:`_march`), and the inverted step matrix.  No edge's ``K``, ``W``
+    or ``D`` is kept: the one square array per edge is its propagator.
 
     ``mass`` is the diagonal of the global mass (the junction coupling sits in
     the update below).  The step matrix on the free DOFs, bordered by the free
@@ -173,7 +205,7 @@ class GraphSystem:
 
     problem: StarGraphProblem
     dofmap: GlobalDofMap
-    edge_ops: list[EdgeOperator]
+    readouts: list[EdgeReadout]
     trace_b_rows: np.ndarray = field(repr=False)
     free: np.ndarray = field(repr=False)
     mass: np.ndarray = field(repr=False)
@@ -193,11 +225,11 @@ class GraphSystem:
         """
         dm = self.dofmap
         out = np.zeros(np.shape(g[0])[:-1] + (self.ndof,))
-        for i, op in enumerate(self.edge_ops):
-            wg = op.grid.trapezoid_weights() * g[i]
+        for i, (grid, edge) in enumerate(zip(self.problem.grids, self.readouts)):
+            wg = grid.trapezoid_weights() * g[i]
             out[..., dm.edge_slice(i)] += wg
             if dm.c_index is not None:
-                out[..., dm.c_index] += wg @ op.mode.samples
+                out[..., dm.c_index] += wg @ edge.mode
         return out
 
     def edge_dofs(self, Y: np.ndarray, i: int) -> np.ndarray:
@@ -211,7 +243,7 @@ class GraphSystem:
         dm = self.dofmap
         s = np.array(Y[..., dm.edge_slice(i)])
         if dm.c_index is not None:
-            s = s + np.multiply.outer(Y[..., dm.c_index], self.edge_ops[i].mode.samples)
+            s = s + np.multiply.outer(Y[..., dm.c_index], self.readouts[i].mode)
         return s
 
 
@@ -237,9 +269,10 @@ def _lower_inverse(L: np.ndarray) -> np.ndarray:
 
 
 def assemble_graph_system(problem: StarGraphProblem) -> GraphSystem:
-    """Assemble the edge operators, form every edge's propagator and the
+    """Assemble the edges one at a time, form every edge's propagator and the
     step's low-rank coupling through the Schur complement of the border in
-    ``c`` and the multipliers."""
+    ``c`` and the multipliers.  An edge's dense matrices are released before
+    the next edge is assembled."""
     n, m = problem.n, problem.m
     dt = problem.time_grid.dt
     include_mode = problem.include_junction_mode
@@ -248,16 +281,6 @@ def assemble_graph_system(problem: StarGraphProblem) -> GraphSystem:
     c_index = offsets[-1] + nnodes[-1] if include_mode else None
     dm = GlobalDofMap(offsets=offsets, nnodes=nnodes, c_index=c_index)
     ndof = dm.ndof
-
-    ops = [
-        assemble_stiffness(
-            problem.alpha,
-            problem.grids[i],
-            problem.coeffs[i],
-            include_singular_dof=include_mode,
-        )
-        for i in range(n)
-    ]
 
     # border unknowns: c (if present), then the m multipliers; the update
     # columns are A^{-1} of the junction mass column over dt (if present),
@@ -271,8 +294,15 @@ def assemble_graph_system(problem: StarGraphProblem) -> GraphSystem:
     corner = np.zeros((nb, nb))
     cols = np.zeros((ndof, k + nb))
     propagators = []
+    readouts = []
     free = []
-    for i, op in enumerate(ops):
+    for i in range(n):
+        op = assemble_stiffness(
+            problem.alpha,
+            problem.grids[i],
+            problem.coeffs[i],
+            include_singular_dof=include_mode,
+        )
         sl = dm.edge_slice(i)
         nn = nnodes[i]
         # sturm decides the pinned nodes, which lead the edge's block
@@ -280,6 +310,16 @@ def assemble_graph_system(problem: StarGraphProblem) -> GraphSystem:
         fs = slice(first, nn)
         gs = slice(offsets[i] + first, offsets[i] + nn)
         free.append(np.arange(gs.start, gs.stop))
+        readouts.append(
+            EdgeReadout(
+                mode=op.mode.samples if include_mode else None,
+                probe=op.flux_probe[:nn],
+                w_probe=op.W @ op.flux_probe,
+                k_probe=op.K @ op.flux_probe,
+                w_junction=op.W[-1].copy() if include_mode else None,
+                k_junction=op.K[-1].copy() if include_mode else None,
+            )
+        )
         trace_b[i, sl] = op.trace_b[:nn]
         mass[sl] = op.W.diagonal()[:nn]
         if include_mode:
@@ -292,12 +332,23 @@ def assemble_graph_system(problem: StarGraphProblem) -> GraphSystem:
             border[gs, k + i] = op.trace_b[fs]
             # the tip trace of the junction mode, where there is one
             corner[:k, k + i] = corner[k + i, :k] = op.trace_b[nn:]
+        # W is diagonal on the nodes, so A_i = W_i/dt + K_i is K's nodal block
+        # with mass/dt added to its diagonal in place.  Each dense array is
+        # released once read: W and D here, K once it is factored.
+        block = op.K[fs, fs]
+        del op
+        diag = np.arange(nn - first)
+        block[diag, diag] += mass[gs] / dt
         try:
             # the Cholesky factor certifies the block SPD and gives its inverse
-            lower = _lower_inverse(cholesky(op.W[fs, fs] / dt + op.K[fs, fs]))
+            factor = cholesky(block)
+            del block
+            lower = _lower_inverse(factor)
+            del factor
         except LinAlgError as exc:
             raise SolverFailure(f"saddle-point factorization failed: {exc}") from None
         prop = lower.T @ lower  # A_i^{-1} = L^{-T} L^{-1}, a symmetric rank-k update
+        del lower
         if include_mode:
             cols[gs, 0] = prop @ junction_mass[gs] / dt
         cols[gs, k:] = -(prop @ border[gs])
@@ -337,7 +388,7 @@ def assemble_graph_system(problem: StarGraphProblem) -> GraphSystem:
     return GraphSystem(
         problem=problem,
         dofmap=dm,
-        edge_ops=ops,
+        readouts=readouts,
         trace_b_rows=trace_b,
         free=free,
         mass=mass,
@@ -593,15 +644,13 @@ def _readout(system: GraphSystem, y: GraphTrajectory, prev, g, known, traces, **
     rate = (x - prev) / dt
     tip = np.empty((len(x), pr.n))
     junction = np.zeros_like(tip)
-    for i, (op, gi) in enumerate(zip(system.edge_ops, g)):
+    for i, (edge, grid, gi) in enumerate(zip(system.readouts, pr.grids, g)):
         xi, ri = system.edge_dofs(x, i), system.edge_dofs(rate, i)
-        wg = op.grid.trapezoid_weights() * gi
-        nn = wg.shape[-1]
-        probe = op.flux_probe
-        tip[:, i] = ri @ (op.W @ probe) + xi @ (op.K @ probe) - wg @ probe[:nn]
-        if op.has_singular_dof:
+        wg = grid.trapezoid_weights() * gi
+        tip[:, i] = ri @ edge.w_probe + xi @ edge.k_probe - wg @ edge.probe
+        if edge.mode is not None:
             junction[:, i] = known[:, i] - (
-                ri @ op.W[-1] + xi @ op.K[-1] - wg @ op.mode.samples
+                ri @ edge.w_junction + xi @ edge.k_junction - wg @ edge.mode
             )
 
     energy = np.sqrt(
@@ -635,13 +684,15 @@ def _apriori_ratios(system: GraphSystem, y: GraphTrajectory, f, v) -> tuple[floa
     ``||y^Nt||^2`` over the data ``||y^0||^2 + dt sum_k (||f^k||^2 + |v^k|^2)``,
     ``k = 1..Nt``, summed over the edges; the data counts the energy of the
     Neumann controls ``v``."""
-    dm, dt = system.dofmap, system.problem.time_grid.dt
+    pr, dm = system.problem, system.dofmap
+    dt = pr.time_grid.dt
     lhs = final = 0.0
     data = dt * float(np.sum(v[:, 1:] ** 2))
-    for i, op in enumerate(system.edge_ops):
-        s, w = y.samples[i], op.grid.trapezoid_weights()
-        Dy = y.dofs[1:, dm.edge_slice(i)] @ op.D[:, : dm.nnodes[i]].T
-        lhs += dt * (np.einsum("kj,j,kj->", s[1:], w, s[1:]) + op.grid.h * np.sum(Dy**2))
+    for i, grid in enumerate(pr.grids):
+        s, w = y.samples[i], grid.trapezoid_weights()
+        # the junction mode has no derivative, so D acts on the nodes alone
+        Dy = y.dofs[1:, dm.edge_slice(i)] @ left_rl_derivative(pr.alpha, grid).T
+        lhs += dt * (np.einsum("kj,j,kj->", s[1:], w, s[1:]) + grid.h * np.sum(Dy**2))
         data += s[0] @ (w * s[0]) + dt * np.einsum("kj,j,kj->", f[i][1:], w, f[i][1:])
         final += s[-1] @ (w * s[-1])
     if data <= 0.0:

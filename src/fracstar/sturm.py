@@ -136,7 +136,8 @@ def assemble_stiffness(
             A[:nn, -1] += d * s
             A[-1, :nn] += d * s
             A[-1, -1] += (s * d) @ s
-    K = 0.5 * (K + K.T)
+    K += K.T
+    K *= 0.5
 
     trace_a = np.zeros(ndof)
     trace_b = np.zeros(ndof)

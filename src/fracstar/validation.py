@@ -1,12 +1,13 @@
 """Independent oracles for the test and acceptance suites.
 
 These deliberately avoid the production time-stepping code: the space-time
-oracle scatters the edge operators into dense global matrices of its own,
-assembles every implicit-Euler step into one dense block system and solves
-it in a single factorization (a single edge is checked as the one-edge
-graph), and the classical-limit solver builds
-its own P1 finite-element heat discretization (consistent mass, midpoint
-diffusion sampling) from scratch.
+oracle assembles each edge's operator from ``system.problem`` itself (the
+assembled system keeps only propagators), scatters them into dense global
+matrices of its own, assembles every implicit-Euler step into one dense block
+system and solves it in a single factorization (a single edge is checked as
+the one-edge graph), and the classical-limit solver builds its own P1
+finite-element heat discretization (consistent mass, midpoint diffusion
+sampling) from scratch.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .graph_solver import (
     solve_forward_graph,
 )
 from .grids import Grid1D, TimeGrid
+from .sturm import assemble_stiffness
 
 __all__ = [
     "dense_edge_operators",
@@ -42,14 +44,18 @@ def _guard(ndof: int, nt: int) -> None:
 
 
 def dense_edge_operators(system: GraphSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Each edge's stiffness and mass scattered into the global DOF layout:
-    arrays ``K``, ``W`` of shape ``(n, ndof, ndof)`` whose sums over the
-    first axis are the global matrices."""
-    dm = system.dofmap
-    n, ndof = system.problem.n, system.ndof
+    """Each edge's stiffness and mass, assembled from ``system.problem`` and
+    scattered into the global DOF layout: arrays ``K``, ``W`` of shape
+    ``(n, ndof, ndof)`` whose sums over the first axis are the global
+    matrices."""
+    pr, dm = system.problem, system.dofmap
+    n, ndof = pr.n, system.ndof
     K = np.zeros((n, ndof, ndof))
     W = np.zeros((n, ndof, ndof))
-    for i, op in enumerate(system.edge_ops):
+    for i, grid in enumerate(pr.grids):
+        op = assemble_stiffness(
+            pr.alpha, grid, pr.coeffs[i], include_singular_dof=pr.include_junction_mode
+        )
         idx = np.r_[dm.edge_slice(i), dm.junction]
         K[i][np.ix_(idx, idx)] = op.K
         W[i][np.ix_(idx, idx)] = op.W

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,18 @@ def diagnose_edge(op, tg, f, y0, v):
     system = assemble_graph_system(problem)
     traj = solve_forward_graph(problem, None, v, system)
     return traj, diagnose_forward(system, traj, None, v)
+
+
+def edge_operators(problem):
+    """Each edge's operator, assembled as the graph assembly assembles it
+    (the assembled system keeps only its propagators and readout vectors)."""
+    return [
+        assemble_stiffness(
+            problem.alpha, grid, coeffs,
+            include_singular_dof=problem.include_junction_mode,
+        )
+        for grid, coeffs in zip(problem.grids, problem.coeffs)
+    ]
 
 
 def random_graph(
@@ -99,3 +113,21 @@ def factorizations(monkeypatch):
 
     monkeypatch.setattr(fracstar.graph_solver, "cholesky", counted)
     return calls
+
+
+@pytest.fixture
+def traced_peak():
+    """Measure a call under ``tracemalloc``: ``traced_peak(fn, *args)``
+    returns ``(result, retained, peak)``, the bytes that the call leaves
+    allocated and the most it held at once, both counted from its start."""
+
+    def measure(fn, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            result = fn(*args, **kwargs)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return result, retained, peak
+
+    return measure

@@ -36,7 +36,13 @@ from fracstar.validation import (
     dense_oracle_solve_graph,
     finite_difference_gradient,
 )
-from conftest import diagnose_edge, random_coeffs, random_edge, random_graph
+from conftest import (
+    diagnose_edge,
+    edge_operators,
+    random_coeffs,
+    random_edge,
+    random_graph,
+)
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -321,7 +327,7 @@ def test_criterion_08_junction_physics():
         traj = solve_forward_graph(pr, u, v, sys_)
         junction = diagnose_forward(sys_, traj, u, v).junction_flux
         worst_flux = max(worst_flux, float(np.abs(junction[1:].sum(axis=1)).max()))
-        for i, op in enumerate(sys_.edge_ops):
+        for i, op in enumerate(edge_operators(pr)):
             traces = sys_.edge_dofs(traj.dofs, i) @ op.trace_a
             continuity_exact &= bool(np.all(traces == traj.c))
     elapsed = time.time() - t0

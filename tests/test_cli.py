@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-import fracstar
+import fracstar.cli
 from fracstar import (
     ConfigError,
     assemble_graph_system,
@@ -231,6 +232,33 @@ class TestCommands:
         header = (tmp_path / "state.csv").read_text().splitlines()[0]
         assert header == "t,edge,x,y"
         assert (tmp_path / "report.txt").exists()
+
+    def test_apriori_report_states_the_relation_that_holds(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        ini = write(tmp_path, "graph.ini", GRAPH_INI)
+        assert main(["--output-dir", str(tmp_path), "solve-forward", str(ini)]) == 0
+        held = (tmp_path / "report.txt").read_text().splitlines()[:2]
+        assert all(" <= bound " in line for line in held)
+        assert capsys.readouterr().err == ""
+
+        diagnose = fracstar.cli.diagnose_forward
+
+        def exceeded(*args, **kwargs):
+            d = diagnose(*args, **kwargs)
+            return dataclasses.replace(d, estimate_ratio=2.0 * d.estimate_bound)
+
+        monkeypatch.setattr(fracstar.cli, "diagnose_forward", exceeded)
+        assert main(["--output-dir", str(tmp_path), "solve-forward", str(ini)]) == 0
+        energy, final = (tmp_path / "report.txt").read_text().splitlines()[:2]
+        assert energy.startswith("graph a-priori estimate, energy norm: measured ")
+        assert " > bound " in energy and "<=" not in energy
+        assert final == held[1]
+        warnings = [
+            line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("warning:")
+        ]
+        assert len(warnings) == 1 and "energy norm" in warnings[0]
 
     def test_seventeen_digit_output(self, tmp_path):
         ini = write(tmp_path, "edge.ini", EDGE_INI)

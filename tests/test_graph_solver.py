@@ -1,5 +1,4 @@
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +22,7 @@ from fracstar import (
     solve_forward_edge,
 )
 from fracstar.validation import dense_edge_operators, dense_oracle_solve_graph
-from conftest import diagnose_edge, random_coeffs, random_graph
+from conftest import diagnose_edge, edge_operators, random_coeffs, random_graph
 
 
 def classical_star_heat(problem, u, v):
@@ -167,6 +166,28 @@ class TestAssembly:
         np.testing.assert_array_equal(dense_edge_operators(sys_)[0].sum(axis=0), op.K)
         np.testing.assert_array_equal(sys_.trace_b_rows[0], op.trace_b)
 
+    def test_readouts_are_the_edge_operators_vectors(self, rng):
+        # what the diagnostics read is bitwise what the edge operator gives
+        for alpha, n, m in ((0.6, 3, 2), (1.0, 3, 3), (0.4, 1, 0)):
+            pr = random_graph(rng, alpha=alpha, n=n, m=m)
+            sys_ = assemble_graph_system(pr)
+            for edge, op in zip(sys_.readouts, edge_operators(pr), strict=True):
+                pairs = [
+                    (edge.probe, op.flux_probe[: op.grid.nnodes]),
+                    (edge.w_probe, op.W @ op.flux_probe),
+                    (edge.k_probe, op.K @ op.flux_probe),
+                ]
+                if n == 1:
+                    assert edge.mode is edge.w_junction is edge.k_junction is None
+                else:
+                    pairs += [
+                        (edge.mode, op.mode.samples),
+                        (edge.w_junction, op.W[-1]),
+                        (edge.k_junction, op.K[-1]),
+                    ]
+                for got, ref in pairs:
+                    assert got.tobytes() == ref.tobytes()
+
     def test_block_symmetry(self, rng):
         pr = random_graph(rng)
         sys_ = assemble_graph_system(pr)
@@ -288,7 +309,7 @@ class TestForward:
         u = rng.standard_normal((1, 7))
         traj = solve_forward_graph(pr, u, None)
         sys_ = assemble_graph_system(pr)
-        for i, op in enumerate(sys_.edge_ops):
+        for i, op in enumerate(edge_operators(pr)):
             traces = sys_.edge_dofs(traj.dofs, i) @ op.trace_a
             assert np.all(traces == traj.c)
 
@@ -326,6 +347,7 @@ class TestForward:
         c = sys_.dofmap.c_index
         Ks, Ws = dense_edge_operators(sys_)
         K, W, kc, wc = Ks.sum(axis=0), Ws.sum(axis=0), Ks[:, c], Ws[:, c]
+        ops = edge_operators(pr)
         for k in range(1, 8):
             misfit = [yi[k] - ydi[k] for yi, ydi in zip(y.samples, pr.y_d)]
             p_next = p.dofs[k + 1] if k < 7 else np.zeros(sys_.ndof)
@@ -339,12 +361,12 @@ class TestForward:
                 r = W @ rate + K @ x - sys_.load_from_samples(g)
                 tip = [
                     r[sys_.dofmap.edge_slice(i)] @ op.flux_probe[: op.grid.nnodes]
-                    for i, op in enumerate(sys_.edge_ops)
+                    for i, op in enumerate(ops)
                 ]
                 np.testing.assert_allclose(d.tip_flux[k], tip, atol=1e-12)
                 load_c = [
                     op.mode.samples @ (op.grid.trapezoid_weights() * gi)
-                    for op, gi in zip(sys_.edge_ops, g)
+                    for op, gi in zip(ops, g)
                 ]
                 junction = known - (kc @ x + wc @ rate - load_c)
                 np.testing.assert_allclose(d.junction_flux[k], junction, atol=1e-12)
@@ -360,26 +382,37 @@ class TestForward:
         solve_forward_graph(pr, None, None, sys_)
         assert len(factorizations) == pr.n
 
-    def test_no_dense_global_array(self, rng):
+    def test_no_dense_global_array(self, rng, traced_peak):
         # assembly, a sweep and its diagnostics on a wide star stay below the
         # memory of one ndof x ndof matrix
         n, M = 8, 128
         pr = random_graph(rng, n=n, m=4, Nt=16, Ms=(M,) * n, bs=(1.0,) * n)
         u = rng.standard_normal((3, 17))
         v = rng.standard_normal((4, 17))
-        tracemalloc.start()
-        try:
+
+        def solve_and_diagnose():
             sys_ = assemble_graph_system(pr)
             diagnose_forward(sys_, solve_forward_graph(pr, u, v, sys_), u, v)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+            return sys_
+
+        sys_, _, peak = traced_peak(solve_and_diagnose)
         assert sys_.ndof == 1033
         assert peak < 8 * sys_.ndof**2
 
+    def test_assembly_releases_each_edge_before_the_next(self, rng, traced_peak):
+        # assembly keeps one propagator per edge and, at any time, the dense
+        # matrices of at most one edge beside the propagators already made
+        n, M = 4, 256
+        pr = random_graph(rng, n=n, m=3, Nt=4, Ms=(M,) * n, bs=(1.0,) * n)
+        _, retained, peak = traced_peak(assemble_graph_system, pr)
+        block = 8 * (M + 1) ** 2
+        assert retained <= (n + 1) * block
+        assert peak < (n + 4) * block
+
     def test_stored_step_holds_one_square_array_per_edge(self, rng):
         # the step data are one n_i x n_i propagator per edge plus arrays of
-        # O(ndof (1 + m)) entries: no second per-edge copy is kept
+        # O(ndof (1 + m)) entries: no second per-edge copy is kept, and no
+        # edge's K, W or D
         n, M, m = 8, 128, 4
         pr = random_graph(rng, n=n, m=m, Nt=4, Ms=(M,) * n, bs=(1.0,) * n)
         sys_ = assemble_graph_system(pr)
@@ -389,19 +422,26 @@ class TestForward:
                 return [value]
             if isinstance(value, (list, tuple)):
                 return [a for item in value for a in arrays(item)]
+            if dataclasses.is_dataclass(value):
+                return arrays([getattr(value, f.name) for f in dataclasses.fields(value)])
             return []
 
-        square, other = [], 0
+        square, other, readout = [], 0, 0
         for f in dataclasses.fields(sys_):
-            if f.name in ("problem", "edge_ops"):  # the inputs the system keeps
+            if f.name == "problem":  # the input the system keeps
                 continue
             for a in arrays(getattr(sys_, f.name)):
-                if a.ndim == 2 and a.shape[0] == a.shape[1] == M + 1:
+                if a.ndim == 2 and min(a.shape) >= M:  # as large as an edge block
                     square.append(a)
+                elif f.name == "readouts":
+                    readout += a.size
                 else:
                     other += a.size
         assert len(square) == n
+        assert all(a.shape == (M + 1, M + 1) for a in square)
         assert other <= sys_.ndof * (n + 4 * (1 + m))
+        # the diagnostics' vectors: at most six per edge
+        assert readout <= 6 * sum(g.nnodes + 1 for g in pr.grids)
 
     def test_degenerate_reduces_to_edge_solver(self, rng):
         grid = Grid1D(0.0, 1.0, 10)
@@ -679,7 +719,7 @@ class TestGraphCornerProperties:
         pr = random_graph(rng, alpha=alpha, n=n, m=m, Nt=Nt, Ms=Ms, bs=bs)
         sys_ = assemble_graph_system(pr)
         dt = pr.time_grid.dt
-        for op, (gs, prop) in zip(sys_.edge_ops, sys_.edge_propagators):
+        for op, (gs, prop) in zip(edge_operators(pr), sys_.edge_propagators):
             fs = slice(int(op.free[0]), op.grid.nnodes)
             block = op.W[fs, fs] / dt + op.K[fs, fs]
             ref = np.linalg.inv(block) * (sys_.mass[gs] / dt)
