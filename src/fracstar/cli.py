@@ -46,7 +46,12 @@ infinite as long as the box holds a real value).  An edge's messages start
 with ``[edge.i] key``.
 
 Commands: ``solve-forward``, ``solve-adjoint``, ``optimize``, ``validate``.
-Exit codes: 0 success, 2 config error, 3 solver failure, 4 validation failure.
+Exit codes: 0 success, 2 config or output error, 3 solver failure, 4
+validation failure.
+
+Large data files are parsed, and a large ``state.csv`` is formatted, on every
+CPU the process may run on, at most 8 (:mod:`fracstar._csvio`).  The arrays
+and the bytes written are those of one process.
 """
 
 from __future__ import annotations
@@ -54,12 +59,12 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
-import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
+from ._csvio import read_csv_files, write_csv
 from .control import AdmissibleSet, CostConfig, gradient_graph, optimize
 from .errors import ConfigError, SizeGuardError, SolverFailure
 from .fracops import left_rl_derivative, right_caputo_nodal, trace_functional
@@ -91,11 +96,18 @@ class RunConfig:
     max_iter: int
 
 
-def _data(token: str, key: str, base: Path, shape: tuple, errors: list[str]):
+def _data_file(token: str, base: Path) -> Path | None:
+    """The path a ``file:<path.csv>`` data token names, else ``None``."""
+    token = token.strip()
+    return base / token[len("file:") :] if token.startswith("file:") else None
+
+
+def _data(token: str, key: str, base: Path, files: dict, shape: tuple, errors: list[str]):
     """The array of a data token ``zero | const:<v> | file:<path.csv>``, or
-    ``None`` with the violation added to ``errors``.  A ``None`` size in
+    ``None`` with the violation added to ``errors``; ``files`` holds what
+    :func:`read_csv_files` read from each data file.  A ``None`` size in
     ``shape`` is one an invalid grid or ``nt`` leaves unknown: a file is then
-    read and checked for finite values, but not for its shape."""
+    checked for finite values, but not for its shape."""
     token = token.strip()
     known = None not in shape
     if token == "zero":
@@ -107,17 +119,15 @@ def _data(token: str, key: str, base: Path, shape: tuple, errors: list[str]):
         except ValueError:
             errors.append(f"{key}: bad constant in token {token!r}")
             return None
-    elif token.startswith("file:"):
-        path = base / token[len("file:") :]
+    elif (path := _data_file(token, base)) is not None:
         source = f"data file {path}"
-        try:
-            # an empty file warns; it is reported below, as a violation
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)
-                data = np.loadtxt(path, delimiter=",", ndmin=len(shape))
-        except (OSError, ValueError) as exc:
-            errors.append(f"{key}: cannot read {source}: {exc}")
+        data = files[path]
+        if isinstance(data, str):
+            errors.append(f"{key}: cannot read {source}: {data}")
             return None
+        if len(shape) == 1:
+            # as np.loadtxt reads the file with ndmin=1
+            data = np.atleast_1d(data.squeeze())
         if data.size == 0:
             errors.append(f"{key}: {source} holds no data")
             return None
@@ -177,7 +187,12 @@ def parse_config(path: str | Path) -> RunConfig:
         raise ConfigError([f"problem file {path} does not exist"])
     cp = configparser.ConfigParser()
     try:
-        cp.read(path)
+        # read_file, unlike read, does not skip a file it cannot open; its
+        # parse errors name the source as read names it, by the Path
+        with open(path) as fh:
+            cp.read_file(fh, source=path)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError([f"problem file {path} cannot be read: {exc}"]) from None
     except configparser.Error as exc:
         raise ConfigError([f"cannot parse {path}: {exc}"]) from None
 
@@ -225,6 +240,14 @@ def parse_config(path: str | Path) -> RunConfig:
     time_grid = None if T is None or nt is None else TimeGrid(T, nt)
     rows = None if nt is None else nt + 1
     base = path.parent
+    # the edges' data files, each read once
+    paths = [
+        _data_file(cp[f"edge.{i}"].get(key, "zero"), base)
+        for i in range(1, n + 1)
+        if cp.has_section(f"edge.{i}")
+        for key in ("f", "y0", "ydtarget")
+    ]
+    files = read_csv_files(list(dict.fromkeys(p for p in paths if p is not None)))
 
     grids, coeffs, fs, y0s, yds = [], [], [], [], []
     for i in range(1, n + 1):
@@ -248,10 +271,11 @@ def parse_config(path: str | Path) -> RunConfig:
                 if beta is not None and q is not None:
                     coeffs.append(EdgeCoefficients.constant(grid, beta, q))
         nodes = None if grid is None else grid.nnodes
-        fs.append(_data(sec.get("f", "zero"), f"{label}f", base, (rows, nodes), errors))
-        y0s.append(_data(sec.get("y0", "zero"), f"{label}y0", base, (nodes,), errors))
+        fs.append(_data(sec.get("f", "zero"), f"{label}f", base, files, (rows, nodes), errors))
+        y0 = sec.get("y0", "zero")
+        y0s.append(_data(y0, f"{label}y0", base, files, (nodes,), errors))
         yd = sec.get("ydtarget", "zero")
-        yds.append(_data(yd, f"{label}ydtarget", base, (rows, nodes), errors))
+        yds.append(_data(yd, f"{label}ydtarget", base, files, (rows, nodes), errors))
 
     if len({g.a for g in grids}) > 1:
         errors.append("all edges of a star graph must share the left endpoint a")
@@ -310,21 +334,6 @@ def parse_config(path: str | Path) -> RunConfig:
     return RunConfig(problem, cost, sets, channels, algo, tol, max_iter)
 
 
-def _write_csv(path: Path, header: str, lead, labels, values) -> None:
-    """Write ``header``, then one block of rows per entry of ``lead``: row
-    ``r`` of block ``k`` is ``lead[k] + labels[r]`` followed by ``values[k, r]``
-    with 17 significant digits.  ``lead`` and ``labels`` are text that carries
-    its own separators, so each time and node is formatted once; a block is
-    formatted by one ``%`` template built from them."""
-    labels = [label.replace("%", "%%") for label in labels]
-    with open(path, "w") as fh:
-        fh.write(header + "\n")
-        for key, row in zip(lead, values):
-            key = key.replace("%", "%%")
-            template = key + ("%.17g\n" + key).join(labels) + "%.17g\n"
-            fh.write(template % tuple(row.tolist()))
-
-
 def _finish(out: Path, problem: StarGraphProblem, states, report: list[str]) -> None:
     """Write the per-edge states to ``state.csv`` and the report to
     ``report.txt``, and echo the report."""
@@ -334,7 +343,7 @@ def _finish(out: Path, problem: StarGraphProblem, states, report: list[str]) -> 
         for i, g in enumerate(problem.grids)
         for x in g.nodes.tolist()
     ]
-    _write_csv(out / "state.csv", "t,edge,x,y", times, nodes, np.hstack(states))
+    write_csv(out / "state.csv", "t,edge,x,y", times, nodes, np.hstack(states))
     (out / "report.txt").write_text("\n".join(report) + "\n")
     print("\n".join(report))
 
@@ -368,6 +377,8 @@ def _cmd_solve_forward(cfg: RunConfig, out: Path) -> int:
             f"junction flux balance, max residual: {junction:.17g}",
             f"dirichlet constraint, max residual:  {d.constraint_residual:.17g}",
         ]
+    # a forked writer starts from this process's memory
+    del system
     _finish(out, problem, traj.samples, report)
     return 0
 
@@ -381,6 +392,8 @@ def _cmd_solve_adjoint(cfg: RunConfig, out: Path) -> int:
     if problem.m > 0:
         ratio = diagnose_adjoint(system, adj, fwd).boundary_regularity_ratio
         report.append(f"boundary regularity ratio: {ratio:.17g}")
+    # a forked writer starts from this process's memory
+    del system, fwd
     _finish(out, problem, adj.samples, report)
     return 0
 
@@ -392,11 +405,11 @@ def _cmd_optimize(cfg: RunConfig, out: Path) -> int:
     )
     times = [f"{t:.17g}," for t in problem.time_grid.times.tolist()]
     channels = [f"{ch}," for ch in cfg.channels]
-    _write_csv(
+    write_csv(
         out / "controls.csv", "t,channel,value", times, channels, result.controls.T
     )
     iterates = [f"{it},{c:.17g}," for it, c in enumerate(result.cost_history.tolist())]
-    _write_csv(
+    write_csv(
         out / "convergence.csv", "iter,cost,stationarity", iterates, [""],
         result.residual_history[:, None],
     )
@@ -518,8 +531,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     try:
+        out.mkdir(parents=True, exist_ok=True)
         cfg = parse_config(args.problem_file)
         if args.command == "solve-forward":
             return _cmd_solve_forward(cfg, out)
@@ -535,6 +548,9 @@ def main(argv: list[str] | None = None) -> int:
     except SolverFailure as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
+    except OSError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,8 +1,11 @@
+import contextlib
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
+import fracstar._csvio
 import fracstar.graph_solver
 from fracstar import (
     EdgeCoefficients,
@@ -131,3 +134,19 @@ def traced_peak():
         return result, retained, peak
 
     return measure
+
+
+@contextlib.contextmanager
+def splitting():
+    """Split every CSV conversion between three processes, whatever its size
+    and however many CPUs the machine has (a two-core one has fewer)."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fracstar._csvio, "SPLIT_MIN_VALUES", 0)
+        mp.setattr(fracstar._csvio, "cpus", lambda: 3)
+        yield
+
+
+def assert_no_child_processes():
+    """Every child process this one started has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

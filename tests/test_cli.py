@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import errno
 import os
 import subprocess
 import sys
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import fracstar._csvio
 import fracstar.cli
 from fracstar import (
     ConfigError,
@@ -18,7 +21,9 @@ from fracstar import (
     optimize,
     solve_forward_graph,
 )
-from fracstar.cli import _write_csv, main, parse_config
+from conftest import assert_no_child_processes, splitting
+from fracstar._csvio import write_csv
+from fracstar.cli import main, parse_config
 
 EDGE_INI = """
 [problem]
@@ -197,6 +202,19 @@ class TestParseConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(ConfigError):
             parse_config(tmp_path / "nope.ini")
+
+    def test_unreadable_problem_file_is_one_violation(self, tmp_path, capsys):
+        # a path that exists but is no file is reported as such, alone, not
+        # as a problem file without a [problem] section
+        folder = tmp_path / "problem.ini"
+        folder.mkdir()
+        with pytest.raises(ConfigError) as exc:
+            parse_config(folder)
+        assert len(exc.value.violations) == 1
+        assert exc.value.violations[0].startswith(f"problem file {folder} cannot be read: ")
+        assert main(["--output-dir", str(tmp_path), "solve-forward", str(folder)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"config error: {exc.value.violations[0]}"]
 
     def test_unknown_keys_reported(self, tmp_path, capsys):
         # a misspelt key would otherwise leave its default in force: here the
@@ -390,6 +408,18 @@ class TestCommands:
         ini = write(tmp_path, "bad.ini", bad)
         assert main(["--output-dir", str(tmp_path), "optimize", str(ini)]) == 2
 
+    @pytest.mark.parametrize("below", ["", "sub"])
+    def test_output_dir_that_cannot_be_created(self, tmp_path, capsys, below):
+        # a file stands where the directory (or a parent of it) would go
+        (tmp_path / "taken").write_text("")
+        ini = write(tmp_path, "edge.ini", EDGE_INI)
+        out = tmp_path / "taken" / below
+        assert main(["--output-dir", str(out), "solve-forward", str(ini)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [captured.err.strip()]
+        assert captured.err.startswith("output error: ") and "taken" in captured.err
+
     @pytest.mark.parametrize(
         "content", ["0.1,0.2,not-a-number\n", ",".join(["nan"] * 13) + "\n"]
     )
@@ -553,7 +583,7 @@ class TestWriter:
         nodes = [data.draw(arrays(s)) for s in sizes]
         states = [data.draw(arrays((nt + 1, s))) for s in sizes]
         reference_state_csv(tmp / "ref.csv", times, states, nodes)
-        _write_csv(
+        write_csv(
             tmp / "new.csv", "t,edge,x,y",
             [f"{t:.17g}," for t in times.tolist()],
             [f"{i + 1},{x:.17g}," for i, xs in enumerate(nodes) for x in xs.tolist()],
@@ -572,7 +602,7 @@ class TestWriter:
     ):
         # any text in the lead and the labels, '%' included, is copied as is
         tmp = tmp_path_factory.mktemp("template")
-        _write_csv(tmp / "new.csv", "h", lead, labels, values)
+        write_csv(tmp / "new.csv", "h", lead, labels, values)
         cells = [
             f"{key}{label}{v:.17g}\n"
             for key, row in zip(lead, values.tolist())
@@ -592,7 +622,7 @@ class TestWriter:
         controls = data.draw(arrays((channels, nt + 1)))
         ids = list(range(2, channels + 2))
         reference_controls_csv(tmp / "ref.csv", times, controls, ids)
-        _write_csv(
+        write_csv(
             tmp / "new.csv", "t,channel,value",
             [f"{t:.17g}," for t in times.tolist()], [f"{ch}," for ch in ids], controls.T,
         )
@@ -600,9 +630,156 @@ class TestWriter:
 
         costs, residuals = data.draw(arrays(nt + 1)), data.draw(arrays(nt + 1))
         reference_convergence_csv(tmp / "ref.csv", costs, residuals)
-        _write_csv(
+        write_csv(
             tmp / "new.csv", "iter,cost,stationarity",
             [f"{it},{c:.17g}," for it, c in enumerate(costs.tolist())], [""],
             residuals[:, None],
         )
         assert (tmp / "new.csv").read_bytes() == (tmp / "ref.csv").read_bytes()
+
+
+# lead and label text: '%', separators, line breaks and non-ASCII included
+TEXT = st.text(st.sampled_from("%,.-e1 \né∞😀") | st.characters(), max_size=4)
+
+
+def graph_with_files(tmp_path, rng, tokens=None):
+    """GRAPH_INI with data files: edge 1 reads its source and initial datum,
+    edge 2 one file as both source and target, edge 3 its initial datum as a
+    column.  ``tokens`` maps ``(edge, key)`` to a replacement token."""
+    # 13 time rows; 9, 8 and 10 nodes
+    np.savetxt(tmp_path / "f1.csv", rng.standard_normal((13, 9)), delimiter=",", fmt="%.17g")
+    np.savetxt(tmp_path / "y1.csv", rng.standard_normal((1, 9)), delimiter=",", fmt="%.17g")
+    np.savetxt(tmp_path / "fd2.csv", rng.standard_normal((13, 8)), delimiter=",", fmt="%.17g")
+    np.savetxt(tmp_path / "y3.csv", rng.standard_normal((10, 1)), delimiter=",", fmt="%.17g")
+    data = {(1, "f"): "file:f1.csv", (1, "y0"): "file:y1.csv", (2, "f"): "file:fd2.csv",
+            (2, "ydtarget"): "file:fd2.csv", (3, "y0"): "file:y3.csv"}
+    data |= tokens or {}
+    text = GRAPH_INI.replace("ydtarget = const:0.3\n", "")
+    for i in (1, 2, 3):
+        lines = "".join(f"{key} = {tok}\n" for (e, key), tok in data.items() if e == i)
+        text = text.replace(f"[edge.{i}]\n", f"[edge.{i}]\n{lines}")
+    return write(tmp_path, "graph.ini", text)
+
+
+class TestSplitConversion:
+    """Data files parsed and ``state.csv`` written by forked workers give the
+    arrays, violations and bytes of one process, and leave no child process
+    and no part file behind."""
+
+    @given(
+        data=st.data(),
+        blocks=st.integers(0, 7),  # below, equal to and above three workers
+        width=st.integers(1, 4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_split_writer_writes_the_serial_bytes(self, tmp_path_factory, data, blocks, width):
+        lead = data.draw(st.lists(TEXT, min_size=blocks, max_size=blocks))
+        labels = data.draw(st.lists(TEXT, min_size=width, max_size=width))
+        values = data.draw(arrays((blocks, width)))
+        tmp = tmp_path_factory.mktemp("split")
+        write_csv(tmp / "serial.csv", "h%s", lead, labels, values)
+        with splitting():
+            assert len(fracstar._csvio.chunks([width] * blocks)) == max(1, min(blocks, 3))
+            write_csv(tmp / "split.csv", "h%s", lead, labels, values)
+        assert_no_child_processes()
+        assert sorted(p.name for p in tmp.iterdir()) == ["serial.csv", "split.csv"]
+        assert (tmp / "split.csv").read_bytes() == (tmp / "serial.csv").read_bytes()
+        cells = [
+            f"{key}{label}{v:.17g}\n"
+            for key, row in zip(lead, values.tolist())
+            for label, v in zip(labels, row)
+        ]
+        with open(tmp / "split.csv", newline="") as fh:
+            assert fh.read() == "h%s\n" + "".join(cells)
+
+    def test_parts_are_appended_without_sendfile(self, tmp_path, monkeypatch):
+        # where sendfile takes no file as its target, the parts are copied
+        def refuse(*args):
+            raise OSError(errno.ENOTSOCK, "Socket operation on non-socket")
+
+        values = np.arange(12.0).reshape(4, 3) / 7
+        write_csv(tmp_path / "serial.csv", "h", list("abcd"), list("xyz"), values)
+        monkeypatch.setattr(os, "sendfile", refuse)
+        with splitting():
+            write_csv(tmp_path / "split.csv", "h", list("abcd"), list("xyz"), values)
+        assert (tmp_path / "split.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["serial.csv", "split.csv"]
+
+    def test_split_loading_gives_the_serial_arrays(self, tmp_path, rng):
+        ini = graph_with_files(tmp_path, rng)
+        serial = parse_config(ini).problem
+        with splitting():
+            split = parse_config(ini).problem
+        assert_no_child_processes()
+        for name in ("f", "y0", "y_d"):
+            for a, b in zip(getattr(serial, name), getattr(split, name)):
+                assert (a.shape, a.tobytes()) == (b.shape, b.tobytes())
+        # the file named twice is read once, into both fields
+        assert split.f[1] is split.y_d[1]
+        assert serial.y0[2].shape == (10,)  # a column reads as the datum
+
+    def test_split_loading_reports_the_serial_violations(self, tmp_path, rng, capsys):
+        (tmp_path / "empty.csv").write_text("")
+        (tmp_path / "nan.csv").write_text((",".join(["nan"] * 8) + "\n") * 13)
+        (tmp_path / "short.csv").write_text("0.1,0.2,0.3\n")
+        (tmp_path / "text.csv").write_text("0.1,a\n")
+        tokens = {
+            (1, "f"): "file:missing.csv", (1, "y0"): "file:empty.csv",
+            (2, "f"): "file:nan.csv", (2, "ydtarget"): "file:nan.csv",
+            (2, "y0"): "file:short.csv", (3, "f"): "file:text.csv",
+        }
+        ini = graph_with_files(tmp_path, rng, tokens)
+        with pytest.raises(ConfigError) as serial:
+            parse_config(ini)
+        assert main(["--output-dir", str(tmp_path), "solve-forward", str(ini)]) == 2
+        serial_err = capsys.readouterr().err
+        with splitting():
+            with pytest.raises(ConfigError) as split:
+                parse_config(ini)
+            assert main(["--output-dir", str(tmp_path), "solve-forward", str(ini)]) == 2
+        assert_no_child_processes()
+        assert split.value.violations == serial.value.violations
+        assert capsys.readouterr().err == serial_err
+        assert len(serial.value.violations) == 6
+        for name, what in [("missing", "cannot read"), ("empty", "holds no data"),
+                           ("nan", "non-finite"), ("short", "has shape"), ("text", "cannot read")]:
+            assert any(f"{name}.csv" in v and what in v for v in serial.value.violations)
+
+    def test_split_run_leaves_only_its_outputs(self, tmp_path, rng, capsys):
+        ini = graph_with_files(tmp_path, rng)
+        runs = {}
+        for mode in ("serial", "split"):
+            out = tmp_path / mode
+            with splitting() if mode == "split" else contextlib.nullcontext():
+                assert main(["--output-dir", str(out), "solve-forward", str(ini)]) == 0
+            assert_no_child_processes()
+            assert sorted(p.name for p in out.iterdir()) == ["report.txt", "state.csv"]
+            runs[mode] = (
+                capsys.readouterr(),
+                *((out / name).read_bytes() for name in ("state.csv", "report.txt")),
+            )
+        assert runs["split"] == runs["serial"]
+
+    def test_failed_worker_write_is_one_output_error(self, tmp_path, rng, capsys, monkeypatch):
+        # the third worker's part file fills the disk after a few bytes
+        def failing_open(file, mode="r", *args, **kwargs):
+            fh = open(file, mode, *args, **kwargs)
+            if str(file).endswith(".part2"):
+                fh.write("1,2")
+                fh.close()
+                raise OSError(errno.ENOSPC, "No space left on device", str(file))
+            return fh
+
+        monkeypatch.setattr(fracstar._csvio, "open", failing_open, raising=False)
+        ini = graph_with_files(tmp_path, rng)
+        out = tmp_path / "out"
+        with splitting():
+            assert main(["--output-dir", str(out), "solve-forward", str(ini)]) == 2
+        assert_no_child_processes()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"output error: [Errno {errno.ENOSPC}] No space left on device: "
+            f"'{out / 'state.csv.part2'}'"
+        ]
+        assert [p.name for p in out.iterdir()] == ["state.csv"]

@@ -33,6 +33,16 @@ def test_runtime_imports_no_scipy():
     assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
 
 
+def test_runtime_imports_no_process_pools():
+    """The CLI forks its CSV workers itself: it loads no process-pool or
+    subprocess module, whose import every run would pay."""
+    pools = ("multiprocessing", "concurrent.futures", "subprocess")
+    probe = f"import fracstar.cli, sys; sys.exit(any(m in sys.modules for m in {pools}))"
+    src = str(Path(fracstar.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
+
+
 def test_cli_calls_layers_by_module_global():
     """The commands call each layer through a name bound in ``fracstar.cli``,
     so wrapping that binding (as a per-layer trace does) sees every call."""
