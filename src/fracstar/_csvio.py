@@ -5,19 +5,19 @@ CPU.  :func:`fan_out` splits the work into contiguous parts: part 0 runs in
 this process and every other part in a child made by ``os.fork``, which
 shares the parent's memory until either writes to it; a child's result comes
 back pickled through a pipe.  Without ``os.fork``, with one CPU, or with too
-little work to pay for a fork, all of it is one part, run in this process.
+little work to pay for a fork, all of it is one part, run in this process;
+a part that cannot be forked (no process or file slot left) runs there too.
 The arrays and the bytes written are those of one process.
 """
 
 from __future__ import annotations
 
 import bisect
-import errno
-import gc
 import itertools
 import os
 import pickle
 import shutil
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -47,9 +47,7 @@ def chunks(sizes: list[int]) -> list[range]:
     single range where ``os.fork`` is missing."""
     total = sum(sizes)
     workers = cpus() if hasattr(os, "fork") else 1
-    if SPLIT_MIN_VALUES:
-        workers = min(workers, total // SPLIT_MIN_VALUES)
-    workers = max(1, min(workers, len(sizes), total))
+    workers = max(1, min(workers, total // SPLIT_MIN_VALUES, len(sizes)))
     ends = [0, *itertools.accumulate(sizes)]  # ends[b]: the values before item b
     cuts = []
     for j in range(1, workers):
@@ -66,25 +64,34 @@ def fan_out(run, parts: list[range]) -> list:
     """``[run(k, part) for k, part in enumerate(parts)]``, with part 0 run in
     this process while every other part runs in a forked child.  A child
     sends back its result, or the exception it raised, and leaves by
-    ``os._exit``.  Every child is reaped before this returns or raises, and
-    the exception of the lowest part that raised one is raised here."""
+    ``os._exit``.  Where a pipe or a fork fails, that part and the ones
+    after it run in this process once the children are done, so a fork
+    failure costs only speed.  Every child is reaped before this returns or
+    raises, and the exception of the lowest part that raised one is raised
+    here."""
     pipes: dict[int, int] = {}  # child pid -> read end of its pipe
     try:
         for k in range(1, len(parts)):
-            r, w = os.pipe()
+            try:
+                r, w = os.pipe()
+            except OSError:
+                break
             # Forking is safe: the child runs only Python text work, calls no
-            # BLAS, and leaves by os._exit with the garbage collector off, so
-            # the stdio buffers, atexit handlers and finalizers of open files
-            # it inherits never run twice.  Python >= 3.12 warns
+            # BLAS, and leaves by os._exit, so the stdio buffers and atexit
+            # handlers it inherits never run twice.  Python >= 3.12 warns
             # (DeprecationWarning) on a fork in a process with threads, such
             # as a BLAS pool; the warning must not reach stderr.
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DeprecationWarning)
-                pid = os.fork()
+            try:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", DeprecationWarning)
+                    pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                break
             if pid == 0:
                 status = 1
                 try:
-                    gc.disable()
                     for fd in (r, *pipes.values()):
                         os.close(fd)
                     try:
@@ -111,7 +118,9 @@ def fan_out(run, parts: list[range]) -> list:
     for ok, value in results:
         if not ok:
             raise value
-    return [value for _, value in results]
+    return [value for _, value in results] + [
+        run(k, parts[k]) for k in range(len(results), len(parts))
+    ]
 
 
 def _send(fd: int, obj) -> None:
@@ -176,14 +185,16 @@ def write_csv(path: Path, header: str, lead, labels, values) -> None:
     formatted by one ``%`` template built from them.
 
     The blocks are split between workers (:func:`fan_out`): the first range
-    is written to ``path``, each other range to a part file beside it, which
-    is then appended to ``path`` and deleted."""
+    is written to ``path``, each other range to an unnamed temporary file
+    beside it, which is then appended to ``path``."""
     labels = [label.replace("%", "%%") for label in labels]
     parts = chunks([len(labels)] * len(lead))
-    targets = [path, *(path.with_name(f"{path.name}.part{k}") for k in range(1, len(parts)))]
+    temps = []
 
     def write(k: int, blocks: range) -> None:
-        with open(targets[k], "w") as fh:
+        # a worker writes through the temporary file's descriptor, which it
+        # shares with this process, and leaves it open for the append
+        with open(path if k == 0 else temps[k - 1].fileno(), "w", closefd=k == 0) as fh:
             if k == 0:
                 fh.write(header + "\n")
             for b in blocks:
@@ -192,27 +203,14 @@ def write_csv(path: Path, header: str, lead, labels, values) -> None:
                 fh.write(template % tuple(values[b].tolist()))
 
     try:
+        for _ in parts[1:]:
+            temps.append(tempfile.TemporaryFile(dir=path.parent, buffering=0))
         fan_out(write, parts)
-        if len(targets) > 1:
-            with open(path, "r+b", buffering=0) as out:
-                out.seek(0, os.SEEK_END)
-                for part in targets[1:]:
-                    with open(part, "rb", buffering=0) as src:
-                        _append(out, src)
+        if temps:
+            with open(path, "ab") as out:
+                for temp in temps:
+                    temp.seek(0)
+                    shutil.copyfileobj(temp, out, 1 << 20)
     finally:
-        for part in targets[1:]:
-            part.unlink(missing_ok=True)
-
-
-def _append(out, src) -> None:
-    """Copy the binary file ``src`` to ``out`` at its position: in the kernel
-    where ``os.sendfile`` takes a file as its target (Linux), else through a
-    buffer."""
-    offset = 0
-    try:
-        while sent := os.sendfile(out.fileno(), src.fileno(), offset, 1 << 30):
-            offset += sent
-    except OSError as exc:
-        if offset or exc.errno not in (errno.EINVAL, errno.ENOTSOCK, errno.ENOSYS):
-            raise
-        shutil.copyfileobj(src, out)
+        for temp in temps:
+            temp.close()

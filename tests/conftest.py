@@ -141,7 +141,7 @@ def splitting():
     """Split every CSV conversion between three processes, whatever its size
     and however many CPUs the machine has (a two-core one has fewer)."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(fracstar._csvio, "SPLIT_MIN_VALUES", 0)
+        mp.setattr(fracstar._csvio, "SPLIT_MIN_VALUES", 1)
         mp.setattr(fracstar._csvio, "cpus", lambda: 3)
         yield
 

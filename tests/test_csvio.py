@@ -1,6 +1,7 @@
 """Work split between forked workers: contiguous parts, results in order,
 every child reaped, and a child's failure raised in the parent."""
 
+import errno
 import os
 
 import numpy as np
@@ -17,7 +18,7 @@ class TestChunks:
     @given(
         sizes=st.lists(st.integers(0, 10**6), max_size=20),
         workers=st.integers(1, 12),
-        minimum=st.sampled_from([0, 1, 1000, csvio.SPLIT_MIN_VALUES]),
+        minimum=st.sampled_from([1, 1000, csvio.SPLIT_MIN_VALUES]),
     )
     @settings(max_examples=200, deadline=None)
     def test_contiguous_parts_cover_every_item_once(self, sizes, workers, minimum):
@@ -31,14 +32,13 @@ class TestChunks:
         else:
             assert parts == [range(0)]
         assert len(parts) <= workers
-        if minimum:
-            assert len(parts) <= max(1, sum(sizes) // minimum)
+        assert len(parts) <= max(1, sum(sizes) // minimum)
 
     @given(blocks=st.integers(1, 300), width=st.integers(1, 50), workers=st.integers(1, 8))
     def test_equal_items_are_shared_evenly(self, blocks, width, workers):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(csvio, "cpus", lambda: workers)
-            mp.setattr(csvio, "SPLIT_MIN_VALUES", 0)
+            mp.setattr(csvio, "SPLIT_MIN_VALUES", 1)
             lengths = [len(part) for part in chunks([width] * blocks)]
         assert len(lengths) == min(blocks, workers)
         assert max(lengths) - min(lengths) <= 1
@@ -58,7 +58,7 @@ class TestChunks:
         assert len(chunks([4 * 513] * 129)) == 4
 
     def test_without_fork_everything_is_one_part(self, monkeypatch):
-        monkeypatch.setattr(csvio, "SPLIT_MIN_VALUES", 0)
+        monkeypatch.setattr(csvio, "SPLIT_MIN_VALUES", 1)
         monkeypatch.delattr(os, "fork", raising=False)
         assert chunks([10**6] * 4) == [range(4)]
 
@@ -133,3 +133,53 @@ class TestFanOut:
         with pytest.raises(RuntimeError, match="carries a lambda"):
             fan_out(run, [range(1)] * 2)
         assert_no_child_processes()
+
+    @pytest.mark.parametrize(
+        "name, exc",
+        [("pipe", OSError(errno.EMFILE, "Too many open files")),
+         ("fork", BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable"))],
+    )
+    def test_parts_that_cannot_be_forked_run_here(self, monkeypatch, name, exc):
+        # the second pipe or fork fails, as under a file or process limit:
+        # part 1 runs in a child, parts 2 and 3 here, and no pipe is left open
+        fds = []
+        pipe = os.pipe
+        monkeypatch.setattr(os, "pipe", lambda: fds.extend(pipe()) or tuple(fds[-2:]))
+        fail_from_second_call(monkeypatch, name, exc)
+        out = fan_out(lambda k, part: (k, os.getpid()), [range(1)] * 4)
+        assert [k for k, _ in out] == [0, 1, 2, 3]
+        pids = [pid for _, pid in out]
+        assert pids[0] == pids[2] == pids[3] == os.getpid() != pids[1]
+        assert_no_child_processes()
+        assert len(fds) == (2 if name == "pipe" else 4)
+        for fd in fds:
+            with pytest.raises(OSError):
+                os.fstat(fd)
+
+    def test_child_failure_is_raised_before_unforked_parts_run(self, monkeypatch):
+        fail_from_second_call(monkeypatch, "fork", OSError(errno.EAGAIN, "no process"))
+        ran = []
+
+        def run(k, part):
+            if k == 1:
+                raise KeyError("part 1 failed")
+            ran.append(k)
+
+        with pytest.raises(KeyError, match="part 1 failed"):
+            fan_out(run, [range(1)] * 3)
+        assert ran == [0]
+        assert_no_child_processes()
+
+
+def fail_from_second_call(monkeypatch, name, exc):
+    """Make ``os.<name>`` raise ``exc`` from its second call on."""
+    real = getattr(os, name)
+    calls = []
+
+    def limited():
+        calls.append(1)
+        if len(calls) > 1:
+            raise exc
+        return real()
+
+    monkeypatch.setattr(os, name, limited)
