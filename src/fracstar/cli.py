@@ -30,11 +30,12 @@ Problem files are INI-style key-value text::
     max_iter = 200
     tikhonov_n = 1.0
 
-Single-edge problems use ``n = 1`` (or omit ``n``) with one Neumann control
-section ``[control.1]``; they are solved as the one-edge graph, so
-``m_split`` is 0 or omitted there, and their control penalty is
-``tikhonov_n`` (a ``[control.1] weight``, if given, must equal it).  Data
-tokens are ``zero``, ``const:<v>`` or ``file:<path.csv>``; CSV
+Values are read literally (``%`` is not special), and a ``;`` after
+whitespace starts a comment.  Single-edge problems use ``n = 1`` (or omit
+``n``) with one Neumann control section ``[control.1]``; they are solved as
+the one-edge graph, so ``m_split`` is 0 or omitted there, and their control
+penalty is ``tikhonov_n`` (a ``[control.1] weight``, if given, must equal
+it).  Data tokens are ``zero``, ``const:<v>`` or ``file:<path.csv>``; CSV
 sources/targets hold ``nt+1`` rows of ``m_cells+1`` comma-separated values,
 initial data a single row.
 
@@ -52,12 +53,19 @@ validation failure.
 Large data files are parsed, and a large ``state.csv`` is formatted, on every
 CPU the process may run on, at most 8 (:mod:`fracstar._csvio`).  The arrays
 and the bytes written are those of one process.
+
+A CLI process (the ``fracstar`` command or ``python -m fracstar.cli``) enters
+through :func:`run`, which freezes the garbage collector's view of the heap
+once the modules are imported (:func:`gc.freeze`): the collections at exit
+then skip everything import built, and the forked CSV workers start from a
+frozen heap.  :func:`main` called from Python freezes nothing.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import gc
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -185,7 +193,7 @@ def parse_config(path: str | Path) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError([f"problem file {path} does not exist"])
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=(";",))
     try:
         # read_file, unlike read, does not skip a file it cannot open; its
         # parse errors name the source as read names it, by the Path
@@ -553,5 +561,14 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """Process entry of the ``fracstar`` command and ``python -m
+    fracstar.cli``: exit with :func:`main`'s code.  Everything import built
+    lives until the process ends, so it is frozen first and the collections
+    at exit do not traverse it."""
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -1,7 +1,11 @@
+import ast
 import contextlib
 import dataclasses
 import errno
+import gc
+import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -103,6 +107,17 @@ def write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
     return p
+
+
+def run_cli(argv, code=None):
+    """Run ``python -m fracstar.cli argv`` in a child process, through ``code``
+    run first (``python -c``) when given."""
+    src = str(Path(fracstar.__file__).resolve().parents[1])
+    lead = ["-c", code] if code else ["-m", "fracstar.cli"]
+    return subprocess.run(
+        [sys.executable, *lead, *argv],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+    )
 
 
 class TestParseConfig:
@@ -215,6 +230,15 @@ class TestParseConfig:
         assert main(["--output-dir", str(tmp_path), "solve-forward", str(folder)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert err == [f"config error: {exc.value.violations[0]}"]
+
+    @pytest.mark.parametrize("name", ["a%b.csv", "%(a)s.csv"])
+    def test_percent_in_a_value_is_literal(self, tmp_path, name):
+        # no interpolation: '%' alone is no syntax error, and '%(a)s' does
+        # not read the section's key a
+        y0 = np.linspace(0.0, 1.0, 13)
+        np.savetxt(tmp_path / name, y0[None, :], delimiter=",")
+        ini = write(tmp_path, "edge.ini", EDGE_INI.replace("y0 = const:0.5", f"y0 = file:{name}"))
+        assert parse_config(ini).problem.y0[0].tolist() == y0.tolist()
 
     def test_unknown_keys_reported(self, tmp_path, capsys):
         # a misspelt key would otherwise leave its default in force: here the
@@ -435,12 +459,7 @@ class TestCommands:
         # numpy warns on an empty file; a CLI run prints the violation alone
         (tmp_path / "empty.csv").write_text("")
         ini = write(tmp_path, "edge.ini", EDGE_INI.replace("f = zero", "f = file:empty.csv"))
-        src = str(Path(fracstar.__file__).resolve().parents[1])
-        run = subprocess.run(
-            [sys.executable, "-m", "fracstar.cli", "--output-dir", str(tmp_path),
-             "solve-forward", str(ini)],
-            env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
-        )
+        run = run_cli(["--output-dir", str(tmp_path), "solve-forward", str(ini)])
         assert run.returncode == 2
         lines = run.stderr.splitlines()
         assert len(lines) == 1 and lines[0].startswith("config error: ")
@@ -519,6 +538,68 @@ class TestCommands:
         first_rows = (tmp_path / "state.csv").read_text().splitlines()[1:14]
         got = np.array([float(r.split(",")[-1]) for r in first_rows])
         np.testing.assert_allclose(got, y0, rtol=1e-15)
+
+    def test_readme_example_optimizes(self, tmp_path, capsys):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        [example] = re.findall(r"```ini\n(.*?)```", readme.read_text(), re.S)
+        ini = write(tmp_path, "problem.ini", example)
+        assert main(["--output-dir", str(tmp_path), "optimize", str(ini)]) == 0
+        assert capsys.readouterr().err == ""
+
+
+# Prints, after every other exit handler of a CLI process has run, whether the
+# heap is frozen and the collector enabled.
+EXIT_PROBE = """
+import atexit, gc, runpy
+atexit.register(lambda: print("frozen", gc.get_freeze_count() > 0, gc.isenabled()))
+runpy.run_module("fracstar.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+class TestEntry:
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_main_leaves_the_collector_as_it_found_it(self, tmp_path, enabled):
+        ini = write(tmp_path, "edge.ini", EDGE_INI)
+        frozen = gc.get_freeze_count()
+        if not enabled:
+            gc.disable()
+        try:
+            assert main(["--output-dir", str(tmp_path), "optimize", str(ini)]) == 0
+            assert gc.isenabled() == enabled and gc.get_freeze_count() == frozen
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize(
+        "old, new, code",
+        [
+            ("", "", 0),
+            ("alpha = 0.6", "alpha = 2.0", 2),
+            # the step blocks overflow: a non-finite solve
+            ("beta = const:1.0", "beta = const:1e308", 3),
+        ],
+    )
+    def test_cli_process_exits_from_a_frozen_heap(self, tmp_path, old, new, code):
+        ini = write(tmp_path, "edge.ini", EDGE_INI.replace(old, new))
+        run = run_cli(["--output-dir", str(tmp_path), "optimize", str(ini)], EXIT_PROBE)
+        assert run.returncode == code
+        assert run.stdout.splitlines()[-1] == "frozen True True"
+        if code:
+            last = run.stderr.splitlines()[-1]
+            assert last.startswith(("config error: ", "solver failure: "))
+
+    def test_console_script_is_the_module_entry(self):
+        tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+        with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+            script = tomllib.load(fh)["project"]["scripts"]["fracstar"]
+        module, _, name = script.partition(":")
+        assert importlib.import_module(module) is fracstar.cli
+        # the call under `python -m fracstar.cli`'s __main__ check
+        tree = ast.parse(Path(fracstar.cli.__file__).read_text())
+        [guard] = [
+            node for node in tree.body
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+        ]
+        assert [ast.unparse(stmt) for stmt in guard.body] == [f"{name}()"]
 
 
 # The nested-loop writers the one writer replaced: the byte-for-byte reference.
