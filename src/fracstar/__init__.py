@@ -1,88 +1,70 @@
 """Fractional Sturm-Liouville diffusion on intervals and star graphs, with
-adjoint-based boundary optimal control."""
+adjoint-based boundary optimal control.
 
-from .control import (
-    AdmissibleSet,
-    CostConfig,
-    EdgeControlProblem,
-    OptimResult,
-    cost_graph,
-    gradient_graph,
-    optimize,
-    reduced_hessian,
-)
-from .edge_solver import Trajectory, solve_adjoint_edge, solve_forward_edge
-from .errors import CoefficientError, ConfigError, SizeGuardError, SolverFailure
-from .fracops import (
-    SingularMode,
-    apply_left_integral,
-    apply_right_integral,
-    frac_integral_weights,
-    left_integral_op,
-    left_rl_derivative,
-    right_caputo_apply,
-    right_caputo_nodal,
-    right_integral_op,
-    singular_mode,
-    trace_functional,
-)
-from .graph_solver import (
-    GlobalDofMap,
-    GraphDiagnostics,
-    GraphSystem,
-    GraphTrajectory,
-    StarGraphProblem,
-    assemble_graph_system,
-    diagnose_adjoint,
-    diagnose_forward,
-    solve_adjoint_graph,
-    solve_forward_graph,
-)
-from .grids import Grid1D, TimeGrid
-from .sturm import EdgeCoefficients, EdgeOperator, assemble_stiffness
+The namespace is lazy (PEP 562): ``import fracstar`` loads no submodule, and
+each public name (``_SOURCES`` names the module that defines it), or a module
+that holds one, is imported on first access.
+"""
 
-__all__ = [
-    "AdmissibleSet",
-    "ConfigError",
-    "CoefficientError",
-    "CostConfig",
-    "EdgeCoefficients",
-    "EdgeControlProblem",
-    "EdgeOperator",
-    "GlobalDofMap",
-    "GraphDiagnostics",
-    "GraphSystem",
-    "GraphTrajectory",
-    "Grid1D",
-    "OptimResult",
-    "SingularMode",
-    "SizeGuardError",
-    "SolverFailure",
-    "StarGraphProblem",
-    "TimeGrid",
-    "Trajectory",
-    "apply_left_integral",
-    "apply_right_integral",
-    "assemble_graph_system",
-    "assemble_stiffness",
-    "cost_graph",
-    "diagnose_adjoint",
-    "diagnose_forward",
-    "frac_integral_weights",
-    "gradient_graph",
-    "left_integral_op",
-    "left_rl_derivative",
-    "optimize",
-    "reduced_hessian",
-    "right_caputo_apply",
-    "right_caputo_nodal",
-    "right_integral_op",
-    "singular_mode",
-    "solve_adjoint_edge",
-    "solve_adjoint_graph",
-    "solve_forward_edge",
-    "solve_forward_graph",
-    "trace_functional",
-]
+from importlib import import_module
+
+_SOURCES = {
+    "AdmissibleSet": "control",
+    "ConfigError": "errors",
+    "CoefficientError": "errors",
+    "CostConfig": "control",
+    "EdgeCoefficients": "sturm",
+    "EdgeControlProblem": "control",
+    "EdgeOperator": "sturm",
+    "GlobalDofMap": "graph_solver",
+    "GraphDiagnostics": "graph_solver",
+    "GraphSystem": "graph_solver",
+    "GraphTrajectory": "graph_solver",
+    "Grid1D": "grids",
+    "OptimResult": "control",
+    "SingularMode": "fracops",
+    "SizeGuardError": "errors",
+    "SolverFailure": "errors",
+    "StarGraphProblem": "graph_solver",
+    "TimeGrid": "grids",
+    "Trajectory": "edge_solver",
+    "apply_left_integral": "fracops",
+    "apply_right_integral": "fracops",
+    "assemble_graph_system": "graph_solver",
+    "assemble_stiffness": "sturm",
+    "cost_graph": "control",
+    "diagnose_adjoint": "graph_solver",
+    "diagnose_forward": "graph_solver",
+    "frac_integral_weights": "fracops",
+    "gradient_graph": "control",
+    "left_integral_op": "fracops",
+    "left_rl_derivative": "fracops",
+    "optimize": "control",
+    "reduced_hessian": "control",
+    "right_caputo_apply": "fracops",
+    "right_caputo_nodal": "fracops",
+    "right_integral_op": "fracops",
+    "singular_mode": "fracops",
+    "solve_adjoint_edge": "edge_solver",
+    "solve_adjoint_graph": "graph_solver",
+    "solve_forward_edge": "edge_solver",
+    "solve_forward_graph": "graph_solver",
+    "trace_functional": "fracops",
+}
+
+__all__ = list(_SOURCES)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _SOURCES.values():
+        return import_module(f".{name}", __name__)
+    if name not in _SOURCES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = import_module(f".{_SOURCES[name]}", __name__)
+    return globals().setdefault(name, getattr(module, name))  # found directly next time
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__) | set(_SOURCES.values()))

@@ -67,8 +67,9 @@ import argparse
 import configparser
 import gc
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,11 +87,9 @@ from .graph_solver import (
 )
 from .grids import Grid1D, TimeGrid
 from .sturm import EdgeCoefficients
-from .validation import dense_oracle_solve_graph
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     """A checked problem file in the solver's own types: the problem, its
     cost, one admissible set per control channel (``channels`` holds their
     section numbers) and the optimizer settings."""
@@ -356,11 +355,20 @@ def _finish(out: Path, problem: StarGraphProblem, states, report: list[str]) -> 
     print("\n".join(report))
 
 
+def _checked(what: str, diagnose, *args):
+    """``diagnose(*args)``; a non-finite number in its record raises SolverFailure."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        record = diagnose(*args)
+    if not all(np.isfinite(value).all() for value in record):
+        raise SolverFailure(f"non-finite {what} diagnostics")
+    return record
+
+
 def _cmd_solve_forward(cfg: RunConfig, out: Path) -> int:
     problem = cfg.problem
     system = assemble_graph_system(problem)
     traj = solve_forward_graph(problem, system=system)
-    d = diagnose_forward(system, traj)
+    d = _checked("forward", diagnose_forward, system, traj)
     kind = "graph" if problem.n >= 2 else "edge"
     report = []
     for name, pad, ratio, bound in (
@@ -398,7 +406,7 @@ def _cmd_solve_adjoint(cfg: RunConfig, out: Path) -> int:
     adj = solve_adjoint_graph(problem, fwd, system=system)
     report = ["adjoint solve complete (source y - y_d)"]
     if problem.m > 0:
-        ratio = diagnose_adjoint(system, adj, fwd).boundary_regularity_ratio
+        ratio = _checked("adjoint", diagnose_adjoint, system, adj, fwd).boundary_regularity_ratio
         report.append(f"boundary regularity ratio: {ratio:.17g}")
     # a forked writer starts from this process's memory
     del system, fwd
@@ -434,6 +442,7 @@ def _cmd_optimize(cfg: RunConfig, out: Path) -> int:
 
 
 def _cmd_validate(cfg: RunConfig, out: Path) -> int:
+    from .validation import dense_oracle_solve_graph  # only this command needs it
     rng = np.random.default_rng(20240901)
     checks: list[tuple[str, bool, str]] = []
 

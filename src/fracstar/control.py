@@ -24,11 +24,11 @@ limit, each gradient costs a forward and an adjoint march.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from .edge_solver import edge_problem
 from .errors import SolverFailure
 from .graph_solver import (
     GraphSystem,
@@ -145,13 +145,12 @@ class EdgeControlProblem:
     y0: np.ndarray
 
 
-@dataclass
-class OptimResult:
-    controls: np.ndarray = field(repr=False)
-    cost_history: np.ndarray = field(repr=False)
-    residual_history: np.ndarray = field(repr=False)
-    state: GraphTrajectory = field(repr=False)
-    adjoint: GraphTrajectory = field(repr=False)
+class OptimResult(NamedTuple):
+    controls: np.ndarray
+    cost_history: np.ndarray
+    residual_history: np.ndarray
+    state: GraphTrajectory
+    adjoint: GraphTrajectory
     converged: bool = False
     reason: str = ""
     iterations: int = 0
@@ -175,6 +174,7 @@ def as_graph_problem(problem, cfg: CostConfig) -> tuple[StarGraphProblem, CostCo
             "CostConfig.channel_weights is ignored on an edge problem: "
             "weight its control with n_tikhonov"
         )
+    from .edge_solver import edge_problem  # loaded for edge problems only
     graph = edge_problem(problem.edge_op, problem.time_grid, problem.f, problem.y0, cfg.y_d)
     return graph, CostConfig(channel_weights=np.array([cfg.n_tikhonov]))
 
@@ -343,10 +343,13 @@ def optimize(
     one entry per ``cost_history`` entry.  Where the reduced gradient meets
     ``tol`` but the measured one does not, the iteration goes on from the
     measured gradient, with a march per gradient.  No sweep inside the loop
-    computes diagnostics.  Edge problems are solved as the one-edge graph
-    (:func:`as_graph_problem`); for every problem, ``state`` and ``adjoint``
-    are that graph's :class:`~fracstar.graph_solver.GraphTrajectory` (the
-    graph adjoint, source ``y - y_d``), and their diagnostics are left to
+    computes diagnostics.  A non-finite cost of the start, or a non-finite
+    gradient, cost or stationarity at the returned controls, raises
+    :class:`SolverFailure`: each is checked once, not per iteration.  Edge
+    problems are solved as the one-edge graph (:func:`as_graph_problem`); for
+    every problem, ``state`` and ``adjoint`` are that graph's
+    :class:`~fracstar.graph_solver.GraphTrajectory` (the graph adjoint, source
+    ``y - y_d``), and their diagnostics are left to
     :func:`~fracstar.graph_solver.diagnose_forward` and
     :func:`~fracstar.graph_solver.diagnose_adjoint`.
     """
@@ -396,6 +399,8 @@ def optimize(
     hessian = reduced_hessian(system, graph_cfg) if nchannels * nt <= _DENSE_LIMIT else None
     grad = measure(ctrl)
     cost_hist = [cost_graph(measured[1], ctrl, graph, graph_cfg)]
+    if not np.isfinite(cost_hist[0]):
+        raise SolverFailure(f"non-finite cost {cost_hist[0]} of the initial controls")
     res_hist: list[float] = []
     reason = "max_iter"
     iterations = 0
@@ -466,6 +471,8 @@ def optimize(
     # controls; under per-iteration marches they are measured already
     grad = measure(ctrl)
     res_hist[-1] = stationarity(ctrl, grad)
+    if not (np.isfinite(grad).all() and np.isfinite([cost_hist[-1], *res_hist]).all()):
+        raise SolverFailure("non-finite gradient, cost or stationarity at the returned controls")
     converged = res_hist[-1] <= tol
     if converged:
         reason = "stationarity"

@@ -18,7 +18,7 @@ never sees the control at ``t = 0``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,16 +33,15 @@ from .sturm import EdgeOperator
 __all__ = ["Trajectory", "solve_forward_edge", "solve_adjoint_edge"]
 
 
-@dataclass
-class Trajectory:
+class Trajectory(NamedTuple):
     """Space-time state on one edge with its tip series.
 
     ``trace_b`` holds ``(I^(1-alpha) y)(b^-, t_k)``; for adjoint solutions it
     is the gradient-consistent series described in the module docstring.
     """
 
-    y: np.ndarray = field(repr=False)
-    trace_b: np.ndarray = field(repr=False)
+    y: np.ndarray
+    trace_b: np.ndarray
 
     @property
     def samples(self) -> list[np.ndarray]:

@@ -14,7 +14,7 @@ classical counterpart (identity integral, backward difference, point traces).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -182,8 +182,7 @@ def _right_caputo(alpha: float, grid: Grid1D, cells, at_a, at_b) -> np.ndarray:
     return rhs / grid.trapezoid_weights()
 
 
-@dataclass(frozen=True)
-class SingularMode:
+class SingularMode(NamedTuple):
     """Nodal samples of ``sigma(x) = (x-a)^(alpha-1)/Gamma(alpha)``, the mode
     whose order ``1 - alpha`` left integral is the constant one.
 
@@ -197,7 +196,7 @@ class SingularMode:
 
     alpha: float
     grid: Grid1D
-    samples: np.ndarray = field(repr=False)
+    samples: np.ndarray
     trace_value: float = 1.0
 
 

@@ -48,7 +48,8 @@ calls them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import LinAlgError, cholesky, inv
@@ -73,8 +74,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class GlobalDofMap:
+class GlobalDofMap(NamedTuple):
     """Layout of the global vector: per-edge nodal blocks, then the shared
     junction coefficient (if present); multipliers live in the bottom block
     of the saddle system."""
@@ -155,8 +155,7 @@ class StarGraphProblem:
         return self.n_dirichlet_channels + self.n_neumann_channels
 
 
-@dataclass(frozen=True)
-class EdgeReadout:
+class EdgeReadout(NamedTuple):
     """The vectors of one edge's operator that the sweeps and diagnostics
     read, taken at assembly before its matrices are released.
 
@@ -168,16 +167,15 @@ class EdgeReadout:
     call :func:`~fracstar.sturm.assemble_stiffness`.
     """
 
-    mode: np.ndarray | None = field(repr=False)
-    probe: np.ndarray = field(repr=False)
-    w_probe: np.ndarray = field(repr=False)
-    k_probe: np.ndarray = field(repr=False)
-    w_junction: np.ndarray | None = field(repr=False)
-    k_junction: np.ndarray | None = field(repr=False)
+    mode: np.ndarray | None
+    probe: np.ndarray
+    w_probe: np.ndarray
+    k_probe: np.ndarray
+    w_junction: np.ndarray | None
+    k_junction: np.ndarray | None
 
 
-@dataclass
-class GraphSystem:
+class GraphSystem(NamedTuple):
     """Assembled graph operator, stored per edge: each edge's readout vectors
     (:class:`EdgeReadout`), the tip trace rows of all edges (the first ``m``
     are the constraint rows of the Dirichlet-type tips, ``B`` in
@@ -206,13 +204,13 @@ class GraphSystem:
     problem: StarGraphProblem
     dofmap: GlobalDofMap
     readouts: list[EdgeReadout]
-    trace_b_rows: np.ndarray = field(repr=False)
-    free: np.ndarray = field(repr=False)
-    mass: np.ndarray = field(repr=False)
-    edge_propagators: list[tuple[slice, np.ndarray]] = field(repr=False)
-    update_cols: np.ndarray = field(repr=False)
-    update_rows: np.ndarray = field(repr=False)
-    schur_inv: np.ndarray | None = field(repr=False)
+    trace_b_rows: np.ndarray
+    free: np.ndarray
+    mass: np.ndarray
+    edge_propagators: list[tuple[slice, np.ndarray]]
+    update_cols: np.ndarray
+    update_rows: np.ndarray
+    schur_inv: np.ndarray | None
 
     @property
     def ndof(self) -> int:
@@ -272,7 +270,15 @@ def assemble_graph_system(problem: StarGraphProblem) -> GraphSystem:
     """Assemble the edges one at a time, form every edge's propagator and the
     step's low-rank coupling through the Schur complement of the border in
     ``c`` and the multipliers.  An edge's dense matrices are released before
-    the next edge is assembled."""
+    the next edge is assembled.  Overflow or NaN raises :class:`SolverFailure`."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return _assemble(problem)
+    except FloatingPointError as exc:
+        raise SolverFailure(f"assembly failed: {exc}") from None
+
+
+def _assemble(problem: StarGraphProblem) -> GraphSystem:
     n, m = problem.n, problem.m
     dt = problem.time_grid.dt
     include_mode = problem.include_junction_mode
@@ -399,8 +405,7 @@ def assemble_graph_system(problem: StarGraphProblem) -> GraphSystem:
     )
 
 
-@dataclass
-class GraphTrajectory:
+class GraphTrajectory(NamedTuple):
     """Space-time solution on the graph.
 
     ``dofs`` stores the raw global vectors; ``samples[i]`` the per-edge nodal
@@ -410,18 +415,17 @@ class GraphTrajectory:
     hold the gradient-consistent boundary series of the optimality system.
     """
 
-    dofs: np.ndarray = field(repr=False)
-    samples: list[np.ndarray] = field(repr=False)
-    c: np.ndarray = field(repr=False)
-    multipliers: np.ndarray = field(repr=False)
-    tip_trace: np.ndarray = field(repr=False)
+    dofs: np.ndarray
+    samples: list[np.ndarray]
+    c: np.ndarray
+    multipliers: np.ndarray
+    tip_trace: np.ndarray
     time_grid: TimeGrid
     dirichlet_flux_series: np.ndarray | None = None
     neumann_trace_series: np.ndarray | None = None
 
 
-@dataclass
-class GraphDiagnostics:
+class GraphDiagnostics(NamedTuple):
     """Properties of a graph solution, measured by :func:`diagnose_forward`
     or :func:`diagnose_adjoint`.
 
@@ -436,9 +440,9 @@ class GraphDiagnostics:
     Dirichlet tips.
     """
 
-    tip_flux: np.ndarray = field(repr=False)
-    junction_flux: np.ndarray = field(repr=False)
-    energy: np.ndarray = field(repr=False)
+    tip_flux: np.ndarray
+    junction_flux: np.ndarray
+    energy: np.ndarray
     constraint_residual: float
     estimate_ratio: float = 0.0
     estimate_bound: float = 0.0

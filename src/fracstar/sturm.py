@@ -12,6 +12,7 @@ through its regularized nodal samples.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,8 +63,7 @@ class EdgeCoefficients:
         return cls(beta=bs, q=qs, beta0=float(bs.min()), q0=float(qs.min()))
 
 
-@dataclass(frozen=True)
-class EdgeOperator:
+class EdgeOperator(NamedTuple):
     """Assembled discrete operator for a single edge.
 
     ``K`` and ``W`` act on the extended DOF vector (nodal samples, then the
@@ -81,13 +81,13 @@ class EdgeOperator:
     coeffs: EdgeCoefficients
     has_singular_dof: bool
     mode: SingularMode | None
-    K: np.ndarray = field(repr=False)
-    W: np.ndarray = field(repr=False)
-    D: np.ndarray = field(repr=False)
-    trace_a: np.ndarray = field(repr=False)
-    trace_b: np.ndarray = field(repr=False)
-    flux_probe: np.ndarray = field(repr=False)
-    free: np.ndarray = field(repr=False)
+    K: np.ndarray
+    W: np.ndarray
+    D: np.ndarray
+    trace_a: np.ndarray
+    trace_b: np.ndarray
+    flux_probe: np.ndarray
+    free: np.ndarray
 
     @property
     def ndof(self) -> int:

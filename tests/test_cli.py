@@ -1,6 +1,5 @@
 import ast
 import contextlib
-import dataclasses
 import errno
 import gc
 import importlib
@@ -288,7 +287,7 @@ class TestCommands:
 
         def exceeded(*args, **kwargs):
             d = diagnose(*args, **kwargs)
-            return dataclasses.replace(d, estimate_ratio=2.0 * d.estimate_bound)
+            return d._replace(estimate_ratio=2.0 * d.estimate_bound)
 
         monkeypatch.setattr(fracstar.cli, "diagnose_forward", exceeded)
         assert main(["--output-dir", str(tmp_path), "solve-forward", str(ini)]) == 0
@@ -556,6 +555,14 @@ runpy.run_module("fracstar.cli", run_name="__main__", alter_sys=True)
 """
 
 
+# numbers that overflow the solve, its cost or its assembly: each exits 3
+OVERFLOWING = [
+    ("y0 = const:0.5", "y0 = const:1e308"),
+    ("f = zero", "f = const:1e308"),
+    ("beta = const:1.0", "beta = const:1e308"),
+]
+
+
 class TestEntry:
     @pytest.mark.parametrize("enabled", [True, False])
     def test_main_leaves_the_collector_as_it_found_it(self, tmp_path, enabled):
@@ -571,12 +578,8 @@ class TestEntry:
 
     @pytest.mark.parametrize(
         "old, new, code",
-        [
-            ("", "", 0),
-            ("alpha = 0.6", "alpha = 2.0", 2),
-            # the step blocks overflow: a non-finite solve
-            ("beta = const:1.0", "beta = const:1e308", 3),
-        ],
+        [("", "", 0), ("alpha = 0.6", "alpha = 2.0", 2)]
+        + [(old, new, 3) for old, new in OVERFLOWING],
     )
     def test_cli_process_exits_from_a_frozen_heap(self, tmp_path, old, new, code):
         ini = write(tmp_path, "edge.ini", EDGE_INI.replace(old, new))
@@ -584,8 +587,27 @@ class TestEntry:
         assert run.returncode == code
         assert run.stdout.splitlines()[-1] == "frozen True True"
         if code:
-            last = run.stderr.splitlines()[-1]
-            assert last.startswith(("config error: ", "solver failure: "))
+            # the one line, with no numpy warning before it
+            [line] = run.stderr.splitlines()
+            assert line.startswith(("config error: ", "solver failure: "))
+
+    @pytest.mark.parametrize("command", ["optimize", "solve-forward"])
+    @pytest.mark.parametrize("old, new", OVERFLOWING)
+    def test_overflow_is_one_solver_failure(self, tmp_path, capsys, command, old, new):
+        # warnings are errors in this suite, so a numpy warning would raise
+        # here instead of the exit code
+        ini = write(tmp_path, "edge.ini", EDGE_INI.replace(old, new))
+        assert main(["--output-dir", str(tmp_path), command, str(ini)]) == 3
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(("solver failure: non-finite ", "solver failure: assembly "))
+        assert not (tmp_path / "report.txt").exists()
+
+    def test_validate_runs_in_a_fresh_process(self, tmp_path):
+        # the oracle is imported by the command itself
+        ini = write(tmp_path, "graph.ini", GRAPH_INI)
+        run = run_cli(["--output-dir", str(tmp_path), "validate", str(ini)])
+        assert (run.returncode, run.stderr) == (0, "")
+        assert "PASS  oracle-equivalence" in run.stdout
 
     def test_console_script_is_the_module_entry(self):
         tomllib = pytest.importorskip("tomllib")  # Python >= 3.11

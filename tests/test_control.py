@@ -16,6 +16,7 @@ from fracstar import (
     GraphTrajectory,
     Grid1D,
     TimeGrid,
+    SolverFailure,
     StarGraphProblem,
     assemble_graph_system,
     assemble_stiffness,
@@ -467,6 +468,33 @@ class TestOptimize:
         np.testing.assert_allclose(
             res.adjoint.neumann_trace_series, adj.neumann_trace_series, atol=1e-12
         )
+
+    def test_non_finite_start_cost_raises_solver_failure(self):
+        # the states stay finite, their squares in the cost do not
+        problem, cfg = tracking_problem(M=8, Nt=6)
+        huge = EdgeControlProblem(
+            edge_op=problem.edge_op, time_grid=problem.time_grid, f=None,
+            y0=np.full(problem.edge_op.grid.nnodes, 1e308),
+        )
+        with pytest.raises(SolverFailure, match="non-finite cost inf of the initial controls"):
+            optimize(huge, cfg, AdmissibleSet.box(-1.0, 1.0))
+
+    def test_non_finite_final_gradient_raises_solver_failure(self, monkeypatch):
+        problem, cfg = tracking_problem(M=8, Nt=6)
+        gradient, calls = fracstar.control.gradient_graph, []
+
+        def poisoned(*args):
+            # the start's gradient is measured first, the returned controls' last
+            calls.append(1)
+            g = gradient(*args)
+            if len(calls) > 1:
+                g[0, -1] = np.nan
+            return g
+
+        monkeypatch.setattr(fracstar.control, "gradient_graph", poisoned)
+        with pytest.raises(SolverFailure, match="at the returned controls"):
+            optimize(problem, cfg, AdmissibleSet.box(-1.0, 1.0), max_iter=1)
+        assert len(calls) == 2
 
     def test_diagnostics_stay_off_the_optimizer_loop(self, rng, monkeypatch):
         calls = []

@@ -244,6 +244,14 @@ class TestAssembly:
         with pytest.raises(SolverFailure, match="non-finite forward solve"):
             solve_forward_graph(pr, system=sys_)
 
+    def test_overflowing_assembly_raises_solver_failure(self, rng):
+        # the cell averages of beta overflow; warnings are errors in this
+        # suite, so a numpy warning would raise here instead
+        pr = random_graph(rng)
+        pr.coeffs[1] = EdgeCoefficients.constant(pr.grids[1], 1e308, 1.0)
+        with pytest.raises(SolverFailure, match="assembly failed: overflow"):
+            assemble_graph_system(pr)
+
     def test_no_full_size_inverse(self, rng, monkeypatch):
         # each edge block is inverted through its Cholesky factor: inv sees
         # only triangular leaf blocks, then the (1 + m) Schur complement
@@ -417,23 +425,29 @@ class TestForward:
         pr = random_graph(rng, n=n, m=m, Nt=4, Ms=(M,) * n, bs=(1.0,) * n)
         sys_ = assemble_graph_system(pr)
 
+        def names(value):
+            # the fields of a dataclass or of a NamedTuple record
+            if dataclasses.is_dataclass(value):
+                return [f.name for f in dataclasses.fields(value)]
+            return list(getattr(value, "_fields", ()))
+
         def arrays(value):
             if isinstance(value, np.ndarray):
                 return [value]
+            if names(value):
+                return arrays([getattr(value, name) for name in names(value)])
             if isinstance(value, (list, tuple)):
                 return [a for item in value for a in arrays(item)]
-            if dataclasses.is_dataclass(value):
-                return arrays([getattr(value, f.name) for f in dataclasses.fields(value)])
             return []
 
         square, other, readout = [], 0, 0
-        for f in dataclasses.fields(sys_):
-            if f.name == "problem":  # the input the system keeps
+        for name in names(sys_):
+            if name == "problem":  # the input the system keeps
                 continue
-            for a in arrays(getattr(sys_, f.name)):
+            for a in arrays(getattr(sys_, name)):
                 if a.ndim == 2 and min(a.shape) >= M:  # as large as an edge block
                     square.append(a)
-                elif f.name == "readouts":
+                elif name == "readouts":
                     readout += a.size
                 else:
                     other += a.size

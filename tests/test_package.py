@@ -1,3 +1,4 @@
+import ast
 import importlib
 import inspect
 import os
@@ -25,12 +26,16 @@ def test_star_import():
     assert set(fracstar.__all__) <= set(namespace)
 
 
-def test_runtime_imports_no_scipy():
-    """numpy is the one runtime dependency: the CLI module loads no SciPy."""
-    probe = "import fracstar.cli, sys; sys.exit('scipy' in sys.modules)"
+def fresh(probe: str) -> subprocess.CompletedProcess:
+    """Run ``probe`` in a fresh interpreter that imports this package."""
     src = str(Path(fracstar.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
-    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
+    return subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+
+
+def test_runtime_imports_no_scipy():
+    """numpy is the one runtime dependency: the CLI module loads no SciPy."""
+    assert fresh("import fracstar.cli, sys; sys.exit('scipy' in sys.modules)").returncode == 0
 
 
 def test_runtime_imports_no_process_pools():
@@ -38,9 +43,69 @@ def test_runtime_imports_no_process_pools():
     subprocess module, whose import every run would pay."""
     pools = ("multiprocessing", "concurrent.futures", "subprocess")
     probe = f"import fracstar.cli, sys; sys.exit(any(m in sys.modules for m in {pools}))"
-    src = str(Path(fracstar.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    assert subprocess.run([sys.executable, "-c", probe], env=env).returncode == 0
+    assert fresh(probe).returncode == 0
+
+
+def loaded_after(statement: str) -> list[str]:
+    """The ``fracstar`` submodules a fresh interpreter holds after ``statement``."""
+    run = fresh(
+        f"{statement}; import sys; "
+        "print(sorted(m for m in sys.modules if m.startswith('fracstar.')))"
+    )
+    assert run.returncode == 0, run.stderr
+    return ast.literal_eval(run.stdout)
+
+
+def test_package_import_loads_no_submodule():
+    assert loaded_after("import fracstar") == []
+
+
+def test_cli_import_loads_no_oracle_and_no_edge_solver():
+    """Only ``validate`` runs the oracle, and only edge problems the edge
+    adapters: the CLI module loads neither."""
+    loaded = loaded_after("import fracstar.cli")
+    assert "fracstar.cli" in loaded
+    assert [m for m in ("fracstar.validation", "fracstar.edge_solver") if m in loaded] == []
+
+
+def test_public_names_are_their_modules_objects():
+    """Each name resolves, on first access, to the object its defining
+    module holds under that name."""
+    run = fresh(
+        "import importlib, fracstar\n"
+        "for name in fracstar.__all__:\n"
+        "    obj = getattr(fracstar, name)\n"
+        "    assert getattr(importlib.import_module(obj.__module__), name) is obj, name\n"
+    )
+    assert run.returncode == 0, run.stderr
+
+
+def test_dir_lists_every_public_name_before_access():
+    run = fresh("import fracstar; print(sorted(set(fracstar.__all__) - set(dir(fracstar))))")
+    assert (run.returncode, run.stdout.strip()) == (0, "[]")
+
+
+def test_modules_of_public_names_stay_attributes():
+    """As under the eager namespace, ``fracstar.graph_solver`` needs no import
+    of its own; it is the module, loaded on that access."""
+    run = fresh(
+        "import fracstar, sys; "
+        "print(fracstar.graph_solver is sys.modules['fracstar.graph_solver'])"
+    )
+    assert (run.returncode, run.stdout.strip()) == (0, "True")
+
+
+def test_unknown_attribute_raises_attribute_error():
+    run = fresh(
+        "import fracstar\n"
+        "try:\n"
+        "    fracstar.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    )
+    assert (run.returncode, run.stdout.strip()) == (
+        0, "module 'fracstar' has no attribute 'no_such_name'"
+    )
 
 
 def test_cli_calls_layers_by_module_global():
