@@ -4,7 +4,8 @@ Formatting and parsing hold the GIL, so only another process can use another
 CPU.  :func:`fan_out` splits the work into contiguous parts: part 0 runs in
 this process and every other part in a child made by ``os.fork``, which
 shares the parent's memory until either writes to it; a child's result comes
-back pickled through a pipe.  Without ``os.fork``, with one CPU, or with too
+back pickled through a pipe.  The reader forks every part (:func:`start`) and
+the caller works meanwhile.  Without ``os.fork``, with one CPU, or with too
 little work to pay for a fork, all of it is one part, run in this process;
 a part that cannot be forked (no process or file slot left) runs there too.
 The arrays and the bytes written are those of one process.
@@ -40,14 +41,15 @@ def cpus() -> int:
     return min(count, 8)
 
 
-def chunks(sizes: list[int]) -> list[range]:
+def chunks(sizes: list[int], workers: int | None = None) -> list[range]:
     """Contiguous, non-empty ranges of the indices of ``sizes`` (the values
     of each item) of about equal total size, or ``[range(0)]`` for no items:
-    one per CPU, as long as each holds ``SPLIT_MIN_VALUES`` values, and a
-    single range where ``os.fork`` is missing."""
+    ``workers`` of them, by default one per CPU while each holds
+    ``SPLIT_MIN_VALUES`` values (one without ``os.fork``), at most one per item."""
     total = sum(sizes)
-    workers = cpus() if hasattr(os, "fork") else 1
-    workers = max(1, min(workers, total // SPLIT_MIN_VALUES, len(sizes)))
+    if workers is None:
+        workers = min(cpus() if hasattr(os, "fork") else 1, total // SPLIT_MIN_VALUES)
+    workers = max(1, min(workers, len(sizes)))
     ends = [0, *itertools.accumulate(sizes)]  # ends[b]: the values before item b
     cuts = []
     for j in range(1, workers):
@@ -69,9 +71,23 @@ def fan_out(run, parts: list[range]) -> list:
     failure costs only speed.  Every child is reaped before this returns or
     raises, and the exception of the lowest part that raised one is raised
     here."""
+    return start(run, parts)[1]()
+
+
+def start(run, parts: list[range], first: int = 1):
+    """Fork a child for each part from ``first`` on, as :func:`fan_out` does,
+    and return how many were forked and the call that joins them: it runs
+    the parts before ``first`` here, then ends as :func:`fan_out` does.  A
+    join dropped uncalled reaps the children too."""
+    work = _work(run, parts, first)
+    return next(work), work.__next__
+
+
+def _work(run, parts: list[range], first: int):
+    # yields the number of children forked, then, resumed, the results
     pipes: dict[int, int] = {}  # child pid -> read end of its pipe
     try:
-        for k in range(1, len(parts)):
+        for k in range(first, len(parts)):
             try:
                 r, w = os.pipe()
             except OSError:
@@ -104,7 +120,8 @@ def fan_out(run, parts: list[range]) -> list:
                     os._exit(status)
             os.close(w)
             pipes[pid] = r
-        results = [(True, run(0, parts[0]))]
+        yield len(pipes)
+        results = [(True, run(k, parts[k])) for k in range(first)]
         for pid, r in pipes.items():
             lost = ChildProcessError(f"worker {pid} exited without a result")
             results.append(_receive(r) or (False, lost))
@@ -118,7 +135,7 @@ def fan_out(run, parts: list[range]) -> list:
     for ok, value in results:
         if not ok:
             raise value
-    return [value for _, value in results] + [
+    yield [value for _, value in results] + [
         run(k, parts[k]) for k in range(len(results), len(parts))
     ]
 
@@ -164,17 +181,25 @@ def _read(path: Path):
         return str(exc)
 
 
-def read_csv_files(paths: list[Path]) -> dict:
-    """:func:`_read` of each path, the files split between workers by
-    size (a 17-digit value and its separator take about 20 bytes)."""
+def read_csv_files(paths: list[Path]):
+    """Start :func:`_read` of each path in ``cpus() - 1`` forked workers, the
+    files split by size (a 17-digit value and its separator take about 20
+    bytes), and return the call that collects ``{path: values}``.  With too
+    little data, one CPU, or no worker forked, they are read here at once."""
     sizes = []
     for path in paths:
         try:
             sizes.append(path.stat().st_size // 20)
         except OSError:
             sizes.append(0)
-    parts = fan_out(lambda k, part: [_read(paths[i]) for i in part], chunks(sizes))
-    return dict(zip(paths, itertools.chain.from_iterable(parts)))
+    workers = min(cpus() - 1, sum(sizes) // SPLIT_MIN_VALUES) if hasattr(os, "fork") else 0
+    parts = chunks(sizes, workers)
+    forked, join = start(
+        lambda k, part: [_read(paths[i]) for i in part], parts, 0 if workers else 1
+    )
+    if forked < len(parts):  # read here at once: the join returns a copy
+        join = join().copy
+    return lambda: dict(zip(paths, itertools.chain.from_iterable(join())))
 
 
 def write_csv(path: Path, header: str, lead, labels, values) -> None:

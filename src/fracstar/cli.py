@@ -40,19 +40,19 @@ sources/targets hold ``nt+1`` rows of ``m_cells+1`` comma-separated values,
 initial data a single row.
 
 :func:`parse_config` reads a file in one pass, straight into the solver's
-problem, cost and admissible sets, and reports every violation, data files
-included, in one :class:`ConfigError`.  A key its section does not define
-is a violation, and so are NaN and infinite values (a box bound may be
-infinite as long as the box holds a real value).  An edge's messages start
-with ``[edge.i] key``.
+problem, its assembled system, cost and admissible sets, and reports every
+violation, data files included, in one :class:`ConfigError`.  A key its
+section does not define is a violation, and so are NaN and infinite values
+(a box bound may be infinite as long as the box holds a real value).  An
+edge's messages start with ``[edge.i] key``.
 
 Commands: ``solve-forward``, ``solve-adjoint``, ``optimize``, ``validate``.
 Exit codes: 0 success, 2 config or output error, 3 solver failure, 4
 validation failure.
 
-Large data files are parsed, and a large ``state.csv`` is formatted, on every
-CPU the process may run on, at most 8 (:mod:`fracstar._csvio`).  The arrays
-and the bytes written are those of one process.
+Large data files are parsed on all CPUs but one while this process assembles,
+and a large ``state.csv`` is formatted on every CPU, at most 8, by forked
+workers (:mod:`fracstar._csvio`).  The arrays and bytes are one process's.
 
 A CLI process (the ``fracstar`` command or ``python -m fracstar.cli``) enters
 through :func:`run`, which freezes the garbage collector's view of the heap
@@ -78,6 +78,7 @@ from .control import AdmissibleSet, CostConfig, gradient_graph, optimize
 from .errors import ConfigError, SizeGuardError, SolverFailure
 from .fracops import left_rl_derivative, right_caputo_nodal, trace_functional
 from .graph_solver import (
+    GraphSystem,
     StarGraphProblem,
     assemble_graph_system,
     diagnose_adjoint,
@@ -92,7 +93,7 @@ from .sturm import EdgeCoefficients
 class RunConfig(NamedTuple):
     """A checked problem file in the solver's own types: the problem, its
     cost, one admissible set per control channel (``channels`` holds their
-    section numbers) and the optimizer settings."""
+    section numbers), the optimizer settings and the assembled system."""
 
     problem: StarGraphProblem
     cost: CostConfig
@@ -101,6 +102,7 @@ class RunConfig(NamedTuple):
     algo: str
     tol: float
     max_iter: int
+    system: GraphSystem
 
 
 def _data_file(token: str, base: Path) -> Path | None:
@@ -187,8 +189,9 @@ _OPTIMIZER_KEYS = ("algo", "tol", "max_iter", "tikhonov_n")
 
 def parse_config(path: str | Path) -> RunConfig:
     """Read a problem file in one pass into the solver's types: every key is
-    checked and every data file loaded.  Raises :class:`ConfigError` carrying
-    every violation found, not just the first."""
+    checked, every data file loaded while the system is assembled.  Raises
+    :class:`ConfigError` carrying every violation found, not just the first,
+    else the :class:`SolverFailure` of a failed assembly."""
     path = Path(path)
     if not path.exists():
         raise ConfigError([f"problem file {path} does not exist"])
@@ -247,16 +250,7 @@ def parse_config(path: str | Path) -> RunConfig:
     time_grid = None if T is None or nt is None else TimeGrid(T, nt)
     rows = None if nt is None else nt + 1
     base = path.parent
-    # the edges' data files, each read once
-    paths = [
-        _data_file(cp[f"edge.{i}"].get(key, "zero"), base)
-        for i in range(1, n + 1)
-        if cp.has_section(f"edge.{i}")
-        for key in ("f", "y0", "ydtarget")
-    ]
-    files = read_csv_files(list(dict.fromkeys(p for p in paths if p is not None)))
-
-    grids, coeffs, fs, y0s, yds = [], [], [], [], []
+    grids, coeffs, data, due = [], [], {"f": [], "y0": [], "ydtarget": []}, []
     for i in range(1, n + 1):
         if not cp.has_section(f"edge.{i}"):
             errors.append(f"missing section [edge.{i}]")
@@ -278,11 +272,13 @@ def parse_config(path: str | Path) -> RunConfig:
                 if beta is not None and q is not None:
                     coeffs.append(EdgeCoefficients.constant(grid, beta, q))
         nodes = None if grid is None else grid.nnodes
-        fs.append(_data(sec.get("f", "zero"), f"{label}f", base, files, (rows, nodes), errors))
-        y0 = sec.get("y0", "zero")
-        y0s.append(_data(y0, f"{label}y0", base, files, (nodes,), errors))
-        yd = sec.get("ydtarget", "zero")
-        yds.append(_data(yd, f"{label}ydtarget", base, files, (rows, nodes), errors))
+        for key, shape in zip(data, ((rows, nodes), (nodes,), (rows, nodes))):
+            token, values = sec.get(key, "zero"), data[key]
+            if _data_file(token, base) is None:
+                values.append(_data(token, label + key, base, {}, shape, errors))
+            else:  # checked once the file is read, its violations put here
+                due.append((token, label + key, shape, len(errors), values, len(values)))
+                values.append(None)
 
     if len({g.a for g in grids}) > 1:
         errors.append("all edges of a star graph must share the left endpoint a")
@@ -332,13 +328,35 @@ def parse_config(path: str | Path) -> RunConfig:
             )
         weights = [tikhonov_n]
 
+    # The files are read, each once, while the system, which does not depend
+    # on them, is assembled for a valid INI part; a violation wins over an
+    # assembly failure.  The other data, made before assembly frees its
+    # blocks, keep the peak of memory down.
+    collect = read_csv_files(list(dict.fromkeys(_data_file(token, base) for token, *_ in due)))
+    failure = None
+    try:
+        if not errors:
+            unset = [None] * n  # f, y0 and y_d, set below
+            problem = StarGraphProblem(alpha, time_grid, grids, coeffs, unset, unset, unset, m)
+            system = assemble_graph_system(problem)
+    except SolverFailure as exc:
+        failure = exc
+    finally:
+        files = collect()
+
+    # from the last file back, so that each one's place in errors holds
+    for token, key, shape, at, values, k in reversed(due):
+        found = []
+        values[k] = _data(token, key, base, files, shape, found)
+        errors[at:at] = found
     if errors:
         raise ConfigError(errors)
-    problem = StarGraphProblem(
-        alpha=alpha, time_grid=time_grid, grids=grids, coeffs=coeffs, f=fs, y0=y0s, y_d=yds, m=m
-    )
+    if failure is not None:
+        raise failure
+    problem = replace(problem, f=data["f"], y0=data["y0"], y_d=data["ydtarget"])
     cost = CostConfig(channel_weights=np.array(weights))
-    return RunConfig(problem, cost, sets, channels, algo, tol, max_iter)
+    system = system._replace(problem=problem)
+    return RunConfig(problem, cost, sets, channels, algo, tol, max_iter, system)
 
 
 def _finish(out: Path, problem: StarGraphProblem, states, report: list[str]) -> None:
@@ -365,8 +383,8 @@ def _checked(what: str, diagnose, *args):
 
 
 def _cmd_solve_forward(cfg: RunConfig, out: Path) -> int:
-    problem = cfg.problem
-    system = assemble_graph_system(problem)
+    problem, system = cfg.problem, cfg.system
+    del cfg  # the last reference to the config (see main); the system goes below
     traj = solve_forward_graph(problem, system=system)
     d = _checked("forward", diagnose_forward, system, traj)
     kind = "graph" if problem.n >= 2 else "edge"
@@ -400,13 +418,13 @@ def _cmd_solve_forward(cfg: RunConfig, out: Path) -> int:
 
 
 def _cmd_solve_adjoint(cfg: RunConfig, out: Path) -> int:
-    problem = cfg.problem
-    system = assemble_graph_system(problem)
+    problem, system = cfg.problem, cfg.system
+    del cfg  # the last reference to the config (see main); the system goes below
     fwd = solve_forward_graph(problem, system=system)
     adj = solve_adjoint_graph(problem, fwd, system=system)
     report = ["adjoint solve complete (source y - y_d)"]
+    ratio = _checked("adjoint", diagnose_adjoint, system, adj, fwd).boundary_regularity_ratio
     if problem.m > 0:
-        ratio = _checked("adjoint", diagnose_adjoint, system, adj, fwd).boundary_regularity_ratio
         report.append(f"boundary regularity ratio: {ratio:.17g}")
     # a forked writer starts from this process's memory
     del system, fwd
@@ -415,12 +433,12 @@ def _cmd_solve_adjoint(cfg: RunConfig, out: Path) -> int:
 
 
 def _cmd_optimize(cfg: RunConfig, out: Path) -> int:
-    problem = cfg.problem
+    problem, algo, channels = cfg.problem, cfg.algo, [f"{ch}," for ch in cfg.channels]
     result = optimize(
-        problem, cfg.cost, cfg.sets, algo=cfg.algo, tol=cfg.tol, max_iter=cfg.max_iter
+        problem, cfg.cost, cfg.sets, algo, cfg.tol, cfg.max_iter, system=cfg.system
     )
+    del cfg  # the system is released before the writes (see main)
     times = [f"{t:.17g}," for t in problem.time_grid.times.tolist()]
-    channels = [f"{ch}," for ch in cfg.channels]
     write_csv(
         out / "controls.csv", "t,channel,value", times, channels, result.controls.T
     )
@@ -430,7 +448,7 @@ def _cmd_optimize(cfg: RunConfig, out: Path) -> int:
         result.residual_history[:, None],
     )
     report = [
-        f"optimizer: {cfg.algo}, iterations {result.iterations}, "
+        f"optimizer: {algo}, iterations {result.iterations}, "
         f"converged {result.converged} ({result.reason})",
         f"final cost {result.cost_history[-1]:.17g}, "
         f"stationarity {result.residual_history[-1]:.17g}",
@@ -441,14 +459,15 @@ def _cmd_optimize(cfg: RunConfig, out: Path) -> int:
     return 0 if result.converged or result.reason == "max_iter" else 3
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow fails its check, unwarned
 def _cmd_validate(cfg: RunConfig, out: Path) -> int:
     from .validation import dense_oracle_solve_graph  # only this command needs it
     rng = np.random.default_rng(20240901)
-    checks: list[tuple[str, bool, str]] = []
+    checks: list[tuple[bool, str]] = []  # each check's outcome and report line
 
     def record(name: str, ok: bool, detail: str) -> None:
-        checks.append((name, ok, detail))
-        print(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}")
+        checks.append((ok, f"{'PASS' if ok else 'FAIL'}  {name}: {detail}"))
+        print(checks[-1][1])
 
     problem, cost_cfg = cfg.problem, cfg.cost
     grid0, alpha = problem.grids[0], problem.alpha
@@ -480,7 +499,7 @@ def _cmd_validate(cfg: RunConfig, out: Path) -> int:
         )
     record("trace-telescoping", worst <= 1e-12, f"max residual {worst:.3e}")
 
-    system = assemble_graph_system(problem)
+    system = cfg.system
     fwd = solve_forward_graph(problem, system=system)
     diag = diagnose_forward(system, fwd)
     try:
@@ -527,12 +546,8 @@ def _cmd_validate(cfg: RunConfig, out: Path) -> int:
     rhs = float(np.einsum("jk,k,jk->", ctrl, omega, grad))
     record("duality", abs(lhs - rhs) <= 1e-8, f"residual {abs(lhs - rhs):.3e}")
 
-    failed = [name for name, ok, _ in checks if not ok]
-    lines = [
-        f"{'PASS' if ok else 'FAIL'}  {name}: {detail}" for name, ok, detail in checks
-    ]
-    (out / "report.txt").write_text("\n".join(lines) + "\n")
-    return 4 if failed else 0
+    (out / "report.txt").write_text("".join(line + "\n" for _, line in checks))
+    return 0 if all(ok for ok, _ in checks) else 4
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -550,14 +565,13 @@ def main(argv: list[str] | None = None) -> int:
     out = Path(args.output_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        cfg = parse_config(args.problem_file)
-        if args.command == "solve-forward":
-            return _cmd_solve_forward(cfg, out)
-        if args.command == "solve-adjoint":
-            return _cmd_solve_adjoint(cfg, out)
-        if args.command == "optimize":
-            return _cmd_optimize(cfg, out)
-        return _cmd_validate(cfg, out)
+        command = {
+            "solve-forward": _cmd_solve_forward, "solve-adjoint": _cmd_solve_adjoint,
+            "optimize": _cmd_optimize, "validate": _cmd_validate,
+        }[args.command]
+        # the command is given the only reference to the config, so that it
+        # can release the assembled system before it writes
+        return command(parse_config(args.problem_file), out)
     except ConfigError as exc:
         for violation in exc.violations:
             print(f"config error: {violation}", file=sys.stderr)

@@ -318,6 +318,7 @@ def optimize(
     tol: float = 1e-6,
     max_iter: int = 200,
     u0: np.ndarray | None = None,
+    system: GraphSystem | None = None,
 ) -> OptimResult:
     """Minimize the tracking cost over the admissible controls.
 
@@ -351,7 +352,8 @@ def optimize(
     :class:`~fracstar.graph_solver.GraphTrajectory` (the graph adjoint, source
     ``y - y_d``), and their diagnostics are left to
     :func:`~fracstar.graph_solver.diagnose_forward` and
-    :func:`~fracstar.graph_solver.diagnose_adjoint`.
+    :func:`~fracstar.graph_solver.diagnose_adjoint`.  A ``system`` given must
+    be the one assembled for the graph problem solved (``system.problem``).
     """
     if algo not in ("projected_gradient", "fixed_point"):
         raise ValueError(f"unknown algorithm {algo!r}")
@@ -364,7 +366,10 @@ def optimize(
     proj = _projection(_normalize_sets(admissible, nchannels), nt)
     omega = graph.time_grid.trapezoid_weights()
     # One assembly, and so one set of step-matrix factors, serves every sweep.
-    system = assemble_graph_system(graph)
+    if system is None:
+        system = assemble_graph_system(graph)
+    elif system.problem is not graph:
+        raise ValueError("system was assembled for another problem")
     # the controls last measured by the marches, their state, adjoint and gradient
     measured = None
 

@@ -3,6 +3,7 @@ import contextlib
 import errno
 import gc
 import importlib
+import io
 import os
 import re
 import subprocess
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -100,6 +101,14 @@ uad = unconstrained
 tol = 1e-7
 max_iter = 100
 """
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """A worker a test leaks is caught by that test: every child process it
+    started has been reaped when it ends."""
+    yield
+    assert_no_child_processes()
 
 
 def write(tmp_path, name, text):
@@ -602,6 +611,63 @@ class TestEntry:
         assert line.startswith(("solver failure: non-finite ", "solver failure: assembly "))
         assert not (tmp_path / "report.txt").exists()
 
+    @pytest.mark.parametrize("old, new", OVERFLOWING[:2])
+    def test_validate_reports_overflow_without_numpy_warnings(self, tmp_path, capsys, old, new):
+        # warnings are errors in this suite: a numpy warning would raise here
+        ini = write(tmp_path, "edge.ini", EDGE_INI.replace(old, new))
+        assert main(["--output-dir", str(tmp_path), "validate", str(ini)]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "FAIL  oracle-equivalence" in captured.out
+
+    def test_adjoint_diagnostics_are_checked_without_dirichlet_tips(self, tmp_path, capsys):
+        # a single edge reports no regularity ratio, but its record is checked
+        ini = write(tmp_path, "edge.ini", EDGE_INI.replace(*OVERFLOWING[0]))
+        assert main(["--output-dir", str(tmp_path), "solve-adjoint", str(ini)]) == 3
+        assert capsys.readouterr().err == "solver failure: non-finite adjoint diagnostics\n"
+        assert not (tmp_path / "report.txt").exists()
+
+    @given(
+        # powers of ten scaling y0, f, beta and the target; 0 leaves one as is
+        powers=st.tuples(*[st.just(0) | st.integers(150, 308)] * 4),
+    )
+    @example(powers=(0, 0, 308, 0))  # assembly fails while the files are read
+    @example(powers=(0, 0, 0, 308))  # the start's cost overflows
+    @settings(max_examples=20, deadline=None)
+    def test_overflow_gives_finite_outputs_or_one_failure(self, tmp_path_factory, powers):
+        tmp = tmp_path_factory.mktemp("overflow")
+        y0, f, beta, target = (10.0**p for p in powers)
+        shape = (17, 13)  # nt + 1 rows of m_cells + 1 nodes
+        wave = np.sin(np.add.outer(np.arange(shape[0]), np.arange(shape[1])))
+        data = {"y0": y0 * wave[:1], "f": f * wave, "yd": target * wave[:, ::-1]}
+        for name, values in data.items():
+            np.savetxt(tmp / f"{name}.csv", values, delimiter=",", fmt="%.17g")
+        text = EDGE_INI.replace("beta = const:1.0", f"beta = const:{beta!r}")
+        for key, name in [("f = zero", "f"), ("y0 = const:0.5", "y0"),
+                          ("ydtarget = const:0.25", "yd")]:
+            text = text.replace(key, f"{key.split(' =')[0]} = file:{name}.csv")
+        ini = write(tmp, "edge.ini", text)
+        for command in ("solve-forward", "optimize"):
+            runs = []
+            for mode in ("serial", "split"):
+                out, stdout, stderr = tmp / f"{command}-{mode}", io.StringIO(), io.StringIO()
+                with splitting() if mode == "split" else contextlib.nullcontext():
+                    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                        code = main(["--output-dir", str(out), command, str(ini)])
+                texts = {p.name: p.read_text() for p in sorted(out.iterdir())}
+                runs.append((code, stdout.getvalue(), stderr.getvalue(), texts))
+                assert_no_child_processes()
+            assert runs[0] == runs[1]
+            code, _, err, texts = runs[0]
+            assert code in (0, 3)
+            if code == 3:
+                assert len(err.splitlines()) == 1
+            else:
+                assert all(line.startswith("warning: ") for line in err.splitlines())
+                assert "report.txt" in texts
+            for name, body in texts.items():
+                assert not re.search(r"\b(?:inf|nan)\b", body, re.I), name
+
     def test_validate_runs_in_a_fresh_process(self, tmp_path):
         # the oracle is imported by the command itself
         ini = write(tmp_path, "graph.ini", GRAPH_INI)
@@ -894,3 +960,103 @@ class TestSplitConversion:
             f"output error: [Errno {errno.ENOSPC}] No space left on device"
         ]
         assert [p.name for p in out.iterdir()] == ["state.csv"]
+
+
+def leaves(value):
+    """The values a record holds, walked through its tuples and lists."""
+    if isinstance(value, (tuple, list)):
+        for item in value:
+            yield from leaves(item)
+    else:
+        yield value
+
+
+class TestReadsBesideAssembly:
+    """The data files are read by forked workers while this process
+    assembles the system, which the config then carries; where no worker is
+    forked, they are read first.  The outputs are those of one process."""
+
+    @pytest.mark.parametrize("mode", ["serial", "split"])
+    @pytest.mark.parametrize("kind", ["edge", "graph"])
+    def test_config_carries_the_assembled_system(self, tmp_path, rng, kind, mode):
+        ini = graph_with_files(tmp_path, rng) if kind == "graph" else write(
+            tmp_path, "edge.ini", EDGE_INI
+        )
+        with splitting() if mode == "split" else contextlib.nullcontext():
+            cfg = parse_config(ini)
+        assert cfg.system.problem is cfg.problem
+        carried, fresh = (
+            list(leaves(s._replace(problem=None)))
+            for s in (cfg.system, assemble_graph_system(cfg.problem))
+        )
+        assert len(carried) == len(fresh)
+        for a, b in zip(carried, fresh):
+            if isinstance(a, np.ndarray):
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+            else:
+                assert a == b
+
+    @pytest.mark.parametrize("mode", ["serial", "split"])
+    def test_violation_wins_over_assembly_failure(self, tmp_path, rng, capsys, mode):
+        # the assembly of beta = 1e308 fails while a missing file is read
+        ini = graph_with_files(tmp_path, rng, {(1, "f"): "file:missing.csv"})
+        ini.write_text(ini.read_text().replace("beta = const:1.0", "beta = const:1e308", 1))
+        with splitting() if mode == "split" else contextlib.nullcontext():
+            assert main(["--output-dir", str(tmp_path), "solve-forward", str(ini)]) == 2
+        [line] = capsys.readouterr().err.splitlines()
+        missing = tmp_path / "missing.csv"
+        assert line.startswith(f"config error: [edge.1] f: cannot read data file {missing}: ")
+        ini.write_text(ini.read_text().replace("file:missing.csv", "zero"))
+        with splitting() if mode == "split" else contextlib.nullcontext():
+            assert main(["--output-dir", str(tmp_path), "solve-forward", str(ini)]) == 3
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("solver failure: assembly failed: ")
+
+    @pytest.mark.parametrize("mode", ["serial", "split"])
+    def test_file_violations_keep_their_place(self, tmp_path, rng, mode):
+        # a file read after the rest of the file is checked still reports
+        # where the file is named: after the keys before it, before the rest
+        tokens = {(1, "f"): "file:missing.csv", (1, "y0"): "const:nan",
+                  (2, "f"): "file:empty.csv"}
+        (tmp_path / "empty.csv").write_text("")
+        ini = graph_with_files(tmp_path, rng, tokens)
+        ini.write_text(ini.read_text().replace("m_cells = 7", "m_cells = 1").replace(
+            "tol = 1e-7", "tol = -1"))
+        with splitting() if mode == "split" else contextlib.nullcontext():
+            with pytest.raises(ConfigError) as err:
+                parse_config(ini)
+        assert [v.split(":")[0] for v in err.value.violations] == [
+            "[edge.1] f", "[edge.1] y0", "[edge.2] m_cells must be at least 2, got 1",
+            "[edge.2] f", "optimizer.tol must be positive and finite, got -1.0",
+        ]
+
+    def test_reads_run_beside_assembly_or_before_it(self, tmp_path, rng, capsys, monkeypatch):
+        ini = graph_with_files(tmp_path, rng)
+        steps = []
+        read, assemble = fracstar._csvio._read, fracstar.cli.assemble_graph_system
+        monkeypatch.setattr(fracstar._csvio, "_read", lambda p: steps.append("read") or read(p))
+        monkeypatch.setattr(
+            fracstar.cli, "assemble_graph_system",
+            lambda p: steps.append("assemble") or assemble(p),
+        )
+
+        def refuse():
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        runs = {}
+        # too little data for a worker, workers, and workers that cannot be forked
+        for mode in ("serial", "split", "refused"):
+            steps.clear()
+            with pytest.MonkeyPatch.context() as mp:
+                if mode == "refused":
+                    mp.setattr(os, "fork", refuse)
+                out = tmp_path / mode
+                with splitting() if mode != "serial" else contextlib.nullcontext():
+                    assert main(["--output-dir", str(out), "solve-forward", str(ini)]) == 0
+            # the four files are read here, before assembly, unless workers read them
+            assert steps == (["assemble"] if mode == "split" else ["read"] * 4 + ["assemble"])
+            runs[mode] = (
+                capsys.readouterr(),
+                *((tmp_path / mode / name).read_bytes() for name in ("state.csv", "report.txt")),
+            )
+        assert runs["split"] == runs["serial"] == runs["refused"]

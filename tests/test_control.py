@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -548,6 +549,19 @@ class TestOptimize:
         pr = random_graph(rng, Nt=6)
         res = optimize(pr, CostConfig(), AdmissibleSet.box(-0.2, 0.2), max_iter=40)
         assert res.iterations > 1 and len(factorizations) == pr.n
+
+    def test_given_system_is_used_and_must_be_the_problems(self, rng, factorizations):
+        pr = random_graph(rng, Nt=6)
+        box = AdmissibleSet.box(-0.2, 0.2)
+        fresh = optimize(pr, CostConfig(), box, max_iter=40)
+        system = assemble_graph_system(pr)
+        factorizations.clear()
+        given_system = optimize(pr, CostConfig(), box, max_iter=40, system=system)
+        assert factorizations == []  # no assembly of its own
+        assert given_system.controls.tobytes() == fresh.controls.tobytes()
+        # an equal problem is not the one the system was assembled for
+        with pytest.raises(ValueError, match="assembled for another problem"):
+            optimize(replace(pr), CostConfig(), box, max_iter=40, system=system)
 
 
 class TestReducedHessian:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import fracstar._csvio as csvio
 from conftest import assert_no_child_processes
-from fracstar._csvio import chunks, cpus, fan_out
+from fracstar._csvio import chunks, cpus, fan_out, start
 
 
 class TestChunks:
@@ -61,6 +61,12 @@ class TestChunks:
         monkeypatch.setattr(csvio, "SPLIT_MIN_VALUES", 1)
         monkeypatch.delattr(os, "fork", raising=False)
         assert chunks([10**6] * 4) == [range(4)]
+
+    def test_a_given_number_of_parts(self):
+        # whatever the data and the CPUs, at most one part per item
+        assert chunks([1] * 10, 3) == [range(0, 3), range(3, 7), range(7, 10)]
+        assert chunks([10**6] * 2, 3) == [range(0, 1), range(1, 2)]
+        assert chunks([7], 0) == [range(1)] and chunks([], 2) == [range(0)]
 
     def test_workers_are_capped_at_eight(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
@@ -168,6 +174,23 @@ class TestFanOut:
         with pytest.raises(KeyError, match="part 1 failed"):
             fan_out(run, [range(1)] * 3)
         assert ran == [0]
+        assert_no_child_processes()
+
+
+class TestStart:
+    def test_every_part_runs_in_a_child_while_the_caller_works(self):
+        forked, join = start(lambda k, part: (k, os.getpid()), [range(1)] * 3, first=0)
+        assert forked == 3
+        here = os.getpid()  # the caller's own work would go here
+        out = join()
+        assert [k for k, _ in out] == [0, 1, 2]
+        assert here not in {pid for _, pid in out} and len({pid for _, pid in out}) == 3
+        assert_no_child_processes()
+
+    def test_a_join_dropped_uncalled_reaps_the_children(self):
+        forked, join = start(lambda k, part: np.zeros(1 << 18), [range(1)] * 2, first=0)
+        assert forked == 2
+        del join  # the caller failed before it joined
         assert_no_child_processes()
 
 
