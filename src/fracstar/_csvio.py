@@ -1,23 +1,22 @@
 """CSV text to and from arrays, converted on every CPU the process may run on.
 
 Formatting and parsing hold the GIL, so only another process can use another
-CPU.  :func:`fan_out` splits the work into contiguous parts: part 0 runs in
-this process and every other part in a child made by ``os.fork``, which
-shares the parent's memory until either writes to it; a child's result comes
-back pickled through a pipe.  The reader forks every part (:func:`start`) and
-the caller works meanwhile.  Without ``os.fork``, with one CPU, or with too
-little work to pay for a fork, all of it is one part, run in this process;
-a part that cannot be forked (no process or file slot left) runs there too.
-The arrays and the bytes written are those of one process.
+CPU.  :func:`start` forks a child per part of the work, which shares this
+process's memory until either writes to it and sends its result back through
+a pipe.  The reader forks every part while the caller works; the writer forks
+its workers first and hands them rows as the caller finishes them.  With too
+little work, one CPU or no ``os.fork``, all of it runs here, and so does a
+part whose fork fails.  The arrays and bytes are those of one process.
 """
 
 from __future__ import annotations
 
 import bisect
+import contextlib
 import itertools
 import os
 import pickle
-import shutil
+import struct
 import tempfile
 import warnings
 from pathlib import Path
@@ -62,23 +61,14 @@ def chunks(sizes: list[int], workers: int | None = None) -> list[range]:
     return ranges or [range(0)]
 
 
-def fan_out(run, parts: list[range]) -> list:
-    """``[run(k, part) for k, part in enumerate(parts)]``, with part 0 run in
-    this process while every other part runs in a forked child.  A child
-    sends back its result, or the exception it raised, and leaves by
-    ``os._exit``.  Where a pipe or a fork fails, that part and the ones
-    after it run in this process once the children are done, so a fork
-    failure costs only speed.  Every child is reaped before this returns or
-    raises, and the exception of the lowest part that raised one is raised
-    here."""
-    return start(run, parts)[1]()
-
-
 def start(run, parts: list[range], first: int = 1):
-    """Fork a child for each part from ``first`` on, as :func:`fan_out` does,
-    and return how many were forked and the call that joins them: it runs
-    the parts before ``first`` here, then ends as :func:`fan_out` does.  A
-    join dropped uncalled reaps the children too."""
+    """Fork a child for each part from ``first`` on; return how many were
+    forked and the join, which returns ``[run(k, part) for k, part in
+    enumerate(parts)]``.  It runs the parts before ``first`` here, collects
+    what each child sent before it left by ``os._exit`` (its result or its
+    exception), then runs here the parts whose pipe or fork failed.  Every
+    child is reaped before the join returns or raises the exception of the
+    lowest part that raised one; a join dropped uncalled reaps them too."""
     work = _work(run, parts, first)
     return next(work), work.__next__
 
@@ -122,16 +112,16 @@ def _work(run, parts: list[range], first: int):
             pipes[pid] = r
         yield len(pipes)
         results = [(True, run(k, parts[k])) for k in range(first)]
-        for pid, r in pipes.items():
-            lost = ChildProcessError(f"worker {pid} exited without a result")
-            results.append(_receive(r) or (False, lost))
+        received = [_receive(r) for r in pipes.values()]
     finally:
         # every read end is closed first: a child still writing then fails
         # on a broken pipe and leaves, so no wait below can block for good
         for r in pipes.values():
             os.close(r)
-        for pid in pipes:
-            os.waitpid(pid, 0)
+        statuses = [os.waitpid(pid, 0)[1] for pid in pipes]
+    for pid, got, status in zip(pipes, received, statuses):  # whole, and exited 0
+        lost = (False, ChildProcessError(f"worker {pid} exited without a result"))
+        results.append(got if got is not None and status == 0 else lost)
     for ok, value in results:
         if not ok:
             raise value
@@ -157,14 +147,15 @@ def _send(fd: int, obj) -> None:
 
 
 def _receive(fd: int):
-    """The object :func:`_send` wrote to the pipe ``fd``, or ``None`` if
-    nothing was written.  Each frame is read into a buffer of its size, and
-    the arrays are rebuilt on their buffers, without a copy."""
+    """The object :func:`_send` wrote whole to the pipe ``fd``, else ``None``.
+    Each frame is read into a buffer of its size, and the arrays are rebuilt
+    on their buffers, without a copy."""
     frames = []
     with open(fd, "rb", closefd=False) as fh:
         while head := fh.read(8):
             frame = bytearray(int.from_bytes(head, "little"))
-            fh.readinto(frame)
+            if len(head) < 8 or fh.readinto(frame) < len(frame):
+                return None
             frames.append(frame)
     return pickle.loads(frames[0], buffers=frames[1:]) if frames else None
 
@@ -202,40 +193,102 @@ def read_csv_files(paths: list[Path]):
     return lambda: dict(zip(paths, itertools.chain.from_iterable(join())))
 
 
-def write_csv(path: Path, header: str, lead, labels, values) -> None:
-    """Write ``header``, then one block of rows per entry of ``lead``: row
-    ``r`` of block ``k`` is ``lead[k] + labels[r]`` followed by ``values[k, r]``
-    with 17 significant digits.  ``lead`` and ``labels`` are text that carries
-    its own separators, so each time and node is formatted once; a block is
-    formatted by one ``%`` template built from them.
+class RowWriter(contextlib.AbstractContextManager):
+    """Writes ``header``, then one block of rows per entry of ``lead``, to
+    ``path``: row ``r`` of block ``k`` is ``lead[k] + labels[r]`` (text with
+    its own separators) and value ``r`` of ``convert(rows[k:k + 1])[0]`` with
+    17 significant digits.  ``rows`` is the source array, or the shape of a
+    zero-filled one to make, which the caller fills and hands over by
+    :meth:`send`.  The workers :func:`chunks` allows beyond this process are
+    forked at once (a made array is then shared memory); each formats the
+    tickets (ranges of a 32nd of ``SPLIT_MIN_VALUES`` values or more) it
+    takes from one pipe into its unnamed temporary file beside ``path``.
+    Leaving the writer as a context ends its workers and files."""
 
-    The blocks are split between workers (:func:`fan_out`): the first range
-    is written to ``path``, each other range to an unnamed temporary file
-    beside it, which is then appended to ``path``."""
-    labels = [label.replace("%", "%%") for label in labels]
-    parts = chunks([len(labels)] * len(lead))
-    temps = []
+    def __init__(self, path: Path, header: str, lead, labels, rows, convert=np.asarray):
+        self.path, self.header, self.lead, self.convert = path, header, lead, convert
+        self.labels = [label.replace("%", "%%") for label in labels]
+        self._group = -(-SPLIT_MIN_VALUES // (32 * max(1, len(labels))))  # blocks a ticket
+        forks = len(chunks([len(labels)] * len(lead))) - 1
+        if isinstance(rows, tuple) and forks:
+            import mmap  # only a writer that forks shares its rows
+            rows = np.frombuffer(mmap.mmap(-1, 8 * int(np.prod(rows))), float).reshape(rows)
+        self.rows = np.zeros(rows) if isinstance(rows, tuple) else rows
+        self._sent, self._r, self._w, self._join, self._files = 0, None, None, None, []
+        try:
+            if forks:
+                self._r, self._w = os.pipe()
+                os.set_blocking(self._w, False)  # a full pipe leaves blocks to later tickets
+                for _ in range(forks + 1):
+                    self._files.append(tempfile.TemporaryFile(dir=path.parent, buffering=0))
+                self._pid = os.getpid()
+                self._join = start(self._work, [range(1)] * (forks + 1))[1]
+        except BaseException:
+            self.__exit__()
+            raise
 
-    def write(k: int, blocks: range) -> None:
-        # a worker writes through the temporary file's descriptor, which it
-        # shares with this process, and leaves it open for the append
-        with open(path if k == 0 else temps[k - 1].fileno(), "w", closefd=k == 0) as fh:
-            if k == 0:
-                fh.write(header + "\n")
-            for b in blocks:
-                key = lead[b].replace("%", "%%")
-                template = key + ("%.17g\n" + key).join(labels) + "%.17g\n"
-                fh.write(template % tuple(values[b].tolist()))
+    def send(self, stop: int) -> bool:
+        """Hand over the blocks before ``stop``, whose rows are final; false
+        if they wait for a later ticket (too few, or the pipe is full)."""
+        if self._w is None or stop - self._sent < self._group:
+            return False
+        try:  # one write of at most PIPE_BUF bytes is whole
+            os.write(self._w, struct.pack("<II", self._sent, stop))
+        except BlockingIOError:
+            return False
+        self._sent = stop
+        return True
 
-    try:
-        for _ in parts[1:]:
-            temps.append(tempfile.TemporaryFile(dir=path.parent, buffering=0))
-        fan_out(write, parts)
-        if temps:
-            with open(path, "ab") as out:
-                for temp in temps:
-                    temp.seek(0)
-                    shutil.copyfileobj(temp, out, 1 << 20)
-    finally:
-        for temp in temps:
-            temp.close()
+    def close(self) -> None:
+        """With every block final: hand over the rest, format tickets here too
+        until none is left, and write ``path`` from the parts in block order."""
+        with self:
+            n, parts = len(self.lead), None
+            if self._join is not None:
+                while self._sent < n and self.send(min(self._sent + self._group, n)):
+                    pass  # what a full pipe leaves is formatted here
+                os.close(self._w)
+                self._w = None  # a worker that finds the pipe empty now ends
+                parts = self._join()
+            with open(self.path, "w") as out:
+                out.write(self.header + "\n")
+                if parts is None:
+                    return self._format(out, 0, n)
+                out.flush()
+                for _, k, begin, end in sorted(itertools.chain.from_iterable(parts)):
+                    out.buffer.write(os.pread(self._files[k].fileno(), end - begin, begin))
+
+    def _work(self, k: int, part: range) -> list[tuple[int, int, int, int]]:
+        """Format tickets from the pipe into file ``k`` until it is empty and
+        closed; return ``(first block, k, first byte, end byte)`` of each."""
+        if os.getpid() != self._pid:
+            os.close(self._w)  # only the writer's process sends tickets
+        fd, done = self._files[k].fileno(), []
+        # this process's part first takes what a full pipe left, as one ticket
+        ticket = struct.pack("<II", self._sent, len(self.lead)) if k == 0 else os.read(self._r, 8)
+        with open(fd, "w", closefd=False) as fh:
+            while ticket:
+                a, b = struct.unpack("<II", ticket)
+                begin = os.lseek(fd, 0, os.SEEK_CUR)
+                self._format(fh, a, b)
+                fh.flush()
+                done.append((a, k, begin, os.lseek(fd, 0, os.SEEK_CUR)))
+                ticket = os.read(self._r, 8)
+        return done
+
+    def _format(self, fh, a: int, b: int) -> None:
+        for g in range(a, b, self._group):
+            stop = min(g + self._group, b)
+            for key, row in zip(self.lead[g:stop], self.convert(self.rows[g:stop]).tolist()):
+                key = key.replace("%", "%%")
+                template = key + ("%.17g\n" + key).join(self.labels) + "%.17g\n"
+                fh.write(template % tuple(row))
+
+    def __exit__(self, *exc) -> None:
+        for fd in {self._w, self._r} - {None}:
+            os.close(fd)
+        # the pipe is closed, so every worker ends; dropping the join reaps them
+        self._r = self._w = self._join = None
+        for f in self._files:
+            f.close()
+

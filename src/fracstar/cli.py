@@ -50,9 +50,10 @@ Commands: ``solve-forward``, ``solve-adjoint``, ``optimize``, ``validate``.
 Exit codes: 0 success, 2 config or output error, 3 solver failure, 4
 validation failure.
 
-Large data files are parsed on all CPUs but one while this process assembles,
-and a large ``state.csv`` is formatted on every CPU, at most 8, by forked
-workers (:mod:`fracstar._csvio`).  The arrays and bytes are one process's.
+Large data files are parsed, and a large ``state.csv`` formatted, by forked
+workers on all CPUs but one, at most 8 (:mod:`fracstar._csvio`): the reads run
+while this process assembles, and ``solve-forward`` hands its workers each time
+step as the march finishes it.  The arrays and bytes are one process's.
 
 A CLI process (the ``fracstar`` command or ``python -m fracstar.cli``) enters
 through :func:`run`, which freezes the garbage collector's view of the heap
@@ -73,7 +74,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._csvio import read_csv_files, write_csv
+from ._csvio import RowWriter, read_csv_files
 from .control import AdmissibleSet, CostConfig, gradient_graph, optimize
 from .errors import ConfigError, SizeGuardError, SolverFailure
 from .fracops import left_rl_derivative, right_caputo_nodal, trace_functional
@@ -359,16 +360,24 @@ def parse_config(path: str | Path) -> RunConfig:
     return RunConfig(problem, cost, sets, channels, algo, tol, max_iter, system)
 
 
-def _finish(out: Path, problem: StarGraphProblem, states, report: list[str]) -> None:
-    """Write the per-edge states to ``state.csv`` and the report to
-    ``report.txt``, and echo the report."""
+def _state_csv(out: Path, problem: StarGraphProblem, rows, system=None) -> RowWriter:
+    """The writer of ``state.csv``: one block per time of the per-edge states
+    ``rows``, or of those of the DOF rows of ``system``, as the trajectory's."""
     times = [f"{t:.17g}," for t in problem.time_grid.times.tolist()]
     nodes = [
         f"{i + 1},{x:.17g},"
         for i, g in enumerate(problem.grids)
         for x in g.nodes.tolist()
     ]
-    write_csv(out / "state.csv", "t,edge,x,y", times, nodes, np.hstack(states))
+    convert = np.asarray if system is None else (
+        lambda dofs: np.hstack([system.edge_samples(dofs, i) for i in range(problem.n)])
+    )
+    return RowWriter(out / "state.csv", "t,edge,x,y", times, nodes, rows, convert)
+
+
+def _finish(out: Path, state: RowWriter, report: list[str]) -> None:
+    """Write ``state.csv`` and the report to ``report.txt``; echo the report."""
+    state.close()
     (out / "report.txt").write_text("\n".join(report) + "\n")
     print("\n".join(report))
 
@@ -384,36 +393,35 @@ def _checked(what: str, diagnose, *args):
 
 def _cmd_solve_forward(cfg: RunConfig, out: Path) -> int:
     problem, system = cfg.problem, cfg.system
-    del cfg  # the last reference to the config (see main); the system goes below
-    traj = solve_forward_graph(problem, system=system)
-    d = _checked("forward", diagnose_forward, system, traj)
+    del cfg  # the last reference to the config (see main)
     kind = "graph" if problem.n >= 2 else "edge"
-    report = []
-    for name, pad, ratio, bound in (
-        ("energy norm", "", d.estimate_ratio, d.estimate_bound),
-        ("final time", " ", d.estimate_ratio_T, d.estimate_bound_T),
-    ):
-        # the relation that holds, and a warning where the bound does not
-        holds = ratio <= bound
-        report.append(
-            f"{kind} a-priori estimate, {name}: {pad}measured {ratio:.17g}"
-            f" {'<=' if holds else '>'} bound {bound:.17g}"
-        )
-        if not holds:
-            print(
-                f"warning: {kind} a-priori estimate, {name}: measured {ratio:.17g}"
-                f" exceeds bound {bound:.17g}",
-                file=sys.stderr,
+    with _state_csv(out, problem, (problem.time_grid.Nt + 1, system.ndof), system) as state:
+        traj = solve_forward_graph(problem, system=system, stream=state)
+        d = _checked("forward", diagnose_forward, system, traj)
+        report = []
+        for name, pad, ratio, bound in (
+            ("energy norm", "", d.estimate_ratio, d.estimate_bound),
+            ("final time", " ", d.estimate_ratio_T, d.estimate_bound_T),
+        ):
+            # the relation that holds, and a warning where the bound does not
+            holds = ratio <= bound
+            report.append(
+                f"{kind} a-priori estimate, {name}: {pad}measured {ratio:.17g}"
+                f" {'<=' if holds else '>'} bound {bound:.17g}"
             )
-    if problem.n >= 2:
-        junction = float(np.abs(d.junction_flux.sum(axis=1)).max())
-        report += [
-            f"junction flux balance, max residual: {junction:.17g}",
-            f"dirichlet constraint, max residual:  {d.constraint_residual:.17g}",
-        ]
-    # a forked writer starts from this process's memory
-    del system
-    _finish(out, problem, traj.samples, report)
+            if not holds:
+                print(
+                    f"warning: {kind} a-priori estimate, {name}: measured {ratio:.17g}"
+                    f" exceeds bound {bound:.17g}",
+                    file=sys.stderr,
+                )
+        if problem.n >= 2:
+            junction = float(np.abs(d.junction_flux.sum(axis=1)).max())
+            report += [
+                f"junction flux balance, max residual: {junction:.17g}",
+                f"dirichlet constraint, max residual:  {d.constraint_residual:.17g}",
+            ]
+        _finish(out, state, report)
     return 0
 
 
@@ -428,7 +436,7 @@ def _cmd_solve_adjoint(cfg: RunConfig, out: Path) -> int:
         report.append(f"boundary regularity ratio: {ratio:.17g}")
     # a forked writer starts from this process's memory
     del system, fwd
-    _finish(out, problem, adj.samples, report)
+    _finish(out, _state_csv(out, problem, np.hstack(adj.samples)), report)
     return 0
 
 
@@ -439,21 +447,19 @@ def _cmd_optimize(cfg: RunConfig, out: Path) -> int:
     )
     del cfg  # the system is released before the writes (see main)
     times = [f"{t:.17g}," for t in problem.time_grid.times.tolist()]
-    write_csv(
-        out / "controls.csv", "t,channel,value", times, channels, result.controls.T
-    )
+    RowWriter(out / "controls.csv", "t,channel,value", times, channels, result.controls.T).close()
     iterates = [f"{it},{c:.17g}," for it, c in enumerate(result.cost_history.tolist())]
-    write_csv(
+    RowWriter(
         out / "convergence.csv", "iter,cost,stationarity", iterates, [""],
         result.residual_history[:, None],
-    )
+    ).close()
     report = [
         f"optimizer: {algo}, iterations {result.iterations}, "
         f"converged {result.converged} ({result.reason})",
         f"final cost {result.cost_history[-1]:.17g}, "
         f"stationarity {result.residual_history[-1]:.17g}",
     ]
-    _finish(out, problem, result.state.samples, report)
+    _finish(out, _state_csv(out, problem, np.hstack(result.state.samples)), report)
     if not result.converged:
         print(f"warning: not converged ({result.reason})", file=sys.stderr)
     return 0 if result.converged or result.reason == "max_iter" else 3

@@ -500,18 +500,19 @@ def _prescribed_traces(u: np.ndarray, m: int) -> np.ndarray:
     return traces
 
 
-def _march(system: GraphSystem, start, loads, traces, what: str):
-    """Implicit Euler from ``x_{-1} = start``: row ``j`` solves
-    ``(W/dt + K) x_j + B^T mu_j = W x_{j-1}/dt + loads[j]``,
-    ``B x_j = traces[j]``.
+def _march(system: GraphSystem, start, loads, traces, what: str, stream=None):
+    """Implicit Euler from ``x_0 = start``: row ``j`` solves
+    ``(W/dt + K) x_{j+1} + B^T mu_j = W x_j/dt + loads[j]``,
+    ``B x_{j+1} = traces[j]``.
 
     The border's share of every step's loads and traces is solved before the
     march, in one product.  Each step then applies every edge's propagator to
-    ``x_{j-1} + loads[j] dt/mass`` and adds the rank-``r`` update
-    ``U (H x_{j-1} + w_j)``, whose coefficients hold ``c`` and the negated
-    multipliers.  Returns the states ``x_j`` and the multipliers ``-mu_j``.
-    The data are checked for finiteness once before the march, the solution
-    once after it.
+    ``x_j + loads[j] dt/mass`` and adds the rank-``r`` update
+    ``U (H x_j + w_j)``, whose coefficients hold ``c`` and the negated
+    multipliers.  Returns the states ``x_0 .. x_nt`` (in a ``stream``'s
+    zero-filled ``rows``, after step ``j`` handed over by ``send(j + 2)``)
+    and the multipliers ``-mu_j``.  The data are checked for finiteness once
+    before the march, the solution once after it.
     """
     if not all(np.isfinite(a).all() for a in (start, loads, traces)):
         raise SolverFailure(f"non-finite {what} right-hand side")
@@ -519,7 +520,8 @@ def _march(system: GraphSystem, start, loads, traces, what: str):
     U, H, schur = system.update_cols, system.update_rows, system.schur_inv
     r = len(H)
     nt = len(loads)
-    x = np.zeros((nt, system.ndof))
+    x = np.zeros((nt + 1, system.ndof)) if stream is None else stream.rows
+    x[0] = start
     w = np.zeros((nt, r))
     # a non-finite inverse surfaces as non-finite states, reported below
     with np.errstate(invalid="ignore", over="ignore"):
@@ -529,9 +531,8 @@ def _march(system: GraphSystem, start, loads, traces, what: str):
             data = loads @ U[:, k:]
             data[:, k:] += traces  # after c, the multipliers
             w[:, k:] = data @ schur.T
-        prev = start
         for j in range(nt):
-            yj, xj = y[j], x[j]
+            yj, prev, xj = y[j], x[j], x[j + 1]
             yj += prev
             for gs, prop in system.edge_propagators:
                 np.matmul(prop, yj[gs], out=xj[gs])
@@ -539,7 +540,8 @@ def _march(system: GraphSystem, start, loads, traces, what: str):
                 wj = w[j]
                 wj += H @ prev
                 xj += U @ wj
-            prev = xj
+            if stream is not None:
+                stream.send(j + 2)
     mult = -w[:, r - m :]
     if not (np.isfinite(x).all() and np.isfinite(mult).all()):
         raise SolverFailure(f"non-finite {what} solve (singular saddle point?)")
@@ -564,14 +566,15 @@ def solve_forward_graph(
     u: np.ndarray | None = None,
     v: np.ndarray | None = None,
     system: GraphSystem | None = None,
+    stream=None,
 ) -> GraphTrajectory:
     """March the controlled graph system.
 
     ``u`` holds the Dirichlet trace controls for edges ``2..m`` (shape
     ``(m-1, Nt+1)``), ``v`` the Neumann flux controls for edges ``m+1..n``
     (shape ``(n-m, Nt+1)``); the root trace is clamped to zero.  Controls at
-    ``t = 0`` never enter the fully implicit stepping.
-    """
+    ``t = 0`` never enter the fully implicit stepping.  A ``stream`` takes
+    each row of ``dofs`` once it is final (:func:`_march`)."""
     if system is None:
         system = assemble_graph_system(problem)
     nt, m = problem.time_grid.Nt, problem.m
@@ -591,10 +594,8 @@ def solve_forward_graph(
 
     loads = system.load_from_samples([fi[1:] for fi in f])
     loads += v[:, 1:].T @ system.trace_b_rows[m:]
-    x, mult = _march(system, start, loads, _prescribed_traces(u, m)[1:], "forward")
-    return _trajectory(
-        system, np.vstack([start, x]), np.vstack([np.zeros((1, m)), mult])
-    )
+    x, mult = _march(system, start, loads, _prescribed_traces(u, m)[1:], "forward", stream)
+    return _trajectory(system, x, np.vstack([np.zeros((1, m)), mult]))
 
 
 def solve_adjoint_graph(
@@ -620,7 +621,7 @@ def solve_adjoint_graph(
     x, mult = _march(
         system, np.zeros(system.ndof), loads[::-1], np.zeros((nt + 1, m)), "adjoint"
     )
-    p, mult = np.ascontiguousarray(x[::-1]), mult[::-1]
+    p, mult = np.ascontiguousarray(x[:0:-1]), mult[::-1]
     mult[0] = 0.0
     scale = np.concatenate([[0.0], dt / omega[1:]])[:, None]
     return _trajectory(

@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -20,13 +21,14 @@ import fracstar._csvio
 import fracstar.cli
 from fracstar import (
     ConfigError,
+    SolverFailure,
     assemble_graph_system,
     diagnose_forward,
     optimize,
     solve_forward_graph,
 )
 from conftest import assert_no_child_processes, splitting
-from fracstar._csvio import write_csv
+from fracstar._csvio import RowWriter
 from fracstar.cli import main, parse_config
 
 EDGE_INI = """
@@ -735,6 +737,11 @@ FLOATS = st.one_of(
 )
 
 
+def write_csv(path, header, lead, labels, values):
+    """Write ``values`` as the commands do, every block handed over at once."""
+    RowWriter(path, header, lead, labels, values).close()
+
+
 def arrays(shape):
     return hnp.arrays(np.float64, shape, elements=FLOATS)
 
@@ -959,7 +966,90 @@ class TestSplitConversion:
         assert captured.err.splitlines() == [
             f"output error: [Errno {errno.ENOSPC}] No space left on device"
         ]
-        assert [p.name for p in out.iterdir()] == ["state.csv"]
+        # the file is written only once every part is formatted
+        assert [p.name for p in out.iterdir()] == []
+
+
+class TestStreamedState:
+    """solve-forward hands each finished step to the forked writer: whatever
+    the workers, the bursts the tickets come in and a worker that stalls, it
+    writes the serial bytes; a failure after the march leaves nothing."""
+
+    @given(
+        data=st.data(),
+        workers=st.integers(1, 3),
+        cells=st.lists(st.integers(2, 9), min_size=1, max_size=3),
+        nt=st.integers(1, 12),
+        stall=st.booleans(),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_streamed_state_is_the_serial_bytes(
+        self, tmp_path_factory, data, workers, cells, nt, stall
+    ):
+        n = len(cells)
+        m = 0 if n == 1 else data.draw(st.integers(2, n))
+        text = f"[problem]\nalpha = 0.7\nT = 0.8\nnt = {nt}\nn = {n}\nm_split = {m}\n"
+        for i, c in enumerate(cells, 1):
+            text += (f"[edge.{i}]\na = 0.0\nb = {0.5 + 0.25 * i}\nm_cells = {c}\n"
+                     f"f = const:{i}\ny0 = const:0.5\n")
+        tmp = tmp_path_factory.mktemp("stream")
+        ini = write(tmp, "graph.ini", text)
+        bursts = data.draw(st.sets(st.integers(2, nt + 1)))  # the steps that send
+        writer, parent = fracstar._csvio.RowWriter, os.getpid()
+        send, work = writer.send, writer._work
+
+        def bursty(self, stop):
+            if stop in bursts:
+                send(self, stop)
+
+        def stalling(self, k, part):
+            if k == 1 and os.getpid() != parent:  # the first worker stalls on each ticket
+                fmt = self._format
+                self._format = lambda *args: (time.sleep(0.05), fmt(*args))
+            return work(self, k, part)
+
+        runs = []
+        for mode in ("serial", "streamed"):
+            with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()):
+                if mode == "streamed":
+                    mp.setattr(fracstar._csvio, "SPLIT_MIN_VALUES", 1)
+                    mp.setattr(fracstar._csvio, "cpus", lambda: workers + 1)
+                    mp.setattr(writer, "send", bursty)
+                    if stall:
+                        mp.setattr(writer, "_work", stalling)
+                assert main(["--output-dir", str(tmp / mode), "solve-forward", str(ini)]) == 0
+            assert_no_child_processes()
+            runs.append([(tmp / mode / name).read_bytes() for name in ("state.csv", "report.txt")])
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("mode", ["serial", "split"])
+    @pytest.mark.parametrize("where", ["march", "diagnostics"])
+    def test_solver_failure_leaves_nothing(self, tmp_path, rng, capsys, monkeypatch, where, mode):
+        ini = graph_with_files(tmp_path, rng)
+        if where == "march":  # every step streamed, then the check fails
+            march = fracstar.graph_solver._march
+
+            def failing(*args):
+                march(*args)
+                raise SolverFailure("non-finite forward solve (singular saddle point?)")
+
+            monkeypatch.setattr(fracstar.graph_solver, "_march", failing)
+        else:
+            monkeypatch.setattr(
+                fracstar.cli, "diagnose_forward",
+                lambda *args: diagnose_forward(*args)._replace(energy=np.array([np.nan])),
+            )
+        out = tmp_path / "out"
+        fds = len(os.listdir("/dev/fd"))
+        with splitting() if mode == "split" else contextlib.nullcontext():
+            assert main(["--output-dir", str(out), "solve-forward", str(ini)]) == 3
+        assert_no_child_processes()
+        assert len(os.listdir("/dev/fd")) == fds  # no pipe and no temporary file open
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        failure = "solve (singular saddle point?)" if where == "march" else "diagnostics"
+        assert captured.err == f"solver failure: non-finite forward {failure}\n"
+        assert list(out.iterdir()) == []
 
 
 def leaves(value):

@@ -518,6 +518,24 @@ class TestOptimize:
             res = optimize(problem, cfg, box, tol=1e-14, max_iter=max_iter)
             assert res.iterations == max_iter and calls == []
 
+    def test_optimizer_and_adjoint_marches_stream_nothing(self, rng, monkeypatch):
+        # only the CLI's forward solve streams its rows to a writer
+        streams = []
+        march = fracstar.graph_solver._march
+
+        def recorded(system, start, loads, traces, what, stream=None):
+            streams.append(stream)
+            return march(system, start, loads, traces, what, stream)
+
+        monkeypatch.setattr(fracstar.graph_solver, "_march", recorded)
+        pr = random_graph(rng, Nt=6)
+        for algo in ("projected_gradient", "fixed_point"):
+            optimize(pr, CostConfig(), AdmissibleSet.box(-0.2, 0.2), algo, max_iter=3)
+        system = assemble_graph_system(pr)
+        reduced_hessian(system, CostConfig())
+        solve_adjoint_graph(pr, solve_forward_graph(pr, system=system), system)
+        assert len(streams) > 10 and streams == [None] * len(streams)
+
     def test_unknown_algorithm(self, monkeypatch):
         problem, cfg = tracking_problem()
         with pytest.raises(ValueError):

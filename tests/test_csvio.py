@@ -3,6 +3,7 @@ every child reaped, and a child's failure raised in the parent."""
 
 import errno
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -11,7 +12,12 @@ from hypothesis import strategies as st
 
 import fracstar._csvio as csvio
 from conftest import assert_no_child_processes
-from fracstar._csvio import chunks, cpus, fan_out, start
+from fracstar._csvio import chunks, cpus, start
+
+
+def fan_out(run, parts):
+    """Every part's result, part 0 run here and the others in forked children."""
+    return start(run, parts)[1]()
 
 
 class TestChunks:
@@ -128,6 +134,25 @@ class TestFanOut:
             fan_out(run, [range(1)] * 2)
         assert_no_child_processes()
 
+    @pytest.mark.parametrize("cut", [True, False])
+    def test_child_that_dies_while_sending_has_no_result(self, monkeypatch, cut):
+        # the child sends its array, whole or cut halfway through the array's
+        # frame, and exits 9 before it is done: no result counts
+        def dying(fd, obj):
+            buffers = []
+            frames = [pickle.dumps(obj, 5, buffer_callback=buffers.append)]
+            frames += [b.raw() for b in buffers]
+            with open(fd, "wb") as fh:
+                for frame in frames:
+                    fh.write(len(frame).to_bytes(8, "little"))
+                    fh.write(frame[: len(frame) // 2] if cut and frame is frames[-1] else frame)
+            os._exit(9)
+
+        monkeypatch.setattr(csvio, "_send", dying)
+        with pytest.raises(ChildProcessError, match="exited without a result"):
+            fan_out(lambda k, part: np.arange(1.0, 1001.0), [range(1), range(1, 2)])
+        assert_no_child_processes()
+
     def test_exception_that_does_not_pickle(self):
         def run(k, part):
             if k == 1:
@@ -192,6 +217,44 @@ class TestStart:
         assert forked == 2
         del join  # the caller failed before it joined
         assert_no_child_processes()
+
+
+class TestRowWriter:
+    """Rows handed over as tickets, formatted by workers and this process,
+    give the bytes of one process."""
+
+    def write(self, path, rows, sends=()):
+        lead = [f"{t}," for t in range(len(rows))]
+        with csvio.RowWriter(path, "h", lead, ["a,", "b,"], rows.shape) as writer:
+            for stop in sends:
+                writer.rows[:stop] = rows[:stop]
+                writer.send(stop)
+            writer.rows[:] = rows
+            writer.close()
+        return path.read_bytes()
+
+    def test_a_full_pipe_leaves_its_blocks_to_this_process(self, tmp_path, monkeypatch):
+        rows = np.arange(40.0).reshape(20, 2) / 3
+        serial = self.write(tmp_path / "serial.csv", rows)
+        monkeypatch.setattr(csvio, "SPLIT_MIN_VALUES", 1)
+        monkeypatch.setattr(csvio, "cpus", lambda: 3)
+        write = os.write
+
+        def full(fd, data):  # the ticket pipe takes two tickets, then is full
+            if len(data) == 8:
+                if len(tickets) == 2:
+                    raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+                tickets.append(data)
+            return write(fd, data)
+
+        for sends in ([], [3, 5, 9], range(2, 21)):
+            tickets = []
+            monkeypatch.setattr(os, "write", full)
+            split = self.write(tmp_path / "split.csv", rows, sends)
+            monkeypatch.setattr(os, "write", write)
+            assert split == serial
+            assert_no_child_processes()
+        assert serial.startswith(b"h\n0,a,0\n0,b,0.33333333333333331\n1,a,0.66666666666666663\n")
 
 
 def fail_from_second_call(monkeypatch, name, exc):

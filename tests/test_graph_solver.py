@@ -120,7 +120,7 @@ def step_solve(system, b):
     x, mult = fracstar.graph_solver._march(
         system, np.zeros(system.ndof), load, b[None, nf:], "step"
     )
-    return np.r_[x[0, fr], -mult[0]]
+    return np.r_[x[1, fr], -mult[0]]  # row 0 is the start
 
 
 class TestProblemValidation:
@@ -488,6 +488,35 @@ class TestForward:
         assert np.abs(tE.y - ref).max() <= 1e-11
 
 
+class TestStreamedForward:
+    """A forward march given a ``stream`` fills the stream's rows, hands each
+    step over once and as soon as it is final, and returns those rows."""
+
+    class Stream:
+        def __init__(self, shape, final):
+            self.rows, self.final, self.stops = np.zeros(shape), final, []
+
+        def send(self, stop):
+            # every row handed over holds its final value
+            assert self.rows[:stop].tobytes() == self.final[:stop].tobytes()
+            self.stops.append(stop)
+
+    @pytest.mark.parametrize("n, m, Nt", [(3, 2, 7), (3, 3, 1), (1, 0, 5)])
+    def test_each_step_is_handed_over_once(self, rng, n, m, Nt):
+        pr = random_graph(rng, n=n, m=m, Nt=Nt)
+        system = assemble_graph_system(pr)
+        u = rng.standard_normal((pr.n_dirichlet_channels, Nt + 1))
+        v = rng.standard_normal((pr.n_neumann_channels, Nt + 1))
+        plain = solve_forward_graph(pr, u, v, system)
+        stream = self.Stream((Nt + 1, system.ndof), plain.dofs)
+        traj = solve_forward_graph(pr, u, v, system, stream=stream)
+        assert stream.stops == list(range(2, Nt + 2))
+        assert traj.dofs is stream.rows
+        for a, b in [(traj.dofs, plain.dofs), (traj.multipliers, plain.multipliers),
+                     *zip(traj.samples, plain.samples)]:
+            assert (a.shape, a.tobytes()) == (b.shape, b.tobytes())
+
+
 class TestOracle:
     @pytest.mark.parametrize("alpha", [0.4, 0.75, 1.0])
     def test_matches_dense_space_time_solve(self, alpha, rng):
@@ -707,7 +736,7 @@ class TestGraphCornerProperties:
             sol = lu_solve(lu, np.r_[(W @ prev / dt + loads[j])[fr], traces[j]])
             ref = np.zeros(sys_.ndof)
             ref[fr] = sol[:nf]
-            assert np.abs(x[j] - ref).max() <= 1e-12
+            assert np.abs(x[j + 1] - ref).max() <= 1e-12  # row 0 is the start
             assert np.abs(mult[j] + sol[nf:]).max(initial=0.0) <= 1e-12
             prev = ref
 
