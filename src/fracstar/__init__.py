@@ -22,14 +22,11 @@ _SOURCES = {
     "GraphTrajectory": "graph_solver",
     "Grid1D": "grids",
     "OptimResult": "control",
-    "SingularMode": "fracops",
     "SizeGuardError": "errors",
     "SolverFailure": "errors",
     "StarGraphProblem": "graph_solver",
     "TimeGrid": "grids",
     "Trajectory": "edge_solver",
-    "apply_left_integral": "fracops",
-    "apply_right_integral": "fracops",
     "assemble_graph_system": "graph_solver",
     "assemble_stiffness": "sturm",
     "cost_graph": "control",
@@ -37,13 +34,10 @@ _SOURCES = {
     "diagnose_forward": "graph_solver",
     "frac_integral_weights": "fracops",
     "gradient_graph": "control",
-    "left_integral_op": "fracops",
     "left_rl_derivative": "fracops",
     "optimize": "control",
     "reduced_hessian": "control",
-    "right_caputo_apply": "fracops",
     "right_caputo_nodal": "fracops",
-    "right_integral_op": "fracops",
     "singular_mode": "fracops",
     "solve_adjoint_edge": "edge_solver",
     "solve_adjoint_graph": "graph_solver",

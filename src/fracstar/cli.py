@@ -35,9 +35,11 @@ whitespace starts a comment.  Single-edge problems use ``n = 1`` (or omit
 ``n``) with one Neumann control section ``[control.1]``; they are solved as
 the one-edge graph, so ``m_split`` is 0 or omitted there, and their control
 penalty is ``tikhonov_n`` (a ``[control.1] weight``, if given, must equal
-it).  Data tokens are ``zero``, ``const:<v>`` or ``file:<path.csv>``; CSV
-sources/targets hold ``nt+1`` rows of ``m_cells+1`` comma-separated values,
-initial data a single row.
+it).  A graph's channels are penalized by their ``weight`` (a
+``tikhonov_n``, if given, must equal each of them).  Data tokens are
+``zero``, ``const:<v>`` or ``file:<path.csv>``; CSV sources/targets hold
+``nt+1`` rows of ``m_cells+1`` comma-separated values, initial data a
+single row.
 
 :func:`parse_config` reads a file in one pass, straight into the solver's
 problem, its assembled system, cost and admissible sets, and reports every
@@ -319,14 +321,17 @@ def parse_config(path: str | Path) -> RunConfig:
     tol = number(opt, label, "tol", _positive, rule, 1e-6)
     max_iter = number(opt, label, "max_iter", lambda v: v >= 1, "be at least 1", 200, int)
     tikhonov_n = number(opt, label, "tikhonov_n", _positive, rule, 1.0)
-    if n == 1:
-        # a single edge is penalized by tikhonov_n; a weight given must agree
-        given = "weight" in section("control.1")
-        if given and None not in (weights[0], tikhonov_n) and weights[0] != tikhonov_n:
+    # a single edge is penalized by tikhonov_n, a graph's channels by their
+    # weights; the other key, if given, must agree
+    used = "the penalty of a single edge" if n == 1 else "which must equal every weight on a graph"
+    for i, weight in zip(channels, weights):
+        given = "weight" in section(f"control.{i}") if n == 1 else "tikhonov_n" in opt
+        if given and None not in (weight, tikhonov_n) and weight != tikhonov_n:
             errors.append(
-                f"control.1: weight = {weights[0]} differs from "
-                f"optimizer.tikhonov_n = {tikhonov_n}, the penalty of a single edge"
+                f"control.{i}: weight = {weight} differs from "
+                f"optimizer.tikhonov_n = {tikhonov_n}, {used}"
             )
+    if n == 1:
         weights = [tikhonov_n]
 
     # The files are read, each once, while the system, which does not depend

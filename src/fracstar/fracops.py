@@ -1,9 +1,11 @@
-"""Discrete left/right Riemann-Liouville integrals, fractional derivatives,
-trace functionals, and the singular junction mode on a uniform grid.
+"""Product-rule weights of the fractional integral, the left
+Riemann-Liouville derivative, trace functionals, the right Caputo derivative
+and the singular junction mode on a uniform grid.
 
 All operators share one product quadrature: functions are treated as
-piecewise constant on cells, the left-sided rules taking the left-node value
-per cell and the right-sided rules (by reflection) the right-node value.
+piecewise constant on cells, taking the left-node value per cell.  The
+integral itself is never formed: the derivative is gathered from the
+differences of its Toeplitz column, and the trace at ``b`` is its last row.
 The right Caputo composition is not discretized independently; it is defined
 by transposition against the left Riemann-Liouville derivative, so the
 integration-by-parts identities hold at machine precision on the grid, not
@@ -14,7 +16,6 @@ classical counterpart (identity integral, backward difference, point traces).
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -22,15 +23,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .grids import Grid1D
 
 __all__ = [
-    "SingularMode",
     "frac_integral_weights",
-    "apply_left_integral",
-    "apply_right_integral",
-    "left_integral_op",
-    "right_integral_op",
     "left_rl_derivative",
-    "right_caputo_apply",
     "right_caputo_nodal",
+    "singular_mode",
     "trace_functional",
 ]
 
@@ -54,43 +50,6 @@ def frac_integral_weights(alpha: float, h: float, M: int) -> np.ndarray:
         raise ValueError(f"need at least one cell, got {M}")
     k = np.arange(M + 1, dtype=float)
     return (h**alpha / math.gamma(alpha + 1.0)) * ((k + 1.0) ** alpha - k**alpha)
-
-
-def apply_left_integral(weights: np.ndarray, samples: np.ndarray) -> np.ndarray:
-    """Left fractional integral at the nodes of piecewise-constant data.
-
-    Cell values are the left-node samples; ``out[0] = 0`` and
-    ``out[j] = sum_k w[k] * samples[j-1-k]``.
-    """
-    samples = np.asarray(samples, dtype=float)
-    if samples.shape != weights.shape:
-        raise ValueError(
-            f"expected {weights.shape[0]} nodal samples, got {samples.shape[0]}"
-        )
-    M = len(samples) - 1
-    out = np.zeros(M + 1)
-    out[1:] = np.convolve(weights[:M], samples[:-1])[:M]
-    return out
-
-
-def apply_right_integral(weights: np.ndarray, samples: np.ndarray) -> np.ndarray:
-    """Right fractional integral, the mirror of the left one under
-    ``x -> a + b - x``; cell values are the right-node samples, ``out[M] = 0``.
-    """
-    return apply_left_integral(weights, np.asarray(samples)[::-1])[::-1]
-
-
-def left_integral_op(weights: np.ndarray) -> np.ndarray:
-    """Matrix form of :func:`apply_left_integral`: lower triangular, row ``j``
-    hits cells ``< j``."""
-    k = np.arange(len(weights))
-    return np.tril(np.concatenate(([0.0], weights[:-1]))[k[:, None] - k])
-
-
-def right_integral_op(weights: np.ndarray) -> np.ndarray:
-    """Mirror image of the left operator: ``R T_left R`` with ``R`` the index
-    reversal, which for the Toeplitz rule equals the transpose."""
-    return left_integral_op(weights)[::-1, ::-1]
 
 
 def left_rl_derivative(alpha: float, grid: Grid1D) -> np.ndarray:
@@ -139,50 +98,28 @@ def trace_functional(alpha: float, grid: Grid1D, endpoint: str) -> np.ndarray:
     return row
 
 
-def right_caputo_apply(alpha: float, grid: Grid1D, flux_samples: np.ndarray) -> np.ndarray:
-    """Right Caputo derivative of a cell-valued flux ``g = beta * D y``,
-    defined by transposition against the left derivative:
-
-        <phi, C g>_h = -[g * I^(1-alpha) phi]_a^b + <g, D phi>_h
-
-    for every nodal ``phi``, with the endpoint values of ``g`` taken from the
-    first and last cell.  Constructing the operator this way (rather than by
-    an independent quadrature) makes the integration-by-parts formula an
-    identity of the discretization.
-    """
-    _check_order(alpha)
-    g = np.asarray(flux_samples, dtype=float)
-    if g.shape[0] != grid.M:
-        raise ValueError(f"expected {grid.M} cell fluxes, got {g.shape[0]}")
-    return _right_caputo(alpha, grid, g, g[0], g[-1])
-
-
 def right_caputo_nodal(alpha: float, grid: Grid1D, samples: np.ndarray) -> np.ndarray:
     """Right Caputo derivative of a nodal function, by the same transposition:
 
-        <phi, C y>_h = -[y * I^(1-alpha) phi]_a^b + <y, D phi>_h,
+        <phi, C y>_h = -[y * I^(1-alpha) phi]_a^b + <y, D phi>_h
 
-    with ``y`` entering the volume term through its left-node cell values and
-    the bracket through its true endpoint samples.
+    for every nodal ``phi``, with ``y`` entering the volume term through its
+    left-node cell values and the bracket through its true endpoint samples.
+    A cell-valued flux ``g = beta * D y`` enters as ``np.append(g, g[-1])``:
+    its cells in the volume term, its first and last cell in the bracket.
     """
     _check_order(alpha)
     y = np.asarray(samples, dtype=float)
     if y.shape[0] != grid.nnodes:
         raise ValueError(f"expected {grid.nnodes} nodal samples, got {y.shape[0]}")
-    return _right_caputo(alpha, grid, y[:-1], y[0], y[-1])
-
-
-def _right_caputo(alpha: float, grid: Grid1D, cells, at_a, at_b) -> np.ndarray:
-    """The nodal ``C`` with ``<phi, C>_h = -[v * I^(1-alpha) phi]_a^b + <cells, D phi>_h``
-    for every nodal ``phi``, ``v`` taking the endpoint values ``at_a``, ``at_b``."""
     D = left_rl_derivative(alpha, grid)
-    rhs = grid.h * (D.T @ cells)
-    rhs -= at_b * trace_functional(alpha, grid, "b")
-    rhs += at_a * trace_functional(alpha, grid, "a")
+    rhs = grid.h * (D.T @ y[:-1])
+    rhs -= y[-1] * trace_functional(alpha, grid, "b")
+    rhs += y[0] * trace_functional(alpha, grid, "a")
     return rhs / grid.trapezoid_weights()
 
 
-class SingularMode(NamedTuple):
+def singular_mode(alpha: float, grid: Grid1D) -> np.ndarray:
     """Nodal samples of ``sigma(x) = (x-a)^(alpha-1)/Gamma(alpha)``, the mode
     whose order ``1 - alpha`` left integral is the constant one.
 
@@ -191,19 +128,11 @@ class SingularMode(NamedTuple):
     only ever enter L2 pairings (mass and tracking terms).  The fractional
     operators act on the mode analytically: its left integral of order
     ``1 - alpha`` is the one vector, its left derivative is zero on every
-    cell, and both endpoint traces equal ``trace_value``.
+    cell, and both endpoint traces are one.
     """
-
-    alpha: float
-    grid: Grid1D
-    samples: np.ndarray
-    trace_value: float = 1.0
-
-
-def singular_mode(alpha: float, grid: Grid1D) -> SingularMode:
     _check_order(alpha)
     x = grid.nodes - grid.a
     samples = np.empty(grid.nnodes)
     samples[0] = grid.h ** (alpha - 1.0) / math.gamma(alpha + 1.0)
     samples[1:] = x[1:] ** (alpha - 1.0) / math.gamma(alpha)
-    return SingularMode(alpha=alpha, grid=grid, samples=samples)
+    return samples

@@ -122,6 +122,8 @@ class StarGraphProblem:
 
     def __post_init__(self) -> None:
         n = self.n
+        if n == 0:
+            raise ValueError("a star graph needs at least one edge")
         if not (len(self.coeffs) == len(self.f) == len(self.y0) == len(self.y_d) == n):
             raise ValueError("per-edge data lists have inconsistent lengths")
         a = self.grids[0].a
@@ -318,7 +320,7 @@ def _assemble(problem: StarGraphProblem) -> GraphSystem:
         free.append(np.arange(gs.start, gs.stop))
         readouts.append(
             EdgeReadout(
-                mode=op.mode.samples if include_mode else None,
+                mode=op.mode,
                 probe=op.flux_probe[:nn],
                 w_probe=op.W @ op.flux_probe,
                 k_probe=op.K @ op.flux_probe,
@@ -420,7 +422,6 @@ class GraphTrajectory(NamedTuple):
     c: np.ndarray
     multipliers: np.ndarray
     tip_trace: np.ndarray
-    time_grid: TimeGrid
     dirichlet_flux_series: np.ndarray | None = None
     neumann_trace_series: np.ndarray | None = None
 
@@ -556,7 +557,6 @@ def _trajectory(system: GraphSystem, dofs, mult, **series) -> GraphTrajectory:
         c=dofs[:, dm.c_index] if dm.c_index is not None else np.zeros(len(dofs)),
         multipliers=mult,
         tip_trace=dofs @ system.trace_b_rows.T,
-        time_grid=system.problem.time_grid,
         **series,
     )
 

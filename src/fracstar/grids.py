@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,10 +20,11 @@ class Grid1D:
     M: int
 
     def __post_init__(self) -> None:
-        if self.M < 2:
-            raise ValueError(f"need at least 2 cells, got M={self.M}")
-        if not self.b > self.a:
-            raise ValueError(f"empty interval [{self.a}, {self.b}]")
+        # stated positively, so that NaN fails
+        if not (isinstance(self.M, (int, np.integer)) and self.M >= 2):
+            raise ValueError(f"need a whole number of at least 2 cells, got M={self.M}")
+        if not (math.isfinite(self.a) and math.isfinite(self.b) and self.b > self.a):
+            raise ValueError(f"need a finite nonempty interval, got [{self.a}, {self.b}]")
 
     @property
     def h(self) -> float:
@@ -51,10 +53,10 @@ class TimeGrid:
     Nt: int
 
     def __post_init__(self) -> None:
-        if self.Nt < 1:
-            raise ValueError(f"need at least one time step, got Nt={self.Nt}")
-        if not self.T > 0.0:
-            raise ValueError(f"horizon must be positive, got T={self.T}")
+        if not (isinstance(self.Nt, (int, np.integer)) and self.Nt >= 1):
+            raise ValueError(f"need a whole number of at least 1 time step, got Nt={self.Nt}")
+        if not (math.isfinite(self.T) and self.T > 0.0):
+            raise ValueError(f"horizon must be positive and finite, got T={self.T}")
 
     @property
     def dt(self) -> float:

@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import CoefficientError
-from .fracops import SingularMode, left_rl_derivative, singular_mode, trace_functional
+from .fracops import left_rl_derivative, singular_mode, trace_functional
 from .grids import Grid1D
 
 __all__ = ["EdgeCoefficients", "EdgeOperator", "assemble_stiffness"]
@@ -72,15 +72,17 @@ class EdgeOperator(NamedTuple):
     it.  ``trace_a``/``trace_b`` evaluate the order ``1 - alpha`` integral at
     the endpoints, ``flux_probe`` is a fixed vector with ``trace_b . probe = 1``
     and ``trace_a . probe = 0`` used to read the natural boundary flux off a
-    residual, and ``free`` lists the unconstrained DOFs (node 0 is pinned for
-    ``alpha = 1``, where the endpoint condition at ``a`` becomes pointwise).
+    residual, ``mode`` holds the singular mode's nodal samples (with the
+    singular DOF), and ``free`` lists the unconstrained DOFs (node 0 is
+    pinned for ``alpha = 1``, where the endpoint condition at ``a`` becomes
+    pointwise).
     """
 
     alpha: float
     grid: Grid1D
     coeffs: EdgeCoefficients
     has_singular_dof: bool
-    mode: SingularMode | None
+    mode: np.ndarray | None
     K: np.ndarray
     W: np.ndarray
     D: np.ndarray
@@ -131,11 +133,10 @@ def assemble_stiffness(
     K[diag, diag] += wq
     W[diag, diag] = wtrap
     if mode is not None:
-        s = mode.samples
         for A, d in ((K, wq), (W, wtrap)):
-            A[:nn, -1] += d * s
-            A[-1, :nn] += d * s
-            A[-1, -1] += (s * d) @ s
+            A[:nn, -1] += d * mode
+            A[-1, :nn] += d * mode
+            A[-1, -1] += (mode * d) @ mode
     K += K.T
     K *= 0.5
 
@@ -143,9 +144,8 @@ def assemble_stiffness(
     trace_b = np.zeros(ndof)
     trace_a[:nn] = trace_functional(alpha, grid, "a")
     trace_b[:nn] = trace_functional(alpha, grid, "b")
-    if mode is not None:
-        trace_a[-1] = mode.trace_value
-        trace_b[-1] = mode.trace_value
+    if mode is not None:  # the mode's order 1 - alpha integral is one
+        trace_a[-1] = trace_b[-1] = 1.0
 
     probe = np.zeros(ndof)
     if alpha == 1.0:

@@ -538,6 +538,24 @@ class TestCommands:
         cfg = parse_config(write(tmp_path, "ok.ini", EDGE_INI.replace("weight = 0.5\n", "")))
         assert cfg.cost.channel_weights.tolist() == [0.5]  # tikhonov_n = 0.5
 
+    def test_graph_tikhonov_must_match_every_weight(self, tmp_path, capsys):
+        # a graph penalizes its channels by their weights, which default to 1
+        bad = GRAPH_INI.replace("max_iter = 100", "max_iter = 100\ntikhonov_n = 5.0")
+        with pytest.raises(ConfigError) as exc:
+            parse_config(write(tmp_path, "bad.ini", bad))
+        assert [v.split(":")[0] for v in exc.value.violations] == ["control.2", "control.3"]
+        assert all("optimizer.tikhonov_n = 5.0" in v for v in exc.value.violations)
+        assert main(["--output-dir", str(tmp_path), "optimize", str(tmp_path / "bad.ini")]) == 2
+        assert "config error: control.2: weight = 1.0" in capsys.readouterr().err
+        # one weight that differs is named alone; weights that agree pass
+        one = bad.replace("uad = unconstrained", "uad = unconstrained\nweight = 5.0")
+        with pytest.raises(ConfigError) as exc:
+            parse_config(write(tmp_path, "one.ini", one))
+        assert [v.split(":")[0] for v in exc.value.violations] == ["control.2"]
+        ok = one.replace("uad = box:-0.5:0.5", "uad = box:-0.5:0.5\nweight = 5.0")
+        cfg = parse_config(write(tmp_path, "ok.ini", ok))
+        assert cfg.cost.channel_weights.tolist() == [5.0, 5.0]
+
     def test_file_token_roundtrip(self, tmp_path):
         y0 = np.linspace(0.0, 1.0, 13) ** 2
         np.savetxt(tmp_path / "y0.csv", y0[None, :], delimiter=",")

@@ -151,6 +151,13 @@ class TestProblemValidation:
                 y_d=[None, None], m=2,
             )
 
+    def test_no_edges(self):
+        with pytest.raises(ValueError, match="at least one edge"):
+            StarGraphProblem(
+                alpha=0.5, time_grid=TimeGrid(1.0, 4), grids=[], coeffs=[],
+                f=[], y0=[], y_d=[], m=0,
+            )
+
 
 class TestAssembly:
     def test_degenerate_single_edge_bordered(self, rng):
@@ -181,7 +188,7 @@ class TestAssembly:
                     assert edge.mode is edge.w_junction is edge.k_junction is None
                 else:
                     pairs += [
-                        (edge.mode, op.mode.samples),
+                        (edge.mode, op.mode),
                         (edge.w_junction, op.W[-1]),
                         (edge.k_junction, op.K[-1]),
                     ]
@@ -373,7 +380,7 @@ class TestForward:
                 ]
                 np.testing.assert_allclose(d.tip_flux[k], tip, atol=1e-12)
                 load_c = [
-                    op.mode.samples @ (op.grid.trapezoid_weights() * gi)
+                    op.mode @ (op.grid.trapezoid_weights() * gi)
                     for op, gi in zip(ops, g)
                 ]
                 junction = known - (kc @ x + wc @ rate - load_c)

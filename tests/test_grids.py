@@ -1,0 +1,39 @@
+import math
+
+import numpy as np
+import pytest
+
+from fracstar import Grid1D, TimeGrid
+
+inf, nan = math.inf, math.nan
+
+
+class TestGrid1D:
+    def test_numpy_integer_cells(self):
+        grid = Grid1D(0.0, 1.0, np.int64(4))
+        assert grid.h == 0.25 and grid.nnodes == 5
+
+    @pytest.mark.parametrize("a, b", [(-inf, 0.0), (nan, 0.0), (0.0, inf), (0.0, nan), (1.0, 1.0)])
+    def test_interval_finite_and_nonempty(self, a, b):
+        with pytest.raises(ValueError, match="finite nonempty interval"):
+            Grid1D(a, b, 4)
+
+    @pytest.mark.parametrize("M", [2.5, 4.0, nan, 1])
+    def test_cells_a_whole_number_of_at_least_two(self, M):
+        with pytest.raises(ValueError, match="whole number of at least 2 cells"):
+            Grid1D(0.0, 1.0, M)
+
+
+class TestTimeGrid:
+    def test_numpy_integer_steps(self):
+        assert TimeGrid(1.0, np.int32(4)).dt == 0.25
+
+    @pytest.mark.parametrize("T", [inf, nan, 0.0, -1.0])
+    def test_horizon_positive_and_finite(self, T):
+        with pytest.raises(ValueError, match="positive and finite"):
+            TimeGrid(T, 4)
+
+    @pytest.mark.parametrize("Nt", [2.5, 4.0, 0])
+    def test_steps_a_whole_number_of_at_least_one(self, Nt):
+        with pytest.raises(ValueError, match="whole number of at least 1 time step"):
+            TimeGrid(1.0, Nt)

@@ -26,6 +26,43 @@ def test_star_import():
     assert set(fracstar.__all__) <= set(namespace)
 
 
+def uses(path: Path) -> set[str]:
+    """The names a module uses: names it loads, attributes and string
+    constants (a binding made by name).  A name's own definition, and the
+    ``__all__`` lists and the package's ``_SOURCES`` table, which only list
+    names, are not uses."""
+    found = set()
+
+    def visit(node, defining):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defining = defining | {node.name}
+        elif isinstance(node, ast.Assign) and any(
+            getattr(t, "id", None) in ("__all__", "_SOURCES") for t in node.targets
+        ):
+            return
+        name = None
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        if name is not None and name not in defining:
+            found.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, defining)
+
+    visit(ast.parse(path.read_text()), frozenset())
+    return found
+
+
+def test_every_public_name_is_used_by_the_package_or_the_benchmark():
+    """A public name that only tests call has no place in the API."""
+    paths = sorted(Path(fracstar.__file__).parent.glob("*.py")) + sorted(BENCH.glob("*.py"))
+    used = set().union(*map(uses, paths))
+    assert [name for name in fracstar.__all__ if name not in used] == []
+
+
 def fresh(probe: str) -> subprocess.CompletedProcess:
     """Run ``probe`` in a fresh interpreter that imports this package."""
     src = str(Path(fracstar.__file__).resolve().parents[1])

@@ -136,7 +136,7 @@ class TestDiagonalProducts:
         op = assemble_stiffness(alpha, grid, coeffs, include_singular_dof=singular)
         E = np.eye(grid.nnodes, op.ndof)
         if singular:
-            E[:, -1] = op.mode.samples
+            E[:, -1] = op.mode
         wtrap = grid.trapezoid_weights()
         cell_beta = 0.5 * (coeffs.beta[:-1] + coeffs.beta[1:])
         K = op.D.T @ np.diag(grid.h * cell_beta) @ op.D
