@@ -269,6 +269,10 @@ def parse_config(path: str | Path) -> RunConfig:
         if a is not None and b is not None:
             if not a < b:
                 errors.append(f"{label}empty interval [{a}, {b}]")
+            elif m_cells is not None and not _positive(h := (b - a) / m_cells):
+                errors.append(
+                    f"{label}mesh size (b - a)/m_cells must be positive and finite, got {h}"
+                )
             elif m_cells is not None:
                 grid = Grid1D(a, b, m_cells)
                 grids.append(grid)

@@ -25,6 +25,8 @@ class Grid1D:
             raise ValueError(f"need a whole number of at least 2 cells, got M={self.M}")
         if not (math.isfinite(self.a) and math.isfinite(self.b) and self.b > self.a):
             raise ValueError(f"need a finite nonempty interval, got [{self.a}, {self.b}]")
+        if not (math.isfinite(self.h) and self.h > 0.0):
+            raise ValueError(f"mesh size must be finite and positive, got h={self.h}")
 
     @property
     def h(self) -> float:

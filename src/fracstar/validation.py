@@ -5,9 +5,7 @@ oracle assembles each edge's operator from ``system.problem`` itself (the
 assembled system keeps only propagators), scatters them into dense global
 matrices of its own, assembles every implicit-Euler step into one dense block
 system and solves it in a single factorization (a single edge is checked as
-the one-edge graph), and the classical-limit solver builds its own P1
-finite-element heat discretization (consistent mass, midpoint diffusion
-sampling) from scratch.
+the one-edge graph).
 """
 
 from __future__ import annotations
@@ -22,13 +20,11 @@ from .graph_solver import (
     assemble_graph_system,
     solve_forward_graph,
 )
-from .grids import Grid1D, TimeGrid
 from .sturm import assemble_stiffness
 
 __all__ = [
     "dense_edge_operators",
     "dense_oracle_solve_graph",
-    "classical_limit_solver",
     "finite_difference_gradient",
 ]
 
@@ -132,71 +128,6 @@ def dense_oracle_solve_graph(
     return dofs, mult
 
 
-def classical_limit_solver(
-    grid: Grid1D,
-    time_grid: TimeGrid,
-    beta,
-    q,
-    f: np.ndarray | None,
-    y0: np.ndarray,
-    v: np.ndarray | None,
-) -> np.ndarray:
-    """Tridiagonal implicit-Euler heat solver for ``y_t - (beta y')' + q y = f``
-    with ``y(a) = 0`` and natural flux ``(beta y')(b) = v``.
-
-    ``beta`` and ``q`` may be callables (sampled at midpoints/nodes) or nodal
-    arrays.  Standard P1 elements with consistent mass; shares no code with
-    the production stepper.
-    """
-    nt, dt = time_grid.Nt, time_grid.dt
-    M, h = grid.M, grid.h
-    x = grid.nodes
-    f = np.zeros((nt + 1, M + 1)) if f is None else np.asarray(f, dtype=float)
-    v = np.zeros(nt + 1) if v is None else np.asarray(v, dtype=float)
-    y0 = np.asarray(y0, dtype=float)
-
-    if callable(beta):
-        beta_mid = np.array([beta(0.5 * (x[j] + x[j + 1])) for j in range(M)])
-    else:
-        b = np.asarray(beta, dtype=float)
-        beta_mid = 0.5 * (b[:-1] + b[1:])
-    q_nodes = (
-        np.array([q(xj) for xj in x]) if callable(q) else np.asarray(q, dtype=float)
-    )
-
-    # P1 stiffness + lumped reaction, consistent tridiagonal mass.
-    lo_K = -beta_mid / h
-    di_K = np.zeros(M + 1)
-    di_K[:-1] += beta_mid / h
-    di_K[1:] += beta_mid / h
-    wl = np.full(M + 1, h)
-    wl[0] = wl[-1] = 0.5 * h
-    di_K += q_nodes * wl
-
-    di_M = np.zeros(M + 1)
-    di_M[:-1] += h / 3.0
-    di_M[1:] += h / 3.0
-    off_M = np.full(M, h / 6.0)
-
-    def mass_apply(w: np.ndarray) -> np.ndarray:
-        out = di_M * w
-        out[:-1] += off_M * w[1:]
-        out[1:] += off_M * w[:-1]
-        return out
-
-    # Dirichlet at a: drop node 0.
-    off = off_M[1:] / dt + lo_K[1:]
-    A = np.diag(di_M[1:] / dt + di_K[1:]) + np.diag(off, 1) + np.diag(off, -1)
-
-    y = np.zeros((nt + 1, M + 1))
-    y[0] = y0
-    for k in range(1, nt + 1):
-        rhs = (mass_apply(y[k - 1]) / dt + mass_apply(f[k]))[1:]
-        rhs[-1] += v[k]
-        y[k, 1:] = np.linalg.solve(A, rhs)
-    return y
-
-
 def finite_difference_gradient(
     problem,
     cfg: CostConfig,
@@ -206,9 +137,11 @@ def finite_difference_gradient(
 ) -> float:
     """Central difference of the tracking cost along ``delta``; edge problems
     are costed as the one-edge graph, as :func:`~fracstar.control.optimize`
-    does."""
-    if not 1e-7 <= h <= 1e-3:
-        raise ValueError(f"finite-difference step must lie in [1e-7, 1e-3], got {h}")
+    does.  The cost is quadratic in the controls, so the difference is the
+    exact directional derivative for every finite step ``h >= 1e-7``, and
+    ``h = 1`` leaves only the roundoff of the two costs."""
+    if not 1e-7 <= h < np.inf:
+        raise ValueError(f"finite-difference step must be finite and at least 1e-7, got {h}")
     u = np.asarray(u, dtype=float)
     delta = np.asarray(delta, dtype=float)
     graph, graph_cfg = as_graph_problem(problem, cfg)

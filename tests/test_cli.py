@@ -509,6 +509,23 @@ class TestCommands:
         key = new.split(" = ")[0]
         assert len(lines) == 1 and lines[0].startswith("config error: ") and key in lines[0]
 
+    @pytest.mark.parametrize("command", ["optimize", "solve-forward"])
+    @pytest.mark.parametrize(
+        "a, b, h",
+        [
+            ("-1e308", "1e308", "inf"),  # b - a overflows
+            ("0.0", "5e-324", "0.0"),  # (b - a)/m_cells underflows
+        ],
+    )
+    def test_mesh_size_is_config_error(self, tmp_path, capsys, command, a, b, h):
+        text = EDGE_INI.replace("a = 0.0", f"a = {a}").replace("b = 1.0", f"b = {b}")
+        ini = write(tmp_path, "edge.ini", text)
+        assert main(["--output-dir", str(tmp_path), command, str(ini)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: [edge.1] mesh size (b - a)/m_cells must be positive and finite, "
+            f"got {h}\n"
+        )
+
     def test_data_errors_reported_with_scalar_errors(self, tmp_path, capsys):
         # a scalar error hides no data-file error, a missing file no wrong shape
         (tmp_path / "short.csv").write_text("0.1,0.2,0.3\n")

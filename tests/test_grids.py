@@ -18,6 +18,13 @@ class TestGrid1D:
         with pytest.raises(ValueError, match="finite nonempty interval"):
             Grid1D(a, b, 4)
 
+    # finite endpoints whose distance overflows, or a nonempty interval whose
+    # mesh size underflows to zero
+    @pytest.mark.parametrize("a, b, M", [(-1e308, 1e308, 8), (0.0, 5e-324, 2)])
+    def test_mesh_size_finite_and_positive(self, a, b, M):
+        with pytest.raises(ValueError, match="mesh size must be finite and positive"):
+            Grid1D(a, b, M)
+
     @pytest.mark.parametrize("M", [2.5, 4.0, nan, 1])
     def test_cells_a_whole_number_of_at_least_two(self, M):
         with pytest.raises(ValueError, match="whole number of at least 2 cells"):

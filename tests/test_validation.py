@@ -5,18 +5,12 @@ from fracstar import (
     AdmissibleSet,
     CostConfig,
     EdgeControlProblem,
-    Grid1D,
     SizeGuardError,
-    TimeGrid,
     optimize,
 )
 from fracstar.control import as_graph_problem
 from fracstar.edge_solver import edge_problem
-from fracstar.validation import (
-    classical_limit_solver,
-    dense_oracle_solve_graph,
-    finite_difference_gradient,
-)
+from fracstar.validation import dense_oracle_solve_graph, finite_difference_gradient
 from conftest import random_edge, random_graph
 
 
@@ -71,31 +65,6 @@ class TestDispatch:
         assert np.abs(dofs).max() == 0.0 and np.abs(mult).max() == 0.0
 
 
-class TestClassicalSolver:
-    def test_steady_state_manufactured(self):
-        # q = 1, beta = 1, f = 1 constant in time: y -> steady solution of
-        # -y'' + y = 1, y(0) = 0, y'(1) = 0, namely 1 - cosh(1-x)/cosh(1)
-        grid = Grid1D(0.0, 1.0, 64)
-        tg = TimeGrid(30.0, 600)
-        f = np.ones((601, 65))
-        y0 = np.zeros(65)
-        y = classical_limit_solver(grid, tg, lambda s: 1.0, lambda s: 1.0, f, y0, None)
-        x = grid.nodes
-        exact = 1.0 - np.cosh(1.0 - x) / np.cosh(1.0)
-        assert np.abs(y[-1] - exact).max() <= 5e-4
-
-    def test_neumann_flux_steady(self):
-        # f = 0, q small, flux v = 1: steady flux balance beta y' = v at b
-        grid = Grid1D(0.0, 1.0, 128)
-        tg = TimeGrid(50.0, 500)
-        v = np.ones(501)
-        y = classical_limit_solver(
-            grid, tg, lambda s: 2.0, lambda s: 0.05, None, np.zeros(129), v
-        )
-        slope = (y[-1][-1] - y[-1][-2]) / grid.h
-        assert abs(2.0 * slope - 1.0) <= 5e-2
-
-
 class TestFiniteDifference:
     def test_step_bounds(self, rng):
         op, tg, f, y0, v = random_edge(rng, M=6, Nt=4)
@@ -103,10 +72,12 @@ class TestFiniteDifference:
         cfg = CostConfig(y_d=np.zeros((5, 7)))
         u = np.zeros((1, 5))
         d = np.ones((1, 5))
-        with pytest.raises(ValueError):
-            finite_difference_gradient(problem, cfg, u, d, 1e-8)
-        with pytest.raises(ValueError):
-            finite_difference_gradient(problem, cfg, u, d, 1e-2)
+        # any finite step from 1e-7 up: the cost is quadratic in the controls
+        for h in (1e-8, 0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite and at least 1e-7"):
+                finite_difference_gradient(problem, cfg, u, d, h)
+        for h in (1e-7, 1e-2, 1.0, 1e3):
+            assert np.isfinite(finite_difference_gradient(problem, cfg, u, d, h))
 
     def test_quadratic_cost_is_exact(self, rng):
         # the cost is quadratic in the control, so the central difference is
