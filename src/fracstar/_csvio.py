@@ -9,8 +9,6 @@ little work, one CPU or no ``os.fork``, all of it runs here, and so does a
 part whose fork fails.  The arrays and bytes are those of one process.
 """
 
-from __future__ import annotations
-
 import bisect
 import contextlib
 import itertools

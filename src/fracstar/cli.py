@@ -64,13 +64,10 @@ then skip everything import built, and the forked CSV workers start from a
 frozen heap.  :func:`main` called from Python freezes nothing.
 """
 
-from __future__ import annotations
-
 import argparse
 import configparser
 import gc
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -363,7 +360,7 @@ def parse_config(path: str | Path) -> RunConfig:
         raise ConfigError(errors)
     if failure is not None:
         raise failure
-    problem = replace(problem, f=data["f"], y0=data["y0"], y_d=data["ydtarget"])
+    problem = problem._replace(f=data["f"], y0=data["y0"], y_d=data["ydtarget"])
     cost = CostConfig(channel_weights=np.array(weights))
     system = system._replace(problem=problem)
     return RunConfig(problem, cost, sets, channels, algo, tol, max_iter, system)
@@ -542,13 +539,10 @@ def _cmd_validate(cfg: RunConfig, out: Path) -> int:
     tg = problem.time_grid
     omega = tg.trapezoid_weights()
     ctrl = rng.standard_normal((problem.n_channels, tg.Nt + 1))
-    target = replace(problem, y_d=[rng.standard_normal(s.shape) for s in fwd.samples])
+    target = problem._replace(y_d=[rng.standard_normal(s.shape) for s in fwd.samples])
     adj = solve_adjoint_graph(target, fwd, system=system)
-    zero = replace(
-        problem,
-        f=[None] * problem.n,
-        y0=[np.zeros(g.nnodes) for g in problem.grids],
-        c0=0.0,
+    zero = problem._replace(
+        f=[None] * problem.n, y0=[np.zeros(g.nnodes) for g in problem.grids], c0=0.0
     )
     nd = problem.n_dirichlet_channels
     z = solve_forward_graph(zero, ctrl[:nd], ctrl[nd:], system=system)

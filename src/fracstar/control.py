@@ -22,14 +22,11 @@ later one as that gradient plus one dense product with ``Q``; above the
 limit, each gradient costs a forward and an adjoint march.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import SolverFailure
+from .errors import SolverFailure, checked
 from .graph_solver import (
     GraphSystem,
     GraphTrajectory,
@@ -54,15 +51,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AdmissibleSet:
+@checked
+class AdmissibleSet(NamedTuple):
     """Closed convex set of control values: unconstrained, or a pointwise box
     ``[lo, hi]`` (scalars or series)."""
 
     lo: float | np.ndarray | None = None
     hi: float | np.ndarray | None = None
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         # stated positively, so a NaN bound fails
         lo = np.asarray(-np.inf if self.lo is None else self.lo, dtype=float)
         hi = np.asarray(np.inf if self.hi is None else self.hi, dtype=float)
@@ -88,8 +85,8 @@ class AdmissibleSet:
         return np.clip(candidate, self.lo, self.hi)
 
 
-@dataclass(frozen=True)
-class CostConfig:
+@checked
+class CostConfig(NamedTuple):
     """Tracking target and control penalties.
 
     ``n_tikhonov`` weights the single-edge control; ``channel_weights`` the
@@ -104,7 +101,7 @@ class CostConfig:
     channel_weights: np.ndarray | None = None
     y_d: np.ndarray | None = None
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not 0.0 < self.n_tikhonov < np.inf:
             raise ValueError(
                 f"Tikhonov weight must be positive and finite, got {self.n_tikhonov}"
@@ -135,8 +132,7 @@ class CostConfig:
         return w
 
 
-@dataclass(frozen=True)
-class EdgeControlProblem:
+class EdgeControlProblem(NamedTuple):
     """Single-edge tracking problem: Neumann control at ``b``, data fixed."""
 
     edge_op: EdgeOperator
@@ -250,8 +246,8 @@ def reduced_hessian(system: GraphSystem, cfg: CostConfig) -> np.ndarray:
     nch, nd, nt = problem.n_channels, problem.n_dirichlet_channels, problem.time_grid.Nt
     omega = problem.time_grid.trapezoid_weights()
     root_wx = np.sqrt(np.concatenate([g.trapezoid_weights() for g in problem.grids]))
-    still = replace(
-        problem, f=[None] * problem.n, y0=[np.zeros(g.nnodes) for g in problem.grids], c0=0.0
+    still = problem._replace(
+        f=[None] * problem.n, y0=[np.zeros(g.nnodes) for g in problem.grids], c0=0.0
     )
     # row (c, a) holds H_c[Nt - 1 - a], weighted so that H H^T is the Gram
     H = np.empty((nch, nt, root_wx.size))

@@ -16,8 +16,6 @@ trapezoid inner product (the ``t = 0`` entry is zero: a fully implicit step
 never sees the control at ``t = 0``).
 """
 
-from __future__ import annotations
-
 from typing import NamedTuple
 
 import numpy as np

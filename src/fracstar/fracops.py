@@ -13,8 +13,6 @@ just in the limit.  Order ``alpha = 1`` reduces every operator to its
 classical counterpart (identity integral, backward difference, point traces).
 """
 
-from __future__ import annotations
-
 import math
 
 import numpy as np

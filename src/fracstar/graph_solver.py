@@ -46,15 +46,12 @@ boundary-regularity ratio.  They are computed on request; the optimizer never
 calls them.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 from numpy.linalg import LinAlgError, cholesky, inv
 
-from .errors import SolverFailure
+from .errors import SolverFailure, checked
 from .grids import Grid1D, TimeGrid
 from .fracops import left_rl_derivative
 from .sturm import EdgeCoefficients, assemble_stiffness
@@ -96,8 +93,8 @@ class GlobalDofMap(NamedTuple):
         return slice(self.offsets[-1] + self.nnodes[-1], self.ndof)
 
 
-@dataclass
-class StarGraphProblem:
+@checked
+class StarGraphProblem(NamedTuple):
     """Data of the controlled star-graph system.
 
     Edges ``2..m`` (1-based) carry Dirichlet-type trace controls, edges
@@ -120,7 +117,7 @@ class StarGraphProblem:
     c0: float = 0.0
     include_junction_mode: bool | None = None
 
-    def __post_init__(self) -> None:
+    def _check(self) -> "StarGraphProblem":
         n = self.n
         if n == 0:
             raise ValueError("a star graph needs at least one edge")
@@ -138,7 +135,7 @@ class StarGraphProblem:
             raise ValueError(
                 f"include_junction_mode follows from n: it is {n >= 2} for n = {n}"
             )
-        self.include_junction_mode = n >= 2
+        return tuple.__new__(type(self), (*self[:-1], n >= 2))
 
     @property
     def n(self) -> int:
@@ -680,8 +677,8 @@ def _apriori_bounds(problem: StarGraphProblem) -> tuple[float, float]:
     mbar = min(min(c.beta0, c.q0) for c in problem.coeffs)
     if problem.m == 0:
         span = problem.grids[0].b - problem.grids[0].a + 1.0
-        return 1.0 / mbar + 2.0 * span / mbar**2, 1.0 + 2.0 * span / mbar
-    return 1.0 / mbar + 1.0 / mbar**2, 1.0 + 1.0 / mbar
+        return 1.0 / mbar + 2.0 * span / mbar / mbar, 1.0 + 2.0 * span / mbar
+    return 1.0 / mbar + 1.0 / mbar / mbar, 1.0 + 1.0 / mbar
 
 
 def _apriori_ratios(system: GraphSystem, y: GraphTrajectory, f, v) -> tuple[float, float]:

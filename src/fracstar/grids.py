@@ -1,15 +1,15 @@
 """Uniform space and time grids."""
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from .errors import checked
 
-@dataclass(frozen=True)
-class Grid1D:
+
+@checked
+class Grid1D(NamedTuple):
     """Uniform grid with ``M`` cells on ``[a, b]``.
 
     Nodes are ``x_j = a + j*h`` for ``j = 0..M`` with ``h = (b - a)/M``.
@@ -19,7 +19,7 @@ class Grid1D:
     b: float
     M: int
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         # stated positively, so that NaN fails
         if not (isinstance(self.M, (int, np.integer)) and self.M >= 2):
             raise ValueError(f"need a whole number of at least 2 cells, got M={self.M}")
@@ -47,14 +47,14 @@ class Grid1D:
         return w
 
 
-@dataclass(frozen=True)
-class TimeGrid:
+@checked
+class TimeGrid(NamedTuple):
     """Uniform partition of ``[0, T]`` into ``Nt`` implicit-Euler steps."""
 
     T: float
     Nt: int
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if not (isinstance(self.Nt, (int, np.integer)) and self.Nt >= 1):
             raise ValueError(f"need a whole number of at least 1 time step, got Nt={self.Nt}")
         if not (math.isfinite(self.T) and self.T > 0.0):

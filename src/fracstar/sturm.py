@@ -9,31 +9,28 @@ fractional derivative vanishes identically) and enters mass-type pairings
 through its regularized nodal samples.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CoefficientError
+from .errors import CoefficientError, checked
 from .fracops import left_rl_derivative, singular_mode, trace_functional
 from .grids import Grid1D
 
 __all__ = ["EdgeCoefficients", "EdgeOperator", "assemble_stiffness"]
 
 
-@dataclass(frozen=True)
-class EdgeCoefficients:
+@checked
+class EdgeCoefficients(NamedTuple):
     """Nodal samples of the diffusion weight ``beta`` and reaction ``q``,
     together with their certified lower bounds."""
 
-    beta: np.ndarray = field(repr=False)
-    q: np.ndarray = field(repr=False)
+    beta: np.ndarray
+    q: np.ndarray
     beta0: float
     q0: float
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         beta = np.asarray(self.beta, dtype=float)
         q = np.asarray(self.q, dtype=float)
         # stated positively: a NaN bound fails ``>=`` where it would pass ``<``

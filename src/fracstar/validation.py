@@ -8,8 +8,6 @@ system and solves it in a single factorization (a single edge is checked as
 the one-edge graph).
 """
 
-from __future__ import annotations
-
 import numpy as np
 
 from .control import CostConfig, as_graph_problem, cost_graph

@@ -22,6 +22,7 @@ from fracstar import (
     gradient_graph,
     left_rl_derivative,
     optimize,
+    reduced_hessian,
     right_caputo_nodal,
     solve_adjoint_edge,
     solve_adjoint_graph,
@@ -29,6 +30,7 @@ from fracstar import (
     solve_forward_graph,
     trace_functional,
 )
+from fracstar.control import as_graph_problem
 from fracstar.edge_solver import edge_problem
 from fracstar.validation import (
     dense_edge_operators,
@@ -181,7 +183,8 @@ def test_criterion_05_energy_decay_and_estimates():
         g = diagnose_forward(sys_, solve_forward_graph(pr, system=sys_))
         worst_margin = min(worst_margin, g.estimate_bound - g.estimate_ratio)
         worst_margin = min(worst_margin, g.estimate_bound_T - g.estimate_ratio_T)
-        pr.f = [None] * pr.n
+        pr = pr._replace(f=[None] * pr.n)
+        sys_ = sys_._replace(problem=pr)
         g = diagnose_forward(sys_, solve_forward_graph(pr, system=sys_))
         decay_ok &= bool(np.all(np.diff(g.energy) <= 1e-12))
     # the implicit-Euler energy equality of every step, unforced, with zero
@@ -194,8 +197,9 @@ def test_criterion_05_energy_decay_and_estimates():
             pr = random_graph(
                 rng, alpha=alpha, n=n, m=m, Nt=16, Ms=(24,) * n, bs=(1.0, 0.8, 1.2, 0.9)[:n]
             )
-            pr.f = [None] * n
-            pr.c0 = float(rng.standard_normal()) if n >= 2 else 0.0
+            pr = pr._replace(
+                f=[None] * n, c0=float(rng.standard_normal()) if n >= 2 else 0.0
+            )
             if alpha == 1.0:
                 for y0 in pr.y0:
                     y0[0] = 0.0
@@ -401,11 +405,21 @@ def test_criterion_10_uniqueness_probe():
     )
     om = tg.trapezoid_weights()
     dist = float(np.sqrt(om @ (r1.controls[0] - r2.controls[0]) ** 2))
+    # the certificate: the reduced Hessian of the one-edge graph is positive
+    # definite (its Cholesky factor exists), and no eigenvalue falls below the
+    # Tikhonov part min(w omega) of its diagonal, so the cost is strictly convex
+    graph, gcfg = as_graph_problem(problem, cfg)
+    Q = reduced_hessian(assemble_graph_system(graph), gcfg)
+    np.linalg.cholesky(Q)
+    eig = np.linalg.eigvalsh(Q)
+    floor = float(np.min(np.outer(gcfg.weights_for(graph), om[1:])))
     elapsed = time.time() - t0
     report(
         10,
-        r1.converged and r2.converged and dist <= 10 * tol,
-        f"controls from two starts differ by {dist:.2e} <= {10 * tol:.0e} "
+        r1.converged and r2.converged and dist <= 10 * tol
+        and eig[0] >= floor - 1e-12 * eig[-1],
+        f"controls from two starts differ by {dist:.2e} <= {10 * tol:.0e}; "
+        f"smallest Hessian eigenvalue {eig[0]:.3e} >= min(w omega) {floor:.3e} "
         f"({elapsed:.1f} s)",
     )
 

@@ -705,6 +705,21 @@ class TestEntry:
             for name, body in texts.items():
                 assert not re.search(r"\b(?:inf|nan)\b", body, re.I), name
 
+    @pytest.mark.parametrize(
+        "text, old, new",
+        [(EDGE_INI, "beta = const:1.0", "beta = const:1e-300"),
+         (GRAPH_INI, "q = const:1.1", "q = const:1e-200")],
+        ids=["edge-beta", "graph-q"],
+    )
+    def test_tiny_coefficient_ends_with_an_exit_code(self, tmp_path, capsys, text, old, new):
+        # the square of min(beta0, q0) underflows to zero: the a-priori bound
+        # is infinite, which solve-forward reports and validate does not check
+        ini = write(tmp_path, "tiny.ini", text.replace(old, new))
+        assert main(["--output-dir", str(tmp_path), "solve-forward", str(ini)]) == 3
+        assert capsys.readouterr().err == "solver failure: non-finite forward diagnostics\n"
+        assert main(["--output-dir", str(tmp_path), "validate", str(ini)]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_validate_runs_in_a_fresh_process(self, tmp_path):
         # the oracle is imported by the command itself
         ini = write(tmp_path, "graph.ini", GRAPH_INI)

@@ -1,5 +1,4 @@
 import sys
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -98,6 +97,11 @@ class TestProjection:
         with pytest.raises(ValueError):
             AdmissibleSet.box(1.0, 0.0)
 
+    def test_replace_is_checked(self):
+        assert AdmissibleSet.box(0.0, 1.0)._replace(lo=None).lo is None
+        with pytest.raises(ValueError, match="lo <= hi"):
+            AdmissibleSet.box(0.0, 1.0)._replace(lo=2.0)
+
     def test_nan_bounds_rejected(self):
         with pytest.raises(ValueError):
             AdmissibleSet.box(np.nan, 1.0)
@@ -149,6 +153,10 @@ class TestCost:
             CostConfig(n_tikhonov=np.nan)
         with pytest.raises(ValueError):
             CostConfig(channel_weights=[1.0, np.nan])
+        with pytest.raises(ValueError, match="Tikhonov weight"):
+            CostConfig()._replace(n_tikhonov=0.0)
+        with pytest.raises(ValueError, match="channel weights"):
+            CostConfig()._replace(channel_weights=[0.0])
 
     def test_edge_problem_rejects_channel_weights(self):
         # an edge control is weighted by n_tikhonov alone
@@ -222,7 +230,7 @@ class TestGradients:
     def test_graph_zero_adjoint_gives_weighted_controls(self, rng):
         pr = random_graph(rng, Nt=6)
         traj = solve_forward_graph(pr)
-        pr.y_d = [s.copy() for s in traj.samples]
+        pr = pr._replace(y_d=[s.copy() for s in traj.samples])
         adj = solve_adjoint_graph(pr, traj)
         cfg = CostConfig(channel_weights=np.array([2.0, 3.0]))
         ctrl = rng.standard_normal((2, 7))
@@ -579,7 +587,7 @@ class TestOptimize:
         assert given_system.controls.tobytes() == fresh.controls.tobytes()
         # an equal problem is not the one the system was assembled for
         with pytest.raises(ValueError, match="assembled for another problem"):
-            optimize(replace(pr), CostConfig(), box, max_iter=40, system=system)
+            optimize(pr._replace(), CostConfig(), box, max_iter=40, system=system)
 
 
 class TestReducedHessian:

@@ -58,7 +58,7 @@ class TestForward:
         assert d.estimate_ratio == pytest.approx(lhs / data, rel=1e-12)
         assert d.estimate_ratio_T == pytest.approx(y[-1] @ (wx * y[-1]) / data, rel=1e-12)
         m = min(op.coeffs.beta0, op.coeffs.q0)
-        assert d.estimate_bound == 1.0 / m + 2.0 * (op.grid.b - op.grid.a + 1.0) / m**2
+        assert d.estimate_bound == 1.0 / m + 2.0 * (op.grid.b - op.grid.a + 1.0) / m / m
 
     def test_flux_series_recovers_control(self, rng):
         op, tg, f, y0, v = random_edge(rng, alpha=0.65)

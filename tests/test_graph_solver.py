@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -135,10 +133,18 @@ class TestProblemValidation:
         for pr in (random_graph(rng, n=3), random_graph(rng, n=1, m=0, Ms=(6,))):
             mode = pr.n >= 2
             assert pr.include_junction_mode is mode
-            same = dataclasses.replace(pr, include_junction_mode=mode)
+            same = pr._replace(include_junction_mode=mode)
             assert same.include_junction_mode is mode
             with pytest.raises(ValueError, match="follows from n"):
-                dataclasses.replace(pr, include_junction_mode=not mode)
+                pr._replace(include_junction_mode=not mode)
+
+    def test_replace_is_checked(self, rng):
+        pr = random_graph(rng, n=3)
+        assert pr._replace(m=3).n_dirichlet_channels == 2
+        with pytest.raises(ValueError, match="need 2 <= m <= n"):
+            pr._replace(m=1)
+        with pytest.raises(ValueError, match="inconsistent lengths"):
+            pr._replace(f=[None])
 
     def test_shared_left_endpoint(self, rng):
         tg = TimeGrid(1.0, 4)
@@ -298,7 +304,7 @@ class TestForward:
 
     def test_energy_decay_homogeneous(self, rng):
         pr = random_graph(rng, with_data=True, Nt=16)
-        pr.f = [None] * pr.n
+        pr = pr._replace(f=[None] * pr.n)
         sys_ = assemble_graph_system(pr)
         d = diagnose_forward(sys_, solve_forward_graph(pr, system=sys_))
         assert np.all(np.diff(d.energy) <= 1e-13)
@@ -432,23 +438,15 @@ class TestForward:
         pr = random_graph(rng, n=n, m=m, Nt=4, Ms=(M,) * n, bs=(1.0,) * n)
         sys_ = assemble_graph_system(pr)
 
-        def names(value):
-            # the fields of a dataclass or of a NamedTuple record
-            if dataclasses.is_dataclass(value):
-                return [f.name for f in dataclasses.fields(value)]
-            return list(getattr(value, "_fields", ()))
-
         def arrays(value):
             if isinstance(value, np.ndarray):
                 return [value]
-            if names(value):
-                return arrays([getattr(value, name) for name in names(value)])
-            if isinstance(value, (list, tuple)):
+            if isinstance(value, (list, tuple)):  # NamedTuple records too
                 return [a for item in value for a in arrays(item)]
             return []
 
         square, other, readout = [], 0, 0
-        for name in names(sys_):
+        for name in sys_._fields:
             if name == "problem":  # the input the system keeps
                 continue
             for a in arrays(getattr(sys_, name)):
@@ -540,7 +538,7 @@ class TestAdjoint:
     def test_zero_misfit_gives_zero(self, rng):
         pr = random_graph(rng)
         traj = solve_forward_graph(pr)
-        pr.y_d = [s.copy() for s in traj.samples]
+        pr = pr._replace(y_d=[s.copy() for s in traj.samples])
         adj = solve_adjoint_graph(pr, traj)
         assert np.abs(adj.dofs).max() == 0.0
 
@@ -669,7 +667,7 @@ class TestGraphCornerProperties:
         m = max(2, n - m_from_top)
         bs = tuple(rng.uniform(0.5, 1.5, n))
         pr = random_graph(rng, alpha=alpha, n=n, m=m, Nt=Nt, Ms=Ms, bs=bs)
-        pr.c0 = c0
+        pr = pr._replace(c0=c0)
         u = rng.standard_normal((m - 1, Nt + 1))
         v = rng.standard_normal((n - m, Nt + 1))
         sys_ = assemble_graph_system(pr)
@@ -719,7 +717,7 @@ class TestGraphCornerProperties:
         m = min(m_choice, 1) if n == 1 else [n, max(2, n - 1), 2][m_choice]
         bs = tuple(rng.uniform(0.5, 1.5, n))
         pr = random_graph(rng, alpha=alpha, n=n, m=m, Nt=Nt, Ms=Ms, bs=bs)
-        pr.c0 = c0
+        pr = pr._replace(c0=c0)
         sys_ = assemble_graph_system(pr)
         dm, dt = sys_.dofmap, pr.time_grid.dt
         start = np.zeros(sys_.ndof)
@@ -804,7 +802,7 @@ class TestGraphCornerProperties:
         elif where == "y0":
             pr.y0[i][rng.integers(Ms[i] + 1)] = bad
         elif where == "c0":
-            pr.c0 = bad
+            pr = pr._replace(c0=bad)
         elif where == "u":
             u[rng.integers(m - 1), k] = bad
         else:

@@ -30,6 +30,14 @@ class TestGrid1D:
         with pytest.raises(ValueError, match="whole number of at least 2 cells"):
             Grid1D(0.0, 1.0, M)
 
+    def test_replace_and_make_are_checked(self):
+        grid = Grid1D(0.0, 1.0, 4)
+        assert grid._replace(M=8) == Grid1D(0.0, 1.0, 8)
+        with pytest.raises(ValueError, match="at least 2 cells"):
+            grid._replace(M=1)
+        with pytest.raises(ValueError, match="finite nonempty interval"):
+            Grid1D._make([1.0, 0.0, 4])
+
 
 class TestTimeGrid:
     def test_numpy_integer_steps(self):
@@ -44,3 +52,8 @@ class TestTimeGrid:
     def test_steps_a_whole_number_of_at_least_one(self, Nt):
         with pytest.raises(ValueError, match="whole number of at least 1 time step"):
             TimeGrid(1.0, Nt)
+
+    def test_replace_is_checked(self):
+        assert TimeGrid(1.0, 4)._replace(Nt=8).dt == 0.125
+        with pytest.raises(ValueError, match="positive and finite"):
+            TimeGrid(1.0, 4)._replace(T=-1.0)

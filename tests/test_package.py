@@ -108,6 +108,12 @@ def test_cli_import_loads_no_oracle_and_no_edge_solver():
     assert [m for m in ("fracstar.validation", "fracstar.edge_solver") if m in loaded] == []
 
 
+def test_cli_import_loads_no_dataclasses():
+    """The records are NamedTuples: no import of the CLI pays for
+    ``dataclasses`` or for the methods it generates."""
+    assert fresh("import fracstar.cli, sys; sys.exit('dataclasses' in sys.modules)").returncode == 0
+
+
 def test_public_names_are_their_modules_objects():
     """Each name resolves, on first access, to the object its defining
     module holds under that name."""

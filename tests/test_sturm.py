@@ -41,6 +41,11 @@ class TestCoefficients:
         with pytest.raises(CoefficientError):
             # stated lower bound above the actual minimum
             EdgeCoefficients(beta=np.ones(5), q=np.ones(5), beta0=2.0, q0=1.0)
+        coeffs = EdgeCoefficients.constant(grid, 1.0, 1.0)
+        with pytest.raises(CoefficientError):
+            coeffs._replace(beta0=2.0)
+        with pytest.raises(CoefficientError):
+            coeffs._replace(q=np.zeros(5))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_samples_rejected(self, bad):
