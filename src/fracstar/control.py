@@ -255,7 +255,7 @@ def reduced_hessian(system: GraphSystem, cfg: CostConfig) -> np.ndarray:
         impulse = np.zeros((nch, nt + 1))
         impulse[c, 1] = 1.0
         y = solve_forward_graph(still, impulse[:nd], impulse[nd:], system=system)
-        H[c] = (np.hstack(y.samples)[1:] * root_wx)[::-1]
+        H[c] = (np.hstack(list(y.samples))[1:] * root_wx)[::-1]  # each edge formed once
         del y  # before the next march, for a lower peak of memory
     H = H.reshape(nch * nt, -1)
     Q = H @ H.T  # one symmetric rank-k product, so Q is symmetric bitwise

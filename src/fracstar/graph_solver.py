@@ -42,10 +42,18 @@ solution only.
 Diagnostics.  :func:`diagnose_forward` and :func:`diagnose_adjoint` read the
 tip and junction fluxes off the step residuals of a solution, all steps at
 once, together with its energy, constraint residual, a-priori ratios and
-boundary-regularity ratio.  They are computed on request; the optimizer never
-calls them.
+boundary-regularity ratio.  The fluxes and the energy are linear or
+quadratic in the DOF rows, so they are read off views of the rows by
+products with a few vectors per edge: a probe applied to a step's rate is
+the difference of two rows' products over ``dt``, and the squared norm of
+an edge's samples ``x + c mode`` is ``|x|^2 + 2 c <x, mode> + c^2 |mode|^2``
+(in ``W``).  No rate or edge-DOF array is formed.  The a-priori ratios and
+the adjoint's misfit take one edge's samples at a time, so a diagnosis holds
+at most one edge's share of a trajectory beside its input.  They are
+computed on request; the optimizer never calls them.
 """
 
+from collections.abc import Sequence
 from typing import NamedTuple
 
 import numpy as np
@@ -174,6 +182,40 @@ class EdgeReadout(NamedTuple):
     k_junction: np.ndarray | None
 
 
+class EdgeSamples(Sequence):
+    """The per-edge nodal samples of the DOF rows ``dofs`` (any leading axes):
+    item ``i`` is edge ``i``'s nodal block plus ``c`` times its junction
+    mode, a new array formed each time it is read.  It holds the rows, the
+    layout and the modes, not the system they were solved on."""
+
+    __slots__ = ("dofs", "dofmap", "modes")
+
+    def __init__(self, dofs: np.ndarray, dofmap: GlobalDofMap, modes: list):
+        self.dofs, self.dofmap, self.modes = dofs, dofmap, modes
+
+    def __len__(self) -> int:
+        return len(self.modes)
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[j] for j in range(len(self))[i]]
+        i = range(len(self))[i]  # a negative index counts from the end
+        x = self.dofs[..., self.dofmap.edge_slice(i)]
+        if self.dofmap.c_index is None:
+            return np.array(x)
+        # the outer product c mode, with no broadcast ufunc's buffers
+        s = np.einsum("...,j->...j", self.dofs[..., self.dofmap.c_index], self.modes[i])
+        s += x
+        return s
+
+    def on(self, dofs: np.ndarray) -> "EdgeSamples":
+        """The samples of other DOF rows in the same layout."""
+        return EdgeSamples(dofs, self.dofmap, self.modes)
+
+
 class GraphSystem(NamedTuple):
     """Assembled graph operator, stored per edge: each edge's readout vectors
     (:class:`EdgeReadout`), the tip trace rows of all edges (the first ``m``
@@ -215,15 +257,18 @@ class GraphSystem(NamedTuple):
     def ndof(self) -> int:
         return self.dofmap.ndof
 
-    def load_from_samples(self, g: list[np.ndarray]) -> np.ndarray:
+    def load_from_samples(self, g) -> np.ndarray:
         """Global load of per-edge sample-space data: ``sum_i E_i^T (W_i g_i)``.
 
-        Each ``g_i`` may carry leading axes (time steps); the load has them too.
+        Each ``g_i`` may carry leading axes (time steps); the load has them
+        too.  ``g`` may be any iterable: the edges' data are read one at a time.
         """
         dm = self.dofmap
-        out = np.zeros(np.shape(g[0])[:-1] + (self.ndof,))
-        for i, (grid, edge) in enumerate(zip(self.problem.grids, self.readouts)):
-            wg = grid.trapezoid_weights() * g[i]
+        out = None
+        for i, (gi, grid, edge) in enumerate(zip(g, self.problem.grids, self.readouts)):
+            wg = grid.trapezoid_weights() * gi
+            if out is None:
+                out = np.zeros(wg.shape[:-1] + (self.ndof,))
             out[..., dm.edge_slice(i)] += wg
             if dm.c_index is not None:
                 out[..., dm.c_index] += wg @ edge.mode
@@ -235,13 +280,14 @@ class GraphSystem(NamedTuple):
         dm = self.dofmap
         return np.concatenate([Y[..., dm.edge_slice(i)], Y[..., dm.junction]], axis=-1)
 
+    def samples(self, Y: np.ndarray) -> EdgeSamples:
+        """The per-edge nodal samples of the DOF rows ``Y``, each formed when
+        read."""
+        return EdgeSamples(Y, self.dofmap, [edge.mode for edge in self.readouts])
+
     def edge_samples(self, Y: np.ndarray, i: int) -> np.ndarray:
         """Nodal samples of edge ``i`` (nodal block plus ``c`` times the mode)."""
-        dm = self.dofmap
-        s = np.array(Y[..., dm.edge_slice(i)])
-        if dm.c_index is not None:
-            s = s + np.multiply.outer(Y[..., dm.c_index], self.readouts[i].mode)
-        return s
+        return self.samples(Y)[i]
 
 
 # Largest triangular block that _lower_inverse inverts with ``inv``.
@@ -407,15 +453,20 @@ def _assemble(problem: StarGraphProblem) -> GraphSystem:
 class GraphTrajectory(NamedTuple):
     """Space-time solution on the graph.
 
-    ``dofs`` stores the raw global vectors; ``samples[i]`` the per-edge nodal
-    samples including the singular part.  ``multipliers`` are the Dirichlet
-    tip fluxes ``(beta D^alpha y)(b_i^-)`` (index 0 carries no step).  For
-    adjoint solutions, ``dirichlet_flux_series`` and ``neumann_trace_series``
-    hold the gradient-consistent boundary series of the optimality system.
+    ``dofs`` stores the raw global vectors, the one trajectory-sized array
+    kept.  ``samples`` is an :class:`EdgeSamples` on them: ``samples[i]``
+    forms edge ``i``'s nodal samples, including the singular part, as a new
+    array each time it is read (so a write to it does not persist), and
+    ``len``, iteration and negative indices work as on a list.  ``c`` is a
+    view of the junction coefficient's column of ``dofs``.  ``multipliers``
+    are the Dirichlet tip fluxes ``(beta D^alpha y)(b_i^-)`` (index 0 carries
+    no step).  For adjoint solutions, ``dirichlet_flux_series`` and
+    ``neumann_trace_series`` hold the gradient-consistent boundary series of
+    the optimality system.
     """
 
     dofs: np.ndarray
-    samples: list[np.ndarray]
+    samples: EdgeSamples
     c: np.ndarray
     multipliers: np.ndarray
     tip_trace: np.ndarray
@@ -463,12 +514,14 @@ def _control_array(u, rows: int, nt: int, kind: str) -> np.ndarray:
 
 
 def _edge_sources(problem: StarGraphProblem) -> list[np.ndarray]:
+    """Each edge's source, an absent one as read-only zeros that take no
+    memory."""
     nt = problem.time_grid.Nt
     out = []
     for i, fi in enumerate(problem.f):
         nn = problem.grids[i].nnodes
         if fi is None:
-            out.append(np.zeros((nt + 1, nn)))
+            out.append(np.broadcast_to(0.0, (nt + 1, nn)))
         else:
             fi = np.asarray(fi, dtype=float)
             if fi.shape != (nt + 1, nn):
@@ -479,16 +532,18 @@ def _edge_sources(problem: StarGraphProblem) -> list[np.ndarray]:
     return out
 
 
-def _misfit(problem: StarGraphProblem, y) -> list[np.ndarray]:
-    """Per-edge adjoint source ``y - y_d``."""
-    out = []
+def _misfit(problem: StarGraphProblem, y):
+    """Per-edge adjoint source ``y - y_d``, one edge at a time; where there
+    is no target, the samples themselves."""
     for i, si in enumerate(y.samples):
         ydi = problem.y_d[i]
-        ydi = np.zeros_like(si) if ydi is None else np.asarray(ydi, float)
+        if ydi is None:
+            yield si
+            continue
+        ydi = np.asarray(ydi, float)
         if ydi.shape != si.shape:
             raise ValueError(f"edge {i + 1} target has wrong shape {ydi.shape}")
-        out.append(si - ydi)
-    return out
+        yield si - ydi
 
 
 def _prescribed_traces(u: np.ndarray, m: int) -> np.ndarray:
@@ -550,7 +605,7 @@ def _trajectory(system: GraphSystem, dofs, mult, **series) -> GraphTrajectory:
     dm = system.dofmap
     return GraphTrajectory(
         dofs=dofs,
-        samples=[system.edge_samples(dofs, i) for i in range(system.problem.n)],
+        samples=system.samples(dofs),
         c=dofs[:, dm.c_index] if dm.c_index is not None else np.zeros(len(dofs)),
         multipliers=mult,
         tip_trace=dofs @ system.trace_b_rows.T,
@@ -614,7 +669,11 @@ def solve_adjoint_graph(
     nt, dt, m = problem.time_grid.Nt, problem.time_grid.dt, problem.m
     omega = problem.time_grid.trapezoid_weights()
 
-    loads = (omega / dt)[:, None] * system.load_from_samples(_misfit(problem, y))
+    # an overflowing misfit is a non-finite right-hand side, which the march
+    # reports without a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        loads = system.load_from_samples(_misfit(problem, y))
+        loads *= (omega / dt)[:, None]
     x, mult = _march(
         system, np.zeros(system.ndof), loads[::-1], np.zeros((nt + 1, m)), "adjoint"
     )
@@ -628,44 +687,79 @@ def solve_adjoint_graph(
     )
 
 
-def _readout(system: GraphSystem, y: GraphTrajectory, prev, g, known, traces, **extra):
+def _data_vectors(system: GraphSystem, i: int) -> np.ndarray:
+    """Edge ``i``'s flux probe and junction mode (zero without one), each
+    times the trapezoid weights: sample-space data times them is the data's
+    load on the probe and on ``c``."""
+    edge, w = system.readouts[i], system.problem.grids[i].trapezoid_weights()
+    return np.column_stack([w * edge.probe, w * (0.0 if edge.mode is None else edge.mode)])
+
+
+def _squared_norms(system: GraphSystem, dofs: np.ndarray) -> np.ndarray:
+    """The squared L2 norm of each row's samples, summed over the edges:
+    ``|x_i + c mode_i|^2 = |x_i|^2 + c (2 <x_i, mode_i> + c |mode_i|^2)`` in
+    the trapezoid weights, from views of the rows."""
+    dm = system.dofmap
+    out = np.zeros(len(dofs))
+    for i, (grid, edge) in enumerate(zip(system.problem.grids, system.readouts)):
+        w, x = grid.trapezoid_weights(), dofs[:, dm.edge_slice(i)]
+        out += np.einsum("kj,j,kj->k", x, w, x)
+        if edge.mode is not None:
+            c, wm = dofs[:, dm.c_index], w * edge.mode
+            out += c * (2.0 * (x @ wm) + c * (edge.mode @ wm))
+    return out
+
+
+def _edge_residual(system: GraphSystem, dofs, i: int, adjoint: bool, load) -> np.ndarray:
+    """Edge ``i``'s step residuals on its flux probe and, with the junction
+    mode, in its ``c`` row: ``W_i`` applied to the step's rate plus ``K_i`` to
+    its state, less its ``load`` (one row per step).  The edge's DOF vector
+    (its nodal block, then ``c``) is read off views of the rows."""
+    dm, dt, edge = system.dofmap, system.problem.time_grid.dt, system.readouts[i]
+    vectors = [edge.w_probe, edge.k_probe]
+    if edge.mode is not None:
+        vectors += [edge.w_junction, edge.k_junction]
+    vectors = np.column_stack(vectors)
+    products = dofs[:, dm.edge_slice(i)] @ vectors[: dm.nnodes[i]]
+    if edge.mode is not None:
+        c = dofs[:, dm.c_index]
+        # c's share a column at a time: a broadcast product would buffer
+        for column, entry in zip(products.T, vectors[-1]):
+            column += entry * c
+    w, k = products[:, 0::2], products[1:, 1::2]  # by W_i, and by K_i
+    prev = np.vstack([w[2:], np.zeros((1, w.shape[1]))]) if adjoint else w[:-1]
+    return (w[1:] - prev) / dt + k - load[:, : w.shape[1]]
+
+
+def _readout(system: GraphSystem, y: GraphTrajectory, adjoint: bool, loads, known, traces,
+             **extra):
     """Tip and junction fluxes, energy and constraint residual of a march, in
     a :class:`GraphDiagnostics` completed by ``extra``.
 
-    Row ``j`` of the inputs belongs to the step that solved ``y.dofs[j + 1]``:
-    ``prev`` is the state it marched from, ``g`` the per-edge sample-space
-    data of its load, ``known`` the tip fluxes it imposed (multipliers and
-    Neumann data) and ``traces`` the tip traces it prescribed on edges
-    ``1..m``.  The residuals of all steps are formed at once and edge by
-    edge: a tip flux through ``W_i`` and ``K_i`` applied to the edge's flux
-    probe, a junction flux through the edge's ``c`` row (``W_i`` and ``K_i``
-    are symmetric).
+    Row ``j`` of the inputs belongs to the step that solved ``y.dofs[j + 1]``
+    from the row before it, or, for the ``adjoint``, from the row after it
+    (zero after the last).  ``loads`` yields each edge's step loads on its
+    flux probe and on ``c`` (:func:`_data_vectors`), edge by edge;
+    ``known`` holds the tip fluxes the steps imposed (multipliers and Neumann
+    data) and ``traces`` the tip traces they prescribed on edges ``1..m``.
+    The residuals of all steps are formed at once and edge by edge: a tip
+    flux through ``W_i`` and ``K_i`` applied to the edge's flux probe, a
+    junction flux through the edge's ``c`` row (``W_i`` and ``K_i`` are
+    symmetric).  Each is a product of every row with one vector, and the
+    rate's share is the difference of two rows' products over ``dt``.
     """
-    pr, dt = system.problem, system.problem.time_grid.dt
-    x = y.dofs[1:]
-    rate = (x - prev) / dt
-    tip = np.empty((len(x), pr.n))
+    pr = system.problem
+    tip = np.zeros((len(y.dofs), pr.n))  # row 0 carries no step
     junction = np.zeros_like(tip)
-    for i, (edge, grid, gi) in enumerate(zip(system.readouts, pr.grids, g)):
-        xi, ri = system.edge_dofs(x, i), system.edge_dofs(rate, i)
-        wg = grid.trapezoid_weights() * gi
-        tip[:, i] = ri @ edge.w_probe + xi @ edge.k_probe - wg @ edge.probe
-        if edge.mode is not None:
-            junction[:, i] = known[:, i] - (
-                ri @ edge.w_junction + xi @ edge.k_junction - wg @ edge.mode
-            )
-
-    energy = np.sqrt(
-        sum(
-            np.einsum("kj,j,kj->k", s, grid.trapezoid_weights(), s)
-            for s, grid in zip(y.samples, pr.grids)
-        )
-    )
+    for i, load in enumerate(loads):
+        residual = _edge_residual(system, y.dofs, i, adjoint, load)
+        tip[1:, i] = residual[:, 0]
+        if residual.shape[1] > 1:
+            junction[1:, i] = known[:, i] - residual[:, 1]
+        del load, residual  # before the next edge's are formed
     cres = float(np.abs(y.tip_trace[1:, : pr.m] - traces).max()) if pr.m > 0 else 0.0
-    first = np.zeros((1, pr.n))
-    return GraphDiagnostics(
-        np.vstack([first, tip]), np.vstack([first, junction]), energy, cres, **extra
-    )
+    energy = np.sqrt(_squared_norms(system, y.dofs))
+    return GraphDiagnostics(tip, junction, energy, cres, **extra)
 
 
 def _apriori_bounds(problem: StarGraphProblem) -> tuple[float, float]:
@@ -685,18 +779,23 @@ def _apriori_ratios(system: GraphSystem, y: GraphTrajectory, f, v) -> tuple[floa
     """Measured a-priori ratios ``dt sum_k (||y^k||^2 + h ||D y^k||^2)`` and
     ``||y^Nt||^2`` over the data ``||y^0||^2 + dt sum_k (||f^k||^2 + |v^k|^2)``,
     ``k = 1..Nt``, summed over the edges; the data counts the energy of the
-    Neumann controls ``v``."""
+    Neumann controls ``v``.  One edge's samples, or its ``D y``, are held at a
+    time."""
     pr, dm = system.problem, system.dofmap
     dt = pr.time_grid.dt
     lhs = final = 0.0
     data = dt * float(np.sum(v[:, 1:] ** 2))
     for i, grid in enumerate(pr.grids):
-        s, w = y.samples[i], grid.trapezoid_weights()
         # the junction mode has no derivative, so D acts on the nodes alone
         Dy = y.dofs[1:, dm.edge_slice(i)] @ left_rl_derivative(pr.alpha, grid).T
-        lhs += dt * (np.einsum("kj,j,kj->", s[1:], w, s[1:]) + grid.h * np.sum(Dy**2))
+        Dy *= Dy
+        derivative = grid.h * np.sum(Dy)
+        del Dy
+        s, w = y.samples[i], grid.trapezoid_weights()
+        lhs += dt * (np.einsum("kj,j,kj->", s[1:], w, s[1:]) + derivative)
         data += s[0] @ (w * s[0]) + dt * np.einsum("kj,j,kj->", f[i][1:], w, f[i][1:])
         final += s[-1] @ (w * s[-1])
+        del s
     if data <= 0.0:
         return 0.0, 0.0
     return float(lhs / data), float(final / data)
@@ -723,11 +822,12 @@ def diagnose_forward(
     if pr.m == 0 or not (np.any(u) or np.any(v)):
         ratio, ratio_T = _apriori_ratios(system, y, f, v)
     bound, bound_T = _apriori_bounds(pr)
+    loads = (fi[1:] @ _data_vectors(system, i) for i, fi in enumerate(f))
     known = np.hstack([y.multipliers[1:], v[:, 1:].T])
     return _readout(
-        system, y, y.dofs[:-1], [fi[1:] for fi in f], known,
-        _prescribed_traces(u, pr.m)[1:], estimate_ratio=ratio, estimate_bound=bound,
-        estimate_ratio_T=ratio_T, estimate_bound_T=bound_T,
+        system, y, False, loads, known, _prescribed_traces(u, pr.m)[1:],
+        estimate_ratio=ratio, estimate_bound=bound, estimate_ratio_T=ratio_T,
+        estimate_bound_T=bound_T,
     )
 
 
@@ -739,20 +839,18 @@ def diagnose_adjoint(system: GraphSystem, p: GraphTrajectory, y) -> GraphDiagnos
     pr = system.problem
     tg = pr.time_grid
     omega = tg.trapezoid_weights()
-    src = _misfit(pr, y)
-    misfit = sum(
-        float(np.einsum("k,kj,j,kj->", omega, s, grid.trapezoid_weights(), s))
-        for s, grid in zip(src, pr.grids)
-    )
+    loads, misfit = [], 0.0
+    for i, s in enumerate(_misfit(pr, y)):  # one edge's misfit at a time
+        w = pr.grids[i].trapezoid_weights()
+        misfit += float(np.einsum("k,kj,j,kj->", omega, s, w, s))
+        loads.append((omega[1:] / tg.dt)[:, None] * (s[1:] @ _data_vectors(system, i)))
     reg = 0.0
     if misfit > 0.0 and pr.m > 0:
         beta_b = np.array([pr.coeffs[i].beta[-1] for i in range(pr.m)])
         reg = float(
             np.sum(omega[:, None] * (p.dirichlet_flux_series / beta_b) ** 2) / misfit
         )
-    g = [(omega[1:] / tg.dt)[:, None] * s[1:] for s in src]
-    prev = np.vstack([p.dofs[2:], np.zeros((1, system.ndof))])
     known = np.hstack([p.multipliers[1:], np.zeros((tg.Nt, pr.n - pr.m))])
     return _readout(
-        system, p, prev, g, known, np.zeros((tg.Nt, pr.m)), boundary_regularity_ratio=reg
+        system, p, True, loads, known, np.zeros((tg.Nt, pr.m)), boundary_regularity_ratio=reg
     )

@@ -6,6 +6,7 @@ from scipy.linalg import lu_factor, lu_solve
 
 import fracstar.graph_solver
 from fracstar import (
+    CostConfig,
     EdgeCoefficients,
     Grid1D,
     SolverFailure,
@@ -13,12 +14,15 @@ from fracstar import (
     TimeGrid,
     assemble_graph_system,
     assemble_stiffness,
+    cost_graph,
     diagnose_adjoint,
     diagnose_forward,
+    reduced_hessian,
     solve_adjoint_graph,
     solve_forward_graph,
     solve_forward_edge,
 )
+from fracstar.fracops import left_rl_derivative
 from fracstar.validation import dense_edge_operators, dense_oracle_solve_graph
 from conftest import diagnose_edge, edge_operators, random_coeffs, random_graph
 
@@ -809,3 +813,231 @@ class TestGraphCornerProperties:
             v[rng.integers(n - m), k] = bad
         with pytest.raises(SolverFailure, match="non-finite forward right-hand side"):
             solve_forward_graph(pr, u, v)
+
+
+# The diagnostics as they were formed from copies of the trajectory: the
+# step rates, each edge's DOF vectors and its samples.  The reference for the
+# diagnostics read off the DOF rows by products.
+
+
+def copied_readout(system, y, prev, g, known, traces):
+    """The fluxes, energy and constraint residual, with the scales their
+    rounding is relative to: the largest sum of the magnitudes of a flux's
+    terms, each row's product by W counted twice (for the rate's two rows),
+    and of the terms of a squared energy."""
+    pr, dt = system.problem, system.problem.time_grid.dt
+    x = y.dofs[1:]
+    rate = (x - prev) / dt
+    tip = np.empty((len(x), pr.n))
+    junction = np.zeros_like(tip)
+    flux_scale = 0.0
+    for i, (edge, grid, gi) in enumerate(zip(system.readouts, pr.grids, g)):
+        xi, ri = system.edge_dofs(x, i), system.edge_dofs(rate, i)
+        pi = system.edge_dofs(prev, i)
+        wg = grid.trapezoid_weights() * gi
+        tip[:, i] = ri @ edge.w_probe + xi @ edge.k_probe - wg @ edge.probe
+        terms = [(edge.w_probe, edge.k_probe, edge.probe)]
+        if edge.mode is not None:
+            junction[:, i] = known[:, i] - (
+                ri @ edge.w_junction + xi @ edge.k_junction - wg @ edge.mode
+            )
+            terms.append((edge.w_junction, edge.k_junction, edge.mode))
+        for w, k, load in terms:
+            size = (np.abs(xi) + np.abs(pi)) @ np.abs(w) / dt + np.abs(xi) @ np.abs(k)
+            flux_scale = max(flux_scale, (size + np.abs(wg) @ np.abs(load)).max())
+    samples = [system.edge_samples(y.dofs, i) for i in range(pr.n)]
+    squared = sum(
+        np.einsum("kj,j,kj->k", s, grid.trapezoid_weights(), s)
+        for s, grid in zip(samples, pr.grids)
+    )
+    energy_scale = 0.0
+    for i, (edge, grid) in enumerate(zip(system.readouts, pr.grids)):
+        xi = np.abs(system.edge_dofs(y.dofs, i))
+        mode = np.zeros(grid.nnodes) if edge.mode is None else np.abs(edge.mode)
+        xi[:, :-1] += xi[:, -1:] * mode if edge.mode is not None else 0.0
+        nodal = xi[:, : grid.nnodes]
+        energy_scale += np.einsum("kj,j,kj->k", nodal, grid.trapezoid_weights(), nodal)
+    cres = float(np.abs(y.tip_trace[1:, : pr.m] - traces).max()) if pr.m > 0 else 0.0
+    first = np.zeros((1, pr.n))
+    return (np.vstack([first, tip]), np.vstack([first, junction]), np.sqrt(squared), cres,
+            flux_scale, np.max(energy_scale))
+
+
+def copied_apriori_ratios(system, y, f, v):
+    pr, dm, dt = system.problem, system.dofmap, system.problem.time_grid.dt
+    lhs = final = 0.0
+    data = dt * float(np.sum(v[:, 1:] ** 2))
+    for i, grid in enumerate(pr.grids):
+        s, w = system.edge_samples(y.dofs, i), grid.trapezoid_weights()
+        Dy = y.dofs[1:, dm.edge_slice(i)] @ left_rl_derivative(pr.alpha, grid).T
+        lhs += dt * (np.einsum("kj,j,kj->", s[1:], w, s[1:]) + grid.h * np.sum(Dy**2))
+        data += s[0] @ (w * s[0]) + dt * np.einsum("kj,j,kj->", f[i][1:], w, f[i][1:])
+        final += s[-1] @ (w * s[-1])
+    if data <= 0.0:
+        return 0.0, 0.0
+    return float(lhs / data), float(final / data)
+
+
+def copied_diagnose_forward(system, y, u, v):
+    pr = system.problem
+    nt = pr.time_grid.Nt
+    f = [np.zeros((nt + 1, g.nnodes)) if fi is None else fi for fi, g in zip(pr.f, pr.grids)]
+    ratios = (0.0, 0.0)
+    if pr.m == 0 or not (np.any(u) or np.any(v)):
+        ratios = copied_apriori_ratios(system, y, f, v)
+    known = np.hstack([y.multipliers[1:], v[:, 1:].T])
+    traces = np.zeros((nt, pr.m))
+    traces[:, 1:] = u[:, 1:].T
+    return copied_readout(system, y, y.dofs[:-1], [fi[1:] for fi in f], known, traces), ratios
+
+
+def copied_diagnose_adjoint(system, p, y):
+    pr, tg = system.problem, system.problem.time_grid
+    omega = tg.trapezoid_weights()
+    src = [s - yd for s, yd in zip([system.edge_samples(y.dofs, i) for i in range(pr.n)],
+                                  pr.y_d)]
+    misfit = sum(
+        float(np.einsum("k,kj,j,kj->", omega, s, grid.trapezoid_weights(), s))
+        for s, grid in zip(src, pr.grids)
+    )
+    reg = 0.0
+    if misfit > 0.0 and pr.m > 0:
+        beta_b = np.array([pr.coeffs[i].beta[-1] for i in range(pr.m)])
+        reg = float(np.sum(omega[:, None] * (p.dirichlet_flux_series / beta_b) ** 2) / misfit)
+    g = [(omega[1:] / tg.dt)[:, None] * s[1:] for s in src]
+    prev = np.vstack([p.dofs[2:], np.zeros((1, system.ndof))])
+    known = np.hstack([p.multipliers[1:], np.zeros((tg.Nt, pr.n - pr.m))])
+    return copied_readout(system, p, prev, g, known, np.zeros((tg.Nt, pr.m))), reg
+
+
+def assert_readouts_agree(d, ref):
+    """The fluxes agree to 1e-12 relative to the scale of their terms, the
+    squared energies to 1e-12 relative to that of theirs."""
+    tip, junction, energy, cres, flux_scale, energy_scale = ref
+    assert np.abs(d.tip_flux - tip).max() <= 1e-12 * flux_scale
+    assert np.abs(d.junction_flux - junction).max() <= 1e-12 * flux_scale
+    assert np.abs(d.energy**2 - energy**2).max() <= 1e-12 * energy_scale
+    assert d.constraint_residual == cres
+
+
+class TestDiagnosticsByProducts:
+    """The diagnostics read off the DOF rows by products equal the formulas
+    on copies of the trajectory they replace, and a solve keeps one
+    trajectory-sized array."""
+
+    @given(
+        alpha=st.one_of(st.just(1.0), st.floats(1e-3, 1.0)),
+        Ms=st.lists(st.integers(2, 9), min_size=1, max_size=4),
+        m_choice=st.integers(0, 2),
+        Nt=st.one_of(st.just(1), st.integers(1, 6)),
+        controlled=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(alpha=1.0, Ms=[3, 5, 8], m_choice=0, Nt=1, controlled=False, seed=0)
+    @example(alpha=0.5, Ms=[4], m_choice=0, Nt=1, controlled=True, seed=1)
+    @settings(max_examples=60, deadline=None)
+    def test_products_equal_the_copy_based_formulas(
+        self, alpha, Ms, m_choice, Nt, controlled, seed
+    ):
+        # alpha = 1 pins node 0; n = 1 takes m = 0 and m = 1, graphs m = n too
+        rng = np.random.default_rng(seed)
+        n = len(Ms)
+        m = min(m_choice, 1) if n == 1 else [n, 2, max(2, n - 1)][m_choice]
+        bs = tuple(rng.uniform(0.5, 1.5, n))
+        pr = random_graph(rng, alpha=alpha, n=n, m=m, Nt=Nt, Ms=Ms, bs=bs,
+                          with_data=bool(rng.integers(2)))
+        pr = pr._replace(c0=float(rng.standard_normal()))
+        scale = 1.0 if controlled else 0.0
+        u = scale * rng.standard_normal((pr.n_dirichlet_channels, Nt + 1))
+        v = scale * rng.standard_normal((pr.n_neumann_channels, Nt + 1))
+        sys_ = assemble_graph_system(pr)
+        y = solve_forward_graph(pr, u, v, sys_)
+        p = solve_adjoint_graph(pr, y, sys_)
+
+        d = diagnose_forward(sys_, y, u, v)
+        ref, ratios = copied_diagnose_forward(sys_, y, u, v)
+        assert_readouts_agree(d, ref)
+        # the ratios keep the copies' sums, so they agree bitwise
+        assert (d.estimate_ratio, d.estimate_ratio_T) == ratios
+
+        d = diagnose_adjoint(sys_, p, y)
+        ref, reg = copied_diagnose_adjoint(sys_, p, y)
+        assert_readouts_agree(d, ref)
+        assert d.boundary_regularity_ratio == reg
+
+    def test_a_solve_keeps_one_trajectory_and_a_diagnosis_half_of_one(
+        self, rng, traced_peak
+    ):
+        # with Nt >> M the trajectory outweighs every other array of a solve;
+        # the tip traces and the multipliers take (n + m)/ndof = 7% of it
+        n, M, Nt = 3, 24, 2000
+        pr = random_graph(rng, n=n, m=2, Nt=Nt, Ms=(M,) * n, bs=(1.0, 0.8, 1.2))
+        sys_ = assemble_graph_system(pr)
+        traj, retained, _ = traced_peak(solve_forward_graph, pr, None, None, sys_)
+        assert traj.dofs.shape == (Nt + 1, n * (M + 1) + 1)
+        assert retained <= 1.1 * traj.dofs.nbytes
+        # every diagnostic, the a-priori ratios included, above its inputs
+        d, _, peak = traced_peak(diagnose_forward, sys_, traj)
+        assert d.estimate_ratio > 0.0
+        assert peak < 0.5 * traj.dofs.nbytes
+
+    @pytest.mark.parametrize("n, m", [(1, 0), (3, 2)])
+    def test_samples_are_formed_when_read(self, rng, n, m):
+        pr = random_graph(rng, n=n, m=m, Ms=(6, 5, 7)[:n], bs=(1.0, 0.8, 1.2)[:n])
+        pr = pr._replace(c0=0.7)
+        sys_ = assemble_graph_system(pr)
+        dm = sys_.dofmap
+        y = solve_forward_graph(pr, system=sys_)
+        for traj in (y, solve_adjoint_graph(pr, y, sys_)):
+            samples = traj.samples
+            assert len(samples) == n
+            for i in range(-n, n):
+                s, k = samples[i], i % n
+                assert s.tobytes() == sys_.edge_samples(traj.dofs, k).tobytes()
+                nodal = traj.dofs[:, dm.edge_slice(k)]
+                if dm.c_index is not None:
+                    nodal = nodal + np.multiply.outer(traj.c, sys_.readouts[k].mode)
+                assert s.tobytes() == nodal.tobytes()
+                # a new array on each read: a write to it does not persist
+                assert not np.shares_memory(s, traj.dofs)
+                s += 1.0
+                assert samples[i].tobytes() == nodal.tobytes()
+            assert [s.tobytes() for s in samples] == [
+                sys_.edge_samples(traj.dofs, k).tobytes() for k in range(n)
+            ]
+            assert [s.tobytes() for s in samples[::-1]] == [
+                s.tobytes() for s in reversed(samples)
+            ]
+            for bad in (n, -n - 1):
+                with pytest.raises(IndexError):
+                    samples[bad]
+
+    def test_each_reader_forms_an_edge_once(self, rng, monkeypatch):
+        # numpy's stacking reads a sequence twice: the readers take a list
+        reads = []
+        getitem = fracstar.graph_solver.EdgeSamples.__getitem__
+
+        def counted(self, i):
+            reads.append(i)
+            return getitem(self, i)
+
+        monkeypatch.setattr(fracstar.graph_solver.EdgeSamples, "__getitem__", counted)
+        pr = random_graph(rng, n=3, m=2)
+        sys_ = assemble_graph_system(pr)
+        controls = rng.standard_normal((pr.n_channels, pr.time_grid.Nt + 1))
+        y = solve_forward_graph(pr, controls[:1], controls[1:], sys_)
+        free = solve_forward_graph(pr, system=sys_)  # the a-priori ratios read it
+        p = solve_adjoint_graph(pr, y, sys_)
+        reads.clear()
+        for read in (
+            lambda: cost_graph(y, controls, pr, CostConfig()),
+            lambda: solve_adjoint_graph(pr, y, sys_),
+            lambda: diagnose_adjoint(sys_, p, y),
+            lambda: diagnose_forward(sys_, free),
+        ):
+            reads.clear()
+            read()
+            assert sorted(reads) == [0, 1, 2]
+        reads.clear()
+        reduced_hessian(sys_, CostConfig())
+        assert sorted(reads) == sorted([0, 1, 2] * pr.n_channels)
