@@ -31,6 +31,7 @@ from .graph_solver import (
     GraphSystem,
     GraphTrajectory,
     StarGraphProblem,
+    _misfit,
     assemble_graph_system,
     solve_adjoint_graph,
     solve_forward_graph,
@@ -73,16 +74,6 @@ class AdmissibleSet(NamedTuple):
     @classmethod
     def box(cls, lo, hi) -> "AdmissibleSet":
         return cls(lo=lo, hi=hi)
-
-    @property
-    def kind(self) -> str:
-        return "unconstrained" if self.lo is None and self.hi is None else "box"
-
-    def project(self, candidate: np.ndarray) -> np.ndarray:
-        candidate = np.asarray(candidate, dtype=float)
-        if self.kind == "unconstrained":
-            return candidate.copy()
-        return np.clip(candidate, self.lo, self.hi)
 
 
 @checked
@@ -184,11 +175,8 @@ def cost_graph(
     """Tracking over all edges plus the per-channel control penalties."""
     omega = problem.time_grid.trapezoid_weights()
     total = 0.0
-    for i in range(problem.n):
-        ydi = problem.y_d[i]
-        si = y.samples[i]
-        diff = si if ydi is None else si - np.asarray(ydi, dtype=float)
-        wx = problem.grids[i].trapezoid_weights()
+    for diff, grid in zip(_misfit(problem, y), problem.grids):
+        wx = grid.trapezoid_weights()
         total += 0.5 * float(np.einsum("k,kj,j,kj->", omega, diff, wx, diff))
     w = cfg.weights_for(problem)
     controls = np.asarray(controls, dtype=float)
@@ -287,9 +275,9 @@ def _normalize_sets(admissible, nchannels: int) -> list[AdmissibleSet]:
 
 
 def _projection(sets: list[AdmissibleSet], nt: int):
-    """Projection of ``(n_ch, Nt + 1)`` controls onto the channels' sets: one
-    ``np.clip`` against bounds broadcast once, ``-inf``/``inf`` where a channel
-    is unconstrained; bitwise the stacked :meth:`AdmissibleSet.project`."""
+    """The optimizer's one projection ``P_[lo, hi]`` of ``(n_ch, Nt + 1)``
+    controls onto the channels' sets: ``np.clip`` against bounds broadcast
+    once, ``-inf``/``inf`` where a channel is unconstrained."""
     lo = np.empty((len(sets), nt + 1))
     hi = np.empty_like(lo)
     for j, s in enumerate(sets):
@@ -298,6 +286,8 @@ def _projection(sets: list[AdmissibleSet], nt: int):
     return lambda ctrl: np.clip(ctrl, lo, hi)
 
 
+# The optimizer's algorithms, the default first.
+ALGORITHMS = ("projected_gradient", "fixed_point")
 # Armijo parameters: fixed, deterministic defaults.
 _ARMIJO_DECREASE = 1e-4
 _ARMIJO_BACKTRACK = 0.5
@@ -310,7 +300,7 @@ def optimize(
     problem,
     cfg: CostConfig,
     admissible,
-    algo: str = "projected_gradient",
+    algo: str = ALGORITHMS[0],
     tol: float = 1e-6,
     max_iter: int = 200,
     u0: np.ndarray | None = None,
@@ -351,7 +341,7 @@ def optimize(
     :func:`~fracstar.graph_solver.diagnose_adjoint`.  A ``system`` given must
     be the one assembled for the graph problem solved (``system.problem``).
     """
-    if algo not in ("projected_gradient", "fixed_point"):
+    if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}")
     graph, graph_cfg = as_graph_problem(problem, cfg)
     nchannels, nd = graph.n_channels, graph.n_dirichlet_channels

@@ -196,9 +196,6 @@ class EdgeSamples(Sequence):
     def __len__(self) -> int:
         return len(self.modes)
 
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
     def __getitem__(self, i):
         if isinstance(i, slice):
             return [self[j] for j in range(len(self))[i]]
@@ -274,20 +271,10 @@ class GraphSystem(NamedTuple):
                 out[..., dm.c_index] += wg @ edge.mode
         return out
 
-    def edge_dofs(self, Y: np.ndarray, i: int) -> np.ndarray:
-        """Edge ``i``'s DOF vector in its operator's layout: its nodal block,
-        then ``c`` if the junction mode is present."""
-        dm = self.dofmap
-        return np.concatenate([Y[..., dm.edge_slice(i)], Y[..., dm.junction]], axis=-1)
-
     def samples(self, Y: np.ndarray) -> EdgeSamples:
         """The per-edge nodal samples of the DOF rows ``Y``, each formed when
         read."""
         return EdgeSamples(Y, self.dofmap, [edge.mode for edge in self.readouts])
-
-    def edge_samples(self, Y: np.ndarray, i: int) -> np.ndarray:
-        """Nodal samples of edge ``i`` (nodal block plus ``c`` times the mode)."""
-        return self.samples(Y)[i]
 
 
 # Largest triangular block that _lower_inverse inverts with ``inv``.
@@ -533,8 +520,9 @@ def _edge_sources(problem: StarGraphProblem) -> list[np.ndarray]:
 
 
 def _misfit(problem: StarGraphProblem, y):
-    """Per-edge adjoint source ``y - y_d``, one edge at a time; where there
-    is no target, the samples themselves."""
+    """Per-edge misfit ``y - y_d`` (the adjoint's source and the tracking
+    term of the cost), one edge at a time; where there is no target, the
+    samples themselves."""
     for i, si in enumerate(y.samples):
         ydi = problem.y_d[i]
         if ydi is None:

@@ -53,12 +53,6 @@ class EdgeCoefficients(NamedTuple):
             q0=float(q),
         )
 
-    @classmethod
-    def from_callables(cls, grid: Grid1D, beta, q) -> "EdgeCoefficients":
-        bs = np.array([beta(x) for x in grid.nodes], dtype=float)
-        qs = np.array([q(x) for x in grid.nodes], dtype=float)
-        return cls(beta=bs, q=qs, beta0=float(bs.min()), q0=float(qs.min()))
-
 
 class EdgeOperator(NamedTuple):
     """Assembled discrete operator for a single edge.
@@ -87,10 +81,6 @@ class EdgeOperator(NamedTuple):
     trace_b: np.ndarray
     flux_probe: np.ndarray
     free: np.ndarray
-
-    @property
-    def ndof(self) -> int:
-        return self.K.shape[0]
 
 
 def _cell_beta(coeffs: EdgeCoefficients) -> np.ndarray:

@@ -61,6 +61,14 @@ def edge_operators(problem):
     ]
 
 
+def edge_dofs(system, Y, i):
+    """Edge ``i``'s DOF vector of the rows ``Y`` in its operator's layout
+    (:func:`edge_operators`): its nodal block, then ``c`` if the junction mode
+    is present."""
+    dm = system.dofmap
+    return np.concatenate([Y[..., dm.edge_slice(i)], Y[..., dm.junction]], axis=-1)
+
+
 def random_graph(
     rng,
     alpha=0.6,

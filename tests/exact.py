@@ -131,7 +131,9 @@ def heat(M, Nt, beta, dbeta, q):
     ``v = beta(1) y'(1)``, for callable ``beta``, its derivative ``dbeta`` and
     ``q``.  Returns the operator, the time grid, ``f``, ``y`` and ``v``."""
     grid, tg = Grid1D(0.0, 1.0, M), TimeGrid(1.0, Nt)
-    op = assemble_stiffness(1.0, grid, EdgeCoefficients.from_callables(grid, beta, q))
+    bs, qs = (np.array([g(s) for s in grid.nodes], dtype=float) for g in (beta, q))
+    coeffs = EdgeCoefficients(beta=bs, q=qs, beta0=float(bs.min()), q0=float(qs.min()))
+    op = assemble_stiffness(1.0, grid, coeffs)
     x, t = grid.nodes, tg.times
     y = np.outer(tau(t), np.sin(x))
     space = -dbeta(x) * np.cos(x) + (beta(x) + q(x)) * np.sin(x)

@@ -39,6 +39,7 @@ from fracstar.validation import (
 )
 from conftest import (
     diagnose_edge,
+    edge_dofs,
     edge_operators,
     random_coeffs,
     random_edge,
@@ -355,7 +356,7 @@ def test_criterion_08_junction_physics():
         junction = diagnose_forward(sys_, traj, u, v).junction_flux
         worst_flux = max(worst_flux, float(np.abs(junction[1:].sum(axis=1)).max()))
         for i, op in enumerate(edge_operators(pr)):
-            traces = sys_.edge_dofs(traj.dofs, i) @ op.trace_a
+            traces = edge_dofs(sys_, traj.dofs, i) @ op.trace_a
             continuity_exact &= bool(np.all(traces == traj.c))
     elapsed = time.time() - t0
     report(

@@ -191,7 +191,7 @@ class TestAdjoint:
         wtr = op.grid.trapezoid_weights()
         A = op.W / dt + op.K
         for k in range(1, tg.Nt + 1):
-            pnext = adj.y[k + 1] if k < tg.Nt else np.zeros(op.ndof)
+            pnext = adj.y[k + 1] if k < tg.Nt else np.zeros(op.K.shape[0])
             resid = (
                 A @ adj.y[k]
                 - (op.W / dt) @ pnext

@@ -57,13 +57,39 @@ def uses(path: Path) -> set[str]:
     return found
 
 
+def used_by_package_or_benchmark() -> set[str]:
+    paths = sorted(Path(fracstar.__file__).parent.glob("*.py")) + sorted(BENCH.glob("*.py"))
+    return set().union(*map(uses, paths))
+
+
 def test_every_public_name_is_used_by_the_package_or_the_benchmark():
     """A public name that only tests call has no place in the API, nor in the
     oracles of ``fracstar.validation``: a test-only helper lives with the tests."""
-    paths = sorted(Path(fracstar.__file__).parent.glob("*.py")) + sorted(BENCH.glob("*.py"))
-    used = set().union(*map(uses, paths))
+    used = used_by_package_or_benchmark()
     public = fracstar.__all__ + fracstar.validation.__all__
     assert [name for name in public if name not in used] == []
+
+
+def test_every_public_member_is_used_by_the_package_or_the_benchmark():
+    """The same rule for the members of the public types: each public method,
+    property and classmethod is read by the package or the benchmark, not
+    only by tests.  ``NamedTuple`` fields are data a call returns, exempt."""
+    used = used_by_package_or_benchmark()
+    unused = []
+    for name in fracstar.__all__:
+        cls = getattr(fracstar, name)
+        if not isinstance(cls, type):
+            continue
+        # a validated record is a thin subclass of the class that defines it
+        for owner in (c for c in cls.__mro__ if c.__module__.startswith("fracstar.")):
+            unused += [
+                f"{name}.{member}"
+                for member in vars(owner)
+                if not member.startswith("_")
+                and member not in getattr(cls, "_fields", ())
+                and member not in used
+            ]
+    assert unused == []
 
 
 def fresh(probe: str) -> subprocess.CompletedProcess:
