@@ -534,11 +534,11 @@ def _cmd_validate(cfg: RunConfig, out: Path) -> int:
     except SizeGuardError as exc:
         print(f"SKIP  oracle-equivalence: {exc}")
     jf = float(np.abs(diag.junction_flux[1:].sum(axis=1)).max())
-    record("junction-balance", within(jf, 1e-9, diag.junction_flux[1:]), f"max residual {jf:.3e}")
+    record("junction-balance", within(jf, 5e-12, diag.junction_flux[1:]), f"max residual {jf:.3e}")
     # the prescribed traces are zero: the measured ones, at the tips and the junction
     record(
         "dirichlet-constraints",
-        within(diag.constraint_residual, 1e-10, fwd.tip_trace, fwd.c),
+        within(diag.constraint_residual, 2e-14, fwd.tip_trace, fwd.c),
         f"max residual {diag.constraint_residual:.3e}",
     )
     if any(fi is not None and np.any(fi) for fi in problem.f):

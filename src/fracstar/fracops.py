@@ -60,18 +60,30 @@ def left_rl_derivative(alpha: float, grid: Grid1D) -> np.ndarray:
     ``D[j, k] = (t[j + 1 - k] - t[j - k]) / h``, gathered from the differences
     of ``t`` without forming ``T``.
     """
+    ((_, D),) = _derivative_blocks(alpha, grid, grid.M)
+    return D
+
+
+def _derivative_blocks(alpha: float, grid: Grid1D, rows: int):
+    """The rows of :func:`left_rl_derivative` in blocks of at most ``rows``:
+    yields ``(start, D[start:start + len(block)])``, each block gathered when
+    it is read, so a caller of small blocks never holds the ``M x (M+1)``
+    matrix."""
     _check_order(alpha)
+    M = grid.M
     if alpha == 1.0:
-        t = np.zeros(grid.M + 1)  # order 0: the identity
+        t = np.zeros(M + 1)  # order 0: the identity
         t[0] = 1.0
     else:
-        w = frac_integral_weights(1.0 - alpha, grid.h, grid.M)
+        w = frac_integral_weights(1.0 - alpha, grid.h, M)
         t = np.concatenate(([0.0], w[:-1]))
     diff = np.diff(t, prepend=0.0) / grid.h
-    # row j is diff[j + 1], ..., diff[0] followed by zeros: a window of the
-    # reversed differences padded with M zeros
-    padded = np.concatenate((diff[::-1], np.zeros(grid.M)))
-    return sliding_window_view(padded, grid.M + 1)[grid.M - 1 :: -1].copy()
+    # row j is diff[j + 1], ..., diff[0] followed by zeros: window M - 1 - j
+    # of the reversed differences padded with M zeros
+    windows = sliding_window_view(np.concatenate((diff[::-1], np.zeros(M))), M + 1)
+    for start in range(0, M, rows):
+        stop = min(start + rows, M)
+        yield start, windows[M - stop : M - start][::-1].copy()
 
 
 def trace_functional(alpha: float, grid: Grid1D, endpoint: str) -> np.ndarray:

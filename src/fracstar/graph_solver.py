@@ -37,7 +37,11 @@ transpose of the discrete forward map for the trapezoid space-time cost.  The
 boundary series it returns (multiplier fluxes on Dirichlet tips, traces on
 Neumann tips) are scaled so that the first-order optimality residuals of the
 discrete cost vanish exactly at a discrete minimizer.  The sweeps return the
-solution only.
+solution only.  A sweep holds one trajectory-sized array, its solution's
+rows: each step's load is formed, one edge's data at a time, in the row the
+step overwrites, and the march scales it there; a Neumann control loads only
+its edge's trace row and ``c``.  The adjoint marches through its rows in
+memory order and reverses them in place once it is done.
 
 Diagnostics.  :func:`diagnose_forward` and :func:`diagnose_adjoint` read the
 tip and junction fluxes off the step residuals of a solution, all steps at
@@ -61,7 +65,7 @@ from numpy.linalg import LinAlgError, cholesky, inv
 
 from .errors import SolverFailure, checked
 from .grids import Grid1D, TimeGrid
-from .fracops import left_rl_derivative
+from .fracops import _derivative_blocks
 from .sturm import EdgeCoefficients, assemble_stiffness
 
 __all__ = [
@@ -260,21 +264,30 @@ class GraphSystem(NamedTuple):
         Each ``g_i`` may carry leading axes (time steps); the load has them
         too.  ``g`` may be any iterable: the edges' data are read one at a time.
         """
-        dm = self.dofmap
-        out = None
-        for i, (gi, grid, edge) in enumerate(zip(g, self.problem.grids, self.readouts)):
-            wg = grid.trapezoid_weights() * gi
-            if out is None:
-                out = np.zeros(wg.shape[:-1] + (self.ndof,))
-            out[..., dm.edge_slice(i)] += wg
-            if dm.c_index is not None:
-                out[..., dm.c_index] += wg @ edge.mode
-        return out
+        return _add_loads(self, g)
 
     def samples(self, Y: np.ndarray) -> EdgeSamples:
         """The per-edge nodal samples of the DOF rows ``Y``, each formed when
         read."""
         return EdgeSamples(Y, self.dofmap, [edge.mode for edge in self.readouts])
+
+
+def _add_loads(system: GraphSystem, g, out: np.ndarray | None = None) -> np.ndarray:
+    """Add the load of per-edge sample-space data ``g`` to ``out`` in place,
+    or to zeros (:meth:`GraphSystem.load_from_samples`), and return it.  The
+    edges' data are read one at a time: an edge's data and its weighted copy
+    are released before the next edge's are read."""
+    dm, g = system.dofmap, iter(g)
+    for i, (grid, edge) in enumerate(zip(system.problem.grids, system.readouts)):
+        # taken by next: a zip's cached tuple would hold them until the next edge
+        wg = grid.trapezoid_weights() * next(g)
+        if out is None:
+            out = np.zeros(wg.shape[:-1] + (system.ndof,))
+        out[..., dm.edge_slice(i)] += wg
+        if dm.c_index is not None:
+            out[..., dm.c_index] += wg @ edge.mode
+        del wg
+    return out
 
 
 # Largest triangular block that _lower_inverse inverts with ``inv``.
@@ -522,16 +535,19 @@ def _edge_sources(problem: StarGraphProblem) -> list[np.ndarray]:
 def _misfit(problem: StarGraphProblem, y):
     """Per-edge misfit ``y - y_d`` (the adjoint's source and the tracking
     term of the cost), one edge at a time; where there is no target, the
-    samples themselves."""
-    for i, si in enumerate(y.samples):
-        ydi = problem.y_d[i]
-        if ydi is None:
-            yield si
-            continue
-        ydi = np.asarray(ydi, float)
-        if ydi.shape != si.shape:
-            raise ValueError(f"edge {i + 1} target has wrong shape {ydi.shape}")
-        yield si - ydi
+    samples themselves.  An edge's samples are released before its misfit is
+    handed over, and its misfit before the next edge's samples are formed."""
+    samples = y.samples
+    for i, ydi in enumerate(problem.y_d):
+        # indexed: a sequence's iterator would hold each item until the next
+        si = samples[i]
+        if ydi is not None:
+            ydi = np.asarray(ydi, float)
+            if ydi.shape != si.shape:
+                raise ValueError(f"edge {i + 1} target has wrong shape {ydi.shape}")
+            si = si - ydi
+        yield si
+        del si
 
 
 def _prescribed_traces(u: np.ndarray, m: int) -> np.ndarray:
@@ -541,52 +557,74 @@ def _prescribed_traces(u: np.ndarray, m: int) -> np.ndarray:
     return traces
 
 
-def _march(system: GraphSystem, start, loads, traces, what: str, stream=None):
-    """Implicit Euler from ``x_0 = start``: row ``j`` solves
-    ``(W/dt + K) x_{j+1} + B^T mu_j = W x_j/dt + loads[j]``,
-    ``B x_{j+1} = traces[j]``.
+def _march(system: GraphSystem, start, rows, traces, what: str, stream=None):
+    """Implicit Euler from ``x_0 = start`` in place: on entry ``rows[j]``
+    holds the load ``l_j`` of step ``j``, which solves
+    ``(W/dt + K) x_{j+1} + B^T mu_j = W x_j/dt + l_j``,
+    ``B x_{j+1} = traces[j]``; on return it holds ``x_{j+1}``.
 
     The border's share of every step's loads and traces is solved before the
-    march, in one product.  Each step then applies every edge's propagator to
-    ``x_j + loads[j] dt/mass`` and adds the rank-``r`` update
-    ``U (H x_j + w_j)``, whose coefficients hold ``c`` and the negated
-    multipliers.  Returns the states ``x_0 .. x_nt`` (in a ``stream``'s
-    zero-filled ``rows``, after step ``j`` handed over by ``send(j + 2)``)
-    and the multipliers ``-mu_j``.  The data are checked for finiteness once
-    before the march, the solution once after it.
+    march, in one product; then the loads are scaled by ``dt/mass`` in place.
+    Each step adds ``x_j`` to its row, applies every edge's propagator to it
+    in a scratch row (a product may not overwrite its operand), copies that
+    row in and adds the rank-``r`` update ``U (H x_j + w_j)``, whose
+    coefficients hold ``c`` and the negated multipliers.  The scratch row is
+    zero off the propagated nodes, so ``c`` and a pinned node take the
+    update alone.  A ``stream`` (forward only, ``rows`` its ``rows[1:]``) is
+    handed step ``j`` by ``send(j + 2)``; its rows after those handed over
+    hold scaled loads until their steps.  Returns the multipliers ``-mu_j``.
+    The data are checked for finiteness once before the march, the solution
+    once after it.
     """
-    if not all(np.isfinite(a).all() for a in (start, loads, traces)):
+    if not all(np.isfinite(a).all() for a in (start, rows, traces)):
         raise SolverFailure(f"non-finite {what} right-hand side")
     dt, m = system.problem.time_grid.dt, system.problem.m
     U, H, schur = system.update_cols, system.update_rows, system.schur_inv
     r = len(H)
-    nt = len(loads)
-    x = np.zeros((nt + 1, system.ndof)) if stream is None else stream.rows
-    x[0] = start
+    nt = len(rows)
     w = np.zeros((nt, r))
+    scratch = np.zeros(system.ndof)
     # a non-finite inverse surfaces as non-finite states, reported below
     with np.errstate(invalid="ignore", over="ignore"):
-        y = loads * (dt / system.mass)
         if schur is not None:
             k = r - len(schur)  # 1 with the junction coefficient, else 0
-            data = loads @ U[:, k:]
+            data = rows @ U[:, k:]
             data[:, k:] += traces  # after c, the multipliers
             w[:, k:] = data @ schur.T
+        rows *= dt / system.mass
+        prev = start
         for j in range(nt):
-            yj, prev, xj = y[j], x[j], x[j + 1]
-            yj += prev
+            xj = rows[j]
+            xj += prev
             for gs, prop in system.edge_propagators:
-                np.matmul(prop, yj[gs], out=xj[gs])
+                np.matmul(prop, xj[gs], out=scratch[gs])
+            xj[:] = scratch
             if r:
                 wj = w[j]
                 wj += H @ prev
                 xj += U @ wj
+            prev = xj
             if stream is not None:
                 stream.send(j + 2)
     mult = -w[:, r - m :]
-    if not (np.isfinite(x).all() and np.isfinite(mult).all()):
+    if not (np.isfinite(rows).all() and np.isfinite(mult).all()):
         raise SolverFailure(f"non-finite {what} solve (singular saddle point?)")
-    return x, mult
+    return mult
+
+
+# Rows that _reverse_rows moves at a time.
+_REVERSE_ROWS = 32
+
+
+def _reverse_rows(a: np.ndarray) -> None:
+    """Reverse the order of the rows of ``a`` in place, swapping a block of
+    at most ``_REVERSE_ROWS`` rows from each end at a time."""
+    n = len(a)
+    for lo in range(0, n // 2, _REVERSE_ROWS):
+        hi = min(lo + _REVERSE_ROWS, n // 2)
+        top = a[lo:hi].copy()
+        a[lo:hi] = a[n - hi : n - lo][::-1]
+        a[n - hi : n - lo] = top[::-1]
 
 
 def _trajectory(system: GraphSystem, dofs, mult, **series) -> GraphTrajectory:
@@ -623,18 +661,30 @@ def solve_forward_graph(
     f = _edge_sources(problem)
     dm = system.dofmap
 
-    start = np.zeros(system.ndof)
+    # row 0 the start, every later row its step's load
+    x = np.zeros((nt + 1, system.ndof)) if stream is None else stream.rows
     for i in range(problem.n):
         y0 = np.asarray(problem.y0[i], dtype=float)
         if y0.shape != (dm.nnodes[i],):
             raise ValueError(f"edge {i + 1} initial datum has wrong shape {y0.shape}")
-        start[dm.edge_slice(i)] = y0
+        x[0, dm.edge_slice(i)] = y0
     if dm.c_index is not None:
-        start[dm.c_index] = problem.c0
-
-    loads = system.load_from_samples([fi[1:] for fi in f])
-    loads += v[:, 1:].T @ system.trace_b_rows[m:]
-    x, mult = _march(system, start, loads, _prescribed_traces(u, m)[1:], "forward", stream)
+        x[0, dm.c_index] = problem.c0
+    loads = x[1:]
+    _add_loads(system, [fi[1:] for fi in f], loads)
+    # a Neumann channel loads its edge's trace row, and c by the junction
+    # mode's trace: the channels' sum in their order, as a product with the
+    # stacked rows sums it
+    tb, c = system.trace_b_rows, dm.c_index
+    junction = np.zeros(nt)
+    for i, vi in enumerate(v[:, 1:], start=m):
+        sl = dm.edge_slice(i)
+        loads[:, sl] += np.multiply.outer(vi, tb[i, sl])
+        if c is not None:
+            junction += vi * tb[i, c]
+    if c is not None:
+        loads[:, c] += junction
+    mult = _march(system, x[0], loads, _prescribed_traces(u, m)[1:], "forward", stream)
     return _trajectory(system, x, np.vstack([np.zeros((1, m)), mult]))
 
 
@@ -644,7 +694,9 @@ def solve_adjoint_graph(
     system: GraphSystem | None = None,
 ) -> GraphTrajectory:
     """Backward solve of the graph adjoint with source ``y - y_d``, clamped
-    traces on edges ``1..m`` and flux-free tips on ``m+1..n``.
+    traces on edges ``1..m`` and flux-free tips on ``m+1..n``.  Its loads
+    are formed in the rows of the solution, which the march fills from the
+    last time to the first; no second trajectory-sized array is made.
 
     Returns the adjoint trajectory together with the two boundary series of
     the optimality system: ``(beta D^alpha p)(b_i^-, .)`` read from the
@@ -657,15 +709,17 @@ def solve_adjoint_graph(
     nt, dt, m = problem.time_grid.Nt, problem.time_grid.dt, problem.m
     omega = problem.time_grid.trapezoid_weights()
 
-    # an overflowing misfit is a non-finite right-hand side, which the march
-    # reports without a numpy warning
+    # the march steps through p's rows in memory order, so the loads go in
+    # backward in time, through a reversed view, and the rows are put in time
+    # order after it.  An overflowing misfit is a non-finite right-hand side,
+    # which the march reports without a numpy warning
+    p = np.zeros((nt + 1, system.ndof))
     with np.errstate(over="ignore", invalid="ignore"):
-        loads = system.load_from_samples(_misfit(problem, y))
-        loads *= (omega / dt)[:, None]
-    x, mult = _march(
-        system, np.zeros(system.ndof), loads[::-1], np.zeros((nt + 1, m)), "adjoint"
-    )
-    p, mult = np.ascontiguousarray(x[:0:-1]), mult[::-1]
+        _add_loads(system, _misfit(problem, y), p[::-1])
+        p[::-1] *= (omega / dt)[:, None]
+    mult = _march(system, np.zeros(system.ndof), p, np.zeros((nt + 1, m)), "adjoint")
+    _reverse_rows(p)
+    mult = mult[::-1]
     mult[0] = 0.0
     scale = np.concatenate([[0.0], dt / omega[1:]])[:, None]
     return _trajectory(
@@ -763,19 +817,27 @@ def _apriori_bounds(problem: StarGraphProblem) -> tuple[float, float]:
     return 1.0 / mbar + 1.0 / mbar / mbar, 1.0 + 1.0 / mbar
 
 
+# Rows of an edge's derivative D that _apriori_ratios holds at a time.
+_D_ROWS = 64
+
+
 def _apriori_ratios(system: GraphSystem, y: GraphTrajectory, f, v) -> tuple[float, float]:
     """Measured a-priori ratios ``dt sum_k (||y^k||^2 + h ||D y^k||^2)`` and
     ``||y^Nt||^2`` over the data ``||y^0||^2 + dt sum_k (||f^k||^2 + |v^k|^2)``,
     ``k = 1..Nt``, summed over the edges; the data counts the energy of the
     Neumann controls ``v``.  One edge's samples, or its ``D y``, are held at a
-    time."""
+    time; ``D`` is read a block of ``_D_ROWS`` rows at a time."""
     pr, dm = system.problem, system.dofmap
     dt = pr.time_grid.dt
     lhs = final = 0.0
     data = dt * float(np.sum(v[:, 1:] ** 2))
     for i, grid in enumerate(pr.grids):
         # the junction mode has no derivative, so D acts on the nodes alone
-        Dy = y.dofs[1:, dm.edge_slice(i)] @ left_rl_derivative(pr.alpha, grid).T
+        x = y.dofs[1:, dm.edge_slice(i)]
+        Dy = np.empty((len(x), grid.M))
+        for start, block in _derivative_blocks(pr.alpha, grid, _D_ROWS):
+            np.matmul(x, block.T, out=Dy[:, start : start + len(block)])
+        del block
         Dy *= Dy
         derivative = grid.h * np.sum(Dy)
         del Dy

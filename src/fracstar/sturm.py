@@ -88,6 +88,27 @@ def _cell_beta(coeffs: EdgeCoefficients) -> np.ndarray:
     return 0.5 * (beta[:-1] + beta[1:])
 
 
+# Rows per strip of _symmetrize: a strip's transient is this many rows of K.
+_STRIP = 64
+
+
+def _symmetrize(K: np.ndarray) -> None:
+    """``K <- 0.5 (K + K^T)`` in place, a strip of rows at a time.
+
+    ``K += K.T`` would copy all of ``K.T``, since the operands overlap.  The
+    strip of rows ``I`` pairs ``K[I, s:]`` with ``K[s:, I]`` (``s`` the
+    strip's first row) before it writes either, so every entry is the
+    rounded ``0.5 (K[a, b] + K[b, a])`` of the entries as they were, bitwise
+    the dense formula."""
+    n = len(K)
+    for s in range(0, n, _STRIP):
+        rows = slice(s, min(s + _STRIP, n))
+        strip = K[rows, s:] + K[s:, rows].T
+        strip *= 0.5
+        K[rows, s:] = strip
+        K[s:, rows] = strip.T
+
+
 def assemble_stiffness(
     alpha: float,
     grid: Grid1D,
@@ -124,8 +145,7 @@ def assemble_stiffness(
             A[:nn, -1] += d * mode
             A[-1, :nn] += d * mode
             A[-1, -1] += (mode * d) @ mode
-    K += K.T
-    K *= 0.5
+    _symmetrize(K)
 
     trace_a = np.zeros(ndof)
     trace_b = np.zeros(ndof)

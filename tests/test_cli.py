@@ -459,6 +459,37 @@ class TestCommands:
         assert [line.split(":")[0] for line in lines] == [f"PASS  {c}" for c in checks]
         assert rc == 0
 
+    @pytest.mark.parametrize("y0", ["0.4", "1e6", "1e8"])
+    @pytest.mark.parametrize("perturbed", [False, True], ids=["exact", "perturbed"])
+    def test_validate_sees_a_multiplier_off_by_1e_9(
+        self, tmp_path, capsys, monkeypatch, y0, perturbed
+    ):
+        # the last tip multiplier of every step scaled by 1 + 1e-9 (its rows of
+        # the Schur inverse and of the update), the states solved with it:
+        # junction balance and the Dirichlet constraints both fail, and pass
+        # on the exact system
+        assemble = fracstar.cli.assemble_graph_system
+
+        def wrong_multiplier(problem):
+            system = assemble(problem)
+            scale = np.ones((len(system.update_rows), 1))
+            scale[-1] += 1e-9
+            return system._replace(
+                update_rows=system.update_rows * scale,
+                schur_inv=system.schur_inv * scale[-len(system.schur_inv) :],
+            )
+
+        if perturbed:
+            monkeypatch.setattr(fracstar.cli, "assemble_graph_system", wrong_multiplier)
+        text = GRAPH_INI.replace("[edge.2]", f"y0 = const:{y0}\n\n[edge.2]")
+        ini = write(tmp_path, "graph.ini", text)
+        rc = main(["--output-dir", str(tmp_path), "validate", str(ini)])
+        lines = capsys.readouterr().out.splitlines()
+        verdict = "FAIL" if perturbed else "PASS"
+        for check in ("junction-balance", "dirichlet-constraints"):
+            assert any(line.startswith(f"{verdict}  {check}: ") for line in lines)
+        assert rc == (4 if perturbed else 0)
+
     def test_unknown_algorithm_is_config_error(self, tmp_path, capsys):
         ini = write(tmp_path, "bad.ini", EDGE_INI.replace("= projected_gradient", "= newton"))
         assert main(["--output-dir", str(tmp_path), "optimize", str(ini)]) == 2

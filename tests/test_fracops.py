@@ -15,6 +15,7 @@ from fracstar import (
     singular_mode,
     trace_functional,
 )
+from fracstar.fracops import _derivative_blocks
 
 EPS = np.finfo(float).eps
 
@@ -230,6 +231,21 @@ class TestLeftDerivative:
             T = left_integral_matrix(frac_integral_weights(1.0 - alpha, grid.h, M))
         ref = (T[1:] - T[:-1]) / grid.h
         assert left_rl_derivative(alpha, grid).tobytes() == ref.tobytes()
+
+    @given(
+        alpha=st.one_of(st.just(1.0), st.floats(1e-3, 1.0)),
+        M=st.integers(2, 200),
+        rows=st.integers(1, 70),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_blocks_of_rows_are_the_derivative(self, alpha, M, rows):
+        # the blocks, in order, are bitwise the whole matrix's rows
+        grid = Grid1D(0.0, 1.0, M)
+        blocks = list(_derivative_blocks(alpha, grid, rows))
+        assert [start for start, _ in blocks] == list(range(0, M, rows))
+        assert all(len(block) <= rows for _, block in blocks)
+        whole = np.vstack([block for _, block in blocks])
+        assert whole.tobytes() == left_rl_derivative(alpha, grid).tobytes()
 
     def test_singular_mode_column_is_zero(self):
         # the assembled derivative ignores the appended mode coefficient

@@ -117,12 +117,12 @@ def step_solve(system, b):
     """One step of the graph stepper from a zero state: solves the bordered
     step matrix for ``b``, free DOFs first, then the multipliers."""
     fr, nf = system.free, len(system.free)
-    load = np.zeros((1, system.ndof))
-    load[0, fr] = b[:nf]
-    x, mult = fracstar.graph_solver._march(
-        system, np.zeros(system.ndof), load, b[None, nf:], "step"
+    row = np.zeros((1, system.ndof))  # the step's load, overwritten by its state
+    row[0, fr] = b[:nf]
+    mult = fracstar.graph_solver._march(
+        system, np.zeros(system.ndof), row, b[None, nf:], "step"
     )
-    return np.r_[x[1, fr], -mult[0]]  # row 0 is the start
+    return np.r_[row[0, fr], -mult[0]]
 
 
 class TestProblemValidation:
@@ -426,13 +426,15 @@ class TestForward:
 
     def test_assembly_releases_each_edge_before_the_next(self, rng, traced_peak):
         # assembly keeps one propagator per edge and, at any time, the dense
-        # matrices of at most one edge beside the propagators already made
+        # matrices of at most one edge beside the propagators already made:
+        # its D, the scaled transpose of D, K and W (K is symmetrized in
+        # place, with no copy of K.T)
         n, M = 4, 256
         pr = random_graph(rng, n=n, m=3, Nt=4, Ms=(M,) * n, bs=(1.0,) * n)
         _, retained, peak = traced_peak(assemble_graph_system, pr)
         block = 8 * (M + 1) ** 2
         assert retained <= (n + 1) * block
-        assert peak < (n + 4) * block
+        assert peak < (n - 1 + 4.25) * block
 
     def test_stored_step_holds_one_square_array_per_edge(self, rng):
         # the step data are one n_i x n_i propagator per edge plus arrays of
@@ -730,7 +732,9 @@ class TestGraphCornerProperties:
         start[dm.junction] = c0
         loads = rng.standard_normal((Nt, sys_.ndof))
         traces = rng.standard_normal((Nt, m))
-        x, mult = fracstar.graph_solver._march(sys_, start, loads, traces, "forward")
+        # the march overwrites each step's load with its state: rows 1.. of x
+        x = np.vstack([start, loads])
+        mult = fracstar.graph_solver._march(sys_, x[0], x[1:], traces, "forward")
 
         K, W = (ops.sum(axis=0) for ops in dense_edge_operators(sys_))
         fr = sys_.free
@@ -979,6 +983,33 @@ class TestDiagnosticsByProducts:
         d, _, peak = traced_peak(diagnose_forward, sys_, traj)
         assert d.estimate_ratio > 0.0
         assert peak < 0.5 * traj.dofs.nbytes
+
+    def test_each_sweep_holds_one_trajectory(self, rng, traced_peak):
+        # the loads are formed and scaled in the rows the march fills, and the
+        # adjoint marches through its own rows: above its inputs a sweep holds
+        # its trajectory and transients of about one edge's share of it
+        n, M, Nt = 3, 24, 2000
+        pr = random_graph(rng, n=n, m=2, Nt=Nt, Ms=(M,) * n, bs=(1.0, 0.8, 1.2))
+        sys_ = assemble_graph_system(pr)
+        u = rng.standard_normal((1, Nt + 1))
+        v = rng.standard_normal((1, Nt + 1))
+        for controls in ((None, None), (u, v)):
+            y, _, peak = traced_peak(solve_forward_graph, pr, *controls, sys_)
+            assert peak < 2 * y.dofs.nbytes
+        p, _, peak = traced_peak(solve_adjoint_graph, pr, y, sys_)
+        assert p.dofs.flags.c_contiguous
+        assert peak < 2 * p.dofs.nbytes
+
+    def test_a_priori_ratios_hold_a_block_of_d(self, rng, traced_peak):
+        # with M >> Nt an edge's M x (M + 1) derivative outweighs the
+        # trajectory: D y is formed from a block of D's rows at a time
+        n, M, Nt = 2, 1024, 4
+        pr = random_graph(rng, n=n, m=2, Nt=Nt, Ms=(M,) * n, bs=(1.0, 1.0))
+        sys_ = assemble_graph_system(pr)
+        y = solve_forward_graph(pr, system=sys_)
+        d, _, peak = traced_peak(diagnose_forward, sys_, y)
+        assert d.estimate_ratio > 0.0
+        assert peak < 0.25 * 8 * M * (M + 1)
 
     @pytest.mark.parametrize("n, m", [(1, 0), (3, 2)])
     def test_samples_are_formed_when_read(self, rng, n, m):
