@@ -14,7 +14,7 @@ _SOURCES = {
     "CoefficientError": "errors",
     "CostConfig": "control",
     "EdgeCoefficients": "sturm",
-    "EdgeControlProblem": "control",
+    "EdgeControlProblem": "edge_solver",
     "EdgeOperator": "sturm",
     "GlobalDofMap": "graph_solver",
     "GraphDiagnostics": "graph_solver",

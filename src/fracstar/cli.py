@@ -33,13 +33,12 @@ Problem files are INI-style key-value text::
 Values are read literally (``%`` is not special), and a ``;`` after
 whitespace starts a comment.  Single-edge problems use ``n = 1`` (or omit
 ``n``) with one Neumann control section ``[control.1]``; they are solved as
-the one-edge graph, so ``m_split`` is 0 or omitted there, and their control
-penalty is ``tikhonov_n`` (a ``[control.1] weight``, if given, must equal
-it).  A graph's channels are penalized by their ``weight`` (a
-``tikhonov_n``, if given, must equal each of them).  Data tokens are
-``zero``, ``const:<v>`` or ``file:<path.csv>``; CSV sources/targets hold
-``nt+1`` rows of ``m_cells+1`` comma-separated values, initial data a
-single row.
+the one-edge graph, so ``m_split`` is 0 or omitted there.  Every channel is
+penalized by its ``weight``, which defaults to ``tikhonov_n`` (itself 1 by
+default); a ``weight`` and a ``tikhonov_n`` both written must be equal.
+Data tokens are ``zero``, ``const:<v>`` or ``file:<path.csv>``; CSV
+sources/targets hold ``nt+1`` rows of ``m_cells+1`` comma-separated values,
+initial data a single row.
 
 :func:`parse_config` reads a file in one pass, straight into the solver's
 problem, its assembled system, cost and admissible sets, and reports every
@@ -156,11 +155,11 @@ def _data(token: str, key: str, base: Path, files: dict, shape: tuple, errors: l
 def _parse_uad(token: str, key: str, errors: list[str]) -> AdmissibleSet | None:
     token = token.strip()
     if token == "unconstrained":
-        return AdmissibleSet.unconstrained()
+        return AdmissibleSet()
     parts = token.split(":")
     if parts[0] == "box" and len(parts) == 3:
         try:
-            return AdmissibleSet.box(float(parts[1]), float(parts[2]))
+            return AdmissibleSet(float(parts[1]), float(parts[2]))
         except ValueError as exc:
             errors.append(f"{key}: bad admissible-set token {token!r} ({exc})")
             return None
@@ -288,6 +287,15 @@ def parse_config(path: str | Path) -> RunConfig:
     if len({g.a for g in grids}) > 1:
         errors.append("all edges of a star graph must share the left endpoint a")
 
+    opt = section("optimizer")
+    algo = (opt.get("algo", ALGORITHMS[0]) or ALGORITHMS[0]).strip()
+    if algo not in ALGORITHMS:
+        errors.append(f"optimizer.algo must be {' or '.join(ALGORITHMS)}, got {algo!r}")
+    label, rule = "optimizer.", "be positive and finite"
+    tol = number(opt, label, "tol", _positive, rule, 1e-6)
+    max_iter = number(opt, label, "max_iter", lambda v: v >= 1, "be at least 1", 200, int)
+    tikhonov_n = number(opt, label, "tikhonov_n", _positive, rule, 1.0)
+
     channels = list(range(2, n + 1)) if n >= 2 else [1]
     sets, weights = [], []
     for i in channels:
@@ -299,7 +307,14 @@ def parse_config(path: str | Path) -> RunConfig:
         elif kind != expected and m_split is not None:
             errors.append(f"{label}edge {i} must be {expected}-controlled for m_split={m_split}")
         sets.append(_parse_uad(sec.get("uad", "unconstrained"), f"control.{i}.uad", errors))
-        weights.append(number(sec, label, "weight", _positive, "be positive and finite", 1.0))
+        # a weight defaults to tikhonov_n (1.0 where that is invalid, and
+        # reported), so it differs only where the two are written
+        weight = number(sec, label, "weight", _positive, rule, tikhonov_n or 1.0)
+        if "tikhonov_n" in opt and None not in (weight, tikhonov_n) and weight != tikhonov_n:
+            errors.append(
+                f"{label}weight = {weight} differs from optimizer.tikhonov_n = {tikhonov_n}"
+            )
+        weights.append(weight)
 
     named = {"problem": _PROBLEM_KEYS, "optimizer": _OPTIMIZER_KEYS}
     named |= {f"edge.{i}": _EDGE_KEYS for i in range(1, n + 1)}
@@ -314,27 +329,6 @@ def parse_config(path: str | Path) -> RunConfig:
             if key not in [k.lower() for k in named[name]]:
                 known = ", ".join(named[name])
                 errors.append(f"[{name}] {key}: unknown key (known: {known})")
-
-    opt = section("optimizer")
-    algo = (opt.get("algo", ALGORITHMS[0]) or ALGORITHMS[0]).strip()
-    if algo not in ALGORITHMS:
-        errors.append(f"optimizer.algo must be {' or '.join(ALGORITHMS)}, got {algo!r}")
-    label, rule = "optimizer.", "be positive and finite"
-    tol = number(opt, label, "tol", _positive, rule, 1e-6)
-    max_iter = number(opt, label, "max_iter", lambda v: v >= 1, "be at least 1", 200, int)
-    tikhonov_n = number(opt, label, "tikhonov_n", _positive, rule, 1.0)
-    # a single edge is penalized by tikhonov_n, a graph's channels by their
-    # weights; the other key, if given, must agree
-    used = "the penalty of a single edge" if n == 1 else "which must equal every weight on a graph"
-    for i, weight in zip(channels, weights):
-        given = "weight" in section(f"control.{i}") if n == 1 else "tikhonov_n" in opt
-        if given and None not in (weight, tikhonov_n) and weight != tikhonov_n:
-            errors.append(
-                f"control.{i}: weight = {weight} differs from "
-                f"optimizer.tikhonov_n = {tikhonov_n}, {used}"
-            )
-    if n == 1:
-        weights = [tikhonov_n]
 
     # The files are read, each once, while the system, which does not depend
     # on them, is assembled for a valid INI part; a violation wins over an

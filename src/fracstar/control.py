@@ -2,11 +2,7 @@
 optimization loop for the boundary control problems.
 
 There is one cost, one gradient and one optimizer driver, all on the star
-graph.  A single-edge problem (:class:`EdgeControlProblem` with
-``CostConfig(n_tikhonov, y_d)``) is solved as the one-edge graph with channel
-weight ``[n_tikhonov]``; see :func:`as_graph_problem`.  :func:`optimize`
-returns its state and adjoint as that graph's
-:class:`~fracstar.graph_solver.GraphTrajectory`, as for any graph.  Costs use
+graph: a single edge is the one-edge graph (``m = 0``).  Costs use
 the trapezoid rule in time and the lumped trapezoid pairing in space.  Gradients
 come from :func:`fracstar.graph_solver.solve_adjoint_graph`, whose boundary
 series are scaled to make them exact for the discrete cost; a central finite
@@ -36,15 +32,11 @@ from .graph_solver import (
     solve_adjoint_graph,
     solve_forward_graph,
 )
-from .grids import TimeGrid
-from .sturm import EdgeOperator
 
 __all__ = [
     "AdmissibleSet",
     "CostConfig",
-    "EdgeControlProblem",
     "OptimResult",
-    "as_graph_problem",
     "cost_graph",
     "gradient_graph",
     "optimize",
@@ -67,25 +59,16 @@ class AdmissibleSet(NamedTuple):
         if not np.all((lo <= hi) & (lo < np.inf) & (hi > -np.inf)):
             raise ValueError("box bounds must satisfy lo <= hi, lo < inf and hi > -inf pointwise")
 
-    @classmethod
-    def unconstrained(cls) -> "AdmissibleSet":
-        return cls()
-
-    @classmethod
-    def box(cls, lo, hi) -> "AdmissibleSet":
-        return cls(lo=lo, hi=hi)
-
 
 @checked
 class CostConfig(NamedTuple):
-    """Tracking target and control penalties.
-
-    ``n_tikhonov`` weights the single-edge control; ``channel_weights`` the
-    graph channels, all one by default.  For the edge problem the target
-    lives here; graph targets live on the problem.  A field the problem kind
-    does not read is an error, not ignored: ``channel_weights`` on an edge
-    problem (:func:`as_graph_problem`), ``n_tikhonov`` or ``y_d`` on a graph
-    problem (:meth:`weights_for`).
+    """Control penalties, by one rule on every problem: channel ``j`` is
+    weighted by ``channel_weights[j]`` where those are given, else by
+    ``n_tikhonov``.  Targets live on the problem; ``y_d`` is the target of an
+    :class:`~fracstar.edge_solver.EdgeControlProblem`, read only by
+    :func:`~fracstar.validation.finite_difference_gradient`.  A field the
+    rule would ignore raises in :meth:`weights_for`: ``n_tikhonov != 1``
+    beside ``channel_weights``, and ``y_d``.
     """
 
     n_tikhonov: float = 1.0
@@ -103,12 +86,7 @@ class CostConfig(NamedTuple):
                 raise ValueError("channel weights must be positive and finite")
 
     def weights_for(self, problem: StarGraphProblem) -> np.ndarray:
-        """The graph channels' control weights."""
-        if self.n_tikhonov != 1.0:
-            raise ValueError(
-                "CostConfig.n_tikhonov is ignored on a graph problem: "
-                "weight its channels with channel_weights"
-            )
+        """The channels' control weights."""
         if self.y_d is not None:
             raise ValueError(
                 "CostConfig.y_d is ignored on a graph problem: "
@@ -116,20 +94,16 @@ class CostConfig(NamedTuple):
             )
         nch = problem.n_channels
         if self.channel_weights is None:
-            return np.ones(nch)
+            return np.full(nch, self.n_tikhonov)
+        if self.n_tikhonov != 1.0:
+            raise ValueError(
+                "CostConfig.n_tikhonov is ignored beside channel_weights: "
+                "give one of them"
+            )
         w = np.asarray(self.channel_weights, dtype=float)
         if w.shape != (nch,):
             raise ValueError(f"expected {nch} channel weights, got shape {w.shape}")
         return w
-
-
-class EdgeControlProblem(NamedTuple):
-    """Single-edge tracking problem: Neumann control at ``b``, data fixed."""
-
-    edge_op: EdgeOperator
-    time_grid: TimeGrid
-    f: np.ndarray | None
-    y0: np.ndarray
 
 
 class OptimResult(NamedTuple):
@@ -141,29 +115,6 @@ class OptimResult(NamedTuple):
     converged: bool = False
     reason: str = ""
     iterations: int = 0
-
-
-def as_graph_problem(problem, cfg: CostConfig) -> tuple[StarGraphProblem, CostConfig]:
-    """The star-graph problem and cost that :func:`optimize` solves.
-
-    A graph problem passes through.  An :class:`EdgeControlProblem` becomes
-    the one-edge graph (``m = 0``) with target ``cfg.y_d`` and channel weight
-    ``[cfg.n_tikhonov]``.
-    """
-    if isinstance(problem, StarGraphProblem):
-        return problem, cfg
-    if not isinstance(problem, EdgeControlProblem):
-        raise TypeError(f"cannot optimize a {type(problem).__name__}")
-    if cfg.y_d is None:
-        raise ValueError("edge cost needs cfg.y_d")
-    if cfg.channel_weights is not None:
-        raise ValueError(
-            "CostConfig.channel_weights is ignored on an edge problem: "
-            "weight its control with n_tikhonov"
-        )
-    from .edge_solver import edge_problem  # loaded for edge problems only
-    graph = edge_problem(problem.edge_op, problem.time_grid, problem.f, problem.y0, cfg.y_d)
-    return graph, CostConfig(channel_weights=np.array([cfg.n_tikhonov]))
 
 
 def cost_graph(
@@ -297,7 +248,7 @@ _DENSE_LIMIT = 4096
 
 
 def optimize(
-    problem,
+    problem: StarGraphProblem,
     cfg: CostConfig,
     admissible,
     algo: str = ALGORITHMS[0],
@@ -332,29 +283,29 @@ def optimize(
     measured gradient, with a march per gradient.  No sweep inside the loop
     computes diagnostics.  A non-finite cost of the start, or a non-finite
     gradient, cost or stationarity at the returned controls, raises
-    :class:`SolverFailure`: each is checked once, not per iteration.  Edge
-    problems are solved as the one-edge graph (:func:`as_graph_problem`); for
-    every problem, ``state`` and ``adjoint`` are that graph's
-    :class:`~fracstar.graph_solver.GraphTrajectory` (the graph adjoint, source
+    :class:`SolverFailure`: each is checked once, not per iteration.
+    ``state`` and ``adjoint`` are the problem's
+    :class:`~fracstar.graph_solver.GraphTrajectory` (the adjoint's source is
     ``y - y_d``), and their diagnostics are left to
     :func:`~fracstar.graph_solver.diagnose_forward` and
     :func:`~fracstar.graph_solver.diagnose_adjoint`.  A ``system`` given must
-    be the one assembled for the graph problem solved (``system.problem``).
+    be the one assembled for ``problem`` (``system.problem``).
     """
     if algo not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algo!r}")
-    graph, graph_cfg = as_graph_problem(problem, cfg)
-    nchannels, nd = graph.n_channels, graph.n_dirichlet_channels
+    if not isinstance(problem, StarGraphProblem):
+        raise TypeError(f"cannot optimize a {type(problem).__name__}")
+    nchannels, nd = problem.n_channels, problem.n_dirichlet_channels
     if nchannels == 0:
         raise ValueError("the problem has no control channel")
-    tikhonov = graph_cfg.weights_for(graph)
-    nt = graph.time_grid.Nt
+    tikhonov = cfg.weights_for(problem)
+    nt = problem.time_grid.Nt
     proj = _projection(_normalize_sets(admissible, nchannels), nt)
-    omega = graph.time_grid.trapezoid_weights()
+    omega = problem.time_grid.trapezoid_weights()
     # One assembly, and so one set of step-matrix factors, serves every sweep.
     if system is None:
-        system = assemble_graph_system(graph)
-    elif system.problem is not graph:
+        system = assemble_graph_system(problem)
+    elif system.problem is not problem:
         raise ValueError("system was assembled for another problem")
     # the controls last measured by the marches, their state, adjoint and gradient
     measured = None
@@ -364,9 +315,9 @@ def optimize(
         nonlocal measured
         if measured is None or measured[0] is not ctrl:
             measured = None  # the last measurement's trajectories go first
-            state = solve_forward_graph(graph, ctrl[:nd], ctrl[nd:], system=system)
-            adj = solve_adjoint_graph(graph, state, system=system)
-            measured = (ctrl, state, adj, gradient_graph(ctrl, adj, graph, graph_cfg))
+            state = solve_forward_graph(problem, ctrl[:nd], ctrl[nd:], system=system)
+            adj = solve_adjoint_graph(problem, state, system=system)
+            measured = (ctrl, state, adj, gradient_graph(ctrl, adj, problem, cfg))
         return measured[3]
 
     def inner(a: np.ndarray, b: np.ndarray) -> float:
@@ -387,9 +338,9 @@ def optimize(
     ctrl = proj(ctrl)
 
     # built before any trajectory is held, for a lower peak of memory
-    hessian = reduced_hessian(system, graph_cfg) if nchannels * nt <= _DENSE_LIMIT else None
+    hessian = reduced_hessian(system, cfg) if nchannels * nt <= _DENSE_LIMIT else None
     grad = measure(ctrl)
-    cost_hist = [cost_graph(measured[1], ctrl, graph, graph_cfg)]
+    cost_hist = [cost_graph(measured[1], ctrl, problem, cfg)]
     if not np.isfinite(cost_hist[0]):
         raise SolverFailure(f"non-finite cost {cost_hist[0]} of the initial controls")
     res_hist: list[float] = []

@@ -4,9 +4,12 @@ A single edge with a free Neumann tip at ``b`` is the star graph with
 ``n = 1`` and ``m = 0`` (a single edge has no junction mode).  The functions
 here build that problem from an :class:`EdgeOperator`'s order, grid and
 coefficients, solve it with :mod:`fracstar.graph_solver` and report the edge's
-state and tip series as a :class:`Trajectory`.  Every other property of the
-edge (its tip flux, energy and a-priori ratios) is measured on the one-edge
-graph by :func:`~fracstar.graph_solver.diagnose_forward` and
+state and tip series as a :class:`Trajectory`.  An
+:class:`EdgeControlProblem` is the edge's data for
+:func:`~fracstar.validation.finite_difference_gradient`, which costs it as
+the one-edge graph.  Every other property of the edge (its tip flux, energy
+and a-priori ratios) is measured on the one-edge graph by
+:func:`~fracstar.graph_solver.diagnose_forward` and
 :func:`~fracstar.graph_solver.diagnose_adjoint`.
 
 The edge adjoint solves ``-p_t + A p = y_d - y`` with ``p(T) = 0``: it is the
@@ -28,7 +31,16 @@ from .graph_solver import (
 from .grids import TimeGrid
 from .sturm import EdgeOperator
 
-__all__ = ["Trajectory", "solve_forward_edge", "solve_adjoint_edge"]
+__all__ = ["EdgeControlProblem", "Trajectory", "solve_forward_edge", "solve_adjoint_edge"]
+
+
+class EdgeControlProblem(NamedTuple):
+    """Single-edge tracking problem: Neumann control at ``b``, data fixed."""
+
+    edge_op: EdgeOperator
+    time_grid: TimeGrid
+    f: np.ndarray | None
+    y0: np.ndarray
 
 
 class Trajectory(NamedTuple):

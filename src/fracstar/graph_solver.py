@@ -258,14 +258,6 @@ class GraphSystem(NamedTuple):
     def ndof(self) -> int:
         return self.dofmap.ndof
 
-    def load_from_samples(self, g) -> np.ndarray:
-        """Global load of per-edge sample-space data: ``sum_i E_i^T (W_i g_i)``.
-
-        Each ``g_i`` may carry leading axes (time steps); the load has them
-        too.  ``g`` may be any iterable: the edges' data are read one at a time.
-        """
-        return _add_loads(self, g)
-
     def samples(self, Y: np.ndarray) -> EdgeSamples:
         """The per-edge nodal samples of the DOF rows ``Y``, each formed when
         read."""
@@ -273,9 +265,10 @@ class GraphSystem(NamedTuple):
 
 
 def _add_loads(system: GraphSystem, g, out: np.ndarray | None = None) -> np.ndarray:
-    """Add the load of per-edge sample-space data ``g`` to ``out`` in place,
-    or to zeros (:meth:`GraphSystem.load_from_samples`), and return it.  The
-    edges' data are read one at a time: an edge's data and its weighted copy
+    """Add the global load of per-edge sample-space data ``g``,
+    ``sum_i E_i^T (W_i g_i)``, to ``out`` in place, or to zeros, and return
+    it.  Each ``g_i`` may carry leading axes (time steps); the load has them
+    too.  ``g`` may be any iterable: an edge's data and its weighted copy
     are released before the next edge's are read."""
     dm, g = system.dofmap, iter(g)
     for i, (grid, edge) in enumerate(zip(system.problem.grids, system.readouts)):

@@ -10,11 +10,13 @@ the one-edge graph).
 
 import numpy as np
 
-from .control import CostConfig, as_graph_problem, cost_graph
+from .control import CostConfig, cost_graph
+from .edge_solver import EdgeControlProblem, edge_problem
 from .errors import SizeGuardError
 from .graph_solver import (
     GraphSystem,
     StarGraphProblem,
+    _add_loads,
     assemble_graph_system,
     solve_forward_graph,
 )
@@ -104,7 +106,7 @@ def dense_oracle_solve_graph(
         big[r0 : r0 + nf, r0 : r0 + nf] = A
         big[r0 : r0 + nf, r0 + nf : r0 + blk] = Bf.T
         big[r0 + nf : r0 + blk, r0 : r0 + nf] = Bf
-        load = system.load_from_samples([fsrc[i][k] for i in range(n)])
+        load = _add_loads(system, [fsrc[i][k] for i in range(n)])
         if nv > 0:
             load += system.trace_b_rows[m:].T @ v[:, k]
         rhs[r0 : r0 + nf] = load[fr]
@@ -133,21 +135,25 @@ def finite_difference_gradient(
     delta: np.ndarray,
     h: float,
 ) -> float:
-    """Central difference of the tracking cost along ``delta``; edge problems
-    are costed as the one-edge graph, as :func:`~fracstar.control.optimize`
-    does.  The cost is quadratic in the controls, so the difference is the
+    """Central difference of the tracking cost along ``delta``.  An
+    :class:`~fracstar.edge_solver.EdgeControlProblem` is costed as its
+    one-edge graph with target ``cfg.y_d``.  The cost is quadratic in the controls, so the difference is the
     exact directional derivative for every finite step ``h >= 1e-7``, and
     ``h = 1`` leaves only the roundoff of the two costs."""
     if not 1e-7 <= h < np.inf:
         raise ValueError(f"finite-difference step must be finite and at least 1e-7, got {h}")
     u = np.asarray(u, dtype=float)
     delta = np.asarray(delta, dtype=float)
-    graph, graph_cfg = as_graph_problem(problem, cfg)
-    nd = graph.n_dirichlet_channels
-    system = assemble_graph_system(graph)
+    if isinstance(problem, EdgeControlProblem):
+        problem = edge_problem(
+            problem.edge_op, problem.time_grid, problem.f, problem.y0, cfg.y_d
+        )
+        cfg = cfg._replace(y_d=None)
+    nd = problem.n_dirichlet_channels
+    system = assemble_graph_system(problem)
 
     def objective(ctrl: np.ndarray) -> float:
-        state = solve_forward_graph(graph, ctrl[:nd], ctrl[nd:], system=system)
-        return cost_graph(state, ctrl, graph, graph_cfg)
+        state = solve_forward_graph(problem, ctrl[:nd], ctrl[nd:], system=system)
+        return cost_graph(state, ctrl, problem, cfg)
 
     return (objective(u + h * delta) - objective(u - h * delta)) / (2.0 * h)

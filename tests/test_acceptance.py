@@ -11,7 +11,6 @@ from fracstar import (
     AdmissibleSet,
     CostConfig,
     EdgeCoefficients,
-    EdgeControlProblem,
     Grid1D,
     StarGraphProblem,
     TimeGrid,
@@ -30,7 +29,6 @@ from fracstar import (
     solve_forward_graph,
     trace_functional,
 )
-from fracstar.control import as_graph_problem
 from fracstar.edge_solver import edge_problem
 from fracstar.validation import (
     dense_edge_operators,
@@ -238,11 +236,11 @@ def test_criterion_06_adjoint_gradient_fd():
     op = assemble_stiffness(0.6, grid, random_coeffs(rng, grid))
     f = rng.standard_normal((25, 17))
     y0 = rng.standard_normal(17)
-    problem = EdgeControlProblem(edge_op=op, time_grid=tg, f=f, y0=y0)
-    cfg = CostConfig(n_tikhonov=0.8, y_d=rng.standard_normal((25, 17)))
+    problem = edge_problem(op, tg, f, y0, rng.standard_normal((25, 17)))
+    cfg = CostConfig(n_tikhonov=0.8)
     u = rng.standard_normal((1, 25))
     state = solve_forward_edge(op, tg, f, y0, u[0])
-    adj = solve_adjoint_edge(op, tg, state, cfg.y_d)
+    adj = solve_adjoint_edge(op, tg, state, problem.y_d[0])
     # optimality integrand of the edge problem: N u - (I^(1-alpha) p)(b)
     g = cfg.n_tikhonov * u[0] - adj.trace_b
     om = tg.trapezoid_weights()
@@ -286,9 +284,9 @@ def test_criterion_07_optimality_systems():
     op = assemble_stiffness(0.6, grid, EdgeCoefficients.constant(grid, 1.0, 1.0))
     x = grid.nodes
     y_d = np.outer(np.sin(np.pi * tg.times), x * (1.5 - x))
-    problem = EdgeControlProblem(edge_op=op, time_grid=tg, f=None, y0=np.zeros(33))
-    cfg = CostConfig(n_tikhonov=1.0, y_d=y_d)
-    res = optimize(problem, cfg, AdmissibleSet.unconstrained(), tol=1e-8, max_iter=500)
+    problem = edge_problem(op, tg, None, np.zeros(33), y_d)
+    cfg = CostConfig(n_tikhonov=1.0)
+    res = optimize(problem, cfg, AdmissibleSet(), tol=1e-8, max_iter=500)
     om = tg.trapezoid_weights()
     # the graph adjoint is the edge adjoint negated
     resid = cfg.n_tikhonov * res.controls[0] + res.adjoint.neumann_trace_series[:, 0]
@@ -316,7 +314,7 @@ def test_criterion_07_optimality_systems():
         m=2,
     )
     gcfg = CostConfig()
-    box = AdmissibleSet.box(-0.15, 0.15)
+    box = AdmissibleSet(-0.15, 0.15)
     gres = optimize(pr, gcfg, box, tol=1e-9, max_iter=400)
     gg = gradient_graph(gres.controls, gres.adjoint, pr, gcfg)
     omg = ntg.trapezoid_weights()
@@ -396,12 +394,12 @@ def test_criterion_10_uniqueness_probe():
     tg = TimeGrid(1.0, 32)
     op = assemble_stiffness(0.55, grid, EdgeCoefficients.constant(grid, 1.0, 1.0))
     y_d = np.outer(np.sin(np.pi * tg.times), grid.nodes * (1.2 - grid.nodes))
-    problem = EdgeControlProblem(edge_op=op, time_grid=tg, f=None, y0=np.zeros(21))
-    cfg = CostConfig(n_tikhonov=1.0, y_d=y_d)
+    problem = edge_problem(op, tg, None, np.zeros(21), y_d)
+    cfg = CostConfig(n_tikhonov=1.0)
     tol = 1e-8
-    r1 = optimize(problem, cfg, AdmissibleSet.unconstrained(), tol=tol, max_iter=500)
+    r1 = optimize(problem, cfg, AdmissibleSet(), tol=tol, max_iter=500)
     r2 = optimize(
-        problem, cfg, AdmissibleSet.unconstrained(), tol=tol, max_iter=500,
+        problem, cfg, AdmissibleSet(), tol=tol, max_iter=500,
         u0=rng.standard_normal((1, 33)),
     )
     om = tg.trapezoid_weights()
@@ -409,11 +407,10 @@ def test_criterion_10_uniqueness_probe():
     # the certificate: the reduced Hessian of the one-edge graph is positive
     # definite (its Cholesky factor exists), and no eigenvalue falls below the
     # Tikhonov part min(w omega) of its diagonal, so the cost is strictly convex
-    graph, gcfg = as_graph_problem(problem, cfg)
-    Q = reduced_hessian(assemble_graph_system(graph), gcfg)
+    Q = reduced_hessian(assemble_graph_system(problem), cfg)
     np.linalg.cholesky(Q)
     eig = np.linalg.eigvalsh(Q)
-    floor = float(np.min(np.outer(gcfg.weights_for(graph), om[1:])))
+    floor = float(np.min(np.outer(cfg.weights_for(problem), om[1:])))
     elapsed = time.time() - t0
     report(
         10,

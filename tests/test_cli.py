@@ -562,7 +562,7 @@ class TestCommands:
         ],
     )
     def test_nan_scalar_is_config_error(self, tmp_path, capsys, old, new):
-        # without a weight, which would differ from a NaN tikhonov_n
+        # the one violation is the NaN key's
         text = EDGE_INI.replace("weight = 0.5\n", "").replace(old, new)
         ini = write(tmp_path, "edge.ini", text)
         assert main(["--output-dir", str(tmp_path), "optimize", str(ini)]) == 2
@@ -606,31 +606,41 @@ class TestCommands:
         assert "shape (3,), expected (5,)" in lines[2]
 
     def test_single_edge_weight_must_match_tikhonov(self, tmp_path, capsys):
+        # a weight and a tikhonov_n both written must agree
         bad = EDGE_INI.replace("weight = 0.5", "weight = 1.0")
         with pytest.raises(ConfigError) as exc:
             parse_config(write(tmp_path, "bad.ini", bad))
-        assert any("tikhonov_n" in v for v in exc.value.violations)
+        assert exc.value.violations == [
+            "control.1: weight = 1.0 differs from optimizer.tikhonov_n = 0.5"
+        ]
         assert main(["--output-dir", str(tmp_path), "optimize", str(tmp_path / "bad.ini")]) == 2
         assert "config error: control.1: weight" in capsys.readouterr().err
-        # an absent weight takes tikhonov_n, the penalty that is used
+        # an absent weight takes tikhonov_n, and a weight without tikhonov_n
+        # is the penalty
         cfg = parse_config(write(tmp_path, "ok.ini", EDGE_INI.replace("weight = 0.5\n", "")))
         assert cfg.cost.channel_weights.tolist() == [0.5]  # tikhonov_n = 0.5
+        alone = EDGE_INI.replace("tikhonov_n = 0.5\n", "")
+        ini = write(tmp_path, "alone.ini", alone)
+        assert parse_config(ini).cost.channel_weights.tolist() == [0.5]  # weight = 0.5
+        assert main(["--output-dir", str(tmp_path), "optimize", str(ini)]) == 0
 
     def test_graph_tikhonov_must_match_every_weight(self, tmp_path, capsys):
-        # a graph penalizes its channels by their weights, which default to 1
-        bad = GRAPH_INI.replace("max_iter = 100", "max_iter = 100\ntikhonov_n = 5.0")
-        with pytest.raises(ConfigError) as exc:
-            parse_config(write(tmp_path, "bad.ini", bad))
-        assert [v.split(":")[0] for v in exc.value.violations] == ["control.2", "control.3"]
-        assert all("optimizer.tikhonov_n = 5.0" in v for v in exc.value.violations)
-        assert main(["--output-dir", str(tmp_path), "optimize", str(tmp_path / "bad.ini")]) == 2
-        assert "config error: control.2: weight = 1.0" in capsys.readouterr().err
+        # every channel's weight defaults to tikhonov_n; a weight written
+        # beside it must equal it
+        given = GRAPH_INI.replace("max_iter = 100", "max_iter = 100\ntikhonov_n = 5.0")
+        cfg = parse_config(write(tmp_path, "given.ini", given))
+        assert cfg.cost.channel_weights.tolist() == [5.0, 5.0]
+        assert main(["--output-dir", str(tmp_path), "optimize", str(tmp_path / "given.ini")]) == 0
         # one weight that differs is named alone; weights that agree pass
-        one = bad.replace("uad = unconstrained", "uad = unconstrained\nweight = 5.0")
+        one = given.replace("uad = unconstrained", "uad = unconstrained\nweight = 0.5")
         with pytest.raises(ConfigError) as exc:
             parse_config(write(tmp_path, "one.ini", one))
-        assert [v.split(":")[0] for v in exc.value.violations] == ["control.2"]
-        ok = one.replace("uad = box:-0.5:0.5", "uad = box:-0.5:0.5\nweight = 5.0")
+        assert exc.value.violations == [
+            "control.3: weight = 0.5 differs from optimizer.tikhonov_n = 5.0"
+        ]
+        assert main(["--output-dir", str(tmp_path), "optimize", str(tmp_path / "one.ini")]) == 2
+        assert "config error: control.3: weight = 0.5" in capsys.readouterr().err
+        ok = one.replace("weight = 0.5", "weight = 5.0")
         cfg = parse_config(write(tmp_path, "ok.ini", ok))
         assert cfg.cost.channel_weights.tolist() == [5.0, 5.0]
 

@@ -12,7 +12,6 @@ from fracstar import (
     AdmissibleSet,
     CostConfig,
     EdgeCoefficients,
-    EdgeControlProblem,
     GraphTrajectory,
     Grid1D,
     TimeGrid,
@@ -29,7 +28,7 @@ from fracstar import (
     solve_forward_edge,
     solve_forward_graph,
 )
-from fracstar.control import as_graph_problem
+from fracstar.edge_solver import edge_problem
 from fracstar.validation import dense_oracle_solve_graph, finite_difference_gradient
 from conftest import random_edge, random_graph
 
@@ -41,10 +40,7 @@ def tracking_problem(alpha=0.6, M=20, Nt=24, N=1.0):
     op = assemble_stiffness(alpha, grid, coeffs)
     x = grid.nodes
     y_d = np.outer(np.sin(np.pi * tg.times), x * (1.5 - x))
-    problem = EdgeControlProblem(
-        edge_op=op, time_grid=tg, f=None, y0=np.zeros(grid.nnodes)
-    )
-    return problem, CostConfig(n_tikhonov=N, y_d=y_d)
+    return edge_problem(op, tg, None, np.zeros(grid.nnodes), y_d), CostConfig(n_tikhonov=N)
 
 
 @pytest.fixture
@@ -62,9 +58,9 @@ def marches(monkeypatch):
     return calls
 
 
-def one_edge_graph(op, tg, f, y0, cfg):
-    """The one-edge graph and cost that the edge problem is solved as."""
-    return as_graph_problem(EdgeControlProblem(edge_op=op, time_grid=tg, f=f, y0=y0), cfg)
+def one_edge_graph(op, tg, f, y0, y_d, N):
+    """The edge's one-edge graph with target ``y_d``, its control weighted by ``N``."""
+    return edge_problem(op, tg, f, y0, y_d), CostConfig(n_tikhonov=N)
 
 
 def project(admissible, series):
@@ -75,14 +71,14 @@ def project(admissible, series):
 class TestProjection:
     def test_unconstrained_is_identity(self, rng):
         x = rng.standard_normal(12)
-        assert project(AdmissibleSet.unconstrained(), x).tobytes() == x.tobytes()
+        assert project(AdmissibleSet(), x).tobytes() == x.tobytes()
 
     def test_box_clamps(self):
-        out = project(AdmissibleSet.box(0.0, 1.0), np.full(7, 2.0))
+        out = project(AdmissibleSet(0.0, 1.0), np.full(7, 2.0))
         np.testing.assert_array_equal(out, np.ones(7))
 
     def test_idempotent(self, rng):
-        box = AdmissibleSet.box(-0.3, 0.7)
+        box = AdmissibleSet(-0.3, 0.7)
         x = rng.standard_normal(25)
         once = project(box, x)
         np.testing.assert_array_equal(project(box, once), once)
@@ -93,25 +89,25 @@ class TestProjection:
     )
     @settings(max_examples=100, deadline=None)
     def test_nonexpansive(self, x, y):
-        box = AdmissibleSet.box(-1.0, 2.0)
+        box = AdmissibleSet(-1.0, 2.0)
         assert np.linalg.norm(project(box, x) - project(box, y)) <= (
             np.linalg.norm(x - y) + 1e-12
         )
 
     def test_bad_box_rejected(self):
         with pytest.raises(ValueError):
-            AdmissibleSet.box(1.0, 0.0)
+            AdmissibleSet(1.0, 0.0)
 
     def test_replace_is_checked(self):
-        assert AdmissibleSet.box(0.0, 1.0)._replace(lo=None).lo is None
+        assert AdmissibleSet(0.0, 1.0)._replace(lo=None).lo is None
         with pytest.raises(ValueError, match="lo <= hi"):
-            AdmissibleSet.box(0.0, 1.0)._replace(lo=2.0)
+            AdmissibleSet(0.0, 1.0)._replace(lo=2.0)
 
     def test_nan_bounds_rejected(self):
         with pytest.raises(ValueError):
-            AdmissibleSet.box(np.nan, 1.0)
+            AdmissibleSet(np.nan, 1.0)
         with pytest.raises(ValueError):
-            AdmissibleSet.box(0.0, np.nan)
+            AdmissibleSet(0.0, np.nan)
 
     @given(
         kinds=st.lists(
@@ -128,12 +124,12 @@ class TestProjection:
         sets = []
         for kind in kinds:
             if kind == "free":
-                sets.append(AdmissibleSet.unconstrained())
+                sets.append(AdmissibleSet())
                 continue
             shape = () if kind == "scalar" else (nt + 1,)
             lo = rng.uniform(-2.0, 0.0, shape)
             lo = float(lo) if kind == "scalar" else lo
-            sets.append(AdmissibleSet.box(lo, lo + rng.uniform(0.0, 2.0, shape)))
+            sets.append(AdmissibleSet(lo, lo + rng.uniform(0.0, 2.0, shape)))
         cand = 3.0 * rng.standard_normal((len(sets), nt + 1))
         cand[rng.random(cand.shape) < 0.2] = np.nan
         cand[rng.random(cand.shape) < 0.1] = rng.choice([np.inf, -np.inf, -0.0])
@@ -146,11 +142,11 @@ class TestProjection:
         # pointwise-in-time box with series bounds
         lo = -np.linspace(0.0, 1.0, 9)
         hi = np.linspace(0.0, 1.0, 9)
-        box = AdmissibleSet.box(lo, hi)
+        box = AdmissibleSet(lo, hi)
         out = project(box, np.full(9, 5.0))
         np.testing.assert_array_equal(out, hi)
         with pytest.raises(ValueError):
-            AdmissibleSet.box(hi, lo)
+            AdmissibleSet(hi, lo)
 
 
 class TestCost:
@@ -174,27 +170,33 @@ class TestCost:
             CostConfig()._replace(channel_weights=[0.0])
 
     def test_edge_problem_rejects_channel_weights(self):
-        # an edge control is weighted by n_tikhonov alone
-        problem, cfg = tracking_problem(M=8, Nt=8)
-        weighted = CostConfig(channel_weights=[50.0], y_d=cfg.y_d)
-        with pytest.raises(ValueError, match="channel_weights is ignored on an edge"):
-            as_graph_problem(problem, weighted)
-        with pytest.raises(ValueError, match="channel_weights is ignored on an edge"):
-            optimize(problem, weighted, AdmissibleSet.unconstrained())
+        # one rule on every problem: channel_weights weight the one-edge
+        # graph's channel as n_tikhonov does, and beside an n_tikhonov they
+        # would leave ignored they are refused
+        problem, _ = tracking_problem(M=8, Nt=8)
+        weighted = CostConfig(channel_weights=[50.0]).weights_for(problem)
+        assert weighted.tobytes() == CostConfig(n_tikhonov=50.0).weights_for(problem).tobytes()
+        both = CostConfig(n_tikhonov=2.0, channel_weights=[50.0])
+        with pytest.raises(ValueError, match="n_tikhonov is ignored beside channel_weights"):
+            both.weights_for(problem)
+        with pytest.raises(ValueError, match="n_tikhonov is ignored beside channel_weights"):
+            optimize(problem, both, AdmissibleSet())
 
     @pytest.mark.parametrize(
-        "field, value", [("n_tikhonov", 50.0), ("y_d", np.ones((7, 7)))],
+        "fields",
+        [{"n_tikhonov": 50.0, "channel_weights": [1.0, 1.0]}, {"y_d": np.ones((7, 7))}],
         ids=["n_tikhonov", "y_d"],
     )
-    def test_graph_problem_rejects_edge_fields(self, rng, field, value):
-        # a graph's channels are weighted by channel_weights, its targets
-        # live on the problem
-        cfg = CostConfig(**{field: value})
+    def test_graph_problem_rejects_edge_fields(self, rng, fields):
+        # a field the cost would ignore is refused: n_tikhonov beside
+        # channel_weights, and a target, which lives on the problem
+        cfg = CostConfig(**fields)
+        field = next(iter(fields))
         pr = random_graph(rng, Nt=6)
         traj = solve_forward_graph(pr)
         adj = solve_adjoint_graph(pr, traj)
         ctrl = np.zeros((pr.n_channels, 7))
-        match = f"{field} is ignored on a graph"
+        match = f"{field} is ignored"
         with pytest.raises(ValueError, match=match):
             cfg.weights_for(pr)
         with pytest.raises(ValueError, match=match):
@@ -202,18 +204,18 @@ class TestCost:
         with pytest.raises(ValueError, match=match):
             gradient_graph(ctrl, adj, pr, cfg)
         with pytest.raises(ValueError, match=match):
-            optimize(pr, cfg, AdmissibleSet.unconstrained())
+            optimize(pr, cfg, AdmissibleSet())
 
     def test_zero_cost_at_match(self, rng):
         op, tg, f, y0, v = random_edge(rng)
         traj = solve_forward_edge(op, tg, f, y0, v)
-        graph, gcfg = one_edge_graph(op, tg, f, y0, CostConfig(2.0, y_d=traj.y.copy()))
+        graph, gcfg = one_edge_graph(op, tg, f, y0, traj.y.copy(), 2.0)
         assert cost_graph(traj, np.zeros((1, tg.Nt + 1)), graph, gcfg) == 0.0
 
     def test_pure_control_penalty(self, rng):
         op, tg, f, y0, _ = random_edge(rng, Nt=10, T=1.0)
         traj = solve_forward_edge(op, tg, f, y0, None)
-        graph, gcfg = one_edge_graph(op, tg, f, y0, CostConfig(2.0, y_d=traj.y.copy()))
+        graph, gcfg = one_edge_graph(op, tg, f, y0, traj.y.copy(), 2.0)
         # (N/2) * T with N = 2, T = 1
         assert abs(cost_graph(traj, np.ones((1, 11)), graph, gcfg) - 1.0) <= 1e-14
 
@@ -221,7 +223,7 @@ class TestCost:
         op, tg, f, y0, v = random_edge(rng, M=7, Nt=6)
         traj = solve_forward_edge(op, tg, f, y0, v)
         y_d = rng.standard_normal(traj.y.shape)
-        graph, gcfg = one_edge_graph(op, tg, f, y0, CostConfig(0.3, y_d=y_d))
+        graph, gcfg = one_edge_graph(op, tg, f, y0, y_d, 0.3)
         got = cost_graph(traj, v[None], graph, gcfg)
         om = tg.trapezoid_weights()
         wx = op.grid.trapezoid_weights()
@@ -237,7 +239,7 @@ class TestGradients:
     def test_zero_adjoint_gives_tikhonov_term(self, rng):
         op, tg, f, y0, v = random_edge(rng)
         traj = solve_forward_edge(op, tg, f, y0, v)
-        graph, gcfg = one_edge_graph(op, tg, f, y0, CostConfig(1.7, y_d=traj.y))
+        graph, gcfg = one_edge_graph(op, tg, f, y0, traj.y, 1.7)
         adj = solve_adjoint_graph(graph, traj)
         g = gradient_graph(v[None], adj, graph, gcfg)
         np.testing.assert_allclose(g, 1.7 * v[None], atol=1e-15)
@@ -252,14 +254,16 @@ class TestGradients:
         g = gradient_graph(ctrl, adj, pr, cfg)
         np.testing.assert_allclose(g[0], 2.0 * ctrl[0], atol=1e-15)
         np.testing.assert_allclose(g[1], 3.0 * ctrl[1], atol=1e-15)
+        # without channel_weights, n_tikhonov weights every channel
+        g = gradient_graph(ctrl, adj, pr, CostConfig(n_tikhonov=2.5))
+        np.testing.assert_allclose(g, 2.5 * ctrl, atol=1e-15)
 
     @pytest.mark.parametrize("alpha", [0.4, 1.0])
     def test_edge_fd_check(self, alpha, rng):
         problem, cfg = tracking_problem(alpha=alpha, M=12, Nt=10, N=0.8)
         u = rng.standard_normal((1, 11))
-        graph, gcfg = as_graph_problem(problem, cfg)
-        adj = solve_adjoint_graph(graph, solve_forward_graph(graph, None, u))
-        g = gradient_graph(u, adj, graph, gcfg)
+        adj = solve_adjoint_graph(problem, solve_forward_graph(problem, None, u))
+        g = gradient_graph(u, adj, problem, cfg)
         om = problem.time_grid.trapezoid_weights()
         for _ in range(5):
             delta = rng.standard_normal((1, 11))
@@ -305,18 +309,15 @@ class TestGradients:
 
 class TestOptimize:
     def test_zero_target_keeps_zero_control(self, rng):
-        problem, cfg = tracking_problem()
-        base = solve_forward_edge(
-            problem.edge_op, problem.time_grid, problem.f, problem.y0, None
-        )
-        cfg = CostConfig(n_tikhonov=1.0, y_d=base.y)
-        res = optimize(problem, cfg, AdmissibleSet.unconstrained(), tol=1e-10)
+        problem, cfg = tracking_problem(N=1.0)
+        problem = problem._replace(y_d=[solve_forward_graph(problem).samples[0]])
+        res = optimize(problem, cfg, AdmissibleSet(), tol=1e-10)
         assert res.converged
         assert np.abs(res.controls).max() <= 1e-10
 
     def test_unconstrained_stationarity(self):
         problem, cfg = tracking_problem()
-        res = optimize(problem, cfg, AdmissibleSet.unconstrained(), tol=1e-8,
+        res = optimize(problem, cfg, AdmissibleSet(), tol=1e-8,
                        max_iter=500)
         assert res.converged and res.reason == "stationarity"
         om = problem.time_grid.trapezoid_weights()
@@ -327,7 +328,7 @@ class TestOptimize:
 
     def test_cost_history_nonincreasing(self):
         problem, cfg = tracking_problem(N=0.05)
-        res = optimize(problem, cfg, AdmissibleSet.box(-0.5, 0.5), tol=1e-9,
+        res = optimize(problem, cfg, AdmissibleSet(-0.5, 0.5), tol=1e-9,
                        max_iter=300)
         assert np.all(np.diff(res.cost_history) <= 0.0)
 
@@ -336,20 +337,19 @@ class TestOptimize:
         # at tol = 1e-9 the accepted decreases fall below the roundoff of the
         # cost; the line search measures them from the gradients instead
         problem, cfg = tracking_problem(N=N)
-        res = optimize(problem, cfg, AdmissibleSet.box(-0.3, 0.3), tol=1e-9,
+        res = optimize(problem, cfg, AdmissibleSet(-0.3, 0.3), tol=1e-9,
                        max_iter=300)
         assert res.converged and res.reason == "stationarity"
         assert np.all(np.diff(res.cost_history) <= 0.0)
-        graph, gcfg = as_graph_problem(problem, cfg)
-        state = solve_forward_graph(graph, None, res.controls)
-        cost = cost_graph(state, res.controls, graph, gcfg)
+        state = solve_forward_graph(problem, None, res.controls)
+        cost = cost_graph(state, res.controls, problem, cfg)
         assert res.cost_history[-1] == pytest.approx(cost, rel=1e-12)
 
     def test_fixed_point_matches_projected_gradient(self):
         problem, cfg = tracking_problem(N=1.0)
-        r1 = optimize(problem, cfg, AdmissibleSet.unconstrained(), tol=1e-9,
+        r1 = optimize(problem, cfg, AdmissibleSet(), tol=1e-9,
                       max_iter=400)
-        r2 = optimize(problem, cfg, AdmissibleSet.unconstrained(),
+        r2 = optimize(problem, cfg, AdmissibleSet(),
                       algo="fixed_point", tol=1e-9, max_iter=400)
         assert r2.converged
         om = problem.time_grid.trapezoid_weights()
@@ -358,13 +358,13 @@ class TestOptimize:
 
     def test_fixed_point_damped_for_small_weight(self):
         problem, cfg = tracking_problem(N=0.2)
-        res = optimize(problem, cfg, AdmissibleSet.unconstrained(),
+        res = optimize(problem, cfg, AdmissibleSet(),
                        algo="fixed_point", tol=1e-8, max_iter=800)
         assert res.converged
 
     def test_max_iter_flags_nonconverged(self):
         problem, cfg = tracking_problem(N=1e-4)
-        res = optimize(problem, cfg, AdmissibleSet.unconstrained(), tol=1e-14,
+        res = optimize(problem, cfg, AdmissibleSet(), tol=1e-14,
                        max_iter=3)
         assert not res.converged
         assert res.reason in ("max_iter", "rounding-limited")
@@ -377,11 +377,9 @@ class TestOptimize:
         op = assemble_stiffness(0.5, grid, EdgeCoefficients.constant(grid, 1.0, 1.0))
         u_star = 0.8 * np.sin(np.pi * tg.times) ** 2
         truth = solve_forward_edge(op, tg, None, np.zeros(grid.nnodes), u_star)
-        cfg = CostConfig(n_tikhonov=1e-4, y_d=truth.y)
-        problem = EdgeControlProblem(
-            edge_op=op, time_grid=tg, f=None, y0=np.zeros(grid.nnodes)
-        )
-        res = optimize(problem, cfg, AdmissibleSet.box(-1.0, 1.0), tol=1e-12,
+        cfg = CostConfig(n_tikhonov=1e-4)
+        problem = edge_problem(op, tg, None, np.zeros(grid.nnodes), truth.y)
+        res = optimize(problem, cfg, AdmissibleSet(-1.0, 1.0), tol=1e-12,
                        max_iter=800)
         om = tg.trapezoid_weights()
         rel = np.sqrt(om @ (res.controls[0] - u_star) ** 2) / np.sqrt(
@@ -392,9 +390,9 @@ class TestOptimize:
     def test_uniqueness_two_starts(self, rng):
         problem, cfg = tracking_problem()
         tol = 1e-8
-        r1 = optimize(problem, cfg, AdmissibleSet.unconstrained(), tol=tol,
+        r1 = optimize(problem, cfg, AdmissibleSet(), tol=tol,
                       max_iter=500)
-        r2 = optimize(problem, cfg, AdmissibleSet.unconstrained(), tol=tol,
+        r2 = optimize(problem, cfg, AdmissibleSet(), tol=tol,
                       max_iter=500, u0=rng.standard_normal((1, 25)))
         om = problem.time_grid.trapezoid_weights()
         d = np.sqrt(om @ (r1.controls[0] - r2.controls[0]) ** 2)
@@ -404,17 +402,17 @@ class TestOptimize:
         # a transposed start is refused, not reshaped into another control
         problem, cfg = tracking_problem(M=8, Nt=8)
         with pytest.raises(ValueError, match=r"\(1, 9\)"):
-            optimize(problem, cfg, AdmissibleSet.unconstrained(), u0=np.zeros((9, 1)))
+            optimize(problem, cfg, AdmissibleSet(), u0=np.zeros((9, 1)))
 
     def test_tikhonov_monotonicity(self):
         # sweep from the heavily damped end, warm-starting each run
-        problem, cfg0 = tracking_problem(M=8, Nt=8)
+        problem, _ = tracking_problem(M=8, Nt=8)
         om = problem.time_grid.trapezoid_weights()
         norms = []
         u0 = None
         for N in (1e2, 1e1, 1e0, 1e-1, 1e-2, 1e-3):
-            cfg = CostConfig(n_tikhonov=N, y_d=cfg0.y_d)
-            res = optimize(problem, cfg, AdmissibleSet.unconstrained(), tol=1e-6,
+            cfg = CostConfig(n_tikhonov=N)
+            res = optimize(problem, cfg, AdmissibleSet(), tol=1e-6,
                            max_iter=4000, u0=u0)
             u0 = res.controls
             norms.append(np.sqrt(om @ res.controls[0] ** 2))
@@ -428,7 +426,7 @@ class TestOptimize:
             x = g.nodes
             pr.y_d[i] = np.outer(np.sin(np.pi * pr.time_grid.times), np.cos(x)) * 1.5
         cfg = CostConfig()
-        box = AdmissibleSet.box(-0.2, 0.2)
+        box = AdmissibleSet(-0.2, 0.2)
         res = optimize(pr, cfg, box, tol=1e-10, max_iter=400)
         g = gradient_graph(res.controls, res.adjoint, pr, cfg)
         om = pr.time_grid.trapezoid_weights()
@@ -438,17 +436,18 @@ class TestOptimize:
             assert val >= -1e-8
 
     def test_one_edge_graph_matches_edge_problem(self):
-        # the edge problem and the n = 1, m = 0 graph written out by hand
+        # the edge's one-edge graph weighted by n_tikhonov, and the n = 1,
+        # m = 0 graph written out by hand, weighted by channel_weights
         problem, cfg = tracking_problem(N=0.5)
-        op, tg = problem.edge_op, problem.time_grid
         graph = StarGraphProblem(
-            alpha=op.alpha, time_grid=tg, grids=[op.grid], coeffs=[op.coeffs],
-            f=[None], y0=[problem.y0], y_d=[cfg.y_d], m=0,
+            alpha=problem.alpha, time_grid=problem.time_grid, grids=problem.grids,
+            coeffs=problem.coeffs, f=[None], y0=problem.y0, y_d=problem.y_d, m=0,
         )
         gcfg = CostConfig(channel_weights=np.array([0.5]))
+        np.testing.assert_array_equal(cfg.weights_for(problem), [0.5])
         np.testing.assert_array_equal(gcfg.weights_for(graph), [0.5])
         np.testing.assert_array_equal(CostConfig().weights_for(graph), [1.0])
-        box = AdmissibleSet.box(-0.3, 0.3)
+        box = AdmissibleSet(-0.3, 0.3)
         r_edge = optimize(problem, cfg, box, tol=1e-9, max_iter=300)
         r_graph = optimize(graph, gcfg, box, tol=1e-9, max_iter=300)
         assert r_edge.converged and r_graph.converged
@@ -465,25 +464,20 @@ class TestOptimize:
         )
 
     def test_problem_without_channels_rejected(self):
-        problem, cfg = tracking_problem()
-        op = problem.edge_op
-        clamped = StarGraphProblem(
-            alpha=op.alpha, time_grid=problem.time_grid, grids=[op.grid],
-            coeffs=[op.coeffs], f=[None], y0=[problem.y0], y_d=[cfg.y_d], m=1,
-        )
+        problem, _ = tracking_problem()
+        clamped = problem._replace(m=1)
         with pytest.raises(ValueError, match="no control channel"):
-            optimize(clamped, CostConfig(), AdmissibleSet.unconstrained())
+            optimize(clamped, CostConfig(), AdmissibleSet())
 
     def test_max_iter_measures_final_iterate(self):
         problem, cfg = tracking_problem(N=1e-2)
-        box = AdmissibleSet.box(-0.5, 0.5)
+        box = AdmissibleSet(-0.5, 0.5)
         res = optimize(problem, cfg, box, tol=1e-14, max_iter=2)
         assert not res.converged and res.reason == "max_iter"
         assert len(res.residual_history) == len(res.cost_history) == 3
         # stationarity and adjoint recomputed from the returned controls
-        graph, gcfg = as_graph_problem(problem, cfg)
-        adj = solve_adjoint_graph(graph, solve_forward_graph(graph, None, res.controls))
-        g = gradient_graph(res.controls, adj, graph, gcfg)
+        adj = solve_adjoint_graph(problem, solve_forward_graph(problem, None, res.controls))
+        g = gradient_graph(res.controls, adj, problem, cfg)
         om = problem.time_grid.trapezoid_weights()
         step = res.controls[0] - np.clip(res.controls[0] - g[0], box.lo, box.hi)
         resid = np.sqrt(om @ step**2) / max(1.0, np.sqrt(om @ res.controls[0] ** 2))
@@ -496,12 +490,9 @@ class TestOptimize:
     def test_non_finite_start_cost_raises_solver_failure(self):
         # the states stay finite, their squares in the cost do not
         problem, cfg = tracking_problem(M=8, Nt=6)
-        huge = EdgeControlProblem(
-            edge_op=problem.edge_op, time_grid=problem.time_grid, f=None,
-            y0=np.full(problem.edge_op.grid.nnodes, 1e308),
-        )
+        huge = problem._replace(y0=[np.full(problem.grids[0].nnodes, 1e308)])
         with pytest.raises(SolverFailure, match="non-finite cost inf of the initial controls"):
-            optimize(huge, cfg, AdmissibleSet.box(-1.0, 1.0))
+            optimize(huge, cfg, AdmissibleSet(-1.0, 1.0))
 
     def test_non_finite_final_gradient_raises_solver_failure(self, monkeypatch):
         problem, cfg = tracking_problem(M=8, Nt=6)
@@ -517,7 +508,7 @@ class TestOptimize:
 
         monkeypatch.setattr(fracstar.control, "gradient_graph", poisoned)
         with pytest.raises(SolverFailure, match="at the returned controls"):
-            optimize(problem, cfg, AdmissibleSet.box(-1.0, 1.0), max_iter=1)
+            optimize(problem, cfg, AdmissibleSet(-1.0, 1.0), max_iter=1)
         assert len(calls) == 2
 
     def test_diagnostics_stay_off_the_optimizer_loop(self, rng, monkeypatch):
@@ -532,11 +523,11 @@ class TestOptimize:
 
                     monkeypatch.setattr(module, name, counted)
         pr = random_graph(rng, Nt=6)
-        res = optimize(pr, CostConfig(), AdmissibleSet.box(-0.2, 0.2), max_iter=5)
+        res = optimize(pr, CostConfig(), AdmissibleSet(-0.2, 0.2), max_iter=5)
         assert res.iterations >= 2 and calls == []
         # nor is an edge result diagnosed, however long it ran
         problem, cfg = tracking_problem(N=1e-2)
-        box = AdmissibleSet.box(-0.5, 0.5)
+        box = AdmissibleSet(-0.5, 0.5)
         for max_iter in (2, 6):
             res = optimize(problem, cfg, box, tol=1e-14, max_iter=max_iter)
             assert res.iterations == max_iter and calls == []
@@ -553,7 +544,7 @@ class TestOptimize:
         monkeypatch.setattr(fracstar.graph_solver, "_march", recorded)
         pr = random_graph(rng, Nt=6)
         for algo in ("projected_gradient", "fixed_point"):
-            optimize(pr, CostConfig(), AdmissibleSet.box(-0.2, 0.2), algo, max_iter=3)
+            optimize(pr, CostConfig(), AdmissibleSet(-0.2, 0.2), algo, max_iter=3)
         system = assemble_graph_system(pr)
         reduced_hessian(system, CostConfig())
         solve_adjoint_graph(pr, solve_forward_graph(pr, system=system), system)
@@ -562,16 +553,14 @@ class TestOptimize:
     def test_unknown_algorithm(self, monkeypatch):
         problem, cfg = tracking_problem()
         with pytest.raises(ValueError):
-            optimize(problem, cfg, AdmissibleSet.unconstrained(), algo="newton")
+            optimize(problem, cfg, AdmissibleSet(), algo="newton")
         # zero data and zero target: the start is already stationary, and the
         # name is still checked, before any assembly
         grid = Grid1D(0.0, 1.0, 8)
         op = assemble_stiffness(0.6, grid, EdgeCoefficients.constant(grid, 1.0, 1.0))
-        problem = EdgeControlProblem(
-            edge_op=op, time_grid=TimeGrid(1.0, 8), f=None, y0=np.zeros(9)
-        )
-        cfg = CostConfig(n_tikhonov=1.0, y_d=np.zeros((9, 9)))
-        box = AdmissibleSet.box(-1.0, 1.0)
+        problem = edge_problem(op, TimeGrid(1.0, 8), None, np.zeros(9), np.zeros((9, 9)))
+        cfg = CostConfig(n_tikhonov=1.0)
+        box = AdmissibleSet(-1.0, 1.0)
         res = optimize(problem, cfg, box)
         assert res.converged and res.iterations == 1
 
@@ -584,16 +573,16 @@ class TestOptimize:
 
     def test_one_factorization_per_optimize(self, rng, factorizations):
         problem, cfg = tracking_problem(N=1e-2)
-        res = optimize(problem, cfg, AdmissibleSet.box(-0.5, 0.5), max_iter=40)
+        res = optimize(problem, cfg, AdmissibleSet(-0.5, 0.5), max_iter=40)
         assert res.iterations > 1 and len(factorizations) == 1
         factorizations.clear()
         pr = random_graph(rng, Nt=6)
-        res = optimize(pr, CostConfig(), AdmissibleSet.box(-0.2, 0.2), max_iter=40)
+        res = optimize(pr, CostConfig(), AdmissibleSet(-0.2, 0.2), max_iter=40)
         assert res.iterations > 1 and len(factorizations) == pr.n
 
     def test_given_system_is_used_and_must_be_the_problems(self, rng, factorizations):
         pr = random_graph(rng, Nt=6)
-        box = AdmissibleSet.box(-0.2, 0.2)
+        box = AdmissibleSet(-0.2, 0.2)
         fresh = optimize(pr, CostConfig(), box, max_iter=40)
         system = assemble_graph_system(pr)
         factorizations.clear()
@@ -650,10 +639,10 @@ class TestReducedHessian:
         problem, cfg = tracking_problem(N=1e-2)
         pr = random_graph(rng, Nt=6)
         for prob, c, box in (
-            (problem, cfg, AdmissibleSet.box(-0.5, 0.5)),
-            (pr, CostConfig(), AdmissibleSet.box(-0.2, 0.2)),
+            (problem, cfg, AdmissibleSet(-0.5, 0.5)),
+            (pr, CostConfig(), AdmissibleSet(-0.2, 0.2)),
         ):
-            nch = as_graph_problem(prob, c)[0].n_channels
+            nch = prob.n_channels
             for algo, max_iter in (("projected_gradient", 5), ("projected_gradient", 60),
                                    ("fixed_point", 60)):
                 marches.clear()
@@ -667,7 +656,7 @@ class TestReducedHessian:
         # march, and the iterates are the same
         problem, cfg = tracking_problem(N=0.2)
         pr = random_graph(rng, Nt=6)
-        box = AdmissibleSet.box(-0.2, 0.2)
+        box = AdmissibleSet(-0.2, 0.2)
         cases = [(problem, cfg), (pr, CostConfig())]
         results = [optimize(p, c, box, algo, tol=1e-9, max_iter=300) for p, c in cases]
         monkeypatch.setattr(fracstar.control, "_DENSE_LIMIT", 0)
@@ -689,7 +678,7 @@ class TestReducedHessian:
         # controls; the measured one does not, and the iteration goes on from
         # it to the true optimum
         problem, cfg = tracking_problem(N=0.2)
-        box = AdmissibleSet.box(-0.2, 0.2)
+        box = AdmissibleSet(-0.2, 0.2)
         exact = optimize(problem, cfg, box, tol=1e-9, max_iter=300)
         hessian = fracstar.control.reduced_hessian
         monkeypatch.setattr(
@@ -699,11 +688,10 @@ class TestReducedHessian:
         res = optimize(problem, cfg, box, tol=1e-9, max_iter=300)
         assert res.converged and res.residual_history[-1] <= 1e-9
         assert len(marches) > 1 + 4
-        graph, gcfg = as_graph_problem(problem, cfg)
-        adj = solve_adjoint_graph(graph, solve_forward_graph(graph, None, res.controls))
+        adj = solve_adjoint_graph(problem, solve_forward_graph(problem, None, res.controls))
         np.testing.assert_array_equal(
-            gradient_graph(res.controls, adj, graph, gcfg),
-            gradient_graph(res.controls, res.adjoint, graph, gcfg),
+            gradient_graph(res.controls, adj, problem, cfg),
+            gradient_graph(res.controls, res.adjoint, problem, cfg),
         )
         om = problem.time_grid.trapezoid_weights()
         assert np.sqrt(om @ (res.controls[0] - exact.controls[0]) ** 2) <= 1e-7
@@ -729,11 +717,11 @@ class TestActiveBoxProperties:
         # the paper's projection formula, to 1e-9
         cfg, tol = CostConfig(), 1e-9
         free = optimize(
-            pr, cfg, AdmissibleSet.unconstrained(), "fixed_point", tol, max_iter=2000
+            pr, cfg, AdmissibleSet(), "fixed_point", tol, max_iter=2000
         )
         assert free.converged
         hi = 0.5 * float(np.abs(free.controls).max())
-        box = AdmissibleSet.box(-hi, hi)
+        box = AdmissibleSet(-hi, hi)
         res = optimize(pr, cfg, box, "fixed_point", tol, max_iter=2000)
         u = res.controls
         assert res.converged and res.residual_history[-1] <= tol

@@ -383,7 +383,7 @@ class TestForward:
                  np.r_[p.multipliers[k], 0.0], dp),
             ):
                 rate = (x - prev) / dt
-                r = W @ rate + K @ x - sys_.load_from_samples(g)
+                r = W @ rate + K @ x - fracstar.graph_solver._add_loads(sys_, g)
                 tip = [
                     r[sys_.dofmap.edge_slice(i)] @ op.flux_probe[: op.grid.nnodes]
                     for i, op in enumerate(ops)

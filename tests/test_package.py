@@ -2,6 +2,7 @@ import ast
 import importlib
 import inspect
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,8 @@ import fracstar
 import fracstar.cli
 import fracstar.validation
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
 
 
 def test_all_names_resolve():
@@ -27,11 +29,15 @@ def test_star_import():
     assert set(fracstar.__all__) <= set(namespace)
 
 
-def uses(path: Path) -> set[str]:
-    """The names a module uses: names it loads, attributes and string
-    constants (a binding made by name).  A name's own definition, and the
-    ``__all__`` lists and the package's ``_SOURCES`` table, which only list
-    names, are not uses."""
+def uses(source: str, members: bool = False) -> set[str]:
+    """The names a module's ``source`` uses: names it loads, attributes and
+    string constants (a binding made by name).  A name's own definition, and
+    the ``__all__`` lists and the package's ``_SOURCES`` table, which only
+    list names, are not uses.  With ``members``, a bare name is not a use
+    either: a member is read as an attribute or named by a string, so a
+    local variable that shares its name does not keep it.  Two classes that
+    share a member name still cover each other, as ``EdgeOperator.ndof``
+    and ``GraphSystem.ndof`` did."""
     found = set()
 
     def visit(node, defining):
@@ -42,7 +48,7 @@ def uses(path: Path) -> set[str]:
         ):
             return
         name = None
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and not members:
             name = node.id
         elif isinstance(node, ast.Attribute):
             name = node.attr
@@ -53,13 +59,23 @@ def uses(path: Path) -> set[str]:
         for child in ast.iter_child_nodes(node):
             visit(child, defining)
 
-    visit(ast.parse(path.read_text()), frozenset())
+    visit(ast.parse(source), frozenset())
     return found
 
 
-def used_by_package_or_benchmark() -> set[str]:
+def used_by_package_or_benchmark(members: bool = False) -> set[str]:
     paths = sorted(Path(fracstar.__file__).parent.glob("*.py")) + sorted(BENCH.glob("*.py"))
-    return set().union(*map(uses, paths))
+    return set().union(*(uses(path.read_text(), members) for path in paths))
+
+
+def test_member_uses_are_attributes_not_bare_names():
+    source = (
+        "def split(kind, record):\n"
+        "    return kind, record.lo, getattr(record, 'hi')\n"
+    )
+    assert {"kind", "lo", "hi"} <= uses(source)
+    found = uses(source, members=True)
+    assert {"lo", "hi"} <= found and "kind" not in found
 
 
 def test_every_public_name_is_used_by_the_package_or_the_benchmark():
@@ -74,7 +90,7 @@ def test_every_public_member_is_used_by_the_package_or_the_benchmark():
     """The same rule for the members of the public types: each public method,
     property and classmethod is read by the package or the benchmark, not
     only by tests.  ``NamedTuple`` fields are data a call returns, exempt."""
-    used = used_by_package_or_benchmark()
+    used = used_by_package_or_benchmark(members=True)
     unused = []
     for name in fracstar.__all__:
         cls = getattr(fracstar, name)
@@ -127,8 +143,8 @@ def test_package_import_loads_no_submodule():
 
 
 def test_cli_import_loads_no_oracle_and_no_edge_solver():
-    """Only ``validate`` runs the oracle, and only edge problems the edge
-    adapters: the CLI module loads neither."""
+    """Only ``validate`` runs the oracle, and only the benchmark's edge
+    checks the edge adapters: the CLI module loads neither."""
     loaded = loaded_after("import fracstar.cli")
     assert "fracstar.cli" in loaded
     assert [m for m in ("fracstar.validation", "fracstar.edge_solver") if m in loaded] == []
@@ -199,6 +215,16 @@ def test_cli_calls_layers_by_module_global():
             called |= set(fn.__code__.co_names)
     assert [name for name in names if not callable(getattr(cli, name, None))] == []
     assert [name for name in names if name not in called] == []
+
+
+def test_readme_python_blocks_run():
+    """The README's library examples run, in order, in one namespace."""
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    assert len(blocks) == 2
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["result"].converged
 
 
 @pytest.mark.parametrize("name", ["graph-forward", "edge-optimize", "graph-optimize"])

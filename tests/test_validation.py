@@ -6,9 +6,10 @@ from fracstar import (
     CostConfig,
     EdgeControlProblem,
     SizeGuardError,
+    cost_graph,
     optimize,
+    solve_forward_graph,
 )
-from fracstar.control import as_graph_problem
 from fracstar.edge_solver import edge_problem
 from fracstar.validation import dense_oracle_solve_graph, finite_difference_gradient
 from conftest import random_edge, random_graph
@@ -32,32 +33,50 @@ class TestSizeGuards:
 
 
 class TestDispatch:
-    """Edge problems go to the one-edge graph; graph problems pass through."""
+    """An edge problem reaches the cost only through
+    ``finite_difference_gradient``, as its one-edge graph with the target
+    ``cfg.y_d``; graph problems pass through, and ``optimize`` takes graph
+    problems alone."""
 
     def test_edge_problem_dispatch(self, rng):
         op, tg, f, y0, v = random_edge(rng, M=8, Nt=4)
         problem = EdgeControlProblem(edge_op=op, time_grid=tg, f=f, y0=y0)
-        cfg = CostConfig(n_tikhonov=0.7, y_d=rng.standard_normal((5, 9)))
-        graph, gcfg = as_graph_problem(problem, cfg)
+        y_d = rng.standard_normal((5, 9))
+        graph = edge_problem(op, tg, f, y0, y_d)
         assert (graph.n, graph.m, graph.include_junction_mode) == (1, 0, False)
-        assert graph.y_d[0] is cfg.y_d
-        np.testing.assert_array_equal(gcfg.weights_for(graph), [0.7])
+        assert graph.y_d[0] is y_d
+        np.testing.assert_array_equal(CostConfig(n_tikhonov=0.7).weights_for(graph), [0.7])
         dofs, mult = dense_oracle_solve_graph(graph, None, v[None])
         assert dofs.shape == (5, 9) and mult.shape == (5, 0)
-        with pytest.raises(ValueError):
-            as_graph_problem(problem, CostConfig())
+        u, d = rng.standard_normal((2, 1, 5))
+        fd = finite_difference_gradient(problem, CostConfig(0.7, y_d=y_d), u, d, 1.0)
+        assert fd == finite_difference_gradient(graph, CostConfig(0.7), u, d, 1.0)
+        # without a target the edge is costed as the graph without one
+        fd = finite_difference_gradient(problem, CostConfig(0.7), u, d, 1.0)
+        untargeted = edge_problem(op, tg, f, y0)
+        assert fd == finite_difference_gradient(untargeted, CostConfig(0.7), u, d, 1.0)
 
     def test_graph_problem_dispatch(self, rng):
         pr = random_graph(rng, Nt=4)
         cfg = CostConfig()
-        graph, gcfg = as_graph_problem(pr, cfg)
-        assert graph is pr and gcfg is cfg
+        u, d = rng.standard_normal((2, 2, 5))
+
+        def cost(ctrl):
+            return cost_graph(solve_forward_graph(pr, ctrl[:1], ctrl[1:]), ctrl, pr, cfg)
+
+        assert finite_difference_gradient(pr, cfg, u, d, 1.0) == (cost(u + d) - cost(u - d)) / 2.0
+        with pytest.raises(ValueError, match="y_d is ignored"):
+            finite_difference_gradient(pr, CostConfig(y_d=np.zeros((5, 7))), u, d, 1.0)
         dofs, mult = dense_oracle_solve_graph(pr)
         assert dofs.shape[0] == 5
 
-    def test_unknown_type(self):
-        with pytest.raises(TypeError):
-            optimize(object(), CostConfig(), AdmissibleSet.unconstrained())
+    def test_unknown_type(self, rng):
+        with pytest.raises(TypeError, match="cannot optimize a object"):
+            optimize(object(), CostConfig(), AdmissibleSet())
+        op, tg, f, y0, _ = random_edge(rng, M=6, Nt=4)
+        edge = EdgeControlProblem(edge_op=op, time_grid=tg, f=f, y0=y0)
+        with pytest.raises(TypeError, match="cannot optimize a EdgeControlProblem"):
+            optimize(edge, CostConfig(), AdmissibleSet())
 
     def test_zero_data_zero_solution(self, rng):
         pr = random_graph(rng, Nt=4, with_data=False)
