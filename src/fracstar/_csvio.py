@@ -1,17 +1,16 @@
 """CSV text to and from arrays, converted on every CPU the process may run on.
 
 Formatting and parsing hold the GIL, so only another process can use another
-CPU.  :func:`start` forks a child per part of the work, which shares this
-process's memory until either writes to it and sends its result back through
-a pipe.  The reader forks every part while the caller works; the writer forks
-its workers first and hands them rows as the caller finishes them.  With too
-little work, one CPU or no ``os.fork``, all of it runs here, and so does a
-part whose fork fails.  The arrays and bytes are those of one process.
+CPU.  :func:`start` forks a child for each worker but worker 0, which is this
+process when it joins; a child shares this process's memory until either
+writes to it, and sends its result back through a pipe.  The work goes out as
+tickets on one pipe, which every worker takes until it is empty, this process
+last: one per file read, one per range of rows written.  With too little
+work, one CPU or no ``os.fork``, all of it runs here, as does a worker whose
+fork fails.  The arrays and bytes are those of one process.
 """
 
-import bisect
 import contextlib
-import itertools
 import os
 import pickle
 import struct
@@ -38,60 +37,43 @@ def cpus() -> int:
     return min(count, 8)
 
 
-def chunks(sizes: list[int], workers: int | None = None) -> list[range]:
-    """Contiguous, non-empty ranges of the indices of ``sizes`` (the values
-    of each item) of about equal total size, or ``[range(0)]`` for no items:
-    ``workers`` of them, by default one per CPU while each holds
-    ``SPLIT_MIN_VALUES`` values (one without ``os.fork``), at most one per item."""
-    total = sum(sizes)
-    if workers is None:
-        workers = min(cpus() if hasattr(os, "fork") else 1, total // SPLIT_MIN_VALUES)
-    workers = max(1, min(workers, len(sizes)))
-    ends = [0, *itertools.accumulate(sizes)]  # ends[b]: the values before item b
-    cuts = []
-    for j in range(1, workers):
-        # the boundary nearest to j equal shares
-        share = total * j / workers
-        b = bisect.bisect_left(ends, share)
-        cuts.append(b if ends[b] - share <= share - ends[b - 1] else b - 1)
-    bounds = [0, *cuts, len(sizes)]
-    ranges = [range(a, b) for a, b in zip(bounds, bounds[1:]) if b > a]
-    return ranges or [range(0)]
+def chunks(values: int, items: int) -> int:
+    """Workers for ``items`` pieces of ``values`` values: one per CPU while each
+    has ``SPLIT_MIN_VALUES`` values and a piece, at least one; one without ``os.fork``."""
+    return max(1, min(cpus(), values // SPLIT_MIN_VALUES, items)) if hasattr(os, "fork") else 1
 
 
-def start(run, parts: list[range], first: int = 1):
-    """Fork a child for each part from ``first`` on; return how many were
-    forked and the join, which returns ``[run(k, part) for k, part in
-    enumerate(parts)]``.  It runs the parts before ``first`` here, collects
-    what each child sent before it left by ``os._exit`` (its result or its
-    exception), then runs here the parts whose pipe or fork failed.  Every
-    child is reaped before the join returns or raises the exception of the
-    lowest part that raised one; a join dropped uncalled reaps them too."""
-    work = _work(run, parts, first)
-    return next(work), work.__next__
+def start(run, workers: int):
+    """Fork a child for each worker from 1 on and return the join, which
+    returns ``[run(k) for k in range(workers)]``: it runs worker 0 here,
+    collects what each child sent before it left by ``os._exit`` (its result
+    or its exception), then runs here the workers whose pipe or fork failed.
+    Every child is reaped before the join returns or raises the exception of
+    the lowest worker that raised one, and by a join dropped uncalled."""
+    work = _work(run, workers)
+    next(work)
+    return work.__next__
 
 
-def _work(run, parts: list[range], first: int):
-    # yields the number of children forked, then, resumed, the results
+def _work(run, workers: int):
+    # yields once the children are forked, then, resumed, the results
     pipes: dict[int, int] = {}  # child pid -> read end of its pipe
     try:
-        for k in range(first, len(parts)):
-            try:
-                r, w = os.pipe()
-            except OSError:
-                break
+        for k in range(1, workers):
             # Forking is safe: the child runs only Python text work, calls no
             # BLAS, and leaves by os._exit, so the stdio buffers and atexit
             # handlers it inherits never run twice.  Python >= 3.12 warns
             # (DeprecationWarning) on a fork in a process with threads, such
             # as a BLAS pool; the warning must not reach stderr.
+            r = w = None
             try:
+                r, w = os.pipe()
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", DeprecationWarning)
                     pid = os.fork()
-            except OSError:
-                os.close(r)
-                os.close(w)
+            except OSError:  # this worker and the ones after it run here
+                for fd in {r, w} - {None}:
+                    os.close(fd)
                 break
             if pid == 0:
                 status = 1
@@ -99,7 +81,7 @@ def _work(run, parts: list[range], first: int):
                     for fd in (r, *pipes.values()):
                         os.close(fd)
                     try:
-                        result = (True, run(k, parts[k]))
+                        result = (True, run(k))
                     except BaseException as exc:  # sent to the parent, which raises it
                         result = (False, exc)
                     _send(w, result)
@@ -108,8 +90,8 @@ def _work(run, parts: list[range], first: int):
                     os._exit(status)
             os.close(w)
             pipes[pid] = r
-        yield len(pipes)
-        results = [(True, run(k, parts[k])) for k in range(first)]
+        yield
+        results = [(True, run(0))]
         received = [_receive(r) for r in pipes.values()]
     finally:
         # every read end is closed first: a child still writing then fails
@@ -123,15 +105,27 @@ def _work(run, parts: list[range], first: int):
     for ok, value in results:
         if not ok:
             raise value
-    yield [value for _, value in results] + [
-        run(k, parts[k]) for k in range(len(results), len(parts))
-    ]
+    yield [value for _, value in results] + [run(k) for k in range(len(results), workers)]
+
+
+def _put(w: int, a: int, b: int) -> bool:
+    """Put the ticket ``(a, b)`` on the pipe ``w``; false if it is full."""
+    try:  # one write of at most PIPE_BUF bytes is whole
+        return os.write(w, struct.pack("<II", a, b)) == 8
+    except BlockingIOError:
+        return False
+
+
+def _tickets(r: int | None, left=()):
+    """The tickets ``left``, then those from the pipe ``r`` until it is empty and closed."""
+    yield from left
+    while r is not None and (ticket := os.read(r, 8)):
+        yield struct.unpack("<II", ticket)
 
 
 def _send(fd: int, obj) -> None:
     """Write ``obj`` to the pipe ``fd`` as length-prefixed frames: its pickle,
-    then the raw data of each array in it, which is not copied into the
-    pickle."""
+    then the raw data of each array in it, not copied into the pickle."""
     buffers = []
     try:
         payload = pickle.dumps(obj, 5, buffer_callback=buffers.append)
@@ -171,24 +165,35 @@ def _read(path: Path):
 
 
 def read_csv_files(paths: list[Path]):
-    """Start :func:`_read` of each path in ``cpus() - 1`` forked workers, the
-    files split by size (a 17-digit value and its separator take about 20
-    bytes), and return the call that collects ``{path: values}``.  With too
-    little data, one CPU, or no worker forked, they are read here at once."""
-    sizes = []
+    """Start :func:`_read` of each path, a ticket per file, in the workers their
+    size allows (a 17-digit value and its separator take about 20 bytes), and
+    return the call that collects ``{path: values}`` and reads the files left."""
+    values = 0
     for path in paths:
+        with contextlib.suppress(OSError):
+            values += path.stat().st_size // 20
+    workers, r, sent = chunks(values, len(paths)), None, 0
+    if workers > 1:
+        r, w = os.pipe()
+        os.set_blocking(w, False)  # a full pipe leaves its files to this process
+        while sent < len(paths) and _put(w, sent, sent + 1):
+            sent += 1
+        os.close(w)  # a worker that finds the pipe empty now ends
+
+    def work(k: int) -> list:  # worker 0 first reads what the pipe had no room for
+        left = [(i, i + 1) for i in range(sent, len(paths))] if k == 0 else ()
+        return [(i, _read(paths[i])) for i, _ in _tickets(r, left)]
+
+    join = start(work, workers)
+
+    def collect():
         try:
-            sizes.append(path.stat().st_size // 20)
-        except OSError:
-            sizes.append(0)
-    workers = min(cpus() - 1, sum(sizes) // SPLIT_MIN_VALUES) if hasattr(os, "fork") else 0
-    parts = chunks(sizes, workers)
-    forked, join = start(
-        lambda k, part: [_read(paths[i]) for i in part], parts, 0 if workers else 1
-    )
-    if forked < len(parts):  # read here at once: the join returns a copy
-        join = join().copy
-    return lambda: dict(zip(paths, itertools.chain.from_iterable(join())))
+            return {paths[i]: read for part in join() for i, read in part}
+        finally:
+            if r is not None:
+                os.close(r)
+
+    return collect
 
 
 class RowWriter(contextlib.AbstractContextManager):
@@ -198,16 +203,16 @@ class RowWriter(contextlib.AbstractContextManager):
     17 significant digits.  ``rows`` is the source array, or the shape of a
     zero-filled one to make, which the caller fills and hands over by
     :meth:`send`.  The workers :func:`chunks` allows beyond this process are
-    forked at once (a made array is then shared memory); each formats the
-    tickets (ranges of a 32nd of ``SPLIT_MIN_VALUES`` values or more) it
-    takes from one pipe into its unnamed temporary file beside ``path``.
-    Leaving the writer as a context ends its workers and files."""
+    forked at once (a made array is then shared memory); each formats its
+    tickets (a 32nd of ``SPLIT_MIN_VALUES`` values or more) into its unnamed
+    temporary file beside ``path``.  Leaving the writer as a context ends its
+    workers and files."""
 
     def __init__(self, path: Path, header: str, lead, labels, rows, convert=np.asarray):
         self.path, self.header, self.lead, self.convert = path, header, lead, convert
         self.labels = [label.replace("%", "%%") for label in labels]
         self._group = -(-SPLIT_MIN_VALUES // (32 * max(1, len(labels))))  # blocks a ticket
-        forks = len(chunks([len(labels)] * len(lead))) - 1
+        forks = chunks(len(labels) * len(lead), len(lead)) - 1
         if isinstance(rows, tuple) and forks:
             import mmap  # only a writer that forks shares its rows
             rows = np.frombuffer(mmap.mmap(-1, 8 * int(np.prod(rows))), float).reshape(rows)
@@ -219,8 +224,7 @@ class RowWriter(contextlib.AbstractContextManager):
                 os.set_blocking(self._w, False)  # a full pipe leaves blocks to later tickets
                 for _ in range(forks + 1):
                     self._files.append(tempfile.TemporaryFile(dir=path.parent, buffering=0))
-                self._pid = os.getpid()
-                self._join = start(self._work, [range(1)] * (forks + 1))[1]
+                self._join = start(self._work, forks + 1)
         except BaseException:
             self.__exit__()
             raise
@@ -228,14 +232,11 @@ class RowWriter(contextlib.AbstractContextManager):
     def send(self, stop: int) -> bool:
         """Hand over the blocks before ``stop``, whose rows are final; false
         if they wait for a later ticket (too few, or the pipe is full)."""
-        if self._w is None or stop - self._sent < self._group:
-            return False
-        try:  # one write of at most PIPE_BUF bytes is whole
-            os.write(self._w, struct.pack("<II", self._sent, stop))
-        except BlockingIOError:
-            return False
-        self._sent = stop
-        return True
+        ready = self._w is not None and stop - self._sent >= self._group
+        if ready and _put(self._w, self._sent, stop):
+            self._sent = stop
+            return True
+        return False
 
     def close(self) -> None:
         """With every block final: hand over the rest, format tickets here too
@@ -253,25 +254,23 @@ class RowWriter(contextlib.AbstractContextManager):
                 if parts is None:
                     return self._format(out, 0, n)
                 out.flush()
-                for _, k, begin, end in sorted(itertools.chain.from_iterable(parts)):
+                for _, k, begin, end in sorted(t for part in parts for t in part):
                     out.buffer.write(os.pread(self._files[k].fileno(), end - begin, begin))
 
-    def _work(self, k: int, part: range) -> list[tuple[int, int, int, int]]:
+    def _work(self, k: int) -> list[tuple[int, int, int, int]]:
         """Format tickets from the pipe into file ``k`` until it is empty and
         closed; return ``(first block, k, first byte, end byte)`` of each."""
-        if os.getpid() != self._pid:
-            os.close(self._w)  # only the writer's process sends tickets
+        if self._w is not None:  # a child's copy: only the writer sends tickets
+            os.close(self._w)
         fd, done = self._files[k].fileno(), []
-        # this process's part first takes what a full pipe left, as one ticket
-        ticket = struct.pack("<II", self._sent, len(self.lead)) if k == 0 else os.read(self._r, 8)
+        # worker 0, this process, first takes what a full pipe left, as one ticket
+        left = [(self._sent, len(self.lead))] if k == 0 else ()
         with open(fd, "w", closefd=False) as fh:
-            while ticket:
-                a, b = struct.unpack("<II", ticket)
+            for a, b in _tickets(self._r, left):
                 begin = os.lseek(fd, 0, os.SEEK_CUR)
                 self._format(fh, a, b)
                 fh.flush()
                 done.append((a, k, begin, os.lseek(fd, 0, os.SEEK_CUR)))
-                ticket = os.read(self._r, 8)
         return done
 
     def _format(self, fh, a: int, b: int) -> None:

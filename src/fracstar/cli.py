@@ -51,21 +51,29 @@ Commands: ``solve-forward``, ``solve-adjoint``, ``optimize``, ``validate``.
 Exit codes: 0 success, 2 config or output error, 3 solver failure, 4
 validation failure.
 
-Large data files are parsed, and a large ``state.csv`` formatted, by forked
-workers on all CPUs but one, at most 8 (:mod:`fracstar._csvio`): the reads run
-while this process assembles, and ``solve-forward`` hands its workers each time
-step as the march finishes it.  The arrays and bytes are one process's.
+Large data files are parsed, and a large ``state.csv`` formatted, by this
+process and forked workers, one per CPU, at most 8 in all
+(:mod:`fracstar._csvio`).  The workers take the files one by one while this
+process assembles, and it reads the ones left once it has assembled;
+``solve-forward`` hands the workers each time step as the march finishes it,
+and formats the steps left when it closes.  The arrays and bytes are one
+process's.
 
 A CLI process (the ``fracstar`` command or ``python -m fracstar.cli``) enters
-through :func:`run`, which freezes the garbage collector's view of the heap
-once the modules are imported (:func:`gc.freeze`): the collections at exit
-then skip everything import built, and the forked CSV workers start from a
-frozen heap.  :func:`main` called from Python freezes nothing.
+through :func:`run`.  Unless ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` or
+``MKL_NUM_THREADS`` is set, it runs numpy's bundled OpenBLAS on one thread,
+since the last digits of the outputs depend on the thread count.  It also
+freezes the garbage collector's view of the heap once the modules are
+imported (:func:`gc.freeze`): the collections at exit then skip everything
+import built, and the forked CSV workers start from a frozen heap.
+:func:`main` called from Python freezes nothing and leaves the BLAS threads
+alone.
 """
 
 import argparse
 import configparser
 import gc
+import os
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -330,10 +338,11 @@ def parse_config(path: str | Path) -> RunConfig:
                 known = ", ".join(named[name])
                 errors.append(f"[{name}] {key}: unknown key (known: {known})")
 
-    # The files are read, each once, while the system, which does not depend
-    # on them, is assembled for a valid INI part; a violation wins over an
-    # assembly failure.  The other data, made before assembly frees its
-    # blocks, keep the peak of memory down.
+    # The files are read, each once, by forked workers while the system,
+    # which does not depend on them, is assembled for a valid INI part, and
+    # the ones left here once it is; a violation wins over an assembly
+    # failure.  The other data, made before assembly frees its blocks, keep
+    # the peak of memory down.
     collect = read_csv_files(list(dict.fromkeys(_data_file(token, base) for token, *_ in due)))
     failure = None
     try:
@@ -605,11 +614,29 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
+def _one_blas_thread() -> None:
+    """Set numpy's bundled OpenBLAS to one thread, unless a thread variable
+    is set or numpy bundles none: the march's products, and so the last
+    digits of every output, depend on the thread count."""
+    if {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"} & os.environ.keys():
+        return
+    import ctypes
+
+    for lib in (Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas*"):
+        try:
+            setter = ctypes.CDLL(str(lib)).scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):  # another build: its threads are left alone
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(1)
+
+
 def run() -> None:
     """Process entry of the ``fracstar`` command and ``python -m
-    fracstar.cli``: exit with :func:`main`'s code.  Everything import built
-    lives until the process ends, so it is frozen first and the collections
-    at exit do not traverse it."""
+    fracstar.cli``: exit with :func:`main`'s code, with one BLAS thread by
+    default.  Everything import built lives until the process ends, so it is
+    frozen first and the collections at exit do not traverse it."""
+    _one_blas_thread()
     gc.freeze()
     sys.exit(main())
 

@@ -184,18 +184,20 @@ def reduced_hessian(system: GraphSystem, cfg: CostConfig) -> np.ndarray:
     problem = system.problem
     nch, nd, nt = problem.n_channels, problem.n_dirichlet_channels, problem.time_grid.Nt
     omega = problem.time_grid.trapezoid_weights()
-    root_wx = np.sqrt(np.concatenate([g.trapezoid_weights() for g in problem.grids]))
+    root_w = [np.sqrt(g.trapezoid_weights()) for g in problem.grids]
+    ends = np.cumsum([0] + [w.size for w in root_w])  # edge i's columns of H
     still = problem._replace(
         f=[None] * problem.n, y0=[np.zeros(g.nnodes) for g in problem.grids], c0=0.0
     )
     # row (c, a) holds H_c[Nt - 1 - a], weighted so that H H^T is the Gram
-    H = np.empty((nch, nt, root_wx.size))
+    H = np.empty((nch, nt, ends[-1]))
     for c in range(nch):
         impulse = np.zeros((nch, nt + 1))
         impulse[c, 1] = 1.0
         y = solve_forward_graph(still, impulse[:nd], impulse[nd:], system=system)
-        H[c] = (np.hstack(list(y.samples))[1:] * root_wx)[::-1]  # each edge formed once
-        del y  # before the next march, for a lower peak of memory
+        for i, s in enumerate(y.samples):  # each edge formed once, straight into H
+            np.multiply(s[:0:-1], root_w[i], out=H[c, :, ends[i] : ends[i + 1]])
+        del y, s  # before the next march, for a lower peak of memory
     H = H.reshape(nch * nt, -1)
     Q = H @ H.T  # one symmetric rank-k product, so Q is symmetric bitwise
     del H

@@ -458,6 +458,12 @@ def test_criterion_11_convergence_orders():
                             (0.8, (1.01, 1.11, 0.99))):
         gate(f"graph {alpha}", lambda M, tg: Exact(alpha, M=M, time_grid=tg, **graph),
              space, measured)
+    # the same at the asymptotic pair, where the orders of c have settled
+    for alpha, measured in ((0.4, (0.85, 0.85, 0.77)), (0.6, (0.98, 0.86, 0.94)),
+                            (0.8, (1.02, 1.18, 1.01))):
+        gate(f"graph {alpha} M=512->1024",
+             lambda M, tg: Exact(alpha, M=M, time_grid=tg, **graph),
+             ((512, 4), (1024, 4)), measured)
     # tau(t) drives the Dirichlet control and the source in time
     gate(
         "graph 0.6 tau Nt=M/2",

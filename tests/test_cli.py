@@ -120,14 +120,16 @@ def write(tmp_path, name, text):
     return p
 
 
-def run_cli(argv, code=None):
+def run_cli(argv, code=None, env=None):
     """Run ``python -m fracstar.cli argv`` in a child process, through ``code``
-    run first (``python -c``) when given."""
+    run first (``python -c``) when given, with ``env`` (by default this
+    process's environment)."""
     src = str(Path(fracstar.__file__).resolve().parents[1])
     lead = ["-c", code] if code else ["-m", "fracstar.cli"]
     return subprocess.run(
         [sys.executable, *lead, *argv],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        env=dict(os.environ if env is None else env, PYTHONPATH=src),
+        capture_output=True, text=True,
     )
 
 
@@ -672,6 +674,33 @@ runpy.run_module("fracstar.cli", run_name="__main__", alter_sys=True)
 """
 
 
+# Sets numpy's bundled OpenBLAS to 3 threads, then prints its thread count
+# after that, after `import fracstar.cli`, after main() called from Python and
+# after run(), both with the arguments the probe was given; "absent" where
+# numpy bundles no scipy-openblas.
+BLAS_PROBE = """
+import ctypes, sys
+from pathlib import Path
+import numpy as np
+libs = sorted((Path(np.__file__).parents[1] / "numpy.libs").glob("libscipy_openblas*"))
+lib = ctypes.CDLL(str(libs[0])) if libs else None
+if not hasattr(lib, "scipy_openblas_get_num_threads64_"):
+    sys.exit(print("absent"))
+lib.scipy_openblas_set_num_threads64_(3)
+seen = [lib.scipy_openblas_get_num_threads64_()]
+import fracstar.cli
+seen.append(lib.scipy_openblas_get_num_threads64_())
+assert fracstar.cli.main(sys.argv[1:]) == 0
+seen.append(lib.scipy_openblas_get_num_threads64_())
+try:
+    fracstar.cli.run()
+except SystemExit as exc:
+    assert exc.code == 0
+print(*seen, lib.scipy_openblas_get_num_threads64_())
+"""
+BLAS_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 # numbers that overflow the solve, its cost or its assembly: each exits 3
 OVERFLOWING = [
     ("y0 = const:0.5", "y0 = const:1e308"),
@@ -707,6 +736,23 @@ class TestEntry:
             # the one line, with no numpy warning before it
             [line] = run.stderr.splitlines()
             assert line.startswith(("config error: ", "solver failure: "))
+
+    @pytest.mark.parametrize("variable", [None, *BLAS_VARIABLES])
+    def test_cli_process_runs_one_blas_thread_by_default(self, tmp_path, variable):
+        # import and main() leave the thread count alone; run() sets one
+        # thread unless a thread variable is set
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_VARIABLES}
+        if variable is not None:
+            env[variable] = "2"
+        ini = write(tmp_path, "graph.ini", GRAPH_INI)
+        run = run_cli(["--output-dir", str(tmp_path), "solve-forward", str(ini)], BLAS_PROBE, env)
+        assert (run.returncode, run.stderr) == (0, "")
+        last = run.stdout.splitlines()[-1]
+        if last == "absent":
+            pytest.skip("numpy bundles no scipy-openblas")
+        given, imported, called, ran = map(int, last.split())
+        assert imported == called == given > 1
+        assert ran == (1 if variable is None else given)
 
     @pytest.mark.parametrize("command", ["optimize", "solve-forward"])
     @pytest.mark.parametrize("old, new", OVERFLOWING)
@@ -986,7 +1032,7 @@ class TestSplitConversion:
         tmp = tmp_path_factory.mktemp("split")
         write_csv(tmp / "serial.csv", "h%s", lead, labels, values)
         with splitting():
-            assert len(fracstar._csvio.chunks([width] * blocks)) == max(1, min(blocks, 3))
+            assert fracstar._csvio.chunks(width * blocks, blocks) == max(1, min(blocks, 3))
             write_csv(tmp / "split.csv", "h%s", lead, labels, values)
         assert_no_child_processes()
         assert sorted(p.name for p in tmp.iterdir()) == ["serial.csv", "split.csv"]
@@ -1132,11 +1178,11 @@ class TestStreamedState:
             if stop in bursts:
                 send(self, stop)
 
-        def stalling(self, k, part):
+        def stalling(self, k):
             if k == 1 and os.getpid() != parent:  # the first worker stalls on each ticket
                 fmt = self._format
                 self._format = lambda *args: (time.sleep(0.05), fmt(*args))
-            return work(self, k, part)
+            return work(self, k)
 
         runs = []
         for mode in ("serial", "streamed"):
@@ -1220,8 +1266,9 @@ def leaves(value):
 
 class TestReadsBesideAssembly:
     """The data files are read by forked workers while this process
-    assembles the system, which the config then carries; where no worker is
-    forked, they are read first.  The outputs are those of one process."""
+    assembles the system, which the config then carries; this process reads
+    the files left once it has assembled, every file where no worker is
+    forked.  The outputs are those of one process."""
 
     @pytest.mark.parametrize("mode", ["serial", "split"])
     @pytest.mark.parametrize("kind", ["edge", "graph"])
@@ -1277,7 +1324,7 @@ class TestReadsBesideAssembly:
             "[edge.2] f", "optimizer.tol must be positive and finite, got -1.0",
         ]
 
-    def test_reads_run_beside_assembly_or_before_it(self, tmp_path, rng, capsys, monkeypatch):
+    def test_reads_run_beside_assembly_or_after_it(self, tmp_path, rng, capsys, monkeypatch):
         ini = graph_with_files(tmp_path, rng)
         steps = []
         read, assemble = fracstar._csvio._read, fracstar.cli.assemble_graph_system
@@ -1300,8 +1347,10 @@ class TestReadsBesideAssembly:
                 out = tmp_path / mode
                 with splitting() if mode != "serial" else contextlib.nullcontext():
                     assert main(["--output-dir", str(out), "solve-forward", str(ini)]) == 0
-            # the four files are read here, before assembly, unless workers read them
-            assert steps == (["assemble"] if mode == "split" else ["read"] * 4 + ["assemble"])
+            # the files no worker read are read here, after assembly: all four
+            # where no worker is forked
+            here = len(steps) - 1 if mode == "split" else 4
+            assert steps == ["assemble"] + ["read"] * here and here <= 4
             runs[mode] = (
                 capsys.readouterr(),
                 *((tmp_path / mode / name).read_bytes() for name in ("state.csv", "report.txt")),

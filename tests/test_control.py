@@ -696,6 +696,24 @@ class TestReducedHessian:
         om = problem.time_grid.trapezoid_weights()
         assert np.sqrt(om @ (res.controls[0] - exact.controls[0]) ** 2) <= 1e-7
 
+    def test_each_response_is_held_once(self, rng, traced_peak):
+        # each march's weighted samples go into H one edge at a time: above
+        # its inputs the Hessian holds H, one march, and about one edge's
+        # samples beside them, never a copy of all of a march's samples
+        n, M, Nt = 3, 200, 40
+        pr = random_graph(rng, n=n, m=2, Nt=Nt, Ms=(M,) * n, bs=(1.0, 0.8, 1.2))
+        system = assemble_graph_system(pr)
+        nch, nd = pr.n_channels, pr.n_dirichlet_channels
+        still = pr._replace(f=[None] * n, y0=[np.zeros(g.nnodes) for g in pr.grids], c0=0.0)
+        impulse = np.zeros((nch, Nt + 1))
+        impulse[0, 1] = 1.0
+        _, _, march = traced_peak(solve_forward_graph, still, impulse[:nd], impulse[nd:], system)
+        Q, _, peak = traced_peak(reduced_hessian, system, CostConfig())
+        H = 8 * nch * Nt * sum(g.nnodes for g in pr.grids)
+        edge = 8 * (Nt + 1) * (M + 1)
+        assert Q.nbytes < edge
+        assert peak < H + march + 2 * edge
+
 
 class TestActiveBoxProperties:
     """Box-constrained optimality on graphs with Dirichlet tips, the box cut

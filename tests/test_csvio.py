@@ -1,9 +1,11 @@
-"""Work split between forked workers: contiguous parts, results in order,
-every child reaped, and a child's failure raised in the parent."""
+"""Work handed out to forked workers: a worker count by CPUs, values and
+items, results in worker order, every child reaped, a child's failure raised
+in the parent, and files read by ticket, the ones left by this process."""
 
 import errno
 import os
 import pickle
+import time
 
 import numpy as np
 import pytest
@@ -11,68 +13,59 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fracstar._csvio as csvio
-from conftest import assert_no_child_processes
-from fracstar._csvio import chunks, cpus, start
+from conftest import assert_no_child_processes, splitting
+from fracstar._csvio import chunks, cpus, read_csv_files, start
 
 
-def fan_out(run, parts):
-    """Every part's result, part 0 run here and the others in forked children."""
-    return start(run, parts)[1]()
+def fan_out(run, workers):
+    """Every worker's result, worker 0 run here and the others in forked children."""
+    return start(run, workers)()
 
 
 class TestChunks:
     @given(
-        sizes=st.lists(st.integers(0, 10**6), max_size=20),
+        values=st.integers(0, 10**7),
+        items=st.integers(0, 20),
         workers=st.integers(1, 12),
         minimum=st.sampled_from([1, 1000, csvio.SPLIT_MIN_VALUES]),
     )
     @settings(max_examples=200, deadline=None)
-    def test_contiguous_parts_cover_every_item_once(self, sizes, workers, minimum):
+    def test_one_worker_per_cpu_item_and_split(self, values, items, workers, minimum):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(csvio, "cpus", lambda: workers)
             mp.setattr(csvio, "SPLIT_MIN_VALUES", minimum)
-            parts = chunks(sizes)
-        assert [i for part in parts for i in part] == list(range(len(sizes)))
-        if sizes:
-            assert all(len(part) for part in parts)
-        else:
-            assert parts == [range(0)]
-        assert len(parts) <= workers
-        assert len(parts) <= max(1, sum(sizes) // minimum)
-
-    @given(blocks=st.integers(1, 300), width=st.integers(1, 50), workers=st.integers(1, 8))
-    def test_equal_items_are_shared_evenly(self, blocks, width, workers):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(csvio, "cpus", lambda: workers)
-            mp.setattr(csvio, "SPLIT_MIN_VALUES", 1)
-            lengths = [len(part) for part in chunks([width] * blocks)]
-        assert len(lengths) == min(blocks, workers)
-        assert max(lengths) - min(lengths) <= 1
+            count = chunks(values, items)
+        assert 1 <= count <= max(1, min(workers, items, values // minimum))
+        # as many as each bound allows
+        assert count == 1 or count in (workers, items, values // minimum)
 
     def test_files_are_shared_by_their_values(self, monkeypatch):
         # four sources and four initial data, in the order a problem file
-        # names them: each worker takes two sources
-        monkeypatch.setattr(csvio, "cpus", lambda: 2)
+        # names them: two workers on two CPUs, four at most on more
         sizes = [67270, 510, 67965, 523, 67551, 526, 65862, 525]
-        assert chunks(sizes) == [range(0, 3), range(3, 8)]
+        monkeypatch.setattr(csvio, "cpus", lambda: 2)
+        assert chunks(sum(sizes), len(sizes)) == 2
+        monkeypatch.setattr(csvio, "cpus", lambda: 8)
+        assert chunks(sum(sizes), len(sizes)) == 4
 
     def test_only_large_conversions_split(self, monkeypatch):
         monkeypatch.setattr(csvio, "cpus", lambda: 8)
         # a state of Nt = 128 steps on one edge of 129 nodes stays whole ...
-        assert chunks([129] * 129) == [range(129)]
+        assert chunks(129 * 129, 129) == 1
         # ... four edges of 513 nodes take four workers
-        assert len(chunks([4 * 513] * 129)) == 4
+        assert chunks(4 * 513 * 129, 129) == 4
 
     def test_without_fork_everything_is_one_part(self, monkeypatch):
         monkeypatch.setattr(csvio, "SPLIT_MIN_VALUES", 1)
         monkeypatch.delattr(os, "fork", raising=False)
-        assert chunks([10**6] * 4) == [range(4)]
+        assert chunks(4 * 10**6, 4) == 1
 
-    def test_a_given_number_of_parts(self):
-        # whatever the data and the CPUs, at most one part per item
-        assert chunks([1] * 10, 3) == [range(0, 3), range(3, 7), range(7, 10)]
-        assert chunks([10**6] * 2, 3) == [range(0, 1), range(1, 2)]
-        assert chunks([7], 0) == [range(1)] and chunks([], 2) == [range(0)]
+    def test_a_given_number_of_parts(self, monkeypatch):
+        # whatever the data and the CPUs, at most one worker per item, and one
+        # for no item or no value
+        monkeypatch.setattr(csvio, "cpus", lambda: 8)
+        assert chunks(10**7, 3) == 3 and chunks(2 * 10**6, 2) == 2
+        assert chunks(10**7, 0) == chunks(0, 5) == 1
 
     def test_workers_are_capped_at_eight(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)), raising=False)
@@ -86,10 +79,9 @@ class TestChunks:
 
 class TestFanOut:
     def test_results_come_back_in_part_order(self):
-        parts = [range(0, 2), range(2, 5), range(5, 6)]
-        out = fan_out(lambda k, part: (k, os.getpid(), [i * i for i in part]), parts)
+        out = fan_out(lambda k: (k, os.getpid(), [i * i for i in range(k, 2 * k + 1)]), 3)
         assert [(k, squares) for k, _, squares in out] == [
-            (0, [0, 1]), (1, [4, 9, 16]), (2, [25])
+            (0, [0]), (1, [1, 4]), (2, [4, 9, 16])
         ]
         pids = [pid for _, pid, _ in out]
         assert pids[0] == os.getpid() and len(set(pids)) == 3
@@ -97,41 +89,41 @@ class TestFanOut:
 
     def test_arrays_come_back_bitwise(self):
         values = np.array([[0.0, -0.0, 5e-324], [np.nan, -np.inf, 1 / 3]])
-        out = fan_out(lambda k, part: [values, values[:, k], "text"], [range(1)] * 3)
+        out = fan_out(lambda k: [values, values[:, k], "text"], 3)
         for k, (array, column, text) in enumerate(out):
             assert (array.tobytes(), array.shape, text) == (values.tobytes(), (2, 3), "text")
             assert column.tobytes() == values[:, k].tobytes()
         assert_no_child_processes()
 
     def test_child_exception_is_raised_after_every_child_is_reaped(self):
-        def run(k, part):
+        def run(k):
             if k >= 1:
                 raise (KeyError if k == 1 else ValueError)(f"part {k} failed")
             return k
 
-        # the lowest failing part's exception, with its type and message
+        # the lowest failing worker's exception, with its type and message
         with pytest.raises(KeyError, match="part 1 failed"):
-            fan_out(run, [range(1)] * 3)
+            fan_out(run, 3)
         assert_no_child_processes()
 
     def test_own_part_failure_reaps_the_children(self):
-        def run(k, part):
+        def run(k):
             if k == 0:
                 raise RuntimeError("own part failed")
             return np.zeros(1 << 18)  # more than a pipe holds
 
         with pytest.raises(RuntimeError, match="own part failed"):
-            fan_out(run, [range(1)] * 3)
+            fan_out(run, 3)
         assert_no_child_processes()
 
     def test_child_that_dies_without_a_result(self):
-        def run(k, part):
+        def run(k):
             if k == 1:
                 os._exit(3)
             return k
 
         with pytest.raises(ChildProcessError, match="exited without a result"):
-            fan_out(run, [range(1)] * 2)
+            fan_out(run, 2)
         assert_no_child_processes()
 
     @pytest.mark.parametrize("cut", [True, False])
@@ -150,11 +142,11 @@ class TestFanOut:
 
         monkeypatch.setattr(csvio, "_send", dying)
         with pytest.raises(ChildProcessError, match="exited without a result"):
-            fan_out(lambda k, part: np.arange(1.0, 1001.0), [range(1), range(1, 2)])
+            fan_out(lambda k: np.arange(1.0, 1001.0), 2)
         assert_no_child_processes()
 
     def test_exception_that_does_not_pickle(self):
-        def run(k, part):
+        def run(k):
             if k == 1:
                 exc = ValueError("carries a lambda")
                 exc.hook = lambda: None
@@ -162,7 +154,7 @@ class TestFanOut:
             return k
 
         with pytest.raises(RuntimeError, match="carries a lambda"):
-            fan_out(run, [range(1)] * 2)
+            fan_out(run, 2)
         assert_no_child_processes()
 
     @pytest.mark.parametrize(
@@ -172,12 +164,13 @@ class TestFanOut:
     )
     def test_parts_that_cannot_be_forked_run_here(self, monkeypatch, name, exc):
         # the second pipe or fork fails, as under a file or process limit:
-        # part 1 runs in a child, parts 2 and 3 here, and no pipe is left open
+        # worker 1 runs in a child, workers 0, 2 and 3 here, and no pipe is
+        # left open
         fds = []
         pipe = os.pipe
         monkeypatch.setattr(os, "pipe", lambda: fds.extend(pipe()) or tuple(fds[-2:]))
         fail_from_second_call(monkeypatch, name, exc)
-        out = fan_out(lambda k, part: (k, os.getpid()), [range(1)] * 4)
+        out = fan_out(lambda k: (k, os.getpid()), 4)
         assert [k for k, _ in out] == [0, 1, 2, 3]
         pids = [pid for _, pid in out]
         assert pids[0] == pids[2] == pids[3] == os.getpid() != pids[1]
@@ -191,32 +184,110 @@ class TestFanOut:
         fail_from_second_call(monkeypatch, "fork", OSError(errno.EAGAIN, "no process"))
         ran = []
 
-        def run(k, part):
+        def run(k):
             if k == 1:
                 raise KeyError("part 1 failed")
             ran.append(k)
 
         with pytest.raises(KeyError, match="part 1 failed"):
-            fan_out(run, [range(1)] * 3)
+            fan_out(run, 3)
         assert ran == [0]
         assert_no_child_processes()
 
 
 class TestStart:
-    def test_every_part_runs_in_a_child_while_the_caller_works(self):
-        forked, join = start(lambda k, part: (k, os.getpid()), [range(1)] * 3, first=0)
-        assert forked == 3
-        here = os.getpid()  # the caller's own work would go here
-        out = join()
-        assert [k for k, _ in out] == [0, 1, 2]
-        assert here not in {pid for _, pid in out} and len({pid for _, pid in out}) == 3
+    def test_workers_run_in_children_while_the_caller_works(self, tmp_path):
+        def run(k):
+            (tmp_path / str(k)).write_text(str(os.getpid()))
+            return k
+
+        join = start(run, 3)
+        # workers 1 and 2 run in their children before the join, worker 0 here in it
+        deadline = time.monotonic() + 30
+        while len(list(tmp_path.iterdir())) < 2 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["1", "2"]
+        assert join() == [0, 1, 2]
+        pids = [int((tmp_path / str(k)).read_text()) for k in range(3)]
+        assert pids[0] == os.getpid() not in pids[1:] and pids[1] != pids[2]
         assert_no_child_processes()
 
     def test_a_join_dropped_uncalled_reaps_the_children(self):
-        forked, join = start(lambda k, part: np.zeros(1 << 18), [range(1)] * 2, first=0)
-        assert forked == 2
+        ran = []
+        join = start(lambda k: ran.append(k) or np.zeros(1 << 18), 3)
         del join  # the caller failed before it joined
         assert_no_child_processes()
+        assert ran == []  # worker 0 runs only in the join
+
+
+class TestReader:
+    """Files handed out one ticket each: the forked workers read from the
+    start, this process the ones left when it collects; the values are those
+    one process reads."""
+
+    def test_a_stalled_worker_leaves_files_to_the_caller(self, tmp_path, monkeypatch):
+        paths = []
+        for i in range(6):
+            paths.append(tmp_path / f"{i}.csv")
+            np.savetxt(paths[-1], np.arange(12.0).reshape(3, 4) / (i + 3), delimiter=",")
+        parent, read, here = os.getpid(), csvio._read, []
+
+        def stalling(path):
+            if os.getpid() == parent:
+                here.append(path)
+            else:  # a forked worker stalls before each file it takes
+                time.sleep(0.2)
+            return read(path)
+
+        monkeypatch.setattr(csvio, "_read", stalling)
+        with splitting():  # two forked workers
+            files = read_csv_files(paths)()
+        assert_no_child_processes()
+        assert here  # this process read at least one file
+        for path in paths:
+            expected = np.loadtxt(path, delimiter=",", ndmin=2)
+            assert (files[path].shape, files[path].tobytes()) == (
+                expected.shape, expected.tobytes()
+            )
+
+    @given(
+        data=st.data(),
+        workers=st.integers(1, 8),
+        kinds=st.lists(st.sampled_from(["values", "empty", "missing", "unparsable"]),
+                       max_size=12),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_reads_give_the_serial_values_or_errors(
+        self, tmp_path_factory, data, workers, kinds
+    ):
+        tmp = tmp_path_factory.mktemp("read")
+        paths = [tmp / f"{i}.csv" for i in range(len(kinds))]
+        for path, kind in zip(paths, kinds):
+            if kind == "values":
+                shape = data.draw(st.tuples(st.integers(1, 4), st.integers(1, 4)))
+                values = data.draw(st.lists(
+                    st.floats(allow_nan=False), min_size=shape[0] * shape[1],
+                    max_size=shape[0] * shape[1],
+                ))
+                np.savetxt(path, np.reshape(values, shape), delimiter=",", fmt="%.17g")
+            elif kind != "missing":
+                path.write_text("" if kind == "empty" else "1.0,x\n")
+        serial = {path: csvio._read(path) for path in paths}
+        fds = len(os.listdir("/dev/fd"))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(csvio, "SPLIT_MIN_VALUES", 1)
+            mp.setattr(csvio, "cpus", lambda: workers)
+            files = read_csv_files(paths)()
+        assert_no_child_processes()
+        assert len(os.listdir("/dev/fd")) == fds
+        assert files.keys() == serial.keys()
+        for path, expected in serial.items():
+            if isinstance(expected, str):
+                assert files[path] == expected
+            else:
+                assert (files[path].shape, files[path].tobytes()) == (
+                    expected.shape, expected.tobytes()
+                )
 
 
 class TestRowWriter:
