@@ -27,6 +27,7 @@ from .graph_solver import (
     GraphSystem,
     GraphTrajectory,
     StarGraphProblem,
+    _control_array,
     _misfit,
     assemble_graph_system,
     solve_adjoint_graph,
@@ -124,13 +125,13 @@ def cost_graph(
     cfg: CostConfig,
 ) -> float:
     """Tracking over all edges plus the per-channel control penalties."""
+    controls = _control_array(controls, problem.n_channels, problem.time_grid.Nt, "channel")
     omega = problem.time_grid.trapezoid_weights()
     total = 0.0
     for diff, grid in zip(_misfit(problem, y), problem.grids):
         wx = grid.trapezoid_weights()
         total += 0.5 * float(np.einsum("k,kj,j,kj->", omega, diff, wx, diff))
     w = cfg.weights_for(problem)
-    controls = np.asarray(controls, dtype=float)
     for j in range(problem.n_channels):
         total += 0.5 * w[j] * float(omega @ controls[j] ** 2)
     return total
@@ -147,11 +148,7 @@ def gradient_graph(
     """
     if p.dirichlet_flux_series is None or p.neumann_trace_series is None:
         raise ValueError("gradient_graph needs an adjoint GraphTrajectory")
-    controls = np.asarray(controls, dtype=float)
-    if controls.shape[0] != problem.n_channels:
-        raise ValueError(
-            f"expected {problem.n_channels} control channels, got {controls.shape[0]}"
-        )
+    controls = _control_array(controls, problem.n_channels, problem.time_grid.Nt, "channel")
     w = cfg.weights_for(problem)
     g = np.empty_like(controls)
     nd = problem.n_dirichlet_channels

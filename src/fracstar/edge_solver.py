@@ -7,8 +7,8 @@ coefficients, solve it with :mod:`fracstar.graph_solver` and report the edge's
 state and tip series as a :class:`Trajectory`.  An
 :class:`EdgeControlProblem` is the edge's data for
 :func:`~fracstar.validation.finite_difference_gradient`, which costs it as
-the one-edge graph.  Every other property of the edge (its tip flux, energy
-and a-priori ratios) is measured on the one-edge graph by
+the one-edge graph.  Its tip flux is its Neumann control; every other
+property of the edge (its energy and a-priori ratios) is measured by
 :func:`~fracstar.graph_solver.diagnose_forward` and
 :func:`~fracstar.graph_solver.diagnose_adjoint`.
 

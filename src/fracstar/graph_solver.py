@@ -26,10 +26,9 @@ The step matrix is constant in time, so all of this is computed once, at
 assembly, and shared by every sweep on that system.  Assembly takes the edges
 one at a time: it assembles an edge's operator, keeps the few vectors the
 sweeps and diagnostics read (mass, border and junction entries, the junction
-mode and the flux-probe and junction rows of ``W`` and ``K``), forms the step
-block in place on ``K``, factors it and releases the edge's ``K``, ``W`` and
-``D`` before the next edge.  A system keeps one square array per edge, its
-propagator.
+mode and the junction rows of ``W`` and ``K``), forms the step block in place
+on ``K``, factors it and releases the edge's ``K`` and ``W`` before the next
+edge.  A system keeps one square array per edge, its propagator.
 
 The forward sweep marches from ``y0``; the adjoint sweep marches backward
 from ``p(T + dt) = 0`` with loads ``omega_k/dt (y - y_d)`` and is the exact
@@ -44,17 +43,19 @@ its edge's trace row and ``c``.  The adjoint marches through its rows in
 memory order and reverses them in place once it is done.
 
 Diagnostics.  :func:`diagnose_forward` and :func:`diagnose_adjoint` read the
-tip and junction fluxes off the step residuals of a solution, all steps at
-once, together with its energy, constraint residual, a-priori ratios and
-boundary-regularity ratio.  The fluxes and the energy are linear or
-quadratic in the DOF rows, so they are read off views of the rows by
-products with a few vectors per edge: a probe applied to a step's rate is
-the difference of two rows' products over ``dt``, and the squared norm of
-an edge's samples ``x + c mode`` is ``|x|^2 + 2 c <x, mode> + c^2 |mode|^2``
-(in ``W``).  No rate or edge-DOF array is formed.  The a-priori ratios and
-the adjoint's misfit take one edge's samples at a time, so a diagnosis holds
-at most one edge's share of a trajectory beside its input.  They are
-computed on request; the optimizer never calls them.
+junction fluxes off the step residuals of a solution, all steps at once,
+together with its energy, constraint residual, a-priori ratios and
+boundary-regularity ratio.  The tip fluxes are not read a second time: a
+Dirichlet tip's are its multipliers, and a Neumann tip's is its control.
+The fluxes and the energy are linear or quadratic in the DOF rows, so they
+are read off views of the rows by products with a few vectors per edge: a
+junction row applied to a step's rate is the difference of two rows'
+products over ``dt``, and the squared norm of an edge's samples
+``x + c mode`` is ``|x|^2 + 2 c <x, mode> + c^2 |mode|^2`` (in ``W``).  No
+rate or edge-DOF array is formed.  The a-priori ratios and the adjoint's
+misfit take one edge's samples at a time, so a diagnosis holds at most one
+edge's share of a trajectory beside its input.  They are computed on
+request; the optimizer never calls them.
 """
 
 from collections.abc import Sequence
@@ -168,20 +169,14 @@ class StarGraphProblem(NamedTuple):
 
 class EdgeReadout(NamedTuple):
     """The vectors of one edge's operator that the sweeps and diagnostics
-    read, taken at assembly before its matrices are released.
-
-    ``mode`` holds the junction mode's nodal samples; ``probe`` the nodal part
-    of the flux probe, with ``w_probe`` and ``k_probe`` the edge's ``W`` and
-    ``K`` applied to the whole probe; ``w_junction`` and ``k_junction`` the
-    junction rows ``W[-1]`` and ``K[-1]``.  Without the junction mode the
-    three junction fields are ``None``.  To get the edge's full operator,
-    call :func:`~fracstar.sturm.assemble_stiffness`.
+    read, taken at assembly before its matrices are released: ``mode`` holds
+    the junction mode's nodal samples, ``w_junction`` and ``k_junction`` the
+    junction rows ``W[-1]`` and ``K[-1]``.  Without the junction mode all
+    three are ``None``.  To get the edge's full operator, call
+    :func:`~fracstar.sturm.assemble_stiffness`.
     """
 
     mode: np.ndarray | None
-    probe: np.ndarray
-    w_probe: np.ndarray
-    k_probe: np.ndarray
     w_junction: np.ndarray | None
     k_junction: np.ndarray | None
 
@@ -221,8 +216,8 @@ class GraphSystem(NamedTuple):
     """Assembled graph operator, stored per edge: each edge's readout vectors
     (:class:`EdgeReadout`), the tip trace rows of all edges (the first ``m``
     are the constraint rows of the Dirichlet-type tips, ``B`` in
-    :func:`_march`), and the inverted step matrix.  No edge's ``K``, ``W``
-    or ``D`` is kept: the one square array per edge is its propagator.
+    :func:`_march`), and the inverted step matrix.  No edge's ``K`` or ``W``
+    is kept: the one square array per edge is its propagator.
 
     ``mass`` is the diagonal of the global mass (the junction coupling sits in
     the update below).  The step matrix on the free DOFs, bordered by the free
@@ -357,9 +352,6 @@ def _assemble(problem: StarGraphProblem) -> GraphSystem:
         readouts.append(
             EdgeReadout(
                 mode=op.mode,
-                probe=op.flux_probe[:nn],
-                w_probe=op.W @ op.flux_probe,
-                k_probe=op.K @ op.flux_probe,
                 w_junction=op.W[-1].copy() if include_mode else None,
                 k_junction=op.K[-1].copy() if include_mode else None,
             )
@@ -378,7 +370,7 @@ def _assemble(problem: StarGraphProblem) -> GraphSystem:
             corner[:k, k + i] = corner[k + i, :k] = op.trace_b[nn:]
         # W is diagonal on the nodes, so A_i = W_i/dt + K_i is K's nodal block
         # with mass/dt added to its diagonal in place.  Each dense array is
-        # released once read: W and D here, K once it is factored.
+        # released once read: W here, K once it is factored.
         block = op.K[fs, fs]
         del op
         diag = np.arange(nn - first)
@@ -471,18 +463,19 @@ class GraphDiagnostics(NamedTuple):
     """Properties of a graph solution, measured by :func:`diagnose_forward`
     or :func:`diagnose_adjoint`.
 
-    ``tip_flux[k, i]`` is ``(beta D^alpha y)(b_i^-)`` read off the residual of
-    step ``k``; ``junction_flux[k, i]`` is edge ``i``'s flux into the junction,
-    whose sum over the edges is the discrete Kirchhoff balance (index 0 carries
-    no step).  ``energy`` is the L2 norm per time; ``constraint_residual`` the
-    largest deviation of the tip traces of edges ``1..m`` from their
-    prescribed values.  The a-priori ratios (forward only) are measured
-    against their closed-form bounds and read 0 where no bound covers the
-    controls; the boundary-regularity ratio (adjoint only) reads 0 without
-    Dirichlet tips.
+    ``junction_flux[k, i]`` is edge ``i``'s flux into the junction, read off
+    the residual of step ``k``, whose sum over the edges is the discrete
+    Kirchhoff balance (index 0 carries no step; without the junction mode it
+    is zero).  The tip fluxes ``(beta D^alpha y)(b_i^-)`` are not measured
+    here: the solution's ``multipliers`` are those of the Dirichlet tips, and
+    a Neumann tip's is its control.  ``energy`` is the L2 norm per time;
+    ``constraint_residual`` the largest deviation of the tip traces of edges
+    ``1..m`` from their prescribed values.  The a-priori ratios (forward
+    only) are measured against their closed-form bounds and read 0 where no
+    bound covers the controls; the boundary-regularity ratio (adjoint only)
+    reads 0 without Dirichlet tips.
     """
 
-    tip_flux: np.ndarray
     junction_flux: np.ndarray
     energy: np.ndarray
     constraint_residual: float
@@ -722,12 +715,10 @@ def solve_adjoint_graph(
     )
 
 
-def _data_vectors(system: GraphSystem, i: int) -> np.ndarray:
-    """Edge ``i``'s flux probe and junction mode (zero without one), each
-    times the trapezoid weights: sample-space data times them is the data's
-    load on the probe and on ``c``."""
-    edge, w = system.readouts[i], system.problem.grids[i].trapezoid_weights()
-    return np.column_stack([w * edge.probe, w * (0.0 if edge.mode is None else edge.mode)])
+def _data_vector(system: GraphSystem, i: int) -> np.ndarray:
+    """Edge ``i``'s junction mode times the trapezoid weights: sample-space
+    data times it is the data's load on ``c``."""
+    return system.problem.grids[i].trapezoid_weights() * system.readouts[i].mode
 
 
 def _squared_norms(system: GraphSystem, dofs: np.ndarray) -> np.ndarray:
@@ -746,55 +737,46 @@ def _squared_norms(system: GraphSystem, dofs: np.ndarray) -> np.ndarray:
 
 
 def _edge_residual(system: GraphSystem, dofs, i: int, adjoint: bool, load) -> np.ndarray:
-    """Edge ``i``'s step residuals on its flux probe and, with the junction
-    mode, in its ``c`` row: ``W_i`` applied to the step's rate plus ``K_i`` to
-    its state, less its ``load`` (one row per step).  The edge's DOF vector
-    (its nodal block, then ``c``) is read off views of the rows."""
+    """Edge ``i``'s step residuals in its ``c`` row: the junction row of
+    ``W_i`` applied to the step's rate plus that of ``K_i`` to its state, less
+    its ``load`` (one entry per step).  The edge's DOF vector (its nodal
+    block, then ``c``) is read off views of the rows."""
     dm, dt, edge = system.dofmap, system.problem.time_grid.dt, system.readouts[i]
-    vectors = [edge.w_probe, edge.k_probe]
-    if edge.mode is not None:
-        vectors += [edge.w_junction, edge.k_junction]
-    vectors = np.column_stack(vectors)
-    products = dofs[:, dm.edge_slice(i)] @ vectors[: dm.nnodes[i]]
-    if edge.mode is not None:
-        c = dofs[:, dm.c_index]
-        # c's share a column at a time: a broadcast product would buffer
-        for column, entry in zip(products.T, vectors[-1]):
-            column += entry * c
-    w, k = products[:, 0::2], products[1:, 1::2]  # by W_i, and by K_i
-    prev = np.vstack([w[2:], np.zeros((1, w.shape[1]))]) if adjoint else w[:-1]
-    return (w[1:] - prev) / dt + k - load[:, : w.shape[1]]
+    rows = np.column_stack([edge.w_junction, edge.k_junction])
+    products = dofs[:, dm.edge_slice(i)] @ rows[:-1]
+    c = dofs[:, dm.c_index]
+    # c's share a column at a time: a broadcast product would buffer
+    for column, entry in zip(products.T, rows[-1]):
+        column += entry * c
+    w, k = products[:, 0], products[1:, 1]  # by W_i, and by K_i
+    prev = np.append(w[2:], 0.0) if adjoint else w[:-1]
+    return (w[1:] - prev) / dt + k - load
 
 
 def _readout(system: GraphSystem, y: GraphTrajectory, adjoint: bool, loads, known, traces,
              **extra):
-    """Tip and junction fluxes, energy and constraint residual of a march, in
-    a :class:`GraphDiagnostics` completed by ``extra``.
+    """Junction fluxes, energy and constraint residual of a march, in a
+    :class:`GraphDiagnostics` completed by ``extra``.
 
     Row ``j`` of the inputs belongs to the step that solved ``y.dofs[j + 1]``
     from the row before it, or, for the ``adjoint``, from the row after it
-    (zero after the last).  ``loads`` yields each edge's step loads on its
-    flux probe and on ``c`` (:func:`_data_vectors`), edge by edge;
-    ``known`` holds the tip fluxes the steps imposed (multipliers and Neumann
-    data) and ``traces`` the tip traces they prescribed on edges ``1..m``.
-    The residuals of all steps are formed at once and edge by edge: a tip
-    flux through ``W_i`` and ``K_i`` applied to the edge's flux probe, a
-    junction flux through the edge's ``c`` row (``W_i`` and ``K_i`` are
-    symmetric).  Each is a product of every row with one vector, and the
-    rate's share is the difference of two rows' products over ``dt``.
+    (zero after the last).  ``loads`` yields each edge's step loads on ``c``
+    (:func:`_data_vector`), edge by edge, and nothing without the junction
+    mode; ``known`` holds the tip fluxes the steps imposed (multipliers and
+    Neumann data) and ``traces`` the tip traces they prescribed on edges
+    ``1..m``.  An edge's junction flux is its tip flux less its residual in
+    its ``c`` row, formed for all steps at once (``W_i`` and ``K_i`` are
+    symmetric): each junction row times every row, the rate's share the
+    difference of two rows' products over ``dt``.
     """
     pr = system.problem
-    tip = np.zeros((len(y.dofs), pr.n))  # row 0 carries no step
-    junction = np.zeros_like(tip)
+    junction = np.zeros((len(y.dofs), pr.n))  # row 0 carries no step
     for i, load in enumerate(loads):
-        residual = _edge_residual(system, y.dofs, i, adjoint, load)
-        tip[1:, i] = residual[:, 0]
-        if residual.shape[1] > 1:
-            junction[1:, i] = known[:, i] - residual[:, 1]
-        del load, residual  # before the next edge's are formed
+        junction[1:, i] = known[:, i] - _edge_residual(system, y.dofs, i, adjoint, load)
+        del load  # before the next edge's is formed
     cres = float(np.abs(y.tip_trace[1:, : pr.m] - traces).max()) if pr.m > 0 else 0.0
     energy = np.sqrt(_squared_norms(system, y.dofs))
-    return GraphDiagnostics(tip, junction, energy, cres, **extra)
+    return GraphDiagnostics(junction, energy, cres, **extra)
 
 
 def _apriori_bounds(problem: StarGraphProblem) -> tuple[float, float]:
@@ -865,7 +847,8 @@ def diagnose_forward(
     if pr.m == 0 or not (np.any(u) or np.any(v)):
         ratio, ratio_T = _apriori_ratios(system, y, f, v)
     bound, bound_T = _apriori_bounds(pr)
-    loads = (fi[1:] @ _data_vectors(system, i) for i, fi in enumerate(f))
+    loads = (fi[1:] @ _data_vector(system, i) for i, fi in enumerate(f)
+             if pr.include_junction_mode)
     known = np.hstack([y.multipliers[1:], v[:, 1:].T])
     return _readout(
         system, y, False, loads, known, _prescribed_traces(u, pr.m)[1:],
@@ -886,7 +869,8 @@ def diagnose_adjoint(system: GraphSystem, p: GraphTrajectory, y) -> GraphDiagnos
     for i, s in enumerate(_misfit(pr, y)):  # one edge's misfit at a time
         w = pr.grids[i].trapezoid_weights()
         misfit += float(np.einsum("k,kj,j,kj->", omega, s, w, s))
-        loads.append((omega[1:] / tg.dt)[:, None] * (s[1:] @ _data_vectors(system, i)))
+        if pr.include_junction_mode:
+            loads.append(omega[1:] / tg.dt * (s[1:] @ _data_vector(system, i)))
     reg = 0.0
     if misfit > 0.0 and pr.m > 0:
         beta_b = np.array([pr.coeffs[i].beta[-1] for i in range(pr.m)])

@@ -60,13 +60,11 @@ class EdgeOperator(NamedTuple):
     ``K`` and ``W`` act on the extended DOF vector (nodal samples, then the
     optional singular coefficient).  ``W`` is the lumped trapezoid mass; it is
     diagonal without the singular DOF and gains one coupling row/column with
-    it.  ``trace_a``/``trace_b`` evaluate the order ``1 - alpha`` integral at
-    the endpoints, ``flux_probe`` is a fixed vector with ``trace_b . probe = 1``
-    and ``trace_a . probe = 0`` used to read the natural boundary flux off a
-    residual, ``mode`` holds the singular mode's nodal samples (with the
-    singular DOF), and ``free`` lists the unconstrained DOFs (node 0 is
-    pinned for ``alpha = 1``, where the endpoint condition at ``a`` becomes
-    pointwise).
+    it.  ``trace_b`` evaluates the order ``1 - alpha`` integral at the tip
+    (the mode's entry is one), ``mode`` holds the singular mode's nodal
+    samples (with the singular DOF), and ``free`` lists the unconstrained
+    DOFs (node 0 is pinned for ``alpha = 1``, where the endpoint condition at
+    ``a`` becomes pointwise).
     """
 
     alpha: float
@@ -76,10 +74,7 @@ class EdgeOperator(NamedTuple):
     mode: np.ndarray | None
     K: np.ndarray
     W: np.ndarray
-    D: np.ndarray
-    trace_a: np.ndarray
     trace_b: np.ndarray
-    flux_probe: np.ndarray
     free: np.ndarray
 
 
@@ -115,7 +110,7 @@ def assemble_stiffness(
     coeffs: EdgeCoefficients,
     include_singular_dof: bool = False,
 ) -> EdgeOperator:
-    """Assemble stiffness, mass, traces and flux probe for one edge."""
+    """Assemble stiffness, mass and tip trace for one edge."""
     if np.asarray(coeffs.beta).shape[0] != grid.nnodes:
         raise ValueError("coefficient samples do not match the grid")
     nn = grid.nnodes
@@ -147,18 +142,8 @@ def assemble_stiffness(
             A[-1, -1] += (mode * d) @ mode
     _symmetrize(K)
 
-    trace_a = np.zeros(ndof)
-    trace_b = np.zeros(ndof)
-    trace_a[:nn] = trace_functional(alpha, grid, "a")
+    trace_b = np.ones(ndof)  # the mode's order 1 - alpha integral is one
     trace_b[:nn] = trace_functional(alpha, grid, "b")
-    if mode is not None:  # the mode's order 1 - alpha integral is one
-        trace_a[-1] = trace_b[-1] = 1.0
-
-    probe = np.zeros(ndof)
-    if alpha == 1.0:
-        probe[nn - 1] = 1.0
-    else:
-        probe[nn - 2] = 1.0 / trace_b[nn - 2]
 
     free = np.arange(ndof)
     if alpha == 1.0:
@@ -172,10 +157,7 @@ def assemble_stiffness(
         mode=mode,
         K=K,
         W=W,
-        D=D,
-        trace_a=trace_a,
         trace_b=trace_b,
-        flux_probe=probe,
         free=free,
     )
 

@@ -16,8 +16,11 @@ from fracstar import (
     assemble_stiffness,
     diagnose_forward,
     solve_forward_graph,
+    trace_functional,
 )
 from fracstar.edge_solver import edge_problem
+from fracstar.graph_solver import _add_loads
+from fracstar.validation import dense_edge_operators
 
 
 def random_coeffs(rng, grid, beta0=1.0, q0=0.5):
@@ -42,7 +45,7 @@ def random_edge(rng, alpha=0.6, M=10, Nt=8, a=0.0, b=1.0, T=0.9):
 
 def diagnose_edge(op, tg, f, y0, v):
     """The edge problem solved as the one-edge graph, with the diagnostics
-    that measure the edge's tip flux, energy and a-priori ratios."""
+    that measure the edge's energy and a-priori ratios."""
     problem = edge_problem(op, tg, f, y0)
     system = assemble_graph_system(problem)
     traj = solve_forward_graph(problem, None, v, system)
@@ -67,6 +70,43 @@ def edge_dofs(system, Y, i):
     is present."""
     dm = system.dofmap
     return np.concatenate([Y[..., dm.edge_slice(i)], Y[..., dm.junction]], axis=-1)
+
+
+def trace_at_a(op):
+    """The edge's trace at ``a`` in its operator's DOF layout: the order
+    ``1 - alpha`` integral's row on the nodes, and one on the mode."""
+    row = trace_functional(op.alpha, op.grid, "a")
+    return np.append(row, 1.0) if op.has_singular_dof else row
+
+
+def flux_probe(op):
+    """The nodal vector that reads the tip flux ``(beta D^alpha y)(b^-)`` off
+    a residual on the edge's nodes: zero but for ``1/trace_b[nn - 2]`` at node
+    ``nn - 2`` (the trace at ``b`` reads no last node), or one at the tip
+    node for ``alpha = 1``, so that ``trace_b . probe = 1``."""
+    nn = op.grid.nnodes
+    probe = np.zeros(nn)
+    if op.alpha == 1.0:
+        probe[-1] = 1.0
+    else:
+        probe[-2] = 1.0 / op.trace_b[nn - 2]
+    return probe
+
+
+def tip_fluxes(system, y, f):
+    """Every edge's tip flux at steps ``1..Nt`` of the forward solution
+    ``y``, read by its :func:`flux_probe` off the dense step residual
+    ``W (x_k - x_{k-1})/dt + K x_k - l_k``, where the per-edge sources ``f``
+    load ``l_k``.  The residual leaves out the controls and the
+    multipliers: those are what it measures."""
+    pr, dm = system.problem, system.dofmap
+    K, W = (ops.sum(axis=0) for ops in dense_edge_operators(system))
+    x = y.dofs[1:]
+    r = np.diff(y.dofs, axis=0) / pr.time_grid.dt @ W + x @ K
+    r -= _add_loads(system, [fi[1:] for fi in f])
+    return np.column_stack([
+        r[:, dm.edge_slice(i)] @ flux_probe(op) for i, op in enumerate(edge_operators(pr))
+    ])
 
 
 def random_graph(

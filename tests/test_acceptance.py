@@ -42,6 +42,7 @@ from conftest import (
     random_coeffs,
     random_edge,
     random_graph,
+    trace_at_a,
 )
 from exact import Exact, heat, relative_l2q
 
@@ -215,14 +216,65 @@ def test_criterion_05_energy_decay_and_estimates():
             ])
             resid = np.abs(terms.sum(axis=0)) / np.abs(terms).max(axis=0)
             worst_eq = max(worst_eq, float(resid.max()))
+    # the same equality loaded by a source and the controls: pairing the
+    # saddle step with y_k adds dt <l_k, y_k>, the source's work and each
+    # Neumann control times its tip trace, and the multipliers' work against
+    # the prescribed traces; so every tip's flux works against its trace.
+    # The march and the dense oracle each satisfy it
+    worst_loaded = 0.0
+    for n, m, alpha in ((1, 0, 0.6), (3, 2, 0.6), (3, 2, 1.0)):
+        pr = random_graph(rng, alpha=alpha, n=n, m=m, Nt=12, Ms=(12,) * n,
+                          bs=(1.0, 0.8, 1.2)[:n])
+        if alpha == 1.0:
+            for y0 in pr.y0:
+                y0[0] = 0.0
+        u = rng.standard_normal((pr.n_dirichlet_channels, 13))
+        v = rng.standard_normal((pr.n_neumann_channels, 13))
+        sys_ = assemble_graph_system(pr)
+        traj = solve_forward_graph(pr, u, v, sys_)
+        for dofs, mult in ((traj.dofs, traj.multipliers),
+                           dense_oracle_solve_graph(pr, u, v, sys_)):
+            worst_loaded = max(worst_loaded, loaded_energy_residual(sys_, dofs, mult, u, v))
     elapsed = time.time() - t0
     report(
         5,
-        decay_ok and worst_margin >= 0.0 and worst_eq <= 1e-12 and elapsed < 10.0,
+        decay_ok and worst_margin >= 0.0 and max(worst_eq, worst_loaded) <= 1e-12
+        and elapsed < 10.0,
         f"monotone energy decay and estimate ratios within bounds "
         f"(smallest margin {worst_margin:.2f}) over 20 seeds; per-step energy "
-        f"equality {worst_eq:.2e} <= 1e-12 of its largest term ({elapsed:.1f} s)",
+        f"equality {worst_eq:.2e}, loaded {worst_loaded:.2e}, <= 1e-12 of its "
+        f"largest term ({elapsed:.1f} s)",
     )
+
+
+def loaded_energy_residual(system, dofs, mult, u, v):
+    """The largest per-step residual of the loaded energy equality
+    ``|y_k|^2/2 - |y_{k-1}|^2/2 + |y_k - y_{k-1}|^2/2 + dt <K y_k, y_k>
+    = dt <f_k, y_k> + dt v_k . tr_k + dt lambda_k . d_k`` in ``W``, relative
+    to its largest term: ``tr_k`` the Neumann tips' traces, ``lambda_k`` the
+    multipliers and ``d_k`` the traces they prescribe (the root's zero, then
+    ``u``)."""
+    pr = system.problem
+    dt, m = pr.time_grid.dt, pr.m
+    K, W = (ops.sum(axis=0) for ops in dense_edge_operators(system))
+    y, step = dofs[1:], np.diff(dofs, axis=0)
+    half = 0.5 * np.einsum("ki,ij,kj->k", dofs, W, dofs)
+    source = sum(
+        np.einsum("kj,j,kj->k", fi[1:], grid.trapezoid_weights(), s[1:])
+        for fi, grid, s in zip(pr.f, pr.grids, system.samples(dofs))
+    )
+    prescribed = np.hstack([np.zeros((len(y), min(m, 1))), u[:, 1:].T])
+    tips = y @ system.trace_b_rows.T
+    terms = np.stack([
+        half[1:],
+        -half[:-1],
+        0.5 * np.einsum("ki,ij,kj->k", step, W, step),
+        dt * np.einsum("ki,ij,kj->k", y, K, y),
+        -dt * source,
+        -dt * np.einsum("kj,jk->k", tips[:, m:], v[:, 1:]),
+        -dt * np.einsum("kj,kj->k", mult[1:], prescribed),
+    ])
+    return float((np.abs(terms.sum(axis=0)) / np.abs(terms).max(axis=0)).max())
 
 
 def test_criterion_06_adjoint_gradient_fd():
@@ -354,7 +406,7 @@ def test_criterion_08_junction_physics():
         junction = diagnose_forward(sys_, traj, u, v).junction_flux
         worst_flux = max(worst_flux, float(np.abs(junction[1:].sum(axis=1)).max()))
         for i, op in enumerate(edge_operators(pr)):
-            traces = edge_dofs(sys_, traj.dofs, i) @ op.trace_a
+            traces = edge_dofs(sys_, traj.dofs, i) @ trace_at_a(op)
             continuity_exact &= bool(np.all(traces == traj.c))
     elapsed = time.time() - t0
     report(

@@ -159,6 +159,23 @@ class TestCost:
         with pytest.raises(ValueError, match="edge 1 target has wrong shape"):
             cost_graph(y, np.zeros((pr.n_channels, 7)), flat, CostConfig())
 
+    def test_controls_of_another_shape_are_rejected(self, rng):
+        # the cost used to ignore a row too many, and a short time axis ended
+        # in numpy's matmul error (cost) or broadcast error (gradient): one
+        # check names the shape the channels need
+        pr = random_graph(rng)
+        y = solve_forward_graph(pr)
+        p = solve_adjoint_graph(pr, y)
+        for shape in ((pr.n_channels + 1, 7), (pr.n_channels, 6)):
+            message = (
+                rf"channel controls must have shape \({pr.n_channels}, 7\), "
+                rf"got \({shape[0]}, {shape[1]}\)"
+            )
+            with pytest.raises(ValueError, match=message):
+                cost_graph(y, np.ones(shape), pr, CostConfig())
+            with pytest.raises(ValueError, match=message):
+                gradient_graph(np.ones(shape), p, pr, CostConfig())
+
     def test_weights_must_be_positive_and_finite(self):
         with pytest.raises(ValueError):
             CostConfig(n_tikhonov=np.nan)

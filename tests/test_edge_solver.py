@@ -7,13 +7,16 @@ from fracstar import (
     Grid1D,
     SolverFailure,
     TimeGrid,
+    assemble_graph_system,
     assemble_stiffness,
+    left_rl_derivative,
     solve_adjoint_edge,
     solve_forward_edge,
+    solve_forward_graph,
 )
 from fracstar.edge_solver import edge_problem
 from fracstar.validation import dense_oracle_solve_graph
-from conftest import diagnose_edge, random_coeffs, random_edge
+from conftest import diagnose_edge, random_coeffs, random_edge, tip_fluxes
 from exact import heat, relative_l2q
 
 
@@ -49,9 +52,9 @@ class TestForward:
         op, tg, f, y0, _ = random_edge(rng, alpha=0.55, M=12, Nt=16)
         traj, d = diagnose_edge(op, tg, f, y0, None)
         y, dt = traj.samples[0], tg.dt
-        wx = op.grid.trapezoid_weights()
+        wx, D = op.grid.trapezoid_weights(), left_rl_derivative(op.alpha, op.grid)
         lhs = dt * sum(
-            y[k] @ (wx * y[k]) + op.grid.h * np.sum((op.D @ y[k]) ** 2)
+            y[k] @ (wx * y[k]) + op.grid.h * np.sum((D @ y[k]) ** 2)
             for k in range(1, tg.Nt + 1)
         )
         data = y0 @ (wx * y0) + dt * sum(f[k] @ (wx * f[k]) for k in range(1, tg.Nt + 1))
@@ -61,9 +64,12 @@ class TestForward:
         assert d.estimate_bound == 1.0 / m + 2.0 * (op.grid.b - op.grid.a + 1.0) / m / m
 
     def test_flux_series_recovers_control(self, rng):
+        # the tip flux read off the step residuals is the Neumann control
         op, tg, f, y0, v = random_edge(rng, alpha=0.65)
-        _, d = diagnose_edge(op, tg, f, y0, v)
-        assert np.abs(d.tip_flux[1:, 0] - v[1:]).max() <= 1e-10
+        problem = edge_problem(op, tg, f, y0)
+        system = assemble_graph_system(problem)
+        traj = solve_forward_graph(problem, None, v, system)
+        assert np.abs(tip_fluxes(system, traj, [f])[:, 0] - v[1:]).max() <= 1e-10
 
     def test_unconditional_stability_under_dt_doubling(self, rng):
         op, _, _, y0, _ = random_edge(rng, alpha=0.5, M=16)

@@ -248,12 +248,16 @@ class TestLeftDerivative:
         assert whole.tobytes() == left_rl_derivative(alpha, grid).tobytes()
 
     def test_singular_mode_column_is_zero(self):
-        # the assembled derivative ignores the appended mode coefficient
+        # the assembled derivative ignores the appended mode coefficient:
+        # appending it leaves the nodal block of the stiffness as it was, and
+        # its own column holds the reaction mass alone (q = 1)
         grid = Grid1D(0.0, 1.0, 12)
         coeffs = EdgeCoefficients.constant(grid, 1.0, 1.0)
         op = assemble_stiffness(0.45, grid, coeffs, include_singular_dof=True)
-        assert op.D.shape == (grid.M, grid.nnodes + 1)
-        assert np.all(op.D[:, -1] == 0.0)
+        plain = assemble_stiffness(0.45, grid, coeffs)
+        assert op.K.shape == (grid.nnodes + 1,) * 2
+        assert op.K[:-1, :-1].tobytes() == plain.K.tobytes()
+        assert op.K[:-1, -1].tobytes() == (grid.trapezoid_weights() * op.mode).tobytes()
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
@@ -361,11 +365,16 @@ class TestSingularMode:
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8, 1.0])
     def test_integral_of_mode_is_one(self, alpha):
         # the order 1-alpha integral of the mode is the constant one, so the
-        # assembled operator's mode column has trace one at both endpoints
+        # assembled operator's mode column has trace one at the tip, and at a
+        # the mode carries the whole trace: the nodes' row is zero there, or
+        # the pinned node's point value at alpha = 1
         grid = Grid1D(0.0, 1.0, 10)
         coeffs = EdgeCoefficients.constant(grid, 1.0, 1.0)
         op = assemble_stiffness(alpha, grid, coeffs, include_singular_dof=True)
-        assert op.trace_a[-1] == 1.0 and op.trace_b[-1] == 1.0
+        assert op.trace_b[-1] == 1.0
+        nodes_at_a = np.zeros(grid.nnodes)
+        nodes_at_a[0] = float(alpha == 1.0)
+        assert trace_functional(alpha, grid, "a").tobytes() == nodes_at_a.tobytes()
         assert op.mode.tobytes() == singular_mode(alpha, grid).tobytes()
 
     def test_node_zero_regularization(self):

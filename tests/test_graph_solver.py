@@ -24,7 +24,16 @@ from fracstar import (
 )
 from fracstar.fracops import left_rl_derivative
 from fracstar.validation import dense_edge_operators, dense_oracle_solve_graph
-from conftest import diagnose_edge, edge_dofs, edge_operators, random_coeffs, random_graph
+from conftest import (
+    diagnose_edge,
+    edge_dofs,
+    edge_operators,
+    flux_probe,
+    random_coeffs,
+    random_graph,
+    tip_fluxes,
+    trace_at_a,
+)
 
 
 def classical_star_heat(problem, u, v):
@@ -189,20 +198,14 @@ class TestAssembly:
             pr = random_graph(rng, alpha=alpha, n=n, m=m)
             sys_ = assemble_graph_system(pr)
             for edge, op in zip(sys_.readouts, edge_operators(pr), strict=True):
-                pairs = [
-                    (edge.probe, op.flux_probe[: op.grid.nnodes]),
-                    (edge.w_probe, op.W @ op.flux_probe),
-                    (edge.k_probe, op.K @ op.flux_probe),
-                ]
                 if n == 1:
                     assert edge.mode is edge.w_junction is edge.k_junction is None
-                else:
-                    pairs += [
-                        (edge.mode, op.mode),
-                        (edge.w_junction, op.W[-1]),
-                        (edge.k_junction, op.K[-1]),
-                    ]
-                for got, ref in pairs:
+                    continue
+                for got, ref in (
+                    (edge.mode, op.mode),
+                    (edge.w_junction, op.W[-1]),
+                    (edge.k_junction, op.K[-1]),
+                ):
                     assert got.tobytes() == ref.tobytes()
 
     def test_block_symmetry(self, rng):
@@ -335,7 +338,7 @@ class TestForward:
         traj = solve_forward_graph(pr, u, None)
         sys_ = assemble_graph_system(pr)
         for i, op in enumerate(edge_operators(pr)):
-            traces = edge_dofs(sys_, traj.dofs, i) @ op.trace_a
+            traces = edge_dofs(sys_, traj.dofs, i) @ trace_at_a(op)
             assert np.all(traces == traj.c)
 
     def test_dirichlet_constraints_hit(self, rng):
@@ -347,20 +350,21 @@ class TestForward:
         assert d.constraint_residual <= 1e-10
 
     def test_tip_flux_matches_multipliers_and_controls(self, rng):
+        # the tip fluxes read off the step residuals are the multipliers on
+        # Dirichlet tips and the controls on Neumann tips
         pr = random_graph(rng)
         u = rng.standard_normal((1, 7))
         v = rng.standard_normal((1, 7))
         sys_ = assemble_graph_system(pr)
         traj = solve_forward_graph(pr, u, v, sys_)
-        d = diagnose_forward(sys_, traj, u, v)
-        np.testing.assert_allclose(
-            d.tip_flux[1:, : pr.m], traj.multipliers[1:], atol=1e-9
-        )
-        np.testing.assert_allclose(d.tip_flux[1:, pr.m], v[0, 1:], atol=1e-9)
+        tip = tip_fluxes(sys_, traj, pr.f)
+        np.testing.assert_allclose(tip[:, : pr.m], traj.multipliers[1:], atol=1e-9)
+        np.testing.assert_allclose(tip[:, pr.m], v[0, 1:], atol=1e-9)
 
     def test_readout_matches_per_step_residuals(self, rng):
         # reference: each step's residual formed on its own against the state
-        # the step marched from; the diagnostics form all steps at once
+        # the step marched from; the diagnostics form all steps at once, and
+        # the tip fluxes it gives are the multipliers and controls imposed
         pr = random_graph(rng, Nt=7)
         u = rng.standard_normal((1, 8))
         v = rng.standard_normal((1, 8))
@@ -384,11 +388,8 @@ class TestForward:
             ):
                 rate = (x - prev) / dt
                 r = W @ rate + K @ x - fracstar.graph_solver._add_loads(sys_, g)
-                tip = [
-                    r[sys_.dofmap.edge_slice(i)] @ op.flux_probe[: op.grid.nnodes]
-                    for i, op in enumerate(ops)
-                ]
-                np.testing.assert_allclose(d.tip_flux[k], tip, atol=1e-12)
+                tip = [r[sys_.dofmap.edge_slice(i)] @ flux_probe(op) for i, op in enumerate(ops)]
+                np.testing.assert_allclose(tip, known, atol=1e-12)
                 load_c = [
                     op.mode @ (op.grid.trapezoid_weights() * gi)
                     for op, gi in zip(ops, g)
@@ -465,8 +466,8 @@ class TestForward:
         assert len(square) == n
         assert all(a.shape == (M + 1, M + 1) for a in square)
         assert other <= sys_.ndof * (n + 4 * (1 + m))
-        # the diagnostics' vectors: at most six per edge
-        assert readout <= 6 * sum(g.nnodes + 1 for g in pr.grids)
+        # the diagnostics' vectors: at most three per edge
+        assert readout <= 3 * sum(g.nnodes + 1 for g in pr.grids)
 
     def test_degenerate_reduces_to_edge_solver(self, rng):
         grid = Grid1D(0.0, 1.0, 10)
@@ -488,9 +489,13 @@ class TestForward:
         # mapping bitwise and the state against the space-time oracle
         np.testing.assert_array_equal(tE.y, tG.samples[0])
         np.testing.assert_array_equal(tE.trace_b, tG.tip_trace[:, 0])
-        # the edge's diagnostics are those of the one-edge graph it solves
-        _, dE = diagnose_edge(op, tg, f, y0, v)
-        np.testing.assert_array_equal(dE.tip_flux, dG.tip_flux)
+        # the edge's diagnostics are those of the one-edge graph it solves,
+        # whose tip flux is its control; it has no junction to balance
+        tEG, dE = diagnose_edge(op, tg, f, y0, v)
+        tip = tip_fluxes(sys_, tG, [f])
+        assert tip.tobytes() == tip_fluxes(sys_, tEG, [f]).tobytes()
+        assert np.abs(tip[:, 0] - v[1:]).max() <= 1e-10
+        assert not dE.junction_flux.any() and not dG.junction_flux.any()
         np.testing.assert_array_equal(dE.energy, dG.energy)
         assert (dE.estimate_ratio, dE.estimate_bound) == (
             dG.estimate_ratio, dG.estimate_bound
@@ -828,19 +833,22 @@ def copied_readout(system, y, prev, g, known, traces):
     """The fluxes, energy and constraint residual, with the scales their
     rounding is relative to: the largest sum of the magnitudes of a flux's
     terms, each row's product by W counted twice (for the rate's two rows),
-    and of the terms of a squared energy."""
+    and of the terms of a squared energy.  The tip fluxes are read by each
+    edge's flux probe, to be checked against the ``known`` ones imposed."""
     pr, dt = system.problem, system.problem.time_grid.dt
     x = y.dofs[1:]
     rate = (x - prev) / dt
     tip = np.empty((len(x), pr.n))
     junction = np.zeros_like(tip)
     flux_scale = 0.0
-    for i, (edge, grid, gi) in enumerate(zip(system.readouts, pr.grids, g)):
+    for i, (edge, op, gi) in enumerate(zip(system.readouts, edge_operators(pr), g)):
         xi, ri = edge_dofs(system, x, i), edge_dofs(system, rate, i)
         pi = edge_dofs(system, prev, i)
-        wg = grid.trapezoid_weights() * gi
-        tip[:, i] = ri @ edge.w_probe + xi @ edge.k_probe - wg @ edge.probe
-        terms = [(edge.w_probe, edge.k_probe, edge.probe)]
+        wg = op.grid.trapezoid_weights() * gi
+        probe = flux_probe(op)
+        w_probe, k_probe = op.W[:, : len(probe)] @ probe, op.K[:, : len(probe)] @ probe
+        tip[:, i] = ri @ w_probe + xi @ k_probe - wg @ probe
+        terms = [(w_probe, k_probe, probe)]
         if edge.mode is not None:
             junction[:, i] = known[:, i] - (
                 ri @ edge.w_junction + xi @ edge.k_junction - wg @ edge.mode
@@ -863,7 +871,7 @@ def copied_readout(system, y, prev, g, known, traces):
         energy_scale += np.einsum("kj,j,kj->k", nodal, grid.trapezoid_weights(), nodal)
     cres = float(np.abs(y.tip_trace[1:, : pr.m] - traces).max()) if pr.m > 0 else 0.0
     first = np.zeros((1, pr.n))
-    return (np.vstack([first, tip]), np.vstack([first, junction]), np.sqrt(squared), cres,
+    return (tip, known, np.vstack([first, junction]), np.sqrt(squared), cres,
             flux_scale, np.max(energy_scale))
 
 
@@ -914,10 +922,11 @@ def copied_diagnose_adjoint(system, p, y):
 
 
 def assert_readouts_agree(d, ref):
-    """The fluxes agree to 1e-12 relative to the scale of their terms, the
-    squared energies to 1e-12 relative to that of theirs."""
-    tip, junction, energy, cres, flux_scale, energy_scale = ref
-    assert np.abs(d.tip_flux - tip).max() <= 1e-12 * flux_scale
+    """The junction fluxes agree, and the probed tip fluxes equal the imposed
+    ones, to 1e-12 relative to the scale of their terms; the squared
+    energies agree to 1e-12 relative to that of theirs."""
+    tip, known, junction, energy, cres, flux_scale, energy_scale = ref
+    assert np.abs(tip - known).max() <= 1e-12 * flux_scale
     assert np.abs(d.junction_flux - junction).max() <= 1e-12 * flux_scale
     assert np.abs(d.energy**2 - energy**2).max() <= 1e-12 * energy_scale
     assert d.constraint_residual == cres

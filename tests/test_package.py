@@ -89,7 +89,7 @@ def test_every_public_name_is_used_by_the_package_or_the_benchmark():
 def test_every_public_member_is_used_by_the_package_or_the_benchmark():
     """The same rule for the members of the public types: each public method,
     property and classmethod is read by the package or the benchmark, not
-    only by tests.  ``NamedTuple`` fields are data a call returns, exempt."""
+    only by tests.  ``NamedTuple`` fields have a test of their own, below."""
     used = used_by_package_or_benchmark(members=True)
     unused = []
     for name in fracstar.__all__:
@@ -105,6 +105,20 @@ def test_every_public_member_is_used_by_the_package_or_the_benchmark():
                 and member not in getattr(cls, "_fields", ())
                 and member not in used
             ]
+    assert unused == []
+
+
+def test_every_public_field_is_used_by_the_package_or_the_benchmark():
+    """The same rule for the fields of the public ``NamedTuple``s: each
+    field that a call returns or takes is read by the package or the
+    benchmark, as an attribute or by name, not only by tests."""
+    used = used_by_package_or_benchmark(members=True)
+    unused = [
+        f"{name}.{field}"
+        for name in fracstar.__all__
+        for field in getattr(getattr(fracstar, name), "_fields", ())
+        if field not in used
+    ]
     assert unused == []
 
 

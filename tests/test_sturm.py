@@ -12,9 +12,11 @@ from fracstar import (
     Grid1D,
     TimeGrid,
     assemble_stiffness,
+    left_rl_derivative,
     solve_forward_edge,
+    trace_functional,
 )
-from conftest import random_coeffs
+from conftest import flux_probe, random_coeffs
 
 
 def classical_tridiagonal(grid, beta=1.0, q=1.0):
@@ -97,14 +99,18 @@ class TestAssembly:
         coeffs = random_coeffs(rng, grid)
         op = assemble_stiffness(0.5, grid, coeffs, include_singular_dof=True)
         assert op.K.shape[0] == grid.nnodes + 1
-        assert op.trace_a[-1] == 1.0 and op.trace_b[-1] == 1.0
-        assert np.all(op.trace_a[:-1] == 0.0)
+        # the mode's tip trace is one; at a the nodes carry no trace, the mode
+        # all of it
+        assert op.trace_b[-1] == 1.0
+        assert np.all(trace_functional(0.5, grid, "a") == 0.0)
         # extended stiffness stays SPD: the mode is distinguishable from its
         # nodal interpolant through the derivative term
         lam = np.linalg.eigvalsh(op.K)
         assert lam.min() > 0.0
-        # derivative ignores the mode entirely
-        assert np.all(op.D[:, -1] == 0.0)
+        # derivative ignores the mode entirely: its column of K is the
+        # reaction mass alone
+        wq = grid.trapezoid_weights() * coeffs.q
+        assert op.K[:-1, -1].tobytes() == (wq * op.mode).tobytes()
 
     def test_alpha_one_pins_first_node(self):
         grid = Grid1D(0.0, 1.0, 6)
@@ -139,9 +145,11 @@ class TestDiagonalProducts:
         E = np.eye(grid.nnodes, op.K.shape[0])
         if singular:
             E[:, -1] = op.mode
+        # the derivative on the extended vector: the mode's column is zero
+        D = np.pad(left_rl_derivative(alpha, grid), ((0, 0), (0, int(singular))))
         wtrap = grid.trapezoid_weights()
         cell_beta = 0.5 * (coeffs.beta[:-1] + coeffs.beta[1:])
-        K = op.D.T @ np.diag(grid.h * cell_beta) @ op.D
+        K = D.T @ np.diag(grid.h * cell_beta) @ D
         K += E.T @ np.diag(wtrap * coeffs.q) @ E
         K = 0.5 * (K + K.T)
         W = E.T @ np.diag(wtrap) @ E
@@ -185,7 +193,7 @@ class TestFluxIdentity:
     @pytest.mark.parametrize("alpha", [0.4, 0.8, 1.0])
     def test_steady_green_identity(self, alpha, rng):
         # solve K y = W f + v * trace_b^T and recover the natural boundary
-        # value from the residual probe
+        # value from the residual by the flux probe
         grid = Grid1D(0.0, 1.0, 14)
         op = assemble_stiffness(alpha, grid, random_coeffs(rng, grid))
         f = rng.standard_normal(grid.nnodes)
@@ -195,5 +203,5 @@ class TestFluxIdentity:
         rhs = (wtr * f)[fr] + v * op.trace_b[fr]
         y = np.zeros(op.K.shape[0])
         y[fr] = np.linalg.solve(op.K[np.ix_(fr, fr)], rhs)
-        recovered = op.flux_probe @ (op.K @ y - wtr * f)
+        recovered = flux_probe(op) @ (op.K @ y - wtr * f)
         assert abs(recovered - v) <= 1e-10
