@@ -21,6 +21,7 @@ _SOURCES = {
     "GraphSystem": "graph_solver",
     "GraphTrajectory": "graph_solver",
     "Grid1D": "grids",
+    "JunctionRows": "sturm",
     "OptimResult": "control",
     "SizeGuardError": "errors",
     "SolverFailure": "errors",
@@ -34,6 +35,7 @@ _SOURCES = {
     "diagnose_forward": "graph_solver",
     "frac_integral_weights": "fracops",
     "gradient_graph": "control",
+    "junction_rows": "sturm",
     "left_rl_derivative": "fracops",
     "optimize": "control",
     "reduced_hessian": "control",

@@ -227,10 +227,17 @@ def _normalize_sets(admissible, nchannels: int) -> list[AdmissibleSet]:
 def _projection(sets: list[AdmissibleSet], nt: int):
     """The optimizer's one projection ``P_[lo, hi]`` of ``(n_ch, Nt + 1)``
     controls onto the channels' sets: ``np.clip`` against bounds broadcast
-    once, ``-inf``/``inf`` where a channel is unconstrained."""
+    once, ``-inf``/``inf`` where a channel is unconstrained.  A bound is a
+    scalar or a series of shape ``(Nt + 1,)``."""
     lo = np.empty((len(sets), nt + 1))
     hi = np.empty_like(lo)
     for j, s in enumerate(sets):
+        for name, bound in (("lo", s.lo), ("hi", s.hi)):
+            if np.shape(bound) not in ((), (nt + 1,)):
+                raise ValueError(
+                    f"channel {j + 1} box bound {name} must be a scalar or a series of "
+                    f"shape (Nt + 1,) = {(nt + 1,)}, got shape {np.shape(bound)}"
+                )
         lo[j] = -np.inf if s.lo is None else s.lo
         hi[j] = np.inf if s.hi is None else s.hi
     return lambda ctrl: np.clip(ctrl, lo, hi)

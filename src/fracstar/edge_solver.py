@@ -67,11 +67,6 @@ def edge_problem(
     y_d: np.ndarray | None = None,
 ) -> StarGraphProblem:
     """The one-edge graph (``m = 0``) of an edge operator."""
-    if edge_op.has_singular_dof:
-        raise ValueError(
-            "single-edge problems omit the singular DOF; assemble with "
-            "include_singular_dof=False"
-        )
     return StarGraphProblem(
         alpha=edge_op.alpha, time_grid=time_grid, grids=[edge_op.grid],
         coeffs=[edge_op.coeffs], f=[f], y0=[y0], y_d=[y_d], m=0,

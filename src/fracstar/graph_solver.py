@@ -24,11 +24,12 @@ low-rank update of the previous state, and the border's share of every
 step's loads and traces is solved for all steps at once, before the march.
 The step matrix is constant in time, so all of this is computed once, at
 assembly, and shared by every sweep on that system.  Assembly takes the edges
-one at a time: it assembles an edge's operator, keeps the few vectors the
-sweeps and diagnostics read (mass, border and junction entries, the junction
-mode and the junction rows of ``W`` and ``K``), forms the step block in place
-on ``K``, factors it and releases the edge's ``K`` and ``W`` before the next
-edge.  A system keeps one square array per edge, its propagator.
+one at a time: it assembles an edge's nodal operator, takes the mass from the
+grid and the junction mode's border and corner from
+:func:`~fracstar.sturm.junction_rows`, which the system keeps for the sweeps
+and diagnostics, forms the step block in place on ``K``, factors it and
+releases ``K`` before the next edge.  A system keeps one square array per
+edge, its propagator.
 
 The forward sweep marches from ``y0``; the adjoint sweep marches backward
 from ``p(T + dt) = 0`` with loads ``omega_k/dt (y - y_d)`` and is the exact
@@ -67,12 +68,11 @@ from numpy.linalg import LinAlgError, cholesky, inv
 from .errors import SolverFailure, checked
 from .grids import Grid1D, TimeGrid
 from .fracops import _derivative_blocks
-from .sturm import EdgeCoefficients, assemble_stiffness
+from .sturm import EdgeCoefficients, JunctionRows, assemble_stiffness, junction_rows
 
 __all__ = [
     "StarGraphProblem",
     "GlobalDofMap",
-    "EdgeReadout",
     "GraphSystem",
     "GraphTrajectory",
     "GraphDiagnostics",
@@ -167,25 +167,12 @@ class StarGraphProblem(NamedTuple):
         return self.n_dirichlet_channels + self.n_neumann_channels
 
 
-class EdgeReadout(NamedTuple):
-    """The vectors of one edge's operator that the sweeps and diagnostics
-    read, taken at assembly before its matrices are released: ``mode`` holds
-    the junction mode's nodal samples, ``w_junction`` and ``k_junction`` the
-    junction rows ``W[-1]`` and ``K[-1]``.  Without the junction mode all
-    three are ``None``.  To get the edge's full operator, call
-    :func:`~fracstar.sturm.assemble_stiffness`.
-    """
-
-    mode: np.ndarray | None
-    w_junction: np.ndarray | None
-    k_junction: np.ndarray | None
-
-
 class EdgeSamples(Sequence):
     """The per-edge nodal samples of the DOF rows ``dofs`` (any leading axes):
     item ``i`` is edge ``i``'s nodal block plus ``c`` times its junction
     mode, a new array formed each time it is read.  It holds the rows, the
-    layout and the modes, not the system they were solved on."""
+    layout and the modes (none without the junction mode), not the system
+    they were solved on."""
 
     __slots__ = ("dofs", "dofmap", "modes")
 
@@ -193,7 +180,7 @@ class EdgeSamples(Sequence):
         self.dofs, self.dofmap, self.modes = dofs, dofmap, modes
 
     def __len__(self) -> int:
-        return len(self.modes)
+        return len(self.dofmap.nnodes)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
@@ -213,11 +200,12 @@ class EdgeSamples(Sequence):
 
 
 class GraphSystem(NamedTuple):
-    """Assembled graph operator, stored per edge: each edge's readout vectors
-    (:class:`EdgeReadout`), the tip trace rows of all edges (the first ``m``
-    are the constraint rows of the Dirichlet-type tips, ``B`` in
-    :func:`_march`), and the inverted step matrix.  No edge's ``K`` or ``W``
-    is kept: the one square array per edge is its propagator.
+    """Assembled graph operator, stored per edge: each edge's junction rows
+    (``junctions``, :class:`~fracstar.sturm.JunctionRows`, none without the
+    junction mode), the tip trace rows of all edges (the first ``m`` are the
+    constraint rows of the Dirichlet-type tips, ``B`` in :func:`_march`), and
+    the inverted step matrix.  No edge's ``K`` is kept: the one square array
+    per edge is its propagator.
 
     ``mass`` is the diagonal of the global mass (the junction coupling sits in
     the update below).  The step matrix on the free DOFs, bordered by the free
@@ -240,7 +228,7 @@ class GraphSystem(NamedTuple):
 
     problem: StarGraphProblem
     dofmap: GlobalDofMap
-    readouts: list[EdgeReadout]
+    junctions: list[JunctionRows]
     trace_b_rows: np.ndarray
     free: np.ndarray
     mass: np.ndarray
@@ -256,7 +244,7 @@ class GraphSystem(NamedTuple):
     def samples(self, Y: np.ndarray) -> EdgeSamples:
         """The per-edge nodal samples of the DOF rows ``Y``, each formed when
         read."""
-        return EdgeSamples(Y, self.dofmap, [edge.mode for edge in self.readouts])
+        return EdgeSamples(Y, self.dofmap, [rows.mode for rows in self.junctions])
 
 
 def _add_loads(system: GraphSystem, g, out: np.ndarray | None = None) -> np.ndarray:
@@ -266,14 +254,14 @@ def _add_loads(system: GraphSystem, g, out: np.ndarray | None = None) -> np.ndar
     too.  ``g`` may be any iterable: an edge's data and its weighted copy
     are released before the next edge's are read."""
     dm, g = system.dofmap, iter(g)
-    for i, (grid, edge) in enumerate(zip(system.problem.grids, system.readouts)):
+    for i, grid in enumerate(system.problem.grids):
         # taken by next: a zip's cached tuple would hold them until the next edge
         wg = grid.trapezoid_weights() * next(g)
         if out is None:
             out = np.zeros(wg.shape[:-1] + (system.ndof,))
         out[..., dm.edge_slice(i)] += wg
         if dm.c_index is not None:
-            out[..., dm.c_index] += wg @ edge.mode
+            out[..., dm.c_index] += wg @ system.junctions[i].mode
         del wg
     return out
 
@@ -333,15 +321,10 @@ def _assemble(problem: StarGraphProblem) -> GraphSystem:
     corner = np.zeros((nb, nb))
     cols = np.zeros((ndof, k + nb))
     propagators = []
-    readouts = []
+    junctions = []
     free = []
-    for i in range(n):
-        op = assemble_stiffness(
-            problem.alpha,
-            problem.grids[i],
-            problem.coeffs[i],
-            include_singular_dof=include_mode,
-        )
+    for i, (grid, coeffs) in enumerate(zip(problem.grids, problem.coeffs)):
+        op = assemble_stiffness(problem.alpha, grid, coeffs)
         sl = dm.edge_slice(i)
         nn = nnodes[i]
         # sturm decides the pinned nodes, which lead the edge's block
@@ -349,28 +332,22 @@ def _assemble(problem: StarGraphProblem) -> GraphSystem:
         fs = slice(first, nn)
         gs = slice(offsets[i] + first, offsets[i] + nn)
         free.append(np.arange(gs.start, gs.stop))
-        readouts.append(
-            EdgeReadout(
-                mode=op.mode,
-                w_junction=op.W[-1].copy() if include_mode else None,
-                k_junction=op.K[-1].copy() if include_mode else None,
-            )
-        )
-        trace_b[i, sl] = op.trace_b[:nn]
-        mass[sl] = op.W.diagonal()[:nn]
+        trace_b[i, sl] = op.trace_b
+        mass[sl] = grid.trapezoid_weights()
         if include_mode:
-            mass[c_index] += op.W[-1, -1]
-            junction_mass[sl] = op.W[:nn, -1]
-            trace_b[i, c_index] = op.trace_b[-1]
-            border[gs, 0] = op.W[fs, -1] / dt + op.K[fs, -1]
-            corner[0, 0] += op.W[-1, -1] / dt + op.K[-1, -1]
+            junction = junction_rows(problem.alpha, grid, coeffs)
+            junctions.append(junction)
+            mass[c_index] += junction.w[-1]
+            junction_mass[sl] = junction.w[:-1]
+            trace_b[i, c_index] = 1.0  # the junction mode's tip trace
+            border[gs, 0] = junction.w[fs] / dt + junction.k[fs]
+            corner[0, 0] += junction.w[-1] / dt + junction.k[-1]
         if i < m:
             border[gs, k + i] = op.trace_b[fs]
-            # the tip trace of the junction mode, where there is one
-            corner[:k, k + i] = corner[k + i, :k] = op.trace_b[nn:]
-        # W is diagonal on the nodes, so A_i = W_i/dt + K_i is K's nodal block
-        # with mass/dt added to its diagonal in place.  Each dense array is
-        # released once read: W here, K once it is factored.
+            corner[:k, k + i] = corner[k + i, :k] = 1.0
+        # the mass is diagonal on the nodes, so A_i = W_i/dt + K_i is K's
+        # block with mass/dt added to its diagonal in place; K is released
+        # once it is factored
         block = op.K[fs, fs]
         del op
         diag = np.arange(nn - first)
@@ -424,7 +401,7 @@ def _assemble(problem: StarGraphProblem) -> GraphSystem:
     return GraphSystem(
         problem=problem,
         dofmap=dm,
-        readouts=readouts,
+        junctions=junctions,
         trace_b_rows=trace_b,
         free=free,
         mass=mass,
@@ -715,24 +692,19 @@ def solve_adjoint_graph(
     )
 
 
-def _data_vector(system: GraphSystem, i: int) -> np.ndarray:
-    """Edge ``i``'s junction mode times the trapezoid weights: sample-space
-    data times it is the data's load on ``c``."""
-    return system.problem.grids[i].trapezoid_weights() * system.readouts[i].mode
-
-
 def _squared_norms(system: GraphSystem, dofs: np.ndarray) -> np.ndarray:
     """The squared L2 norm of each row's samples, summed over the edges:
     ``|x_i + c mode_i|^2 = |x_i|^2 + c (2 <x_i, mode_i> + c |mode_i|^2)`` in
-    the trapezoid weights, from views of the rows."""
+    the trapezoid weights, from views of the rows; the junction row of
+    ``W_i`` holds ``w mode_i`` and, last, ``|mode_i|^2``."""
     dm = system.dofmap
     out = np.zeros(len(dofs))
-    for i, (grid, edge) in enumerate(zip(system.problem.grids, system.readouts)):
+    for i, grid in enumerate(system.problem.grids):
         w, x = grid.trapezoid_weights(), dofs[:, dm.edge_slice(i)]
         out += np.einsum("kj,j,kj->k", x, w, x)
-        if edge.mode is not None:
-            c, wm = dofs[:, dm.c_index], w * edge.mode
-            out += c * (2.0 * (x @ wm) + c * (edge.mode @ wm))
+        if dm.c_index is not None:
+            c, wj = dofs[:, dm.c_index], system.junctions[i].w
+            out += c * (2.0 * (x @ wj[:-1]) + c * wj[-1])
     return out
 
 
@@ -741,8 +713,8 @@ def _edge_residual(system: GraphSystem, dofs, i: int, adjoint: bool, load) -> np
     ``W_i`` applied to the step's rate plus that of ``K_i`` to its state, less
     its ``load`` (one entry per step).  The edge's DOF vector (its nodal
     block, then ``c``) is read off views of the rows."""
-    dm, dt, edge = system.dofmap, system.problem.time_grid.dt, system.readouts[i]
-    rows = np.column_stack([edge.w_junction, edge.k_junction])
+    dm, dt, junction = system.dofmap, system.problem.time_grid.dt, system.junctions[i]
+    rows = np.column_stack([junction.w, junction.k])
     products = dofs[:, dm.edge_slice(i)] @ rows[:-1]
     c = dofs[:, dm.c_index]
     # c's share a column at a time: a broadcast product would buffer
@@ -761,13 +733,14 @@ def _readout(system: GraphSystem, y: GraphTrajectory, adjoint: bool, loads, know
     Row ``j`` of the inputs belongs to the step that solved ``y.dofs[j + 1]``
     from the row before it, or, for the ``adjoint``, from the row after it
     (zero after the last).  ``loads`` yields each edge's step loads on ``c``
-    (:func:`_data_vector`), edge by edge, and nothing without the junction
-    mode; ``known`` holds the tip fluxes the steps imposed (multipliers and
-    Neumann data) and ``traces`` the tip traces they prescribed on edges
-    ``1..m``.  An edge's junction flux is its tip flux less its residual in
-    its ``c`` row, formed for all steps at once (``W_i`` and ``K_i`` are
-    symmetric): each junction row times every row, the rate's share the
-    difference of two rows' products over ``dt``.
+    (its data times the nodal part of the junction row of ``W_i``), edge by
+    edge, and nothing without the junction mode; ``known`` holds the tip
+    fluxes the steps imposed (multipliers and Neumann data) and ``traces``
+    the tip traces they prescribed on edges ``1..m``.  An edge's junction
+    flux is its tip flux less its residual in its ``c`` row, formed for all
+    steps at once (``W_i`` and ``K_i`` are symmetric): each junction row times
+    every row, the rate's share the difference of two rows' products over
+    ``dt``.
     """
     pr = system.problem
     junction = np.zeros((len(y.dofs), pr.n))  # row 0 carries no step
@@ -847,8 +820,7 @@ def diagnose_forward(
     if pr.m == 0 or not (np.any(u) or np.any(v)):
         ratio, ratio_T = _apriori_ratios(system, y, f, v)
     bound, bound_T = _apriori_bounds(pr)
-    loads = (fi[1:] @ _data_vector(system, i) for i, fi in enumerate(f)
-             if pr.include_junction_mode)
+    loads = (fi[1:] @ junction.w[:-1] for fi, junction in zip(f, system.junctions))
     known = np.hstack([y.multipliers[1:], v[:, 1:].T])
     return _readout(
         system, y, False, loads, known, _prescribed_traces(u, pr.m)[1:],
@@ -870,7 +842,7 @@ def diagnose_adjoint(system: GraphSystem, p: GraphTrajectory, y) -> GraphDiagnos
         w = pr.grids[i].trapezoid_weights()
         misfit += float(np.einsum("k,kj,j,kj->", omega, s, w, s))
         if pr.include_junction_mode:
-            loads.append(omega[1:] / tg.dt * (s[1:] @ _data_vector(system, i)))
+            loads.append(omega[1:] / tg.dt * (s[1:] @ system.junctions[i].w[:-1]))
     reg = 0.0
     if misfit > 0.0 and pr.m > 0:
         beta_b = np.array([pr.coeffs[i].beta[-1] for i in range(pr.m)])

@@ -2,11 +2,13 @@
 
 The stiffness is built Galerkin-style from the coercive bilinear form
 ``(beta D y, D z) + (q y, z)`` with the product-rule derivative of
-:mod:`fracstar.fracops`, so symmetry and coercivity are structural.  When the
-singular junction mode is included, the degree-of-freedom vector gains one
-coefficient: the mode contributes nothing to the derivative term (its
-fractional derivative vanishes identically) and enters mass-type pairings
-through its regularized nodal samples.
+:mod:`fracstar.fracops`, so symmetry and coercivity are structural.  It acts
+on the edge's nodes.  On a star graph the degree-of-freedom vector gains the
+junction mode's coefficient: the mode contributes nothing to the derivative
+term (its fractional derivative vanishes identically) and enters mass-type
+pairings through its regularized nodal samples, so it only borders the mass
+and the reaction by one row and column each.  :func:`junction_rows` forms
+that border, the one place that pairs the mode in ``L2``.
 """
 
 from typing import NamedTuple
@@ -17,7 +19,9 @@ from .errors import CoefficientError, checked
 from .fracops import left_rl_derivative, singular_mode, trace_functional
 from .grids import Grid1D
 
-__all__ = ["EdgeCoefficients", "EdgeOperator", "assemble_stiffness"]
+__all__ = [
+    "EdgeCoefficients", "EdgeOperator", "JunctionRows", "assemble_stiffness", "junction_rows",
+]
 
 
 @checked
@@ -55,27 +59,36 @@ class EdgeCoefficients(NamedTuple):
 
 
 class EdgeOperator(NamedTuple):
-    """Assembled discrete operator for a single edge.
+    """Assembled discrete operator for a single edge, on its nodes.
 
-    ``K`` and ``W`` act on the extended DOF vector (nodal samples, then the
-    optional singular coefficient).  ``W`` is the lumped trapezoid mass; it is
-    diagonal without the singular DOF and gains one coupling row/column with
-    it.  ``trace_b`` evaluates the order ``1 - alpha`` integral at the tip
-    (the mode's entry is one), ``mode`` holds the singular mode's nodal
-    samples (with the singular DOF), and ``free`` lists the unconstrained
-    DOFs (node 0 is pinned for ``alpha = 1``, where the endpoint condition at
-    ``a`` becomes pointwise).
+    ``K`` is the stiffness with the lumped reaction on its diagonal; the
+    lumped mass is ``grid.trapezoid_weights()``.  ``trace_b`` evaluates the
+    order ``1 - alpha`` integral at the tip, and ``free`` lists the
+    unconstrained nodes (node 0 is pinned for ``alpha = 1``, where the
+    endpoint condition at ``a`` becomes pointwise).  The junction mode's
+    pairings are :func:`junction_rows`.
     """
 
     alpha: float
     grid: Grid1D
     coeffs: EdgeCoefficients
-    has_singular_dof: bool
-    mode: np.ndarray | None
     K: np.ndarray
-    W: np.ndarray
     trace_b: np.ndarray
     free: np.ndarray
+
+
+class JunctionRows(NamedTuple):
+    """The junction mode of one edge and its rows of the extended mass and
+    stiffness.  With the extension ``E = [I | mode]`` from the nodes and the
+    mode's coefficient to samples, ``w`` is the last row of
+    ``E^T diag(w_trap) E`` and ``k`` that of ``E^T diag(w_trap q) E``: each is
+    ``d * mode`` followed by the corner ``(mode * d) @ mode``.  The mode has
+    no fractional derivative, so the stiffness term adds nothing to ``k``, and
+    its tip trace is one."""
+
+    mode: np.ndarray
+    w: np.ndarray
+    k: np.ndarray
 
 
 def _cell_beta(coeffs: EdgeCoefficients) -> np.ndarray:
@@ -104,60 +117,35 @@ def _symmetrize(K: np.ndarray) -> None:
         K[s:, rows] = strip.T
 
 
-def assemble_stiffness(
-    alpha: float,
-    grid: Grid1D,
-    coeffs: EdgeCoefficients,
-    include_singular_dof: bool = False,
-) -> EdgeOperator:
-    """Assemble stiffness, mass and tip trace for one edge."""
-    if np.asarray(coeffs.beta).shape[0] != grid.nnodes:
+def _weights(grid: Grid1D, coeffs: EdgeCoefficients) -> tuple[np.ndarray, np.ndarray]:
+    """The lumped mass and reaction weights ``w_trap`` and ``w_trap q``."""
+    if not (np.shape(coeffs.beta) == np.shape(coeffs.q) == (grid.nnodes,)):
         raise ValueError("coefficient samples do not match the grid")
-    nn = grid.nnodes
-    ndof = nn + (1 if include_singular_dof else 0)
-
-    mode = singular_mode(alpha, grid) if include_singular_dof else None
-
-    # Derivative on the extended vector; the mode has zero fractional
-    # derivative, hence a zero column in D.
-    D = np.zeros((grid.M, ndof))
-    D[:, :nn] = left_rl_derivative(alpha, grid)
-
-    # The mass-type terms ``E^T diag(d) E`` with the extension ``E = [I | s]``
-    # to sample space are a diagonal ``d`` bordered by ``d s`` and the corner
-    # ``(s d) @ s``, filled directly.  The scaled operand in C order keeps
-    # BLAS's summation order of ``D^T diag(h beta) D``, so every entry of K
-    # and W but the corner is bitwise that of the dense products.
     wtrap = grid.trapezoid_weights()
-    wq = wtrap * np.asarray(coeffs.q, dtype=float)
+    return wtrap, wtrap * np.asarray(coeffs.q, dtype=float)
+
+
+def assemble_stiffness(alpha: float, grid: Grid1D, coeffs: EdgeCoefficients) -> EdgeOperator:
+    """Assemble the nodal stiffness and tip trace for one edge."""
+    _, wq = _weights(grid, coeffs)
+    # The scaled operand in C order keeps BLAS's summation order of
+    # ``D^T diag(h beta) D``, so every entry of K is bitwise that of the
+    # dense product.
+    D = left_rl_derivative(alpha, grid)
     K = np.multiply(D.T, grid.h * _cell_beta(coeffs), order="C") @ D
-    W = np.zeros((ndof, ndof))
-    diag = np.arange(nn)
+    diag = np.arange(grid.nnodes)
     K[diag, diag] += wq
-    W[diag, diag] = wtrap
-    if mode is not None:
-        for A, d in ((K, wq), (W, wtrap)):
-            A[:nn, -1] += d * mode
-            A[-1, :nn] += d * mode
-            A[-1, -1] += (mode * d) @ mode
     _symmetrize(K)
-
-    trace_b = np.ones(ndof)  # the mode's order 1 - alpha integral is one
-    trace_b[:nn] = trace_functional(alpha, grid, "b")
-
-    free = np.arange(ndof)
-    if alpha == 1.0:
-        free = free[1:]
-
     return EdgeOperator(
-        alpha=alpha,
-        grid=grid,
-        coeffs=coeffs,
-        has_singular_dof=include_singular_dof,
-        mode=mode,
-        K=K,
-        W=W,
-        trace_b=trace_b,
-        free=free,
+        alpha=alpha, grid=grid, coeffs=coeffs, K=K, trace_b=trace_functional(alpha, grid, "b"),
+        free=np.arange(1 if alpha == 1.0 else 0, grid.nnodes),
     )
 
+
+def junction_rows(alpha: float, grid: Grid1D, coeffs: EdgeCoefficients) -> JunctionRows:
+    """The junction mode's rows of the extended mass and stiffness, formed
+    directly: ``E^T diag(d) E`` is ``diag(d)`` bordered by ``d * mode`` and
+    the corner ``(mode * d) @ mode``."""
+    mode = singular_mode(alpha, grid)
+    w, k = (np.append(d * mode, (mode * d) @ mode) for d in _weights(grid, coeffs))
+    return JunctionRows(mode=mode, w=w, k=k)

@@ -13,6 +13,7 @@ import numpy as np
 from .control import CostConfig, cost_graph
 from .edge_solver import EdgeControlProblem, edge_problem
 from .errors import SizeGuardError
+from .fracops import singular_mode
 from .graph_solver import (
     GraphSystem,
     StarGraphProblem,
@@ -43,18 +44,26 @@ def dense_edge_operators(system: GraphSystem) -> tuple[np.ndarray, np.ndarray]:
     """Each edge's stiffness and mass, assembled from ``system.problem`` and
     scattered into the global DOF layout: arrays ``K``, ``W`` of shape
     ``(n, ndof, ndof)`` whose sums over the first axis are the global
-    matrices."""
+    matrices.  The junction mode is paired here, not by
+    :func:`~fracstar.sturm.junction_rows`: with the extension
+    ``E = [I | singular_mode]`` to sample space, an edge's mass is
+    ``E^T diag(w) E`` and its stiffness the nodal ``K`` plus the border of
+    ``E^T diag(w q) E``."""
     pr, dm = system.problem, system.dofmap
     n, ndof = pr.n, system.ndof
     K = np.zeros((n, ndof, ndof))
     W = np.zeros((n, ndof, ndof))
-    for i, grid in enumerate(pr.grids):
-        op = assemble_stiffness(
-            pr.alpha, grid, pr.coeffs[i], include_singular_dof=pr.include_junction_mode
-        )
+    for i, (grid, coeffs) in enumerate(zip(pr.grids, pr.coeffs)):
+        nn = grid.nnodes
+        E = np.eye(nn)
+        if pr.include_junction_mode:
+            E = np.column_stack([E, singular_mode(pr.alpha, grid)])
+        w = grid.trapezoid_weights()
         idx = np.r_[dm.edge_slice(i), dm.junction]
-        K[i][np.ix_(idx, idx)] = op.K
-        W[i][np.ix_(idx, idx)] = op.W
+        Ki = (E.T * (w * coeffs.q)) @ E
+        Ki[:nn, :nn] = assemble_stiffness(pr.alpha, grid, coeffs).K
+        K[i][np.ix_(idx, idx)] = Ki
+        W[i][np.ix_(idx, idx)] = (E.T * w) @ E
     return K, W
 
 

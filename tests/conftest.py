@@ -53,30 +53,40 @@ def diagnose_edge(op, tg, f, y0, v):
 
 
 def edge_operators(problem):
-    """Each edge's operator, assembled as the graph assembly assembles it
-    (the assembled system keeps only its propagators and readout vectors)."""
+    """Each edge's nodal operator, assembled as the graph assembly assembles
+    it (the assembled system keeps only its propagators and junction rows)."""
     return [
-        assemble_stiffness(
-            problem.alpha, grid, coeffs,
-            include_singular_dof=problem.include_junction_mode,
-        )
+        assemble_stiffness(problem.alpha, grid, coeffs)
         for grid, coeffs in zip(problem.grids, problem.coeffs)
     ]
 
 
+def extended_operators(system):
+    """Each edge's stiffness and mass ``(K_i, W_i)`` on its DOF vector (its
+    nodal block, then ``c`` if the junction mode is present), cut from the
+    oracle's :func:`~fracstar.validation.dense_edge_operators`."""
+    dm = system.dofmap
+    out = []
+    for i, (K, W) in enumerate(zip(*dense_edge_operators(system))):
+        idx = np.r_[dm.edge_slice(i), dm.junction]
+        out.append((K[np.ix_(idx, idx)], W[np.ix_(idx, idx)]))
+    return out
+
+
 def edge_dofs(system, Y, i):
-    """Edge ``i``'s DOF vector of the rows ``Y`` in its operator's layout
-    (:func:`edge_operators`): its nodal block, then ``c`` if the junction mode
-    is present."""
+    """Edge ``i``'s DOF vector of the rows ``Y`` in its extended layout
+    (:func:`extended_operators`): its nodal block, then ``c`` if the junction
+    mode is present."""
     dm = system.dofmap
     return np.concatenate([Y[..., dm.edge_slice(i)], Y[..., dm.junction]], axis=-1)
 
 
-def trace_at_a(op):
-    """The edge's trace at ``a`` in its operator's DOF layout: the order
-    ``1 - alpha`` integral's row on the nodes, and one on the mode."""
+def trace_at_a(op, problem):
+    """The edge's trace at ``a`` in its extended DOF layout: the order
+    ``1 - alpha`` integral's row on the nodes, and one on the mode where the
+    ``problem`` has it."""
     row = trace_functional(op.alpha, op.grid, "a")
-    return np.append(row, 1.0) if op.has_singular_dof else row
+    return np.append(row, 1.0) if problem.include_junction_mode else row
 
 
 def flux_probe(op):

@@ -406,7 +406,7 @@ def test_criterion_08_junction_physics():
         junction = diagnose_forward(sys_, traj, u, v).junction_flux
         worst_flux = max(worst_flux, float(np.abs(junction[1:].sum(axis=1)).max()))
         for i, op in enumerate(edge_operators(pr)):
-            traces = edge_dofs(sys_, traj.dofs, i) @ trace_at_a(op)
+            traces = edge_dofs(sys_, traj.dofs, i) @ trace_at_a(op, pr)
             continuity_exact &= bool(np.all(traces == traj.c))
     elapsed = time.time() - t0
     report(

@@ -149,6 +149,20 @@ class TestProjection:
             AdmissibleSet(hi, lo)
 
 
+    @pytest.mark.parametrize("lo, hi, name", [
+        (np.zeros(3), np.ones(3), "lo"),
+        (0.0, np.ones(3), "hi"),
+        (np.zeros(1), 1.0, "lo"),
+    ])
+    def test_series_of_the_wrong_length_is_rejected(self, rng, lo, hi, name):
+        # a series bound is the channel's whole series, (Nt + 1,); a shorter
+        # one is not broadcast, and the error names the channel
+        pr = random_graph(rng, Nt=8)
+        sets = [AdmissibleSet(), AdmissibleSet(lo, hi)]
+        with pytest.raises(ValueError, match=rf"channel 2 box bound {name} .* \(9,\)"):
+            optimize(pr, CostConfig(), sets)
+
+
 class TestCost:
     def test_target_of_wrong_shape_is_rejected(self, rng):
         # the cost reads the misfit as the adjoint does: a target constant in

@@ -8,8 +8,12 @@ from hypothesis import strategies as st
 from fracstar import (
     EdgeCoefficients,
     Grid1D,
+    StarGraphProblem,
+    TimeGrid,
+    assemble_graph_system,
     assemble_stiffness,
     frac_integral_weights,
+    junction_rows,
     left_rl_derivative,
     right_caputo_nodal,
     singular_mode,
@@ -248,16 +252,17 @@ class TestLeftDerivative:
         assert whole.tobytes() == left_rl_derivative(alpha, grid).tobytes()
 
     def test_singular_mode_column_is_zero(self):
-        # the assembled derivative ignores the appended mode coefficient:
-        # appending it leaves the nodal block of the stiffness as it was, and
-        # its own column holds the reaction mass alone (q = 1)
+        # the assembled derivative ignores the mode coefficient: the operator
+        # is assembled on the nodes alone, and the mode's row of the extended
+        # stiffness holds the reaction mass alone, which for q = 1 is its row
+        # of the mass
         grid = Grid1D(0.0, 1.0, 12)
         coeffs = EdgeCoefficients.constant(grid, 1.0, 1.0)
-        op = assemble_stiffness(0.45, grid, coeffs, include_singular_dof=True)
-        plain = assemble_stiffness(0.45, grid, coeffs)
-        assert op.K.shape == (grid.nnodes + 1,) * 2
-        assert op.K[:-1, :-1].tobytes() == plain.K.tobytes()
-        assert op.K[:-1, -1].tobytes() == (grid.trapezoid_weights() * op.mode).tobytes()
+        op = assemble_stiffness(0.45, grid, coeffs)
+        rows = junction_rows(0.45, grid, coeffs)
+        assert op.K.shape == (grid.nnodes,) * 2
+        assert rows.k.tobytes() == rows.w.tobytes()
+        assert rows.k[:-1].tobytes() == (grid.trapezoid_weights() * rows.mode).tobytes()
 
     def test_domain_error(self):
         with pytest.raises(ValueError):
@@ -365,17 +370,23 @@ class TestSingularMode:
     @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.8, 1.0])
     def test_integral_of_mode_is_one(self, alpha):
         # the order 1-alpha integral of the mode is the constant one, so the
-        # assembled operator's mode column has trace one at the tip, and at a
-        # the mode carries the whole trace: the nodes' row is zero there, or
-        # the pinned node's point value at alpha = 1
+        # assembled graph's trace rows hold one on the mode's coefficient, and
+        # at a the mode carries the whole trace: the nodes' row is zero there,
+        # or the pinned node's point value at alpha = 1
         grid = Grid1D(0.0, 1.0, 10)
         coeffs = EdgeCoefficients.constant(grid, 1.0, 1.0)
-        op = assemble_stiffness(alpha, grid, coeffs, include_singular_dof=True)
-        assert op.trace_b[-1] == 1.0
+        problem = StarGraphProblem(
+            alpha=alpha, time_grid=TimeGrid(1.0, 2), grids=[grid] * 2,
+            coeffs=[coeffs] * 2, f=[None] * 2, y0=[np.zeros(grid.nnodes)] * 2,
+            y_d=[None] * 2, m=2,
+        )
+        system = assemble_graph_system(problem)
+        assert np.all(system.trace_b_rows[:, system.dofmap.c_index] == 1.0)
         nodes_at_a = np.zeros(grid.nnodes)
         nodes_at_a[0] = float(alpha == 1.0)
         assert trace_functional(alpha, grid, "a").tobytes() == nodes_at_a.tobytes()
-        assert op.mode.tobytes() == singular_mode(alpha, grid).tobytes()
+        for rows in system.junctions:
+            assert rows.mode.tobytes() == singular_mode(alpha, grid).tobytes()
 
     def test_node_zero_regularization(self):
         grid = Grid1D(0.0, 1.0, 8)

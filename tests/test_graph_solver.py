@@ -17,17 +17,19 @@ from fracstar import (
     cost_graph,
     diagnose_adjoint,
     diagnose_forward,
+    junction_rows,
     reduced_hessian,
     solve_adjoint_graph,
     solve_forward_graph,
     solve_forward_edge,
 )
-from fracstar.fracops import left_rl_derivative
+from fracstar.fracops import left_rl_derivative, singular_mode
 from fracstar.validation import dense_edge_operators, dense_oracle_solve_graph
 from conftest import (
     diagnose_edge,
     edge_dofs,
     edge_operators,
+    extended_operators,
     flux_probe,
     random_coeffs,
     random_graph,
@@ -193,20 +195,18 @@ class TestAssembly:
         np.testing.assert_array_equal(sys_.trace_b_rows[0], op.trace_b)
 
     def test_readouts_are_the_edge_operators_vectors(self, rng):
-        # what the diagnostics read is bitwise what the edge operator gives
+        # what the diagnostics read is bitwise what sturm's junction rows
+        # give; without the junction mode the system keeps none
         for alpha, n, m in ((0.6, 3, 2), (1.0, 3, 3), (0.4, 1, 0)):
             pr = random_graph(rng, alpha=alpha, n=n, m=m)
             sys_ = assemble_graph_system(pr)
-            for edge, op in zip(sys_.readouts, edge_operators(pr), strict=True):
-                if n == 1:
-                    assert edge.mode is edge.w_junction is edge.k_junction is None
-                    continue
-                for got, ref in (
-                    (edge.mode, op.mode),
-                    (edge.w_junction, op.W[-1]),
-                    (edge.k_junction, op.K[-1]),
-                ):
-                    assert got.tobytes() == ref.tobytes()
+            if n == 1:
+                assert sys_.junctions == []
+                continue
+            refs = [junction_rows(alpha, g, c) for g, c in zip(pr.grids, pr.coeffs)]
+            for got, ref in zip(sys_.junctions, refs, strict=True):
+                for field in ref._fields:
+                    assert getattr(got, field).tobytes() == getattr(ref, field).tobytes()
 
     def test_block_symmetry(self, rng):
         pr = random_graph(rng)
@@ -338,7 +338,7 @@ class TestForward:
         traj = solve_forward_graph(pr, u, None)
         sys_ = assemble_graph_system(pr)
         for i, op in enumerate(edge_operators(pr)):
-            traces = edge_dofs(sys_, traj.dofs, i) @ trace_at_a(op)
+            traces = edge_dofs(sys_, traj.dofs, i) @ trace_at_a(op, pr)
             assert np.all(traces == traj.c)
 
     def test_dirichlet_constraints_hit(self, rng):
@@ -391,7 +391,7 @@ class TestForward:
                 tip = [r[sys_.dofmap.edge_slice(i)] @ flux_probe(op) for i, op in enumerate(ops)]
                 np.testing.assert_allclose(tip, known, atol=1e-12)
                 load_c = [
-                    op.mode @ (op.grid.trapezoid_weights() * gi)
+                    singular_mode(pr.alpha, op.grid) @ (op.grid.trapezoid_weights() * gi)
                     for op, gi in zip(ops, g)
                 ]
                 junction = known - (kc @ x + wc @ rate - load_c)
@@ -459,7 +459,7 @@ class TestForward:
             for a in arrays(getattr(sys_, name)):
                 if a.ndim == 2 and min(a.shape) >= M:  # as large as an edge block
                     square.append(a)
-                elif name == "readouts":
+                elif name == "junctions":
                     readout += a.size
                 else:
                     other += a.size
@@ -782,7 +782,7 @@ class TestGraphCornerProperties:
         dt = pr.time_grid.dt
         for op, (gs, prop) in zip(edge_operators(pr), sys_.edge_propagators):
             fs = slice(int(op.free[0]), op.grid.nnodes)
-            block = op.W[fs, fs] / dt + op.K[fs, fs]
+            block = np.diag(op.grid.trapezoid_weights()[fs]) / dt + op.K[fs, fs]
             ref = np.linalg.inv(block) * (sys_.mass[gs] / dt)
             tol = 1e-13 * max(1.0, np.linalg.cond(block) / 1e3)
             assert np.abs(prop - ref).max() <= tol * np.abs(ref).max()
@@ -841,19 +841,19 @@ def copied_readout(system, y, prev, g, known, traces):
     tip = np.empty((len(x), pr.n))
     junction = np.zeros_like(tip)
     flux_scale = 0.0
-    for i, (edge, op, gi) in enumerate(zip(system.readouts, edge_operators(pr), g)):
+    ops = zip(extended_operators(system), edge_operators(pr), g)
+    for i, ((K, W), op, gi) in enumerate(ops):
         xi, ri = edge_dofs(system, x, i), edge_dofs(system, rate, i)
         pi = edge_dofs(system, prev, i)
         wg = op.grid.trapezoid_weights() * gi
         probe = flux_probe(op)
-        w_probe, k_probe = op.W[:, : len(probe)] @ probe, op.K[:, : len(probe)] @ probe
+        w_probe, k_probe = W[:, : len(probe)] @ probe, K[:, : len(probe)] @ probe
         tip[:, i] = ri @ w_probe + xi @ k_probe - wg @ probe
         terms = [(w_probe, k_probe, probe)]
-        if edge.mode is not None:
-            junction[:, i] = known[:, i] - (
-                ri @ edge.w_junction + xi @ edge.k_junction - wg @ edge.mode
-            )
-            terms.append((edge.w_junction, edge.k_junction, edge.mode))
+        if pr.include_junction_mode:
+            mode = singular_mode(pr.alpha, op.grid)
+            junction[:, i] = known[:, i] - (ri @ W[-1] + xi @ K[-1] - wg @ mode)
+            terms.append((W[-1], K[-1], mode))
         for w, k, load in terms:
             size = (np.abs(xi) + np.abs(pi)) @ np.abs(w) / dt + np.abs(xi) @ np.abs(k)
             flux_scale = max(flux_scale, (size + np.abs(wg) @ np.abs(load)).max())
@@ -863,10 +863,10 @@ def copied_readout(system, y, prev, g, known, traces):
         for s, grid in zip(samples, pr.grids)
     )
     energy_scale = 0.0
-    for i, (edge, grid) in enumerate(zip(system.readouts, pr.grids)):
+    for i, grid in enumerate(pr.grids):
         xi = np.abs(edge_dofs(system, y.dofs, i))
-        mode = np.zeros(grid.nnodes) if edge.mode is None else np.abs(edge.mode)
-        xi[:, :-1] += xi[:, -1:] * mode if edge.mode is not None else 0.0
+        if pr.include_junction_mode:
+            xi[:, :-1] += xi[:, -1:] * np.abs(singular_mode(pr.alpha, grid))
         nodal = xi[:, : grid.nnodes]
         energy_scale += np.einsum("kj,j,kj->k", nodal, grid.trapezoid_weights(), nodal)
     cres = float(np.abs(y.tip_trace[1:, : pr.m] - traces).max()) if pr.m > 0 else 0.0
@@ -1035,7 +1035,8 @@ class TestDiagnosticsByProducts:
                 assert s.tobytes() == sys_.samples(traj.dofs)[k].tobytes()
                 nodal = traj.dofs[:, dm.edge_slice(k)]
                 if dm.c_index is not None:
-                    nodal = nodal + np.multiply.outer(traj.c, sys_.readouts[k].mode)
+                    mode = singular_mode(pr.alpha, pr.grids[k])
+                    nodal = nodal + np.multiply.outer(traj.c, mode)
                 assert s.tobytes() == nodal.tobytes()
                 # a new array on each read: a write to it does not persist
                 assert not np.shares_memory(s, traj.dofs)

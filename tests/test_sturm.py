@@ -10,9 +10,13 @@ from fracstar import (
     CoefficientError,
     EdgeCoefficients,
     Grid1D,
+    StarGraphProblem,
     TimeGrid,
+    assemble_graph_system,
     assemble_stiffness,
+    junction_rows,
     left_rl_derivative,
+    singular_mode,
     solve_forward_edge,
     trace_functional,
 )
@@ -97,20 +101,44 @@ class TestAssembly:
     def test_singular_dof_extension(self, rng):
         grid = Grid1D(0.0, 1.0, 9)
         coeffs = random_coeffs(rng, grid)
-        op = assemble_stiffness(0.5, grid, coeffs, include_singular_dof=True)
-        assert op.K.shape[0] == grid.nnodes + 1
-        # the mode's tip trace is one; at a the nodes carry no trace, the mode
-        # all of it
-        assert op.trace_b[-1] == 1.0
+        op = assemble_stiffness(0.5, grid, coeffs)
+        rows = junction_rows(0.5, grid, coeffs)
+        nn = grid.nnodes
+        # the operator is nodal; the mode's pairings are its junction rows
+        assert op.K.shape == (nn, nn) and op.trace_b.shape == (nn,)
+        assert rows.w.shape == rows.k.shape == (nn + 1,)
+        # at a the nodes carry no trace, the mode all of it
         assert np.all(trace_functional(0.5, grid, "a") == 0.0)
-        # extended stiffness stays SPD: the mode is distinguishable from its
-        # nodal interpolant through the derivative term
-        lam = np.linalg.eigvalsh(op.K)
+        # the stiffness bordered by the junction row stays SPD: the mode is
+        # distinguishable from its nodal interpolant through the derivative
+        # term
+        K = np.block([[op.K, rows.k[:-1, None]], [rows.k[None, :]]])
+        lam = np.linalg.eigvalsh(K)
         assert lam.min() > 0.0
-        # derivative ignores the mode entirely: its column of K is the
-        # reaction mass alone
+        # derivative ignores the mode entirely: its row of K is the reaction
+        # mass alone
         wq = grid.trapezoid_weights() * coeffs.q
-        assert op.K[:-1, -1].tobytes() == (wq * op.mode).tobytes()
+        assert rows.k[:-1].tobytes() == (wq * rows.mode).tobytes()
+
+    @pytest.mark.parametrize("field", ["beta", "q"])
+    @pytest.mark.parametrize("length", [1, 5, 11])
+    def test_coefficient_samples_must_match_the_grid(self, field, length):
+        # a constant given as one sample is not broadcast, for q as for beta,
+        # on an edge and on a graph
+        grid = Grid1D(0.0, 1.0, 9)
+        samples = {"beta": np.ones(grid.nnodes), "q": np.ones(grid.nnodes), field: np.ones(length)}
+        coeffs = EdgeCoefficients(**samples, beta0=1.0, q0=1.0)
+        message = "coefficient samples do not match the grid"
+        for build in (assemble_stiffness, junction_rows):
+            with pytest.raises(ValueError, match=message):
+                build(0.6, grid, coeffs)
+        good = EdgeCoefficients.constant(grid, 1.0, 1.0)
+        problem = StarGraphProblem(
+            alpha=0.6, time_grid=TimeGrid(1.0, 2), grids=[grid] * 2, coeffs=[good, coeffs],
+            f=[None] * 2, y0=[np.zeros(grid.nnodes)] * 2, y_d=[None] * 2, m=2,
+        )
+        with pytest.raises(ValueError, match=message):
+            assemble_graph_system(problem)
 
     def test_alpha_one_pins_first_node(self):
         grid = Grid1D(0.0, 1.0, 6)
@@ -122,10 +150,10 @@ class TestAssembly:
 
 
 class TestDiagonalProducts:
-    """``K`` and ``W`` are bitwise the dense ``A @ np.diag(d) @ B`` products
-    that the scaled operand and the direct mass fills replace, except the
-    junction corner: it is one dot product, whose summation order BLAS does
-    not fix, so it agrees to roundoff."""
+    """``K`` and the junction rows are bitwise the dense
+    ``A @ np.diag(d) @ B`` products that the scaled operand and the direct
+    fills replace, except the junction corner: it is one dot product, whose
+    summation order BLAS does not fix, so it agrees to roundoff."""
 
     @given(
         alpha=st.one_of(st.just(1.0), st.floats(1e-3, 1.0)),
@@ -141,24 +169,25 @@ class TestDiagonalProducts:
         rng = np.random.default_rng(seed)
         grid = Grid1D(0.0, float(rng.uniform(0.5, 2.0)), M)
         coeffs = random_coeffs(rng, grid)
-        op = assemble_stiffness(alpha, grid, coeffs, include_singular_dof=singular)
-        E = np.eye(grid.nnodes, op.K.shape[0])
-        if singular:
-            E[:, -1] = op.mode
-        # the derivative on the extended vector: the mode's column is zero
-        D = np.pad(left_rl_derivative(alpha, grid), ((0, 0), (0, int(singular))))
+        op = assemble_stiffness(alpha, grid, coeffs)
+        D = left_rl_derivative(alpha, grid)
         wtrap = grid.trapezoid_weights()
         cell_beta = 0.5 * (coeffs.beta[:-1] + coeffs.beta[1:])
         K = D.T @ np.diag(grid.h * cell_beta) @ D
-        K += E.T @ np.diag(wtrap * coeffs.q) @ E
+        K += np.diag(wtrap * coeffs.q)
         K = 0.5 * (K + K.T)
-        W = E.T @ np.diag(wtrap) @ E
-        for got, ref in ((op.K, K), (op.W, W)):
-            if singular:
-                assert abs(got[-1, -1] - ref[-1, -1]) <= 1e-13 * abs(ref[-1, -1])
-                got, ref = got.copy(), ref.copy()
-                got[-1, -1] = ref[-1, -1] = 0.0
-            assert got.tobytes() == ref.tobytes()
+        assert op.K.tobytes() == K.tobytes()
+        if not singular:
+            return
+        # the extension E = [I | mode] to sample space
+        rows = junction_rows(alpha, grid, coeffs)
+        E = np.eye(grid.nnodes, grid.nnodes + 1)
+        E[:, -1] = singular_mode(alpha, grid)
+        assert rows.mode.tobytes() == E[:, -1].tobytes()
+        for got, d in ((rows.w, wtrap), (rows.k, wtrap * coeffs.q)):
+            ref = (E.T @ np.diag(d) @ E)[-1]
+            assert abs(got[-1] - ref[-1]) <= 1e-13 * abs(ref[-1])
+            assert got[:-1].tobytes() == ref[:-1].tobytes()
 
 
 class TestNeumannLoad:
