@@ -40,8 +40,8 @@ discrete cost vanish exactly at a discrete minimizer.  The sweeps return the
 solution only.  A sweep holds one trajectory-sized array, its solution's
 rows: each step's load is formed, one edge's data at a time, in the row the
 step overwrites, and the march scales it there; a Neumann control loads only
-its edge's trace row and ``c``.  The adjoint marches through its rows in
-memory order and reverses them in place once it is done.
+its edge's trace row and ``c``.  The adjoint forms its loads in time order and
+marches through its rows from the last to the first, in place.
 
 Diagnostics.  :func:`diagnose_forward` and :func:`diagnose_adjoint` read the
 junction fluxes off the step residuals of a solution, all steps at once,
@@ -370,14 +370,10 @@ def _assemble(problem: StarGraphProblem) -> GraphSystem:
 
     if include_mode:
         free.append([c_index])
+    # the trace rows of edges 1..m have full rank on the free DOFs: each is
+    # nonzero on a free node of its own edge, which no other row touches
+    # (w[0] > 0 at node M - 1 for alpha < 1, at node M for alpha = 1)
     free = np.concatenate(free)
-
-    if m > 0:
-        rank = np.linalg.matrix_rank(trace_b[:m, free])
-        if rank < m:
-            raise SolverFailure(
-                f"degenerate constraint set: rank {rank} < {m} trace rows"
-            )
 
     schur_inv = None
     rows = np.zeros((k + nb, ndof))
@@ -520,11 +516,14 @@ def _prescribed_traces(u: np.ndarray, m: int) -> np.ndarray:
     return traces
 
 
-def _march(system: GraphSystem, start, rows, traces, what: str, stream=None):
+def _march(system: GraphSystem, start, rows, traces, what: str, stream=None, _backward=False):
     """Implicit Euler from ``x_0 = start`` in place: on entry ``rows[j]``
     holds the load ``l_j`` of step ``j``, which solves
     ``(W/dt + K) x_{j+1} + B^T mu_j = W x_j/dt + l_j``,
-    ``B x_{j+1} = traces[j]``; on return it holds ``x_{j+1}``.
+    ``B x_{j+1} = traces[j]``; on return it holds ``x_{j+1}``.  With
+    ``_backward`` (the adjoint's) the march takes the rows from the last to
+    the first: a row's previous state is the row after it, the last row's is
+    ``start``, and the multipliers come back in the rows' order.
 
     The border's share of every step's loads and traces is solved before the
     march, in one product; then the loads are scaled by ``dt/mass`` in place.
@@ -556,7 +555,7 @@ def _march(system: GraphSystem, start, rows, traces, what: str, stream=None):
             w[:, k:] = data @ schur.T
         rows *= dt / system.mass
         prev = start
-        for j in range(nt):
+        for j in reversed(range(nt)) if _backward else range(nt):
             xj = rows[j]
             xj += prev
             for gs, prop in system.edge_propagators:
@@ -573,21 +572,6 @@ def _march(system: GraphSystem, start, rows, traces, what: str, stream=None):
     if not (np.isfinite(rows).all() and np.isfinite(mult).all()):
         raise SolverFailure(f"non-finite {what} solve (singular saddle point?)")
     return mult
-
-
-# Rows that _reverse_rows moves at a time.
-_REVERSE_ROWS = 32
-
-
-def _reverse_rows(a: np.ndarray) -> None:
-    """Reverse the order of the rows of ``a`` in place, swapping a block of
-    at most ``_REVERSE_ROWS`` rows from each end at a time."""
-    n = len(a)
-    for lo in range(0, n // 2, _REVERSE_ROWS):
-        hi = min(lo + _REVERSE_ROWS, n // 2)
-        top = a[lo:hi].copy()
-        a[lo:hi] = a[n - hi : n - lo][::-1]
-        a[n - hi : n - lo] = top[::-1]
 
 
 def _trajectory(system: GraphSystem, dofs, mult, **series) -> GraphTrajectory:
@@ -658,8 +642,9 @@ def solve_adjoint_graph(
 ) -> GraphTrajectory:
     """Backward solve of the graph adjoint with source ``y - y_d``, clamped
     traces on edges ``1..m`` and flux-free tips on ``m+1..n``.  Its loads
-    are formed in the rows of the solution, which the march fills from the
-    last time to the first; no second trajectory-sized array is made.
+    are formed in time order in the rows of the solution, which the march
+    fills in place from the last row to the first; no second
+    trajectory-sized array is made.
 
     Returns the adjoint trajectory together with the two boundary series of
     the optimality system: ``(beta D^alpha p)(b_i^-, .)`` read from the
@@ -672,17 +657,16 @@ def solve_adjoint_graph(
     nt, dt, m = problem.time_grid.Nt, problem.time_grid.dt, problem.m
     omega = problem.time_grid.trapezoid_weights()
 
-    # the march steps through p's rows in memory order, so the loads go in
-    # backward in time, through a reversed view, and the rows are put in time
-    # order after it.  An overflowing misfit is a non-finite right-hand side,
+    # the loads go in time order, and the march takes the rows from the last
+    # to the first.  An overflowing misfit is a non-finite right-hand side,
     # which the march reports without a numpy warning
     p = np.zeros((nt + 1, system.ndof))
     with np.errstate(over="ignore", invalid="ignore"):
-        _add_loads(system, _misfit(problem, y), p[::-1])
-        p[::-1] *= (omega / dt)[:, None]
-    mult = _march(system, np.zeros(system.ndof), p, np.zeros((nt + 1, m)), "adjoint")
-    _reverse_rows(p)
-    mult = mult[::-1]
+        _add_loads(system, _misfit(problem, y), p)
+        p *= (omega / dt)[:, None]
+    mult = _march(
+        system, np.zeros(system.ndof), p, np.zeros((nt + 1, m)), "adjoint", _backward=True
+    )
     mult[0] = 0.0
     scale = np.concatenate([[0.0], dt / omega[1:]])[:, None]
     return _trajectory(

@@ -91,32 +91,6 @@ class JunctionRows(NamedTuple):
     k: np.ndarray
 
 
-def _cell_beta(coeffs: EdgeCoefficients) -> np.ndarray:
-    beta = np.asarray(coeffs.beta, dtype=float)
-    return 0.5 * (beta[:-1] + beta[1:])
-
-
-# Rows per strip of _symmetrize: a strip's transient is this many rows of K.
-_STRIP = 64
-
-
-def _symmetrize(K: np.ndarray) -> None:
-    """``K <- 0.5 (K + K^T)`` in place, a strip of rows at a time.
-
-    ``K += K.T`` would copy all of ``K.T``, since the operands overlap.  The
-    strip of rows ``I`` pairs ``K[I, s:]`` with ``K[s:, I]`` (``s`` the
-    strip's first row) before it writes either, so every entry is the
-    rounded ``0.5 (K[a, b] + K[b, a])`` of the entries as they were, bitwise
-    the dense formula."""
-    n = len(K)
-    for s in range(0, n, _STRIP):
-        rows = slice(s, min(s + _STRIP, n))
-        strip = K[rows, s:] + K[s:, rows].T
-        strip *= 0.5
-        K[rows, s:] = strip
-        K[s:, rows] = strip.T
-
-
 def _weights(grid: Grid1D, coeffs: EdgeCoefficients) -> tuple[np.ndarray, np.ndarray]:
     """The lumped mass and reaction weights ``w_trap`` and ``w_trap q``."""
     if not (np.shape(coeffs.beta) == np.shape(coeffs.q) == (grid.nnodes,)):
@@ -126,16 +100,20 @@ def _weights(grid: Grid1D, coeffs: EdgeCoefficients) -> tuple[np.ndarray, np.nda
 
 
 def assemble_stiffness(alpha: float, grid: Grid1D, coeffs: EdgeCoefficients) -> EdgeOperator:
-    """Assemble the nodal stiffness and tip trace for one edge."""
+    """Assemble the nodal stiffness and tip trace for one edge.
+
+    ``K = S^T S + diag(w_trap q)`` with ``S = diag(sqrt(h beta_cell)) D``,
+    ``D`` the derivative of :func:`~fracstar.fracops.left_rl_derivative`
+    scaled in place.  numpy forms the product of an array with its own
+    transpose by a symmetric rank-k update, so ``K`` is exactly symmetric,
+    and ``D`` is the one array held beside it."""
     _, wq = _weights(grid, coeffs)
-    # The scaled operand in C order keeps BLAS's summation order of
-    # ``D^T diag(h beta) D``, so every entry of K is bitwise that of the
-    # dense product.
     D = left_rl_derivative(alpha, grid)
-    K = np.multiply(D.T, grid.h * _cell_beta(coeffs), order="C") @ D
+    beta = np.asarray(coeffs.beta, dtype=float)
+    D *= np.sqrt(grid.h * (0.5 * (beta[:-1] + beta[1:])))[:, None]
+    K = D.T @ D
     diag = np.arange(grid.nnodes)
     K[diag, diag] += wq
-    _symmetrize(K)
     return EdgeOperator(
         alpha=alpha, grid=grid, coeffs=coeffs, K=K, trace_b=trace_functional(alpha, grid, "b"),
         free=np.arange(1 if alpha == 1.0 else 0, grid.nnodes),

@@ -18,6 +18,7 @@ from .graph_solver import (
     GraphSystem,
     StarGraphProblem,
     _add_loads,
+    _control_array,
     assemble_graph_system,
     solve_forward_graph,
 )
@@ -82,10 +83,9 @@ def dense_oracle_solve_graph(
     dm = system.dofmap
     _guard(system.ndof, nt)
 
-    nd = problem.n_dirichlet_channels
-    u = np.zeros((nd, nt + 1)) if u is None else np.asarray(u, dtype=float)
+    u = _control_array(u, problem.n_dirichlet_channels, nt, "dirichlet")
     nv = problem.n_neumann_channels
-    v = np.zeros((nv, nt + 1)) if v is None else np.asarray(v, dtype=float)
+    v = _control_array(v, nv, nt, "neumann")
 
     K, W = (ops.sum(axis=0) for ops in dense_edge_operators(system))
     fr = system.free

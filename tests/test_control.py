@@ -568,9 +568,9 @@ class TestOptimize:
         streams = []
         march = fracstar.graph_solver._march
 
-        def recorded(system, start, loads, traces, what, stream=None):
+        def recorded(system, start, loads, traces, what, stream=None, **kwargs):
             streams.append(stream)
-            return march(system, start, loads, traces, what, stream)
+            return march(system, start, loads, traces, what, stream, **kwargs)
 
         monkeypatch.setattr(fracstar.graph_solver, "_march", recorded)
         pr = random_graph(rng, Nt=6)

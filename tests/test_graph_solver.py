@@ -428,8 +428,8 @@ class TestForward:
     def test_assembly_releases_each_edge_before_the_next(self, rng, traced_peak):
         # assembly keeps one propagator per edge and, at any time, the dense
         # matrices of at most one edge beside the propagators already made:
-        # its D, the scaled transpose of D, K and W (K is symmetrized in
-        # place, with no copy of K.T)
+        # its D and K while K is assembled (D is scaled in place, and K is
+        # its product with itself), then K's step block and its factors
         n, M = 4, 256
         pr = random_graph(rng, n=n, m=3, Nt=4, Ms=(M,) * n, bs=(1.0,) * n)
         _, retained, peak = traced_peak(assemble_graph_system, pr)

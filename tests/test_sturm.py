@@ -72,6 +72,15 @@ class TestAssembly:
         op = assemble_stiffness(0.55, grid, random_coeffs(rng, grid))
         assert np.abs(op.K - op.K.T).max() == 0.0
 
+    def test_one_derivative_sized_array_beside_K(self, traced_peak):
+        # the derivative is scaled in place and multiplied by itself: no
+        # scaled copy of it is held beside it and K
+        M = 512
+        grid = Grid1D(0.0, 1.0, M)
+        coeffs = EdgeCoefficients.constant(grid, 1.0, 1.0)
+        op, _, peak = traced_peak(assemble_stiffness, 0.6, grid, coeffs)
+        assert peak - op.K.nbytes <= 1.25 * M * (M + 1) * 8
+
     def test_alpha_one_matches_classical(self):
         grid = Grid1D(0.0, 1.0, 8)
         coeffs = EdgeCoefficients.constant(grid, 1.0, 1.0)
@@ -150,10 +159,11 @@ class TestAssembly:
 
 
 class TestDiagonalProducts:
-    """``K`` and the junction rows are bitwise the dense
-    ``A @ np.diag(d) @ B`` products that the scaled operand and the direct
-    fills replace, except the junction corner: it is one dot product, whose
-    summation order BLAS does not fix, so it agrees to roundoff."""
+    """``K`` is bitwise the product ``S^T S`` of the scaled derivative with
+    itself plus the reaction diagonal, and the junction rows are bitwise the
+    dense ``E^T diag(d) E`` products that the direct fills replace, except
+    the junction corner: it is one dot product, whose summation order BLAS
+    does not fix, so it agrees to roundoff."""
 
     @given(
         alpha=st.one_of(st.just(1.0), st.floats(1e-3, 1.0)),
@@ -173,10 +183,10 @@ class TestDiagonalProducts:
         D = left_rl_derivative(alpha, grid)
         wtrap = grid.trapezoid_weights()
         cell_beta = 0.5 * (coeffs.beta[:-1] + coeffs.beta[1:])
-        K = D.T @ np.diag(grid.h * cell_beta) @ D
-        K += np.diag(wtrap * coeffs.q)
-        K = 0.5 * (K + K.T)
+        S = np.sqrt(grid.h * cell_beta)[:, None] * D
+        K = S.T @ S + np.diag(wtrap * coeffs.q)
         assert op.K.tobytes() == K.tobytes()
+        assert (op.K == op.K.T).all()
         if not singular:
             return
         # the extension E = [I | mode] to sample space

@@ -78,6 +78,30 @@ class TestDispatch:
         with pytest.raises(TypeError, match="cannot optimize a EdgeControlProblem"):
             optimize(edge, CostConfig(), AdmissibleSet())
 
+    @pytest.mark.parametrize(
+        "u_shape, v_shape",
+        [((2, 4), None), ((1, 5), None), ((3, 5), None), ((5,), None), (None, (2, 5)), (None, (4,))],
+    )
+    def test_controls_are_checked_as_the_solver_checks_them(self, rng, u_shape, v_shape):
+        # two Dirichlet channels and one Neumann channel on five times
+        pr = random_graph(rng, n=4, m=3, Nt=4, Ms=(4, 5, 6, 4), bs=(1.0, 0.8, 1.2, 0.9))
+        u = None if u_shape is None else rng.standard_normal(u_shape)
+        v = None if v_shape is None else rng.standard_normal(v_shape)
+        with pytest.raises(ValueError, match="controls must have shape") as expected:
+            solve_forward_graph(pr, u, v)
+        with pytest.raises(ValueError) as got:
+            dense_oracle_solve_graph(pr, u, v)
+        assert str(got.value) == str(expected.value)
+
+    def test_one_channel_series_may_be_one_dimensional(self, rng):
+        # as the solver, the oracle takes a single channel's series as 1-D
+        pr = random_graph(rng, Nt=4)
+        u, v = rng.standard_normal((2, 5))
+        flat = dense_oracle_solve_graph(pr, u, v)
+        rows = dense_oracle_solve_graph(pr, u[None], v[None])
+        for a, b in zip(flat, rows):
+            assert a.tobytes() == b.tobytes()
+
     def test_zero_data_zero_solution(self, rng):
         pr = random_graph(rng, Nt=4, with_data=False)
         dofs, mult = dense_oracle_solve_graph(pr)
