@@ -135,10 +135,11 @@ def singular_mode(alpha: float, grid: Grid1D) -> np.ndarray:
 
     The infinite value at the first node is replaced by the cell average of
     ``sigma`` over the first cell, ``h^(alpha-1)/Gamma(alpha+1)``; the samples
-    only ever enter L2 pairings (mass and tracking terms).  The fractional
-    operators act on the mode analytically: its left integral of order
-    ``1 - alpha`` is the one vector, its left derivative is zero on every
-    cell, and both endpoint traces are one.
+    only ever enter L2 pairings: the rows of :func:`~fracstar.sturm.junction_rows`,
+    which the solver reads, and a state's samples (outputs, tracking terms).
+    The fractional operators act on the mode analytically: its left integral
+    of order ``1 - alpha`` is the one vector, its left derivative is zero on
+    every cell, and both endpoint traces are one.
     """
     _check_order(alpha)
     x = grid.nodes - grid.a

@@ -48,15 +48,14 @@ junction fluxes off the step residuals of a solution, all steps at once,
 together with its energy, constraint residual, a-priori ratios and
 boundary-regularity ratio.  The tip fluxes are not read a second time: a
 Dirichlet tip's are its multipliers, and a Neumann tip's is its control.
-The fluxes and the energy are linear or quadratic in the DOF rows, so they
-are read off views of the rows by products with a few vectors per edge: a
-junction row applied to a step's rate is the difference of two rows'
-products over ``dt``, and the squared norm of an edge's samples
-``x + c mode`` is ``|x|^2 + 2 c <x, mode> + c^2 |mode|^2`` (in ``W``).  No
-rate or edge-DOF array is formed.  The a-priori ratios and the adjoint's
-misfit take one edge's samples at a time, so a diagnosis holds at most one
-edge's share of a trajectory beside its input.  They are computed on
-request; the optimizer never calls them.
+The fluxes and the energy are linear or quadratic in the DOF rows, so each
+edge's nodal block is read once, as a view of the rows, by its trapezoid
+norm and one product with its junction rows of ``W`` and ``K``, and the
+a-priori ratios take the energy's norms: no rate, edge-DOF or sample array
+is formed.  Only the adjoint's misfit forms samples, one edge's at a time.
+As in the loads, the junction mode is paired with nodal data or states
+through its junction rows alone.  The diagnostics are computed on request;
+the optimizer never calls them.
 """
 
 from collections.abc import Sequence
@@ -250,19 +249,21 @@ class GraphSystem(NamedTuple):
 def _add_loads(system: GraphSystem, g, out: np.ndarray | None = None) -> np.ndarray:
     """Add the global load of per-edge sample-space data ``g``,
     ``sum_i E_i^T (W_i g_i)``, to ``out`` in place, or to zeros, and return
-    it.  Each ``g_i`` may carry leading axes (time steps); the load has them
-    too.  ``g`` may be any iterable: an edge's data and its weighted copy
-    are released before the next edge's are read."""
+    it: the nodes take ``w_trap g_i``, and ``c`` takes ``g_i`` times the
+    nodal part of the junction row of ``W_i``, the product the diagnostics'
+    loads take.  Each ``g_i`` may carry leading axes (time steps); the load
+    has them too.  ``g`` may be any iterable: an edge's data and its
+    weighted copy are released before the next edge's are read."""
     dm, g = system.dofmap, iter(g)
     for i, grid in enumerate(system.problem.grids):
-        # taken by next: a zip's cached tuple would hold them until the next edge
-        wg = grid.trapezoid_weights() * next(g)
+        # taken by next: a zip's cached tuple would hold it until the next edge
+        gi = next(g)
         if out is None:
-            out = np.zeros(wg.shape[:-1] + (system.ndof,))
-        out[..., dm.edge_slice(i)] += wg
+            out = np.zeros(gi.shape[:-1] + (system.ndof,))
+        out[..., dm.edge_slice(i)] += grid.trapezoid_weights() * gi
         if dm.c_index is not None:
-            out[..., dm.c_index] += wg @ system.junctions[i].mode
-        del wg
+            out[..., dm.c_index] += gi @ system.junctions[i].w[:-1]
+        del gi
     return out
 
 
@@ -676,43 +677,8 @@ def solve_adjoint_graph(
     )
 
 
-def _squared_norms(system: GraphSystem, dofs: np.ndarray) -> np.ndarray:
-    """The squared L2 norm of each row's samples, summed over the edges:
-    ``|x_i + c mode_i|^2 = |x_i|^2 + c (2 <x_i, mode_i> + c |mode_i|^2)`` in
-    the trapezoid weights, from views of the rows; the junction row of
-    ``W_i`` holds ``w mode_i`` and, last, ``|mode_i|^2``."""
-    dm = system.dofmap
-    out = np.zeros(len(dofs))
-    for i, grid in enumerate(system.problem.grids):
-        w, x = grid.trapezoid_weights(), dofs[:, dm.edge_slice(i)]
-        out += np.einsum("kj,j,kj->k", x, w, x)
-        if dm.c_index is not None:
-            c, wj = dofs[:, dm.c_index], system.junctions[i].w
-            out += c * (2.0 * (x @ wj[:-1]) + c * wj[-1])
-    return out
-
-
-def _edge_residual(system: GraphSystem, dofs, i: int, adjoint: bool, load) -> np.ndarray:
-    """Edge ``i``'s step residuals in its ``c`` row: the junction row of
-    ``W_i`` applied to the step's rate plus that of ``K_i`` to its state, less
-    its ``load`` (one entry per step).  The edge's DOF vector (its nodal
-    block, then ``c``) is read off views of the rows."""
-    dm, dt, junction = system.dofmap, system.problem.time_grid.dt, system.junctions[i]
-    rows = np.column_stack([junction.w, junction.k])
-    products = dofs[:, dm.edge_slice(i)] @ rows[:-1]
-    c = dofs[:, dm.c_index]
-    # c's share a column at a time: a broadcast product would buffer
-    for column, entry in zip(products.T, rows[-1]):
-        column += entry * c
-    w, k = products[:, 0], products[1:, 1]  # by W_i, and by K_i
-    prev = np.append(w[2:], 0.0) if adjoint else w[:-1]
-    return (w[1:] - prev) / dt + k - load
-
-
-def _readout(system: GraphSystem, y: GraphTrajectory, adjoint: bool, loads, known, traces,
-             **extra):
-    """Junction fluxes, energy and constraint residual of a march, in a
-    :class:`GraphDiagnostics` completed by ``extra``.
+def _readout(system: GraphSystem, y: GraphTrajectory, adjoint: bool, loads, known, traces):
+    """Junction fluxes, energy and constraint residual of a march.
 
     Row ``j`` of the inputs belongs to the step that solved ``y.dofs[j + 1]``
     from the row before it, or, for the ``adjoint``, from the row after it
@@ -720,20 +686,35 @@ def _readout(system: GraphSystem, y: GraphTrajectory, adjoint: bool, loads, know
     (its data times the nodal part of the junction row of ``W_i``), edge by
     edge, and nothing without the junction mode; ``known`` holds the tip
     fluxes the steps imposed (multipliers and Neumann data) and ``traces``
-    the tip traces they prescribed on edges ``1..m``.  An edge's junction
-    flux is its tip flux less its residual in its ``c`` row, formed for all
-    steps at once (``W_i`` and ``K_i`` are symmetric): each junction row times
-    every row, the rate's share the difference of two rows' products over
-    ``dt``.
+    the tip traces they prescribed on edges ``1..m``.  Each edge's nodal
+    block ``x`` is read once, as a view of all the rows: its trapezoid norm,
+    and one product with the nodal parts of its junction rows of ``W_i`` and
+    ``K_i``.  With the corners, that product gives the mode's share of the
+    squared energy, ``c (2 <x, w mode> + c |mode|^2_w)``, and the edge's
+    residual in its ``c`` row (``W_i`` and ``K_i`` are symmetric; the ``W``
+    row applied to the step's rate is the difference of two rows' products
+    over ``dt``).  An edge's junction flux is its tip flux less that residual.
     """
-    pr = system.problem
+    pr, dm, dt = system.problem, system.dofmap, system.problem.time_grid.dt
     junction = np.zeros((len(y.dofs), pr.n))  # row 0 carries no step
-    for i, load in enumerate(loads):
-        junction[1:, i] = known[:, i] - _edge_residual(system, y.dofs, i, adjoint, load)
-        del load  # before the next edge's is formed
+    squared = np.zeros(len(y.dofs))
+    loads = iter(loads)
+    for i, grid in enumerate(pr.grids):
+        x = y.dofs[:, dm.edge_slice(i)]
+        squared += np.einsum("kj,j,kj->k", x, grid.trapezoid_weights(), x)
+        if dm.c_index is None:
+            continue
+        c, rows = y.dofs[:, dm.c_index], system.junctions[i]
+        products = x @ np.column_stack([rows.w[:-1], rows.k[:-1]])
+        squared += c * (2.0 * products[:, 0] + c * rows.w[-1])
+        # c's share a column at a time: a broadcast product would buffer
+        for column, corner in zip(products.T, (rows.w[-1], rows.k[-1])):
+            column += corner * c
+        w, k = products[:, 0], products[1:, 1]  # by W_i, and by K_i
+        prev = np.append(w[2:], 0.0) if adjoint else w[:-1]
+        junction[1:, i] = known[:, i] - ((w[1:] - prev) / dt + k - next(loads))
     cres = float(np.abs(y.tip_trace[1:, : pr.m] - traces).max()) if pr.m > 0 else 0.0
-    energy = np.sqrt(_squared_norms(system, y.dofs))
-    return GraphDiagnostics(junction, energy, cres, **extra)
+    return GraphDiagnostics(junction, np.sqrt(squared), cres)
 
 
 def _apriori_bounds(problem: StarGraphProblem) -> tuple[float, float]:
@@ -753,34 +734,33 @@ def _apriori_bounds(problem: StarGraphProblem) -> tuple[float, float]:
 _D_ROWS = 64
 
 
-def _apriori_ratios(system: GraphSystem, y: GraphTrajectory, f, v) -> tuple[float, float]:
+def _apriori_ratios(system: GraphSystem, dofs, squared, f, v) -> tuple[float, float]:
     """Measured a-priori ratios ``dt sum_k (||y^k||^2 + h ||D y^k||^2)`` and
     ``||y^Nt||^2`` over the data ``||y^0||^2 + dt sum_k (||f^k||^2 + |v^k|^2)``,
     ``k = 1..Nt``, summed over the edges; the data counts the energy of the
-    Neumann controls ``v``.  One edge's samples, or its ``D y``, are held at a
-    time; ``D`` is read a block of ``_D_ROWS`` rows at a time."""
+    Neumann controls ``v``.  The norms ``||y^k||^2`` are the squared
+    energies ``squared`` of the rows ``dofs``, so no samples are formed; the
+    junction mode has no derivative, so ``D`` acts on a view of each edge's
+    nodal block.  One edge's ``D y`` is held at a time, and ``D`` is read a
+    block of ``_D_ROWS`` rows at a time."""
     pr, dm = system.problem, system.dofmap
     dt = pr.time_grid.dt
-    lhs = final = 0.0
-    data = dt * float(np.sum(v[:, 1:] ** 2))
+    derivative = 0.0
+    data = squared[0] + dt * float(np.sum(v[:, 1:] ** 2))
     for i, grid in enumerate(pr.grids):
-        # the junction mode has no derivative, so D acts on the nodes alone
-        x = y.dofs[1:, dm.edge_slice(i)]
+        x = dofs[1:, dm.edge_slice(i)]
         Dy = np.empty((len(x), grid.M))
         for start, block in _derivative_blocks(pr.alpha, grid, _D_ROWS):
             np.matmul(x, block.T, out=Dy[:, start : start + len(block)])
         del block
         Dy *= Dy
-        derivative = grid.h * np.sum(Dy)
+        derivative += grid.h * np.sum(Dy)
         del Dy
-        s, w = y.samples[i], grid.trapezoid_weights()
-        lhs += dt * (np.einsum("kj,j,kj->", s[1:], w, s[1:]) + derivative)
-        data += s[0] @ (w * s[0]) + dt * np.einsum("kj,j,kj->", f[i][1:], w, f[i][1:])
-        final += s[-1] @ (w * s[-1])
-        del s
+        data += dt * np.einsum("kj,j,kj->", f[i][1:], grid.trapezoid_weights(), f[i][1:])
     if data <= 0.0:
         return 0.0, 0.0
-    return float(lhs / data), float(final / data)
+    lhs = dt * (np.sum(squared[1:]) + derivative)
+    return float(lhs / data), float(squared[-1] / data)
 
 
 def diagnose_forward(
@@ -800,17 +780,15 @@ def diagnose_forward(
     u = _control_array(u, pr.n_dirichlet_channels, nt, "dirichlet")
     v = _control_array(v, pr.n_neumann_channels, nt, "neumann")
     f = _edge_sources(pr)
-    ratio = ratio_T = 0.0
-    if pr.m == 0 or not (np.any(u) or np.any(v)):
-        ratio, ratio_T = _apriori_ratios(system, y, f, v)
-    bound, bound_T = _apriori_bounds(pr)
     loads = (fi[1:] @ junction.w[:-1] for fi, junction in zip(f, system.junctions))
     known = np.hstack([y.multipliers[1:], v[:, 1:].T])
-    return _readout(
-        system, y, False, loads, known, _prescribed_traces(u, pr.m)[1:],
-        estimate_ratio=ratio, estimate_bound=bound, estimate_ratio_T=ratio_T,
-        estimate_bound_T=bound_T,
-    )
+    d = _readout(system, y, False, loads, known, _prescribed_traces(u, pr.m)[1:])
+    ratio = ratio_T = 0.0
+    if pr.m == 0 or not (np.any(u) or np.any(v)):
+        ratio, ratio_T = _apriori_ratios(system, y.dofs, d.energy**2, f, v)
+    bound, bound_T = _apriori_bounds(pr)
+    return d._replace(estimate_ratio=ratio, estimate_bound=bound, estimate_ratio_T=ratio_T,
+                      estimate_bound_T=bound_T)
 
 
 def diagnose_adjoint(system: GraphSystem, p: GraphTrajectory, y) -> GraphDiagnostics:
@@ -834,6 +812,5 @@ def diagnose_adjoint(system: GraphSystem, p: GraphTrajectory, y) -> GraphDiagnos
             np.sum(omega[:, None] * (p.dirichlet_flux_series / beta_b) ** 2) / misfit
         )
     known = np.hstack([p.multipliers[1:], np.zeros((tg.Nt, pr.n - pr.m))])
-    return _readout(
-        system, p, True, loads, known, np.zeros((tg.Nt, pr.m)), boundary_regularity_ratio=reg
-    )
+    d = _readout(system, p, True, loads, known, np.zeros((tg.Nt, pr.m)))
+    return d._replace(boundary_regularity_ratio=reg)

@@ -84,7 +84,8 @@ class JunctionRows(NamedTuple):
     ``E^T diag(w_trap) E`` and ``k`` that of ``E^T diag(w_trap q) E``: each is
     ``d * mode`` followed by the corner ``(mode * d) @ mode``.  The mode has
     no fractional derivative, so the stiffness term adds nothing to ``k``, and
-    its tip trace is one."""
+    its tip trace is one.  The graph solver pairs the mode with nodal data and
+    states through ``w`` and ``k`` alone; ``mode`` forms samples."""
 
     mode: np.ndarray
     w: np.ndarray
