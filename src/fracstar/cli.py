@@ -531,7 +531,7 @@ def _cmd_validate(cfg: RunConfig, out: Path) -> int:
     fwd = solve_forward_graph(problem, system=system)
     diag = diagnose_forward(system, fwd)
     try:
-        dofs, _ = dense_oracle_solve_graph(problem, system=system)
+        dofs, _ = dense_oracle_solve_graph(problem)
         err = float(np.abs(fwd.dofs - dofs).max())
         record("oracle-equivalence", within(err, 1e-11, dofs), f"max deviation {err:.3e}")
     except SizeGuardError as exc:

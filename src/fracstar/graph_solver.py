@@ -203,8 +203,8 @@ class GraphSystem(NamedTuple):
     (``junctions``, :class:`~fracstar.sturm.JunctionRows`, none without the
     junction mode), the tip trace rows of all edges (the first ``m`` are the
     constraint rows of the Dirichlet-type tips, ``B`` in :func:`_march`), and
-    the inverted step matrix.  No edge's ``K`` is kept: the one square array
-    per edge is its propagator.
+    the inverted step matrix.  No edge's ``K`` is kept, nor a list of free
+    DOFs: an edge's one square array is its propagator, on its free nodes.
 
     ``mass`` is the diagonal of the global mass (the junction coupling sits in
     the update below).  The step matrix on the free DOFs, bordered by the free
@@ -229,7 +229,6 @@ class GraphSystem(NamedTuple):
     dofmap: GlobalDofMap
     junctions: list[JunctionRows]
     trace_b_rows: np.ndarray
-    free: np.ndarray
     mass: np.ndarray
     edge_propagators: list[tuple[slice, np.ndarray]]
     update_cols: np.ndarray
@@ -300,14 +299,20 @@ def assemble_graph_system(problem: StarGraphProblem) -> GraphSystem:
         raise SolverFailure(f"assembly failed: {exc}") from None
 
 
+def _dofmap(problem: StarGraphProblem) -> GlobalDofMap:
+    """The problem's layout: each edge's nodes in order, then ``c`` with the
+    junction mode."""
+    nnodes = tuple(g.nnodes for g in problem.grids)
+    offsets = tuple(int(x) for x in np.concatenate([[0], np.cumsum(nnodes)[:-1]]))
+    c_index = offsets[-1] + nnodes[-1] if problem.include_junction_mode else None
+    return GlobalDofMap(offsets=offsets, nnodes=nnodes, c_index=c_index)
+
+
 def _assemble(problem: StarGraphProblem) -> GraphSystem:
     n, m = problem.n, problem.m
     dt = problem.time_grid.dt
     include_mode = problem.include_junction_mode
-    nnodes = tuple(g.nnodes for g in problem.grids)
-    offsets = tuple(int(x) for x in np.concatenate([[0], np.cumsum(nnodes)[:-1]]))
-    c_index = offsets[-1] + nnodes[-1] if include_mode else None
-    dm = GlobalDofMap(offsets=offsets, nnodes=nnodes, c_index=c_index)
+    offsets, nnodes, c_index = dm = _dofmap(problem)
     ndof = dm.ndof
 
     # border unknowns: c (if present), then the m multipliers; the update
@@ -323,7 +328,6 @@ def _assemble(problem: StarGraphProblem) -> GraphSystem:
     cols = np.zeros((ndof, k + nb))
     propagators = []
     junctions = []
-    free = []
     for i, (grid, coeffs) in enumerate(zip(problem.grids, problem.coeffs)):
         op = assemble_stiffness(problem.alpha, grid, coeffs)
         sl = dm.edge_slice(i)
@@ -332,7 +336,6 @@ def _assemble(problem: StarGraphProblem) -> GraphSystem:
         first = int(op.free[0])
         fs = slice(first, nn)
         gs = slice(offsets[i] + first, offsets[i] + nn)
-        free.append(np.arange(gs.start, gs.stop))
         trace_b[i, sl] = op.trace_b
         mass[sl] = grid.trapezoid_weights()
         if include_mode:
@@ -369,13 +372,9 @@ def _assemble(problem: StarGraphProblem) -> GraphSystem:
         prop *= mass[gs] / dt  # A_i^{-1} diag(mass_i/dt), in place
         propagators.append((gs, prop))
 
-    if include_mode:
-        free.append([c_index])
     # the trace rows of edges 1..m have full rank on the free DOFs: each is
     # nonzero on a free node of its own edge, which no other row touches
     # (w[0] > 0 at node M - 1 for alpha < 1, at node M for alpha = 1)
-    free = np.concatenate(free)
-
     schur_inv = None
     rows = np.zeros((k + nb, ndof))
     if nb > 0:
@@ -400,7 +399,6 @@ def _assemble(problem: StarGraphProblem) -> GraphSystem:
         dofmap=dm,
         junctions=junctions,
         trace_b_rows=trace_b,
-        free=free,
         mass=mass,
         edge_propagators=propagators,
         update_cols=cols,
@@ -490,6 +488,18 @@ def _edge_sources(problem: StarGraphProblem) -> list[np.ndarray]:
                 )
             out.append(fi)
     return out
+
+
+def _system_for(problem: StarGraphProblem, system: GraphSystem | None) -> GraphSystem:
+    """``system``, or else ``problem``'s assembly; a system for another operator raises."""
+    if system is None or system.problem is problem:
+        return assemble_graph_system(problem) if system is None else system
+    a, b = system.problem, problem  # the data (f, y0, y_d, c0) may differ
+    if (a.alpha, a.time_grid, a.grids, a.m) != (b.alpha, b.time_grid, b.grids, b.m) or not all(
+        x is y or all(map(np.array_equal, x, y)) for x, y in zip(a.coeffs, b.coeffs)
+    ):
+        raise ValueError("the system was assembled for another operator")
+    return system
 
 
 def _misfit(problem: StarGraphProblem, y):
@@ -601,8 +611,7 @@ def solve_forward_graph(
     (shape ``(n-m, Nt+1)``); the root trace is clamped to zero.  Controls at
     ``t = 0`` never enter the fully implicit stepping.  A ``stream`` takes
     each row of ``dofs`` once it is final (:func:`_march`)."""
-    if system is None:
-        system = assemble_graph_system(problem)
+    system = _system_for(problem, system)
     nt, m = problem.time_grid.Nt, problem.m
     u = _control_array(u, problem.n_dirichlet_channels, nt, "dirichlet")
     v = _control_array(v, problem.n_neumann_channels, nt, "neumann")
@@ -653,8 +662,7 @@ def solve_adjoint_graph(
     trace rows on Neumann tips, both scaled to be exact discrete gradients of
     the trapezoid cost (their ``t = 0`` entries are zero).
     """
-    if system is None:
-        system = assemble_graph_system(problem)
+    system = _system_for(problem, system)
     nt, dt, m = problem.time_grid.Nt, problem.time_grid.dt, problem.m
     omega = problem.time_grid.trapezoid_weights()
 

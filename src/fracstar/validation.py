@@ -1,11 +1,11 @@
 """Independent oracles for the test and acceptance suites.
 
-These deliberately avoid the production time-stepping code: the space-time
-oracle assembles each edge's operator from ``system.problem`` itself (the
-assembled system keeps only propagators), scatters them into dense global
-matrices of its own, assembles every implicit-Euler step into one dense block
-system and solves it in a single factorization (a single edge is checked as
-the one-edge graph).
+These deliberately avoid the production assembly and time stepping: the
+space-time oracle reads the problem alone, forms each edge's operator, tip
+trace row and free nodes, and every step's loads, in dense global arrays of
+its own, assembles every implicit-Euler step into one dense block system and
+solves it in a single factorization (a single edge is checked as the one-edge
+graph).  It shares with production only the DOF layout and the input checks.
 """
 
 import numpy as np
@@ -15,10 +15,10 @@ from .edge_solver import EdgeControlProblem, edge_problem
 from .errors import SizeGuardError
 from .fracops import singular_mode
 from .graph_solver import (
-    GraphSystem,
     StarGraphProblem,
-    _add_loads,
     _control_array,
+    _dofmap,
+    _edge_sources,
     assemble_graph_system,
     solve_forward_graph,
 )
@@ -41,8 +41,8 @@ def _guard(ndof: int, nt: int) -> None:
         raise SizeGuardError(f"oracle limit: {nt} > {_MAX_STEPS} time steps")
 
 
-def dense_edge_operators(system: GraphSystem) -> tuple[np.ndarray, np.ndarray]:
-    """Each edge's stiffness and mass, assembled from ``system.problem`` and
+def dense_edge_operators(problem: StarGraphProblem) -> tuple[np.ndarray, np.ndarray]:
+    """Each edge's stiffness and mass, assembled from ``problem`` and
     scattered into the global DOF layout: arrays ``K``, ``W`` of shape
     ``(n, ndof, ndof)`` whose sums over the first axis are the global
     matrices.  The junction mode is paired here, not by
@@ -50,19 +50,19 @@ def dense_edge_operators(system: GraphSystem) -> tuple[np.ndarray, np.ndarray]:
     ``E = [I | singular_mode]`` to sample space, an edge's mass is
     ``E^T diag(w) E`` and its stiffness the nodal ``K`` plus the border of
     ``E^T diag(w q) E``."""
-    pr, dm = system.problem, system.dofmap
-    n, ndof = pr.n, system.ndof
+    dm = _dofmap(problem)
+    n, ndof = problem.n, dm.ndof
     K = np.zeros((n, ndof, ndof))
     W = np.zeros((n, ndof, ndof))
-    for i, (grid, coeffs) in enumerate(zip(pr.grids, pr.coeffs)):
+    for i, (grid, coeffs) in enumerate(zip(problem.grids, problem.coeffs)):
         nn = grid.nnodes
         E = np.eye(nn)
-        if pr.include_junction_mode:
-            E = np.column_stack([E, singular_mode(pr.alpha, grid)])
+        if problem.include_junction_mode:
+            E = np.column_stack([E, singular_mode(problem.alpha, grid)])
         w = grid.trapezoid_weights()
         idx = np.r_[dm.edge_slice(i), dm.junction]
         Ki = (E.T * (w * coeffs.q)) @ E
-        Ki[:nn, :nn] = assemble_stiffness(pr.alpha, grid, coeffs).K
+        Ki[:nn, :nn] = assemble_stiffness(problem.alpha, grid, coeffs).K
         K[i][np.ix_(idx, idx)] = Ki
         W[i][np.ix_(idx, idx)] = (E.T * w) @ E
     return K, W
@@ -72,41 +72,40 @@ def dense_oracle_solve_graph(
     problem: StarGraphProblem,
     u: np.ndarray | None = None,
     v: np.ndarray | None = None,
-    system: GraphSystem | None = None,
 ):
     """All-at-once solve of the graph scheme, every step's KKT block stacked
-    into one dense matrix; returns ``(dofs, multipliers)``."""
-    if system is None:
-        system = assemble_graph_system(problem)
+    into one dense matrix; returns ``(dofs, multipliers)``.  A step loads
+    ``W`` times the sources on the nodes (``E [f; 0] = f``, so this is
+    ``E^T diag(w) f``) and the Neumann controls times their trace rows."""
     nt, dt = problem.time_grid.Nt, problem.time_grid.dt
     n, m = problem.n, problem.m
-    dm = system.dofmap
-    _guard(system.ndof, nt)
+    dm = _dofmap(problem)
+    ndof = dm.ndof
+    _guard(ndof, nt)
 
     u = _control_array(u, problem.n_dirichlet_channels, nt, "dirichlet")
-    nv = problem.n_neumann_channels
-    v = _control_array(v, nv, nt, "neumann")
+    v = _control_array(v, problem.n_neumann_channels, nt, "neumann")
+    f = _edge_sources(problem)
 
-    K, W = (ops.sum(axis=0) for ops in dense_edge_operators(system))
-    fr = system.free
-    nf = len(fr)
-    blk = nf + m
-    A = W[np.ix_(fr, fr)] / dt + K[np.ix_(fr, fr)]
-    Bf = system.trace_b_rows[:m, fr]
-    Wf = W[np.ix_(fr, fr)]
-
-    Y0 = np.zeros(system.ndof)
-    for i in range(n):
+    K, W = (ops.sum(axis=0) for ops in dense_edge_operators(problem))
+    B = np.zeros((n, ndof))
+    F = np.zeros((nt + 1, ndof))
+    Y0 = np.zeros(ndof)
+    free = []
+    for i, (grid, coeffs) in enumerate(zip(problem.grids, problem.coeffs)):
+        op = assemble_stiffness(problem.alpha, grid, coeffs)
+        B[i, dm.edge_slice(i)] = op.trace_b
+        B[i, dm.junction] = 1.0  # the junction mode's tip trace
+        free.append(op.free + dm.offsets[i])
+        F[:, dm.edge_slice(i)] = f[i]
         Y0[dm.edge_slice(i)] = np.asarray(problem.y0[i], dtype=float)
-    if dm.c_index is not None:
-        Y0[dm.c_index] = problem.c0
+    Y0[dm.junction] = problem.c0
+    fr = np.r_[(*free, dm.junction)]
+    loads = F @ W.T + v.T @ B[m:]
 
-    fsrc = [
-        np.zeros((nt + 1, problem.grids[i].nnodes))
-        if problem.f[i] is None
-        else np.asarray(problem.f[i], dtype=float)
-        for i in range(n)
-    ]
+    nf, blk = len(fr), len(fr) + m
+    Wf, Bf = W[np.ix_(fr, fr)], B[:m, fr]
+    A = Wf / dt + K[np.ix_(fr, fr)]
 
     big = np.zeros((nt * blk, nt * blk))
     rhs = np.zeros(nt * blk)
@@ -115,10 +114,7 @@ def dense_oracle_solve_graph(
         big[r0 : r0 + nf, r0 : r0 + nf] = A
         big[r0 : r0 + nf, r0 + nf : r0 + blk] = Bf.T
         big[r0 + nf : r0 + blk, r0 : r0 + nf] = Bf
-        load = _add_loads(system, [fsrc[i][k] for i in range(n)])
-        if nv > 0:
-            load += system.trace_b_rows[m:].T @ v[:, k]
-        rhs[r0 : r0 + nf] = load[fr]
+        rhs[r0 : r0 + nf] = loads[k, fr]
         if m > 1:
             rhs[r0 + nf + 1 : r0 + blk] = u[:, k]
         if k == 1:
@@ -127,7 +123,7 @@ def dense_oracle_solve_graph(
             big[r0 : r0 + nf, r0 - blk : r0 - blk + nf] = -Wf / dt
     sol = np.linalg.solve(big, rhs)
 
-    dofs = np.zeros((nt + 1, system.ndof))
+    dofs = np.zeros((nt + 1, ndof))
     dofs[0] = Y0
     mult = np.zeros((nt + 1, m))
     for k in range(1, nt + 1):

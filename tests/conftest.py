@@ -67,10 +67,19 @@ def extended_operators(system):
     oracle's :func:`~fracstar.validation.dense_edge_operators`."""
     dm = system.dofmap
     out = []
-    for i, (K, W) in enumerate(zip(*dense_edge_operators(system))):
+    for i, (K, W) in enumerate(zip(*dense_edge_operators(system.problem))):
         idx = np.r_[dm.edge_slice(i), dm.junction]
         out.append((K[np.ix_(idx, idx)], W[np.ix_(idx, idx)]))
     return out
+
+
+def free_dofs(system):
+    """The free DOFs of ``system``'s layout: each edge's free nodes, as
+    :func:`~fracstar.sturm.assemble_stiffness` lists them, then ``c`` if the
+    junction mode is present."""
+    dm = system.dofmap
+    ops = edge_operators(system.problem)
+    return np.r_[(*(op.free + off for op, off in zip(ops, dm.offsets)), dm.junction)]
 
 
 def edge_dofs(system, Y, i):
@@ -110,7 +119,7 @@ def tip_fluxes(system, y, f):
     load ``l_k``.  The residual leaves out the controls and the
     multipliers: those are what it measures."""
     pr, dm = system.problem, system.dofmap
-    K, W = (ops.sum(axis=0) for ops in dense_edge_operators(system))
+    K, W = (ops.sum(axis=0) for ops in dense_edge_operators(system.problem))
     x = y.dofs[1:]
     r = np.diff(y.dofs, axis=0) / pr.time_grid.dt @ W + x @ K
     r -= _add_loads(system, [fi[1:] for fi in f])

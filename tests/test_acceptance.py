@@ -205,7 +205,7 @@ def test_criterion_05_energy_decay_and_estimates():
                     y0[0] = 0.0
             sys_ = assemble_graph_system(pr)
             y = solve_forward_graph(pr, system=sys_).dofs
-            K, W = (ops.sum(axis=0) for ops in dense_edge_operators(sys_))
+            K, W = (ops.sum(axis=0) for ops in dense_edge_operators(sys_.problem))
             half = 0.5 * np.einsum("ki,ij,kj->k", y, W, y)
             step = np.diff(y, axis=0)
             terms = np.stack([
@@ -233,7 +233,7 @@ def test_criterion_05_energy_decay_and_estimates():
         sys_ = assemble_graph_system(pr)
         traj = solve_forward_graph(pr, u, v, sys_)
         for dofs, mult in ((traj.dofs, traj.multipliers),
-                           dense_oracle_solve_graph(pr, u, v, sys_)):
+                           dense_oracle_solve_graph(pr, u, v)):
             worst_loaded = max(worst_loaded, loaded_energy_residual(sys_, dofs, mult, u, v))
     elapsed = time.time() - t0
     report(
@@ -256,7 +256,7 @@ def loaded_energy_residual(system, dofs, mult, u, v):
     ``u``)."""
     pr = system.problem
     dt, m = pr.time_grid.dt, pr.m
-    K, W = (ops.sum(axis=0) for ops in dense_edge_operators(system))
+    K, W = (ops.sum(axis=0) for ops in dense_edge_operators(system.problem))
     y, step = dofs[1:], np.diff(dofs, axis=0)
     half = 0.5 * np.einsum("ki,ij,kj->k", dofs, W, dofs)
     source = sum(

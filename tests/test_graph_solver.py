@@ -32,6 +32,7 @@ from conftest import (
     edge_operators,
     extended_operators,
     flux_probe,
+    free_dofs,
     random_coeffs,
     random_graph,
     tip_fluxes,
@@ -128,7 +129,8 @@ def classical_star_heat(problem, u, v):
 def step_solve(system, b):
     """One step of the graph stepper from a zero state: solves the bordered
     step matrix for ``b``, free DOFs first, then the multipliers."""
-    fr, nf = system.free, len(system.free)
+    fr = free_dofs(system)
+    nf = len(fr)
     row = np.zeros((1, system.ndof))  # the step's load, overwritten by its state
     row[0, fr] = b[:nf]
     mult = fracstar.graph_solver._march(
@@ -192,7 +194,7 @@ class TestAssembly:
         )
         sys_ = assemble_graph_system(pr)
         op = assemble_stiffness(0.55, grid, coeffs)
-        np.testing.assert_array_equal(dense_edge_operators(sys_)[0].sum(axis=0), op.K)
+        np.testing.assert_array_equal(dense_edge_operators(sys_.problem)[0].sum(axis=0), op.K)
         np.testing.assert_array_equal(sys_.trace_b_rows[0], op.trace_b)
 
     def test_readouts_are_the_edge_operators_vectors(self, rng):
@@ -212,7 +214,7 @@ class TestAssembly:
     def test_block_symmetry(self, rng):
         pr = random_graph(rng)
         sys_ = assemble_graph_system(pr)
-        K, W = (ops.sum(axis=0) for ops in dense_edge_operators(sys_))
+        K, W = (ops.sum(axis=0) for ops in dense_edge_operators(sys_.problem))
         assert np.abs(K - K.T).max() == 0.0
         assert np.abs(W - W.T).max() == 0.0
         assert sys_.dofmap.ndof == sum(g.nnodes for g in pr.grids) + 1
@@ -223,9 +225,9 @@ class TestAssembly:
         # border, zero multiplier block
         pr = random_graph(rng)
         sys_ = assemble_graph_system(pr)
-        K, W = (ops.sum(axis=0) for ops in dense_edge_operators(sys_))
+        K, W = (ops.sum(axis=0) for ops in dense_edge_operators(sys_.problem))
         dt = pr.time_grid.dt
-        fr = sys_.free
+        fr = free_dofs(sys_)
         A = W[np.ix_(fr, fr)] / dt + K[np.ix_(fr, fr)]
         Bf = sys_.trace_b_rows[: pr.m, fr]
         S = np.block([[A, Bf.T], [Bf, np.zeros((pr.m, pr.m))]])
@@ -375,7 +377,7 @@ class TestForward:
         dy, dp = diagnose_forward(sys_, y, u, v), diagnose_adjoint(sys_, p, y)
         dt, om = pr.time_grid.dt, pr.time_grid.trapezoid_weights()
         c = sys_.dofmap.c_index
-        Ks, Ws = dense_edge_operators(sys_)
+        Ks, Ws = dense_edge_operators(sys_.problem)
         K, W, kc, wc = Ks.sum(axis=0), Ws.sum(axis=0), Ks[:, c], Ws[:, c]
         ops = edge_operators(pr)
         for k in range(1, 8):
@@ -408,6 +410,37 @@ class TestForward:
         solve_adjoint_graph(pr, y, sys_)
         solve_forward_graph(pr, None, None, sys_)
         assert len(factorizations) == pr.n
+
+    def test_a_sweep_takes_a_system_of_its_operator_alone(self, rng):
+        # a system assembled for another dt, alpha, step count or coefficients
+        # is refused; one whose problem differs in its data alone serves
+        pr = random_graph(rng)
+        pr = pr._replace(f=[None] * pr.n, y_d=[None] * pr.n)
+        sys_ = assemble_graph_system(pr)
+        tg = pr.time_grid
+        for change in (
+            {"time_grid": TimeGrid(2.0 * tg.T, tg.Nt)},
+            {"alpha": 0.9},
+            {"time_grid": TimeGrid(tg.T, tg.Nt + 2)},
+            {"coeffs": [c._replace(q=2.0 * c.q) for c in pr.coeffs]},
+        ):
+            other = pr._replace(**change)
+            y = solve_forward_graph(other)
+            with pytest.raises(ValueError, match="assembled for another operator"):
+                solve_forward_graph(other, system=sys_)
+            with pytest.raises(ValueError, match="assembled for another operator"):
+                solve_adjoint_graph(other, y, system=sys_)
+        new = random_graph(rng)
+        data = pr._replace(
+            f=new.f, y0=new.y0, y_d=new.y_d, c0=0.3,
+            coeffs=[c._replace(beta=c.beta.copy(), q=c.q.copy()) for c in pr.coeffs],
+        )
+        u, v = rng.standard_normal((2, 1, tg.Nt + 1))
+        own = assemble_graph_system(data)
+        y, ref = solve_forward_graph(data, u, v, sys_), solve_forward_graph(data, u, v, own)
+        assert y.dofs.tobytes() == ref.dofs.tobytes()
+        p, ref = solve_adjoint_graph(data, y, sys_), solve_adjoint_graph(data, y, own)
+        assert p.dofs.tobytes() == ref.dofs.tobytes()
 
     def test_no_dense_global_array(self, rng, traced_peak):
         # assembly, a sweep and its diagnostics on a wide star stay below the
@@ -704,7 +737,7 @@ class TestGraphCornerProperties:
         v = rng.standard_normal((n - m, Nt + 1))
         sys_ = assemble_graph_system(pr)
         y = solve_forward_graph(pr, u, v, sys_)
-        dofs, mult = dense_oracle_solve_graph(pr, u, v, sys_)
+        dofs, mult = dense_oracle_solve_graph(pr, u, v)
         assert np.abs(y.dofs - dofs).max() <= 1e-11
         assert np.abs(y.multipliers - mult).max() <= 1e-11
 
@@ -762,8 +795,8 @@ class TestGraphCornerProperties:
         x = np.vstack([start, loads])
         mult = fracstar.graph_solver._march(sys_, x[0], x[1:], traces, "forward")
 
-        K, W = (ops.sum(axis=0) for ops in dense_edge_operators(sys_))
-        fr = sys_.free
+        K, W = (ops.sum(axis=0) for ops in dense_edge_operators(sys_.problem))
+        fr = free_dofs(sys_)
         nf = len(fr)
         Bf = sys_.trace_b_rows[: pr.m, fr]
         S = np.block(

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import fracstar.graph_solver
+import fracstar.validation
 from fracstar import (
     AdmissibleSet,
     CostConfig,
@@ -93,6 +95,19 @@ class TestDispatch:
             dense_oracle_solve_graph(pr, u, v)
         assert str(got.value) == str(expected.value)
 
+    @pytest.mark.parametrize(
+        "shape", [(6, 7), (4, 7), (5, 8)], ids=["extra-row", "missing-row", "extra-column"]
+    )
+    def test_sources_are_checked_as_the_solver_checks_them(self, rng, shape):
+        # edge 1 has 7 nodes and the problem 5 times
+        pr = random_graph(rng, Nt=4)
+        pr = pr._replace(f=[rng.standard_normal(shape), *pr.f[1:]])
+        with pytest.raises(ValueError, match="edge 1 source must have shape") as expected:
+            solve_forward_graph(pr)
+        with pytest.raises(ValueError) as got:
+            dense_oracle_solve_graph(pr)
+        assert str(got.value) == str(expected.value)
+
     def test_one_channel_series_may_be_one_dimensional(self, rng):
         # as the solver, the oracle takes a single channel's series as 1-D
         pr = random_graph(rng, Nt=4)
@@ -106,6 +121,28 @@ class TestDispatch:
         pr = random_graph(rng, Nt=4, with_data=False)
         dofs, mult = dense_oracle_solve_graph(pr)
         assert np.abs(dofs).max() == 0.0 and np.abs(mult).max() == 0.0
+
+
+class TestIndependence:
+    def test_oracle_runs_no_production_assembly_load_or_march(self, rng, monkeypatch):
+        # a graph with sources, a Dirichlet and a Neumann control, and the
+        # one-edge graph at alpha = 1, whose free set skips the pinned node
+        graph = random_graph(rng)
+        u, v = rng.standard_normal((2, 1, graph.time_grid.Nt + 1))
+        op, tg, f, y0, ve = random_edge(rng, alpha=1.0, M=8, Nt=4)
+        cases = [(graph, u, v), (edge_problem(op, tg, f, y0), None, ve[None])]
+        refs = [solve_forward_graph(*case) for case in cases]
+
+        def production(*args, **kwargs):
+            raise AssertionError("the oracle ran the production solver")
+
+        for module in (fracstar.graph_solver, fracstar.validation):
+            for name in ("assemble_graph_system", "_add_loads", "_march"):
+                monkeypatch.setattr(module, name, production, raising=False)
+        for case, ref in zip(cases, refs):
+            dofs, mult = dense_oracle_solve_graph(*case)
+            np.testing.assert_allclose(dofs, ref.dofs, rtol=0.0, atol=1e-11)
+            np.testing.assert_allclose(mult, ref.multipliers, rtol=0.0, atol=1e-11)
 
 
 class TestFiniteDifference:
