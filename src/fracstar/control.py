@@ -2,8 +2,8 @@
 optimization loop for the boundary control problems.
 
 There is one cost, one gradient and one optimizer driver, all on the star
-graph: a single edge is the one-edge graph (``m = 0``).  Costs use
-the trapezoid rule in time and the lumped trapezoid pairing in space.  Gradients
+graph: a single edge is the one-edge graph (``m = 0``).  Costs use the
+trapezoid rule in time and the scheme's extended mass in space.  Gradients
 come from :func:`fracstar.graph_solver.solve_adjoint_graph`, whose boundary
 series are scaled to make them exact for the discrete cost; a central finite
 difference of the cost therefore reproduces them to roundoff.
@@ -28,7 +28,7 @@ from .graph_solver import (
     GraphTrajectory,
     StarGraphProblem,
     _control_array,
-    _misfit,
+    _tracking,
     assemble_graph_system,
     solve_adjoint_graph,
     solve_forward_graph,
@@ -124,13 +124,11 @@ def cost_graph(
     problem: StarGraphProblem,
     cfg: CostConfig,
 ) -> float:
-    """Tracking over all edges plus the per-channel control penalties."""
+    """Tracking over all edges in the extended mass, plus the per-channel penalties."""
     controls = _control_array(controls, problem.n_channels, problem.time_grid.Nt, "channel")
     omega = problem.time_grid.trapezoid_weights()
-    total = 0.0
-    for diff, grid in zip(_misfit(problem, y), problem.grids):
-        wx = grid.trapezoid_weights()
-        total += 0.5 * float(np.einsum("k,kj,j,kj->", omega, diff, wx, diff))
+    junctions = y.samples.junctions if problem.include_junction_mode else []
+    total = 0.5 * float(omega @ _tracking(problem, junctions, y.dofs)[0])
     w = cfg.weights_for(problem)
     for j in range(problem.n_channels):
         total += 0.5 * w[j] * float(omega @ controls[j] ** 2)
@@ -170,34 +168,41 @@ def reduced_hessian(system: GraphSystem, cfg: CostConfig) -> np.ndarray:
     ``dt`` do not change in time, so a unit control on channel ``c`` at step
     ``k`` gives the state ``H_c[j - k]`` at every step ``j >= k``, and one
     march per channel from zero data, with a unit impulse at step 1, yields
-    every response.  With the Gram ``G_cd[a, b] = <H_c[a], H_d[b]>`` in the
-    lumped space pairing,
+    every response.  With the Gram ``G_cd[a, b] = <H_c[a], M_ext H_d[b]>``
+    in the extended mass,
     ``Q[(c, k), (d, l)] = sum_{j >= max(k, l)} omega_j G_cd[j - k, j - l]
-    + delta_cd w_c omega_k``.  The Gram of the time-reversed responses is
-    turned into ``Q`` in place, by suffix sums along its diagonals and one
-    correction per entry for the trapezoid's last weight: ``O(n_ch^2 Nt^2)``
-    beyond the Gram.  ``Q`` is exactly symmetric.
+    + delta_cd w_c omega_k``.  On the DOF rows ``H`` the Gram is
+    ``(H sqrt(mass)) (H sqrt(mass))^T + a b^T + b a^T``: ``a`` is their ``c``
+    column, ``b`` the border's product with their nodes (:func:`_tracking`).
+    It is turned into ``Q`` in place, by suffix sums along its diagonals and
+    one correction per entry for the trapezoid's last weight:
+    ``O(n_ch^2 Nt^2)`` beyond the Gram.  ``Q`` is exactly symmetric.
     """
     problem = system.problem
     nch, nd, nt = problem.n_channels, problem.n_dirichlet_channels, problem.time_grid.Nt
     omega = problem.time_grid.trapezoid_weights()
-    root_w = [np.sqrt(g.trapezoid_weights()) for g in problem.grids]
-    ends = np.cumsum([0] + [w.size for w in root_w])  # edge i's columns of H
-    still = problem._replace(
-        f=[None] * problem.n, y0=[np.zeros(g.nnodes) for g in problem.grids], c0=0.0
-    )
-    # row (c, a) holds H_c[Nt - 1 - a], weighted so that H H^T is the Gram
-    H = np.empty((nch, nt, ends[-1]))
-    for c in range(nch):
+    dm, root_mass = system.dofmap, np.sqrt(system.mass)
+    still = problem._replace(f=[None] * problem.n, y_d=[None] * problem.n, c0=0.0,
+                             y0=[np.zeros(g.nnodes) for g in problem.grids])
+    # row (c, a) holds H_c[Nt - 1 - a], weighted so that H H^T is the Gram's
+    # diagonal part, and a and b its junction part
+    H = np.empty((nch, nt, system.ndof))
+    a, b = np.zeros((2, nch, nt))
+    for ch in range(nch):
         impulse = np.zeros((nch, nt + 1))
-        impulse[c, 1] = 1.0
-        y = solve_forward_graph(still, impulse[:nd], impulse[nd:], system=system)
-        for i, s in enumerate(y.samples):  # each edge formed once, straight into H
-            np.multiply(s[:0:-1], root_w[i], out=H[c, :, ends[i] : ends[i + 1]])
-        del y, s  # before the next march, for a lower peak of memory
+        impulse[ch, 1] = 1.0
+        dofs = solve_forward_graph(still, impulse[:nd], impulse[nd:], system=system).dofs
+        if dm.c_index is not None:  # still has no target: the misfit is the state
+            a[ch] = dofs[:0:-1, dm.c_index]
+            b[ch] = sum(_tracking(still, system.junctions, dofs)[1])[:0:-1]
+        np.multiply(dofs[:0:-1], root_mass, out=H[ch])
+        del dofs  # before the next march, for a lower peak of memory
     H = H.reshape(nch * nt, -1)
     Q = H @ H.T  # one symmetric rank-k product, so Q is symmetric bitwise
     del H
+    if dm.c_index is not None:  # a b^T + b a^T 64 rows at a time: entrywise, so symmetric
+        for r in range(0, nch * nt, 64):
+            Q[r : r + 64] += np.outer(a.flat[r : r + 64], b) + np.outer(b.flat[r : r + 64], a)
     V = Q.reshape(nch, nt, nch, nt)
     # suffix sums: V[k, l] becomes U[k, l] = sum_{s >= 0} F[k + s, l + s]
     # of the reversed Gram F, each row and column from the next ones

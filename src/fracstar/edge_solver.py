@@ -54,9 +54,9 @@ class Trajectory(NamedTuple):
     trace_b: np.ndarray
 
     @property
-    def samples(self) -> list[np.ndarray]:
-        """The state as the per-edge samples of the one-edge graph."""
-        return [self.y]
+    def dofs(self) -> np.ndarray:
+        """The state as the DOF rows of the one-edge graph (no junction mode)."""
+        return self.y
 
 
 def edge_problem(

@@ -32,7 +32,8 @@ releases ``K`` before the next edge.  A system keeps one square array per
 edge, its propagator.
 
 The forward sweep marches from ``y0``; the adjoint sweep marches backward
-from ``p(T + dt) = 0`` with loads ``omega_k/dt (y - y_d)`` and is the exact
+from ``p(T + dt) = 0`` with loads ``omega_k/dt M_ext [y - y_d]``, in the
+extended mass ``M_ext`` the steps are built on, and is the exact
 transpose of the discrete forward map for the trapezoid space-time cost.  The
 boundary series it returns (multiplier fluxes on Dirichlet tips, traces on
 Neumann tips) are scaled so that the first-order optimality residuals of the
@@ -52,10 +53,10 @@ The fluxes and the energy are linear or quadratic in the DOF rows, so each
 edge's nodal block is read once, as a view of the rows, by its trapezoid
 norm and one product with its junction rows of ``W`` and ``K``, and the
 a-priori ratios take the energy's norms: no rate, edge-DOF or sample array
-is formed.  Only the adjoint's misfit forms samples, one edge's at a time.
-As in the loads, the junction mode is paired with nodal data or states
-through its junction rows alone.  The diagnostics are computed on request;
-the optimizer never calls them.
+is formed, nor for the adjoint's misfit.  As in the loads, the junction mode
+is paired with nodal data or states through its junction rows alone; samples
+are formed for output only.  The diagnostics are computed on request; the
+optimizer never calls them.
 """
 
 from collections.abc import Sequence
@@ -167,16 +168,16 @@ class StarGraphProblem(NamedTuple):
 
 
 class EdgeSamples(Sequence):
-    """The per-edge nodal samples of the DOF rows ``dofs`` (any leading axes):
-    item ``i`` is edge ``i``'s nodal block plus ``c`` times its junction
-    mode, a new array formed each time it is read.  It holds the rows, the
-    layout and the modes (none without the junction mode), not the system
-    they were solved on."""
+    """The per-edge nodal samples of the DOF rows ``dofs`` (any leading axes),
+    for output: item ``i`` is edge ``i``'s nodal block plus ``c`` times its
+    junction mode, a new array formed each time it is read.  It holds the
+    rows, the layout and the junction rows (none without the junction mode),
+    by which the cost pairs the mode, not the system they were solved on."""
 
-    __slots__ = ("dofs", "dofmap", "modes")
+    __slots__ = ("dofs", "dofmap", "junctions")
 
-    def __init__(self, dofs: np.ndarray, dofmap: GlobalDofMap, modes: list):
-        self.dofs, self.dofmap, self.modes = dofs, dofmap, modes
+    def __init__(self, dofs: np.ndarray, dofmap: GlobalDofMap, junctions: list[JunctionRows]):
+        self.dofs, self.dofmap, self.junctions = dofs, dofmap, junctions
 
     def __len__(self) -> int:
         return len(self.dofmap.nnodes)
@@ -189,13 +190,13 @@ class EdgeSamples(Sequence):
         if self.dofmap.c_index is None:
             return np.array(x)
         # the outer product c mode, with no broadcast ufunc's buffers
-        s = np.einsum("...,j->...j", self.dofs[..., self.dofmap.c_index], self.modes[i])
+        s = np.einsum("...,j->...j", self.dofs[..., self.dofmap.c_index], self.junctions[i].mode)
         s += x
         return s
 
     def on(self, dofs: np.ndarray) -> "EdgeSamples":
         """The samples of other DOF rows in the same layout."""
-        return EdgeSamples(dofs, self.dofmap, self.modes)
+        return EdgeSamples(dofs, self.dofmap, self.junctions)
 
 
 class GraphSystem(NamedTuple):
@@ -242,27 +243,23 @@ class GraphSystem(NamedTuple):
     def samples(self, Y: np.ndarray) -> EdgeSamples:
         """The per-edge nodal samples of the DOF rows ``Y``, each formed when
         read."""
-        return EdgeSamples(Y, self.dofmap, [rows.mode for rows in self.junctions])
+        return EdgeSamples(Y, self.dofmap, self.junctions)
 
 
-def _add_loads(system: GraphSystem, g, out: np.ndarray | None = None) -> np.ndarray:
+def _add_loads(system: GraphSystem, g: list, out: np.ndarray | None = None) -> np.ndarray:
     """Add the global load of per-edge sample-space data ``g``,
     ``sum_i E_i^T (W_i g_i)``, to ``out`` in place, or to zeros, and return
     it: the nodes take ``w_trap g_i``, and ``c`` takes ``g_i`` times the
     nodal part of the junction row of ``W_i``, the product the diagnostics'
     loads take.  Each ``g_i`` may carry leading axes (time steps); the load
-    has them too.  ``g`` may be any iterable: an edge's data and its
-    weighted copy are released before the next edge's are read."""
-    dm, g = system.dofmap, iter(g)
-    for i, grid in enumerate(system.problem.grids):
-        # taken by next: a zip's cached tuple would hold it until the next edge
-        gi = next(g)
-        if out is None:
-            out = np.zeros(gi.shape[:-1] + (system.ndof,))
+    has them too."""
+    dm = system.dofmap
+    if out is None:
+        out = np.zeros(np.shape(g[0])[:-1] + (system.ndof,))
+    for i, (grid, gi) in enumerate(zip(system.problem.grids, g)):
         out[..., dm.edge_slice(i)] += grid.trapezoid_weights() * gi
         if dm.c_index is not None:
             out[..., dm.c_index] += gi @ system.junctions[i].w[:-1]
-        del gi
     return out
 
 
@@ -471,22 +468,17 @@ def _control_array(u, rows: int, nt: int, kind: str) -> np.ndarray:
     return u
 
 
-def _edge_sources(problem: StarGraphProblem) -> list[np.ndarray]:
-    """Each edge's source, an absent one as read-only zeros that take no
-    memory."""
-    nt = problem.time_grid.Nt
+def _edge_data(problem: StarGraphProblem, field: str) -> list[np.ndarray]:
+    """Each edge's ``f``, ``y_d`` or ``y0`` (``field``), checked against its
+    grid; an absent series as read-only zeros that take no memory."""
     out = []
-    for i, fi in enumerate(problem.f):
-        nn = problem.grids[i].nnodes
-        if fi is None:
-            out.append(np.broadcast_to(0.0, (nt + 1, nn)))
-        else:
-            fi = np.asarray(fi, dtype=float)
-            if fi.shape != (nt + 1, nn):
-                raise ValueError(
-                    f"edge {i + 1} source must have shape {(nt + 1, nn)}, got {fi.shape}"
-                )
-            out.append(fi)
+    for i, (fi, grid) in enumerate(zip(getattr(problem, field), problem.grids)):
+        shape = (grid.nnodes,) if field == "y0" else (problem.time_grid.Nt + 1, grid.nnodes)
+        fi = np.broadcast_to(0.0, shape) if fi is None else np.asarray(fi, dtype=float)
+        if fi.shape != shape:
+            name = {"f": "source", "y_d": "target", "y0": "initial datum"}[field]
+            raise ValueError(f"edge {i + 1} {name} must have shape {shape}, got {fi.shape}")
+        out.append(fi)
     return out
 
 
@@ -502,22 +494,30 @@ def _system_for(problem: StarGraphProblem, system: GraphSystem | None) -> GraphS
     return system
 
 
-def _misfit(problem: StarGraphProblem, y):
-    """Per-edge misfit ``y - y_d`` (the adjoint's source and the tracking
-    term of the cost), one edge at a time; where there is no target, the
-    samples themselves.  An edge's samples are released before its misfit is
-    handed over, and its misfit before the next edge's samples are formed."""
-    samples = y.samples
-    for i, ydi in enumerate(problem.y_d):
-        # indexed: a sequence's iterator would hold each item until the next
-        si = samples[i]
-        if ydi is not None:
-            ydi = np.asarray(ydi, float)
-            if ydi.shape != si.shape:
-                raise ValueError(f"edge {i + 1} target has wrong shape {ydi.shape}")
-            si = si - ydi
-        yield si
-        del si
+@np.errstate(over="ignore", invalid="ignore")  # an overflow is a non-finite term, unwarned
+def _tracking(problem: StarGraphProblem, junctions: list[JunctionRows], dofs, out=None):
+    """The extended mass on the misfit ``d = [x - y_d; c]`` of the DOF rows
+    ``dofs`` (``x`` alone without a target), the one place it meets states:
+    ``<d, M_ext d>`` per row, and per edge its nodes' product with ``w[:-1]``,
+    the border's share in ``c``'s row (none without the junction mode).
+    ``M_ext d`` goes into the zeros ``out``, if given: the nodes take
+    ``w_trap (x - y_d) + c w[:-1]``, and ``c`` the products plus ``c w[-1]``."""
+    dm, squared, products = _dofmap(problem), np.zeros(len(dofs)), []
+    for i, (grid, ydi) in enumerate(zip(problem.grids, _edge_data(problem, "y_d"))):
+        sl, wt = dm.edge_slice(i), grid.trapezoid_weights()
+        d = dofs[:, sl] - ydi
+        squared += np.einsum("kj,j,kj->k", d, wt, d)
+        if out is not None:
+            np.multiply(d, wt, out=out[:, sl])
+        if dm.c_index is not None:
+            c, w = dofs[:, dm.c_index], junctions[i].w
+            products.append(d @ w[:-1])
+            squared += c * (2.0 * products[-1] + c * w[-1])
+        if out is not None and dm.c_index is not None:  # c's border column, in d's place
+            out[:, sl] += np.multiply.outer(c, w[:-1], out=d)
+            out[:, dm.c_index] += products[-1] + c * w[-1]
+        del d  # before the next edge's is formed
+    return squared, products
 
 
 def _prescribed_traces(u: np.ndarray, m: int) -> np.ndarray:
@@ -615,18 +615,14 @@ def solve_forward_graph(
     nt, m = problem.time_grid.Nt, problem.m
     u = _control_array(u, problem.n_dirichlet_channels, nt, "dirichlet")
     v = _control_array(v, problem.n_neumann_channels, nt, "neumann")
-    f = _edge_sources(problem)
+    f = _edge_data(problem, "f")
     dm = system.dofmap
 
     # row 0 the start, every later row its step's load
     x = np.zeros((nt + 1, system.ndof)) if stream is None else stream.rows
-    for i in range(problem.n):
-        y0 = np.asarray(problem.y0[i], dtype=float)
-        if y0.shape != (dm.nnodes[i],):
-            raise ValueError(f"edge {i + 1} initial datum has wrong shape {y0.shape}")
+    for i, y0 in enumerate(_edge_data(problem, "y0")):
         x[0, dm.edge_slice(i)] = y0
-    if dm.c_index is not None:
-        x[0, dm.c_index] = problem.c0
+    x[0, dm.junction] = problem.c0
     loads = x[1:]
     _add_loads(system, [fi[1:] for fi in f], loads)
     # a Neumann channel loads its edge's trace row, and c by the junction
@@ -651,10 +647,11 @@ def solve_adjoint_graph(
     system: GraphSystem | None = None,
 ) -> GraphTrajectory:
     """Backward solve of the graph adjoint with source ``y - y_d``, clamped
-    traces on edges ``1..m`` and flux-free tips on ``m+1..n``.  Its loads
-    are formed in time order in the rows of the solution, which the march
-    fills in place from the last row to the first; no second
-    trajectory-sized array is made.
+    traces on edges ``1..m`` and flux-free tips on ``m+1..n``, for ``y``
+    anything with DOF rows ``dofs``.  Its loads, the extended mass on the
+    misfit (:func:`_tracking`), are formed in time order in the rows of the
+    solution, which the march fills in place from the last row to the first;
+    no second trajectory-sized array is made.
 
     Returns the adjoint trajectory together with the two boundary series of
     the optimality system: ``(beta D^alpha p)(b_i^-, .)`` read from the
@@ -666,12 +663,11 @@ def solve_adjoint_graph(
     nt, dt, m = problem.time_grid.Nt, problem.time_grid.dt, problem.m
     omega = problem.time_grid.trapezoid_weights()
 
-    # the loads go in time order, and the march takes the rows from the last
-    # to the first.  An overflowing misfit is a non-finite right-hand side,
-    # which the march reports without a numpy warning
+    # an overflowing misfit is a non-finite right-hand side, which the march
+    # reports without a numpy warning
     p = np.zeros((nt + 1, system.ndof))
+    _tracking(problem, system.junctions, y.dofs, p)
     with np.errstate(over="ignore", invalid="ignore"):
-        _add_loads(system, _misfit(problem, y), p)
         p *= (omega / dt)[:, None]
     mult = _march(
         system, np.zeros(system.ndof), p, np.zeros((nt + 1, m)), "adjoint", _backward=True
@@ -787,7 +783,7 @@ def diagnose_forward(
     nt = pr.time_grid.Nt
     u = _control_array(u, pr.n_dirichlet_channels, nt, "dirichlet")
     v = _control_array(v, pr.n_neumann_channels, nt, "neumann")
-    f = _edge_sources(pr)
+    f = _edge_data(pr, "f")
     loads = (fi[1:] @ junction.w[:-1] for fi, junction in zip(f, system.junctions))
     known = np.hstack([y.multipliers[1:], v[:, 1:].T])
     d = _readout(system, y, False, loads, known, _prescribed_traces(u, pr.m)[1:])
@@ -801,18 +797,18 @@ def diagnose_forward(
 
 def diagnose_adjoint(system: GraphSystem, p: GraphTrajectory, y) -> GraphDiagnostics:
     """Diagnostics of the adjoint ``p`` of the forward solution ``y`` (anything
-    with per-edge ``samples``), including the boundary-regularity ratio: the
+    with DOF rows ``dofs``), including the boundary-regularity ratio: the
     summed squared tip derivative traces ``(D^alpha p)(b_i^-)`` on Dirichlet
-    tips against the squared misfit that drives the adjoint."""
+    tips against the squared misfit that drives the adjoint, paired in the
+    extended mass (:func:`_tracking`)."""
     pr = system.problem
     tg = pr.time_grid
     omega = tg.trapezoid_weights()
-    loads, misfit = [], 0.0
-    for i, s in enumerate(_misfit(pr, y)):  # one edge's misfit at a time
-        w = pr.grids[i].trapezoid_weights()
-        misfit += float(np.einsum("k,kj,j,kj->", omega, s, w, s))
-        if pr.include_junction_mode:
-            loads.append(omega[1:] / tg.dt * (s[1:] @ system.junctions[i].w[:-1]))
+    squared, products = _tracking(pr, system.junctions, y.dofs)
+    misfit = float(omega @ squared)
+    c = system.dofmap.c_index  # an edge's load on c: its product, and c's share
+    loads = [omega[1:] / tg.dt * (b + y.dofs[:, c] * rows.w[-1])[1:]
+             for b, rows in zip(products, system.junctions)]
     reg = 0.0
     if misfit > 0.0 and pr.m > 0:
         beta_b = np.array([pr.coeffs[i].beta[-1] for i in range(pr.m)])

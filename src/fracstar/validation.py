@@ -18,7 +18,7 @@ from .graph_solver import (
     StarGraphProblem,
     _control_array,
     _dofmap,
-    _edge_sources,
+    _edge_data,
     assemble_graph_system,
     solve_forward_graph,
 )
@@ -85,7 +85,7 @@ def dense_oracle_solve_graph(
 
     u = _control_array(u, problem.n_dirichlet_channels, nt, "dirichlet")
     v = _control_array(v, problem.n_neumann_channels, nt, "neumann")
-    f = _edge_sources(problem)
+    f, y0 = _edge_data(problem, "f"), _edge_data(problem, "y0")
 
     K, W = (ops.sum(axis=0) for ops in dense_edge_operators(problem))
     B = np.zeros((n, ndof))
@@ -98,7 +98,7 @@ def dense_oracle_solve_graph(
         B[i, dm.junction] = 1.0  # the junction mode's tip trace
         free.append(op.free + dm.offsets[i])
         F[:, dm.edge_slice(i)] = f[i]
-        Y0[dm.edge_slice(i)] = np.asarray(problem.y0[i], dtype=float)
+        Y0[dm.edge_slice(i)] = y0[i]
     Y0[dm.junction] = problem.c0
     fr = np.r_[(*free, dm.junction)]
     loads = F @ W.T + v.T @ B[m:]

@@ -128,6 +128,33 @@ def tip_fluxes(system, y, f):
     ])
 
 
+def sample_misfits(problem, y):
+    """Reference: each edge's misfit ``y - y_d`` formed as samples, as the
+    solver formed it before it paired states in the extended mass; where
+    there is no target, the samples themselves."""
+    return [s if yd is None else s - yd for s, yd in zip(list(y.samples), problem.y_d)]
+
+
+def sample_pairing(problem, a, b):
+    """Reference: ``sum_k omega_k <a_k, b_k>`` of two lists of per-edge
+    sample series, in the lumped trapezoid pairing on each edge's nodes and
+    the trapezoid rule in time.  With ``a = b =`` :func:`sample_misfits` it
+    is twice the cost's former tracking term."""
+    omega = problem.time_grid.trapezoid_weights()
+    return sum(
+        float(np.einsum("k,kj,j,kj->", omega, ai, grid.trapezoid_weights(), bi))
+        for ai, bi, grid in zip(a, b, problem.grids)
+    )
+
+
+def sample_adjoint_load(system, y):
+    """Reference: the adjoint's load ``omega_k/dt E^T W (y - y_d)`` of every
+    step, from :func:`sample_misfits`."""
+    tg = system.problem.time_grid
+    load = _add_loads(system, sample_misfits(system.problem, y))
+    return load * (tg.trapezoid_weights() / tg.dt)[:, None]
+
+
 def random_graph(
     rng,
     alpha=0.6,

@@ -769,7 +769,7 @@ class TestEntry:
     def test_validate_reports_overflow_without_numpy_warnings(self, tmp_path, capsys, old, new):
         # warnings are errors in this suite: a numpy warning would raise here.
         # With f = 1e308 the solve still agrees with the oracle to 1e-15
-        # relative, but the duality pairing overflows.
+        # relative, but the duality check's Cauchy-Schwarz bound overflows.
         failed = {"y0": "oracle-equivalence", "f": "duality"}[old.split()[0]]
         ini = write(tmp_path, "edge.ini", EDGE_INI.replace(old, new))
         assert main(["--output-dir", str(tmp_path), "validate", str(ini)]) == 4

@@ -170,7 +170,7 @@ class TestCost:
         pr = random_graph(rng)
         y = solve_forward_graph(pr)
         flat = pr._replace(y_d=[pr.y_d[0][0], *pr.y_d[1:]])
-        with pytest.raises(ValueError, match="edge 1 target has wrong shape"):
+        with pytest.raises(ValueError, match="edge 1 target must have shape"):
             cost_graph(y, np.zeros((pr.n_channels, 7)), flat, CostConfig())
 
     def test_controls_of_another_shape_are_rejected(self, rng):
@@ -728,9 +728,9 @@ class TestReducedHessian:
         assert np.sqrt(om @ (res.controls[0] - exact.controls[0]) ** 2) <= 1e-7
 
     def test_each_response_is_held_once(self, rng, traced_peak):
-        # each march's weighted samples go into H one edge at a time: above
-        # its inputs the Hessian holds H, one march, and about one edge's
-        # samples beside them, never a copy of all of a march's samples
+        # each march's weighted DOF rows go straight into H: above its
+        # inputs the Hessian holds H, one march, and about one edge's share
+        # beside them, never a copy of a march
         n, M, Nt = 3, 200, 40
         pr = random_graph(rng, n=n, m=2, Nt=Nt, Ms=(M,) * n, bs=(1.0, 0.8, 1.2))
         system = assemble_graph_system(pr)
@@ -744,6 +744,15 @@ class TestReducedHessian:
         edge = 8 * (Nt + 1) * (M + 1)
         assert Q.nbytes < edge
         assert peak < H + march + 2 * edge
+
+
+    def test_junction_part_is_added_without_a_hessian_sized_copy(self, rng, traced_peak):
+        # with n_ch Nt >> ndof, Q outweighs the responses: the Gram's
+        # junction part a b^T + b a^T goes into Q a block of rows at a time
+        pr = random_graph(rng, n=3, m=2, Nt=512, Ms=(8, 8, 8))
+        Q, _, peak = traced_peak(reduced_hessian, assemble_graph_system(pr), CostConfig())
+        assert np.array_equal(Q, Q.T)
+        assert peak < 1.25 * Q.nbytes
 
 
 class TestActiveBoxProperties:

@@ -35,6 +35,9 @@ from conftest import (
     free_dofs,
     random_coeffs,
     random_graph,
+    sample_adjoint_load,
+    sample_misfits,
+    sample_pairing,
     tip_fluxes,
     trace_at_a,
 )
@@ -581,11 +584,23 @@ class TestOracle:
 
 class TestAdjoint:
     def test_zero_misfit_gives_zero(self, rng):
-        pr = random_graph(rng)
+        # the one-edge graph has no junction mode: a target equal to the
+        # state is its nodal rows, and the misfit x - y_d is zero bitwise
+        pr = random_graph(rng, n=1, m=0, Ms=(6,), bs=(1.0,))
         traj = solve_forward_graph(pr)
         pr = pr._replace(y_d=[s.copy() for s in traj.samples])
         adj = solve_adjoint_graph(pr, traj)
         assert np.abs(adj.dofs).max() == 0.0
+
+    def test_state_as_target_gives_zero_to_roundoff(self, rng):
+        # with the junction mode the target is the samples x + c sigma, and
+        # the misfit [x - y_d; c] cancels in the extended mass to roundoff
+        # only: at worst 1.3e-16 of the adjoint without a target (200 seeds)
+        pr = random_graph(rng)
+        traj = solve_forward_graph(pr)
+        alone = solve_adjoint_graph(pr._replace(y_d=[None] * pr.n), traj)
+        adj = solve_adjoint_graph(pr._replace(y_d=[s.copy() for s in traj.samples]), traj)
+        assert np.abs(adj.dofs).max() <= 1e-15 * np.abs(alone.dofs).max()
 
     def test_boundary_series_regularity_bounded(self, rng):
         # discrete analogue of the tip-derivative trace bound: the measured
@@ -960,13 +975,18 @@ def copied_diagnose_forward(system, y, u, v, squared):
 
 
 def copied_diagnose_adjoint(system, p, y):
-    pr, tg = system.problem, system.problem.time_grid
+    pr, tg, dm = system.problem, system.problem.time_grid, system.dofmap
     omega = tg.trapezoid_weights()
-    src = [s - yd for s, yd in zip(list(system.samples(y.dofs)), pr.y_d)]
-    misfit = sum(
-        float(np.einsum("k,kj,j,kj->", omega, s, grid.trapezoid_weights(), s))
-        for s, grid in zip(src, pr.grids)
-    )
+    src = sample_misfits(pr, y)
+    # the misfit [x - y_d; c] paired in the extended mass, each edge's on a copy
+    squared = np.zeros(len(y.dofs))
+    for i, (grid, yd) in enumerate(zip(pr.grids, pr.y_d)):
+        x = y.dofs[:, dm.edge_slice(i)] - (0.0 if yd is None else yd)
+        squared += np.einsum("kj,j,kj->k", x, grid.trapezoid_weights(), x)
+        if pr.include_junction_mode:
+            c, w = y.dofs[:, dm.c_index], system.junctions[i].w
+            squared += c * (2.0 * (x @ w[:-1]) + c * w[-1])
+    misfit = float(omega @ squared)
     reg = 0.0
     if misfit > 0.0 and pr.m > 0:
         beta_b = np.array([pr.coeffs[i].beta[-1] for i in range(pr.m)])
@@ -1065,6 +1085,20 @@ class TestDiagnosticsByProducts:
         assert p.dofs.flags.c_contiguous
         assert peak < 2 * p.dofs.nbytes
 
+    @pytest.mark.parametrize("targets", [True, False], ids=["targets", "no-targets"])
+    def test_adjoint_load_holds_an_edge_beside_its_rows(self, rng, traced_peak, targets):
+        # at the graph-forward benchmark's size the load M_ext [y - y_d] is
+        # formed in the solution's rows with about one edge-sized array
+        # beside them (1.26 measured); forming the samples' misfit took 2.24
+        n, M, Nt = 4, 512, 128
+        pr = random_graph(rng, n=n, m=2, Nt=Nt, Ms=(M,) * n, bs=(1.0, 0.8, 1.2, 0.9))
+        if not targets:
+            pr = pr._replace(y_d=[None] * n)
+        sys_ = assemble_graph_system(pr)
+        y = solve_forward_graph(pr, system=sys_)
+        p, _, peak = traced_peak(solve_adjoint_graph, pr, y, sys_)
+        assert peak - p.dofs.nbytes <= 1.5 * 8 * (Nt + 1) * (M + 1)
+
     def test_a_priori_ratios_hold_a_block_of_d(self, rng, traced_peak):
         # with M >> Nt an edge's M x (M + 1) derivative outweighs the
         # trajectory: D y is formed from a block of D's rows at a time
@@ -1109,7 +1143,10 @@ class TestDiagnosticsByProducts:
                     samples[bad]
 
     def test_each_reader_forms_an_edge_once(self, rng, monkeypatch):
-        # numpy's stacking reads a sequence twice: the readers take a list
+        # the samples are formed for output only: the readers of the tracking
+        # term (the cost, the adjoint, its diagnostics and the reduced
+        # Hessian) pair states in the extended mass, and the forward
+        # diagnostics read the nodal blocks, so none of them forms a sample
         reads = []
         getitem = fracstar.graph_solver.EdgeSamples.__getitem__
 
@@ -1125,22 +1162,19 @@ class TestDiagnosticsByProducts:
         y = solve_forward_graph(pr, controls[:1], controls[1:], sys_)
         free = solve_forward_graph(pr, system=sys_)  # its a-priori ratios are measured
         p = solve_adjoint_graph(pr, y, sys_)
-        reads.clear()
         for read in (
             lambda: cost_graph(y, controls, pr, CostConfig()),
             lambda: solve_adjoint_graph(pr, y, sys_),
             lambda: diagnose_adjoint(sys_, p, y),
+            lambda: reduced_hessian(sys_, CostConfig()),
+            lambda: diagnose_forward(sys_, free),
         ):
             reads.clear()
             read()
-            assert sorted(reads) == [0, 1, 2]
-        # the a-priori ratios take the energy's norms and the nodal blocks
-        reads.clear()
-        diagnose_forward(sys_, free)
-        assert reads == []
-        reads.clear()
-        reduced_hessian(sys_, CostConfig())
-        assert sorted(reads) == sorted([0, 1, 2] * pr.n_channels)
+            assert reads == []
+        # the output's readers take a list: numpy's stacking reads a sequence twice
+        np.hstack(list(y.samples))
+        assert sorted(reads) == [0, 1, 2]
 
     def test_sweeps_and_diagnostics_pair_the_mode_through_its_rows(self, rng):
         # a system whose modes are NaN but whose junction rows are real gives
@@ -1169,3 +1203,93 @@ class TestDiagnosticsByProducts:
             p = solve_adjoint_graph(pr, y, sys_)
             same(solve_adjoint_graph(pr, y, blind), p)
             same(diagnose_adjoint(blind, p, y), diagnose_adjoint(sys_, p, y))
+        # the state solved on the blind system carries its junction rows: its
+        # cost, and the reduced Hessian, pair the mode through them too
+        y, seen = (solve_forward_graph(pr, u, v, s) for s in (sys_, blind))
+        cfg = CostConfig()
+        for got, real in (
+            (cost_graph(seen, controls, pr, cfg), cost_graph(y, controls, pr, cfg)),
+            (reduced_hessian(blind, cfg), reduced_hessian(sys_, cfg)),
+        ):
+            assert np.isfinite(got).all()
+            assert np.asarray(got).tobytes() == np.asarray(real).tobytes()
+
+
+class TestTrackingInTheExtendedMass:
+    """The adjoint's load, the cost, the adjoint's diagnostics and the
+    reduced Hessian pair states with data in the extended mass, on the DOF
+    rows; they equal the sample-space pairing they replace (conftest's
+    reference) to roundoff."""
+
+    @given(
+        alpha=st.one_of(st.just(1.0), st.floats(1e-3, 1.0)),
+        Ms=st.lists(st.integers(2, 9), min_size=1, max_size=4),
+        m_choice=st.integers(0, 2),
+        Nt=st.one_of(st.just(1), st.integers(1, 6)),
+        targets=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(alpha=1.0, Ms=[3, 5, 8], m_choice=0, Nt=1, targets=True, seed=0)
+    @example(alpha=0.6, Ms=[4], m_choice=0, Nt=1, targets=False, seed=1)
+    @settings(max_examples=30, deadline=None)
+    def test_equal_the_sample_pairing(self, alpha, Ms, m_choice, Nt, targets, seed):
+        # alpha = 1 pins node 0; n = 1 takes m = 0 and m = 1, graphs m = n too
+        rng = np.random.default_rng(seed)
+        n = len(Ms)
+        m = min(m_choice, 1) if n == 1 else [n, 2, max(2, n - 1)][m_choice]
+        pr = random_graph(rng, alpha=alpha, n=n, m=m, Nt=Nt, Ms=Ms,
+                          bs=tuple(rng.uniform(0.5, 1.5, n)))
+        if not targets:
+            pr = pr._replace(y_d=[None] * n)
+        sys_, cfg = assemble_graph_system(pr), CostConfig()
+        tg, nd, nch = pr.time_grid, pr.n_dirichlet_channels, pr.n_channels
+        omega = tg.trapezoid_weights()
+        controls = rng.standard_normal((nch, Nt + 1))
+        y = solve_forward_graph(pr, controls[:nd], controls[nd:], sys_)
+
+        def close(got, ref, scale=None):
+            scale = np.abs(ref).max() if scale is None else scale
+            assert np.abs(np.asarray(got) - ref).max() <= 1e-13 * scale
+
+        # the adjoint against the reference load, marched by the same march
+        p = solve_adjoint_graph(pr, y, sys_)
+        ref = sample_adjoint_load(sys_, y)
+        fracstar.graph_solver._march(
+            sys_, np.zeros(sys_.ndof), ref, np.zeros((Nt + 1, m)), "adjoint", _backward=True
+        )
+        close(p.dofs, ref)
+
+        misfits = sample_misfits(pr, y)
+        penalty = float(np.einsum("jk,k,jk->", controls, omega, controls))
+        ref = 0.5 * (sample_pairing(pr, misfits, misfits) + penalty)
+        close(cost_graph(y, controls, pr, cfg), ref)
+
+        # the adjoint's diagnostics against the readout of the reference's
+        # loads on c, and its ratio against the reference's misfit
+        d = diagnose_adjoint(sys_, p, y)
+        loads = [omega[1:] / tg.dt * (s[1:] @ rows.w[:-1])
+                 for s, rows in zip(misfits, sys_.junctions)]
+        known = np.hstack([p.multipliers[1:], np.zeros((Nt, n - m))])
+        flux = fracstar.graph_solver._readout(
+            sys_, p, True, loads, known, np.zeros((Nt, m))
+        ).junction_flux
+        close(d.junction_flux, flux, max([np.abs(flux).max(), *map(np.max, map(np.abs, loads))]))
+        _, reg = copied_diagnose_adjoint(sys_, p, y)
+        assert d.boundary_regularity_ratio == pytest.approx(reg, rel=1e-13, abs=0.0)
+
+        # the reduced Hessian against the sample pairing of every response
+        if nch == 0:
+            return
+        Q = reduced_hessian(sys_, cfg)
+        assert np.array_equal(Q, Q.T)
+        still = pr._replace(f=[None] * n, y0=[np.zeros(g.nnodes) for g in pr.grids], c0=0.0)
+        responses = []
+        for ch in range(nch):
+            for k in range(1, Nt + 1):
+                impulse = np.zeros((nch, Nt + 1))
+                impulse[ch, k] = 1.0
+                z = solve_forward_graph(still, impulse[:nd], impulse[nd:], sys_)
+                responses.append(list(z.samples))
+        ref = np.array([[sample_pairing(pr, a, b) for b in responses] for a in responses])
+        ref.flat[:: nch * Nt + 1] += np.tile(omega[1:], nch)
+        close(Q, ref)

@@ -108,6 +108,18 @@ class TestDispatch:
             dense_oracle_solve_graph(pr)
         assert str(got.value) == str(expected.value)
 
+    @pytest.mark.parametrize("size", [1, 6, 8], ids=["one-value", "short", "long"])
+    def test_initial_data_are_checked_as_the_solver_checks_them(self, rng, size):
+        # edge 1 has 7 nodes: a one-value y0 used to be broadcast to all of
+        # them by the oracle, where the solver rejects it
+        pr = random_graph(rng, Nt=4)
+        pr = pr._replace(y0=[rng.standard_normal(size), *pr.y0[1:]])
+        with pytest.raises(ValueError, match="edge 1 initial datum must have shape") as expected:
+            solve_forward_graph(pr)
+        with pytest.raises(ValueError) as got:
+            dense_oracle_solve_graph(pr)
+        assert str(got.value) == str(expected.value)
+
     def test_one_channel_series_may_be_one_dimensional(self, rng):
         # as the solver, the oracle takes a single channel's series as 1-D
         pr = random_graph(rng, Nt=4)
